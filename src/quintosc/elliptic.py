@@ -256,13 +256,13 @@ def jacobi_am(u: ArrayLike, m: float) -> ArrayLike:
         out = u_arr.copy()
         return float(out[0]) if scalar else out
 
-    K = complete_K(m)
+    cs, As = _agm_chain(m)
+    K = math.pi / (2.0 * As[-1])  # complete_K(m) from the same chain
     wind = np.floor(u_arr / (2.0 * K))
     ur = u_arr - 2.0 * K * wind  # in [0, 2K)
     refl = ur > K
     ur = np.where(refl, 2.0 * K - ur, ur)  # in [0, K]
 
-    cs, As = _agm_chain(m)
     phi = np.ldexp(As[-1] * ur, len(cs))
     for c, a in zip(reversed(cs), reversed(As)):
         phi = 0.5 * (phi + np.arcsin(np.clip(c / a * np.sin(phi), -1.0, 1.0)))

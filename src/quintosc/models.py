@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
+from numpy.polynomial import polynomial as poly
 from scipy.integrate import quad
 
 from . import elliptic
@@ -141,15 +142,14 @@ def potential_phi(model: OscillatorModel, u):
     return out if out.ndim else float(out)
 
 
-def _quad(integrand, lo: float, hi: float) -> float:
-    out = quad(integrand, lo, hi, epsabs=1e-14, epsrel=1e-12, limit=200, full_output=1)
+def _psi_by_quadrature(model: OscillatorModel, u: float) -> float:
+    # Psi(u) after u = sin(theta): integral_{asin u}^{pi/2} d theta / sqrt(G(sin theta)).
+    lo, hi = math.asin(u), math.pi / 2.0
+    out = quad(lambda theta: 1.0 / math.sqrt(_g_factor(model, math.sin(theta))), lo, hi,
+               epsabs=1e-14, epsrel=1e-12, limit=200, full_output=1)
     if len(out) > 3:
         raise QuintoscError(f"quadrature on [{lo}, {hi}] did not converge: {out[3]}")
     return out[0]
-
-
-def _period_by_quadrature(model: OscillatorModel) -> float:
-    return 4.0 * _quad(lambda theta: 1.0 / math.sqrt(_g_factor(model, math.sin(theta))), 0.0, math.pi / 2.0)
 
 
 def exact_period(model: OscillatorModel) -> ExactPeriod:
@@ -171,27 +171,12 @@ def exact_period(model: OscillatorModel) -> ExactPeriod:
         J = math.hypot(1.0, a)
         A = J + b
         n = 0.5 * (1.0 - J)
-        m = n * (b - n) / A  # negative parameter; needs the Carlson route
-        value = 4.0 / math.sqrt(A) * ((1.0 + J) * _complete_Pi_ext(n, m) - _complete_K_ext(m))
-        return ExactPeriod(value, CLOSED_FORM_PI)
-    return ExactPeriod(_period_by_quadrature(model), QUADRATURE)
-
-
-def _complete_K_ext(m: float) -> float:
-    """K(m) for any m < 1, including negative parameters."""
-    if m >= 1.0:
-        raise DomainError(f"complete K requires m < 1, got m={m}")
-    return elliptic.carlson_rf(0.0, 1.0 - m, 1.0)
-
-
-def _complete_Pi_ext(n: float, m: float) -> float:
-    """Pi(n, m) for n < 1 and any m < 1, including negative parameters."""
-    if n >= 1.0 or m >= 1.0:
-        raise DomainError(f"complete Pi requires n < 1 and m < 1, got n={n}, m={m}")
-    rf = elliptic.carlson_rf(0.0, 1.0 - m, 1.0)
-    if n == 0.0:
-        return rf
-    return rf + n / 3.0 * elliptic.carlson_rj(0.0, 1.0 - m, 1.0, 1.0 - n)
+        m = n * (b - n) / A
+        # K(m) and Pi(n, m) for these negative n, m through their Carlson forms.
+        K = elliptic.carlson_rf(0.0, 1.0 - m, 1.0)
+        Pi = K + n / 3.0 * elliptic.carlson_rj(0.0, 1.0 - m, 1.0, 1.0 - n)
+        return ExactPeriod(4.0 / math.sqrt(A) * ((1.0 + J) * Pi - K), CLOSED_FORM_PI)
+    return ExactPeriod(4.0 * _psi_by_quadrature(model, 0.0), QUADRATURE)
 
 
 def time_integral_psi(model: OscillatorModel, u: float) -> float:
@@ -210,11 +195,7 @@ def time_integral_psi(model: OscillatorModel, u: float) -> float:
         if u < 0.0:
             return 2.0 * _psi_relativistic(model.a, 0.0) - _psi_relativistic(model.a, -u)
         return _psi_relativistic(model.a, u)
-    return _quad(
-        lambda theta: 1.0 / math.sqrt(_g_factor(model, math.sin(theta))),
-        math.asin(u),
-        math.pi / 2.0,
-    )
+    return _psi_by_quadrature(model, u)
 
 
 def _psi_relativistic(a: float, u: float) -> float:
@@ -231,7 +212,11 @@ def validate_params(model: OscillatorModel) -> list[str]:
 
     Returns an empty list when the model is usable; otherwise a list of
     human-readable diagnostics, each naming the violated condition (and
-    the offending abscissa for potential-positivity failures).
+    the offending abscissa for potential-positivity failures).  For the
+    catalogue kinds G > 0 holds analytically once a (and b where it is
+    used) is positive and finite.  For the generic model G is a
+    polynomial in s = u^2, so its minimum over s in [0, 1] is taken
+    exactly, at s = 0, s = 1 or a critical point.
     """
     problems: list[str] = []
     if model.kind == GENERIC:
@@ -241,20 +226,19 @@ def validate_params(model: OscillatorModel) -> list[str]:
             problems.append("force_spec contains non-finite coefficients")
         elif sum(model.force_spec) >= 0.0:
             problems.append(f"restoring force must be negative at u=1, got f(1)={sum(model.force_spec)}")
+        else:
+            g = _generic_g_coeffs(model.force_spec)
+            s = np.concatenate(([0.0, 1.0], np.clip(poly.polyroots(poly.polyder(g)).real, 0.0, 1.0)))
+            gs = poly.polyval(s, g)
+            i = np.argmin(gs)
+            if not gs[i] > 0.0:
+                problems.append(f"potential must be positive on (-1, 1): "
+                                f"Phi({math.sqrt(s[i]):.6g}) = {(1.0 - s[i]) * gs[i]:.6g}")
     else:
-        if not model.a > 0.0:
-            problems.append(f"amplitude a must be positive, got a={model.a}")
-        if model.kind in (CABLE_MASS, DUFFING_RELATIVISTIC) and not model.b > 0.0:
-            problems.append(f"parameter b must be positive for {model.kind}, got b={model.b}")
-    if problems:
-        return problems
-
-    u = np.linspace(-1.0, 1.0, 1001)[1:-1]
-    phi = potential_phi(model, u)
-    bad = np.flatnonzero(phi <= 0.0)
-    if bad.size:
-        i = bad[np.argmin(phi[bad])]
-        problems.append(f"potential must be positive on (-1, 1): Phi({u[i]:.6g}) = {phi[i]:.6g}")
+        if not 0.0 < model.a < math.inf:
+            problems.append(f"amplitude a must be positive and finite, got a={model.a}")
+        if model.kind in (CABLE_MASS, DUFFING_RELATIVISTIC) and not 0.0 < model.b < math.inf:
+            problems.append(f"parameter b must be positive and finite for {model.kind}, got b={model.b}")
     return problems
 
 

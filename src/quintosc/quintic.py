@@ -101,14 +101,18 @@ def discriminant(c: Coefficients) -> float:
 def classify(c: Coefficients) -> str:
     """Sort a triple into CASE_I, CASE_II, DEGENERATE or UNSUPPORTED.
 
-    Vanishing of the discriminant is decided up to the absolute
-    tolerance 1e-9 * max(1, |3*c3^2|).
+    The case of lambda*c equals that of c for every lambda > 0, so the
+    triple is first divided by its scale max(|c1|, |c3|, |c5|); vanishing
+    of the discriminant of that unit triple is decided up to the
+    tolerance 1e-9 * max(1, 3*c3^2).
     """
     c = _coerce(c)
     if not c.c5 > 0.0:
         return UNSUPPORTED
+    scale = max(abs(c.c1), abs(c.c3), c.c5)
+    c = QuinticCoefficients(c.c1 / scale, c.c3 / scale, c.c5 / scale)
     delta = discriminant(c)
-    if abs(delta) <= 1e-9 * max(1.0, abs(3.0 * c.c3 * c.c3)):
+    if abs(delta) <= 1e-9 * max(1.0, 3.0 * c.c3 * c.c3):
         return DEGENERATE
     if delta < 0.0:
         return CASE_I
@@ -205,11 +209,6 @@ def solve(c: Coefficients) -> ClosedFormSolution:
     raise ConstructionError(f"degenerate triple ({c.c1}, {c.c3}, {c.c5}) resisted the c5 nudge")
 
 
-def period(solution: ClosedFormSolution) -> float:
-    """Period of the solved oscillation (8*A*K(m) or 4*K(m)/rate)."""
-    return solution.period
-
-
 def period_by_quadrature(c: Coefficients) -> float:
     """Period from the time integral, independent of the closed forms.
 
@@ -228,47 +227,47 @@ def period_by_quadrature(c: Coefficients) -> float:
     return 4.0 * math.sqrt(6.0) * out[0]
 
 
-def _u_squared(solution: ClosedFormSolution, tau: np.ndarray) -> np.ndarray:
+def _state(solution: ClosedFormSolution, t):
+    """Signed u(t) and u'(t) from one Jacobi call, for scalar or array t.
+
+    The Jacobi functions carry the sign of the cosine-like wave, so no
+    square root of u^2 or of the energy is taken and the zero crossings
+    and turning points keep full relative precision.  A scalar runs as a
+    batch of one through the same numpy loops, so scalar and batch
+    results are bit-identical.
+    """
+    t_arr = np.asarray(t, dtype=float)
+    tau = np.atleast_1d(t_arr)
     p = solution.params
     if solution.case == CASE_I:
-        # u^2 = sqrt(B) sin^2(phi) / (sqrt(B) sin^2(phi) + cos^2(phi)) with
-        # phi = am(2K - t/A)/2; the half-angle squares reduce to cn.
-        cn = jacobi_sn_cn_dn(2.0 * complete_K(p.m) - tau / p.A, p.m).cn
+        # am(2K - x) = pi - am(x) turns the half-angle form of u^2 into
+        # u = sqrt(sb) cos(psi) / D, D^2 = sb cos^2(psi) + sin^2(psi), with
+        # psi = am(t/A)/2; then du/dpsi = -sqrt(sb) sin(psi) / D^3 and
+        # dpsi/dt = dn(t/A) / (2A).
+        am = jacobi_am(tau / p.A, p.m)
+        cos_psi, sin_psi = np.cos(0.5 * am), np.sin(0.5 * am)
         sb = math.sqrt(p.B)
-        num = sb * (1.0 - cn)
-        return num / (num + (1.0 + cn))
-    sn = jacobi_sn_cn_dn(p.rate * tau, p.m).sn
-    return p.s1 + p.s1 * (p.s1 - 1.0) / (np.square(sn) - p.s1)
+        d = np.sqrt(sb * np.square(cos_psi) + np.square(sin_psi))
+        dn = np.sqrt(1.0 - p.m * np.square(2.0 * sin_psi * cos_psi))  # dn(t/A) = sqrt(1 - m sin^2(am))
+        u = math.sqrt(sb) * cos_psi / d
+        du = -math.sqrt(sb) * sin_psi * dn / (2.0 * p.A * d ** 3)
+    else:
+        # u^2 = -s1 cn^2 / q with q = sn^2 - s1 > 0 (s1 < 0), so u = cn sqrt(-s1/q).
+        sn, cn, dn = jacobi_sn_cn_dn(p.rate * tau, p.m)
+        q = np.square(sn) - p.s1
+        u = cn * np.sqrt(-p.s1 / q)
+        du = -p.rate * math.sqrt(-p.s1) * (1.0 - p.s1) * sn * dn / (q * np.sqrt(q))
+    du = du + 0.0  # the +0.0 drops IEEE negative zeros
+    if t_arr.ndim == 0:
+        return float(u[0]), float(du[0])
+    return u, du
 
 
 def evaluate(solution: ClosedFormSolution, t):
-    """Signed trajectory u(t), extended periodically to all real t.
-
-    The closed forms deliver u^2; the sign follows the quarter-period
-    rule of the cosine-like wave: positive on [0, T/4] and [3T/4, T],
-    negative in between.
-    """
-    t_arr = np.asarray(t, dtype=float)
-    scalar = t_arr.ndim == 0
-    t_arr = np.atleast_1d(t_arr)
-    T = solution.period
-    tau = np.mod(t_arr, T)
-    u = np.sqrt(np.clip(_u_squared(solution, tau), 0.0, None))
-    u = np.where((tau > 0.25 * T) & (tau < 0.75 * T), -u, u)
-    return float(u[0]) if scalar else u
+    """Signed trajectory u(t) for scalar or array t, over all real times."""
+    return _state(solution, t)[0]
 
 
 def derivative(solution: ClosedFormSolution, t):
-    """Velocity u'(t) from energy conservation, with the quadrant sign."""
-    t_arr = np.asarray(t, dtype=float)
-    scalar = t_arr.ndim == 0
-    t_arr = np.atleast_1d(t_arr)
-    T = solution.period
-    tau = np.mod(t_arr, T)
-    u = np.atleast_1d(evaluate(solution, tau))
-    c = solution.solved
-    u2 = np.square(u)
-    speed2 = c.c1 * (1.0 - u2) + c.c3 * (1.0 - u2 * u2) / 2.0 + c.c5 * (1.0 - u2 ** 3) / 3.0
-    speed = np.sqrt(np.clip(speed2, 0.0, None))
-    du = np.where(tau < 0.5 * T, -speed, speed) + 0.0  # the +0.0 drops IEEE negative zeros
-    return float(du[0]) if scalar else du
+    """Velocity u'(t) for scalar or array t, over all real times."""
+    return _state(solution, t)[1]

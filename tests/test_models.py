@@ -195,3 +195,22 @@ class TestValidateParams:
         problems = models.validate_params(bad)
         assert len(problems) == 1
         assert "Phi(" in problems[0]
+
+    def test_generic_potential_dip_between_samples(self):
+        # Phi(sqrt(0.30001)) = -7e-13: the dip is narrower than any fixed
+        # sampling grid resolves, the exact minimum of G still finds it.
+        bad = models.OscillatorModel("generic", force_spec=(-0.690026000099, 3.20004, -3.0))
+        problems = models.validate_params(bad)
+        assert len(problems) == 1 and "Phi(0.547" in problems[0]
+        with pytest.raises(DomainError):
+            models.exact_period(bad)
+        with pytest.raises(DomainError):
+            models.time_integral_psi(bad, 0.5)
+
+    @pytest.mark.parametrize("model", [
+        models.OscillatorModel("relativistic", a=math.inf),
+        models.OscillatorModel("cable-mass", a=1.0, b=math.inf),
+    ])
+    def test_infinite_parameters_rejected(self, model):
+        problems = models.validate_params(model)
+        assert len(problems) == 1 and "must be positive and finite" in problems[0]

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from quintosc import quintic as q
 from quintosc.chebyshev import QuinticCoefficients
@@ -28,6 +28,17 @@ def case2_triple(s1: float, s2: float, c5: float) -> tuple:
     c3 = -(2.0 * c5 / 3.0) * (s1 + s2 + 1.0)
     c1 = (c5 / 3.0) * (s1 * s2 + s1 + s2)
     return (c1, c3, c5)
+
+
+# Three Case I and three Case II triples with differing m and amplitude profile.
+SIX_TRIPLES = [
+    (1.0, 2.0, 3.0),
+    case1_triple(-1.2, 0.8, 0.9),
+    case1_triple(2.0, 2.5, 0.4),
+    CASE2,
+    case2_triple(-4.0, -0.3, 1.7),
+    case2_triple(-1.5, -1.0, 0.25),
+]
 
 
 class TestDiscriminantAndClassify:
@@ -108,11 +119,17 @@ class TestPeriod:
                 sol = q.solve(c)
                 assert sol.period == pytest.approx(q.period_by_quadrature(c), rel=1e-9)
 
-    def test_time_rescaling(self):
-        lam = 2.0
-        base = q.solve((1.0, 2.0, 3.0)).period
-        scaled = q.solve((lam ** 2 * 1.0, lam ** 2 * 2.0, lam ** 2 * 3.0)).period
-        assert scaled == pytest.approx(base / lam, rel=1e-12)
+    @given(st.sampled_from([(1.0, 2.0, 3.0), CASE2, (0.0, 2.0, 1.0), (0.3, 0.0, 0.0)]),
+           st.floats(-12.0, 12.0))
+    @example((1.0, 2.0, 3.0), math.log10(4.0))
+    def test_time_rescaling(self, c, log_lam):
+        # u(sqrt(lam) t) solves lam*c whenever u(t) solves c, so
+        # period(lam*c) = period(c) / sqrt(lam); the case, the c5 floor of the
+        # harmonic triple and the nudge of the degenerate one are scale-free.
+        lam = 10.0 ** log_lam
+        base = q.solve(c).period
+        scaled = q.solve(tuple(lam * x for x in c)).period
+        assert scaled * math.sqrt(lam) == pytest.approx(base, rel=1e-12)
 
     def test_pure_cubic_limit_continuity(self):
         # (0, 1, eps) approaches the pure-cubic oscillator as eps -> 0+.
@@ -166,14 +183,7 @@ class TestEvaluate:
         fd = (q.evaluate(sol, h) - q.evaluate(sol, -h)) / (2.0 * h)
         assert abs(fd) < 1e-7
 
-    @pytest.mark.parametrize("c", [
-        (1.0, 2.0, 3.0),
-        case1_triple(-1.2, 0.8, 0.9),
-        case1_triple(2.0, 2.5, 0.4),
-        CASE2,
-        case2_triple(-4.0, -0.3, 1.7),
-        case2_triple(-1.5, -1.0, 0.25),
-    ])
+    @pytest.mark.parametrize("c", SIX_TRIPLES)
     def test_ode_residual_by_finite_differences(self, c):
         # 5-point central second derivative of the closed form must satisfy
         # the quintic ODE; this guards the Jacobi-function plumbing.
@@ -196,6 +206,32 @@ class TestEvaluate:
         fd = (q.evaluate(sol, t + h) - q.evaluate(sol, t - h)) / (2.0 * h)
         np.testing.assert_allclose(q.derivative(sol, t), fd, rtol=0.0, atol=1e-6)
 
+    @pytest.mark.parametrize("c", SIX_TRIPLES)
+    def test_zero_crossings_keep_relative_precision(self, c):
+        # u crosses zero at T/4 with u' = -v and at 3T/4 with u' = +v, where
+        # v^2 = Phi(0) = c1 + c3/2 + c5/3; u'' = 0 there, so u = u'*dt + O(dt^3).
+        sol = q.solve(c)
+        T = sol.period
+        v = math.sqrt(c[0] + c[1] / 2.0 + c[2] / 3.0)
+        for crossing, slope in ((0.25 * T, -v), (0.75 * T, v)):
+            for dt in (1e-9 * T, -1e-9 * T):
+                assert q.evaluate(sol, crossing + dt) == pytest.approx(slope * dt, rel=1e-6)
+
+    @pytest.mark.parametrize("c", SIX_TRIPLES)
+    def test_turning_point_velocity_keeps_relative_precision(self, c):
+        # u'(t) = -(c1 + c3 + c5) t + O(t^3) after the turning point u(0) = 1.
+        sol = q.solve(c)
+        for t in (1e-7 * sol.period, 1e-9 * sol.period):
+            assert q.derivative(sol, t) == pytest.approx(-(c[0] + c[1] + c[2]) * t, rel=1e-6)
+
+    @pytest.mark.parametrize("c", SIX_TRIPLES)
+    def test_scalar_is_a_batch_of_one(self, c):
+        sol = q.solve(c)
+        t = np.linspace(-1.3 * sol.period, 2.7 * sol.period, 41)
+        u, du = q.evaluate(sol, t), q.derivative(sol, t)
+        assert [q.evaluate(sol, float(x)) for x in t] == u.tolist()
+        assert [q.derivative(sol, float(x)) for x in t] == du.tolist()
+
 
 class TestSolveDispatch:
     def test_case_tags(self):
@@ -205,6 +241,21 @@ class TestSolveDispatch:
     def test_unsupported(self):
         with pytest.raises(UnsupportedCaseError):
             q.solve((1.0, 1.0, -1.0))
+
+    def test_small_scale_triple(self):
+        # (1e-6, 2e-6, 3e-6) = 1e-6 * (1, 2, 3): Case I with period T_123 * 1e3.
+        sol = q.solve((1e-6, 2e-6, 3e-6))
+        assert sol.case == q.CASE_I and sol.nudge == 0.0
+        assert sol.period == pytest.approx(T_123 * 1e3, rel=1e-13)
+
+    def test_harmonic_generic_model(self):
+        # c5 is lifted to C5_FLOOR * c1 and the lifted triple is Case I.
+        from quintosc.chebyshev import model_coefficients
+        from quintosc.models import OscillatorModel
+
+        sol = q.solve(model_coefficients(OscillatorModel("generic", force_spec=(-0.3,))))
+        assert sol.case == q.CASE_I and sol.nudge > 0.0
+        assert sol.period == pytest.approx(2.0 * math.pi / math.sqrt(0.3), rel=1e-9)
 
     def test_accepts_dataclass_input(self):
         sol = q.solve(QuinticCoefficients(1.0, 2.0, 3.0, "manual"))
