@@ -20,6 +20,7 @@ from .chebyshev import (
 )
 from .errors import (
     ConstructionError,
+    ConvergenceError,
     DomainError,
     EvaluationError,
     QuintoscError,
@@ -34,6 +35,7 @@ __all__ = [
     "ChebyshevOddCoefficients",
     "ClosedFormSolution",
     "ConstructionError",
+    "ConvergenceError",
     "DomainError",
     "EllipticMoments",
     "EvaluationError",

@@ -19,7 +19,7 @@ so that each level reuses every force value of the previous one.  It
 stops when the largest change of any alpha is at most 1e-14 * max|f|,
 returns the coarser of the last two levels (the one whose error that
 change estimates, and the exact 64-node value whenever 64 nodes already
-resolve the force), and raises QuintoscError if 46 656 nodes (64 * 3^6)
+resolve the force), and raises ConvergenceError if 46 656 nodes (64 * 3^6)
 do not converge.  An explicit node count keeps the fixed rule.
 
 For the catalogue models the projection integrals also have closed forms
@@ -38,7 +38,7 @@ import numpy as np
 
 from . import models
 from .elliptic import complete_E, complete_K
-from .errors import DomainError, EvaluationError, QuintoscError
+from .errors import ConvergenceError, DomainError, EvaluationError
 
 
 @dataclass(frozen=True)
@@ -138,7 +138,7 @@ def project_odd_quintic(force: Callable, nodes: int | None = None) -> ChebyshevO
     *coarser* level, whose error that change estimates; a force that 64
     nodes already resolve (every odd polynomial up to degree 121) gets
     exactly the fixed 64-node value.  Past 46 656 nodes (64 * 3^6) without
-    convergence it raises ``QuintoscError``; pass ``nodes`` explicitly to
+    convergence it raises ``ConvergenceError``; pass ``nodes`` explicitly to
     accept a fixed rule instead.  Non-finite force values raise
     ``EvaluationError`` at the first offending abscissa of the level that
     produced them.
@@ -168,7 +168,7 @@ def project_odd_quintic(force: Callable, nodes: int | None = None) -> ChebyshevO
             return ChebyshevOddCoefficients(*alphas.tolist())
         n *= 3
         if n >= _MAX_NODES:
-            raise QuintoscError(
+            raise ConvergenceError(
                 f"adaptive Chebyshev projection did not converge within {_MAX_NODES} nodes "
                 f"(last change {change:.3e}, max|f| {fmax:.3e}); pass nodes explicitly for a fixed rule")
         alphas = finer

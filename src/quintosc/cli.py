@@ -16,7 +16,6 @@ import sys
 
 import click
 import numpy as np
-import scipy
 
 from . import __version__, models, quintic
 from .chebyshev import QuinticCoefficients, model_coefficients, project_odd_quintic, to_monomial
@@ -41,6 +40,8 @@ def _case_label(case: str) -> str:
 
 
 def _versions() -> dict:
+    import scipy  # imported here: only the JSON versions field needs scipy
+
     return {"quintosc": __version__, "numpy": np.__version__, "scipy": scipy.__version__}
 
 

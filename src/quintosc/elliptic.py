@@ -20,7 +20,7 @@ from typing import NamedTuple, Union
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import ConvergenceError, DomainError
 
 ArrayLike = Union[float, np.ndarray]
 
@@ -58,7 +58,7 @@ def _agm_chain(m: float) -> tuple[list[float], list[float]]:
         As.append(a)
         if abs(c) < _AGM_TOL * a:
             return cs, As
-    raise RuntimeError("AGM failed to converge")  # pragma: no cover
+    raise ConvergenceError("AGM failed to converge")  # pragma: no cover
 
 
 def complete_K(m: float) -> float:
@@ -110,7 +110,7 @@ def carlson_rf(x: float, y: float, z: float) -> float:
             e2 = dx * dy - dz * dz
             e3 = dx * dy * dz
             return (1.0 + (e2 / 24.0 - 0.1 - 3.0 * e3 / 44.0) * e2 + e3 / 14.0) / math.sqrt(mu)
-    raise RuntimeError("carlson_rf failed to converge")  # pragma: no cover
+    raise ConvergenceError("carlson_rf failed to converge")
 
 
 def carlson_rc(x: float, y: float) -> float:
@@ -124,7 +124,7 @@ def carlson_rc(x: float, y: float) -> float:
         s = (y - x) / (3.0 * mu)
         if abs(s) < _RC_ERRTOL:
             return (1.0 + s * s * (0.3 + s * (1.0 / 7.0 + s * (0.375 + s * 9.0 / 22.0)))) / math.sqrt(mu)
-    raise RuntimeError("carlson_rc failed to converge")  # pragma: no cover
+    raise ConvergenceError("carlson_rc failed to converge")  # pragma: no cover
 
 
 def carlson_rd(x: float, y: float, z: float) -> float:
@@ -156,7 +156,7 @@ def carlson_rd(x: float, y: float, z: float) -> float:
                 + dz * (ee / 6.0 + dz * (-9.0 / 22.0 * ec + 3.0 / 26.0 * dz * ea))
             )
             return 3.0 * total + factor * series / (mu * math.sqrt(mu))
-    raise RuntimeError("carlson_rd failed to converge")  # pragma: no cover
+    raise ConvergenceError("carlson_rd failed to converge")  # pragma: no cover
 
 
 def carlson_rj(x: float, y: float, z: float, p: float) -> float:
@@ -166,6 +166,12 @@ def carlson_rj(x: float, y: float, z: float, p: float) -> float:
     """
     if min(x, y, z) < 0.0 or (x + y) == 0.0 or (y + z) == 0.0 or (z + x) == 0.0 or p <= 0.0:
         raise DomainError(f"carlson_rj requires nonnegative x, y, z (at most one zero) and p > 0: {(x, y, z, p)}")
+    # R_J is homogeneous of degree -3/2: R_J(x, ...) = 8^-k R_J(x / 4^k, ...).
+    # Scaling the largest argument near 1 keeps the squares below from
+    # overflowing, and powers of two scale exactly, so the value is unchanged.
+    k = math.frexp(max(x, y, z, p))[1] // 2
+    scale = math.ldexp(1.0, -2 * k)
+    x, y, z, p = x * scale, y * scale, z * scale, p * scale
     total = 0.0
     factor = 1.0
     for _ in range(_MAX_ITER):
@@ -192,8 +198,8 @@ def carlson_rj(x: float, y: float, z: float, p: float) -> float:
                 + dp * ea * (1.0 / 3.0 - dp * 3.0 / 22.0)
                 - dp * ec / 3.0
             )
-            return 3.0 * total + factor * series / (mu * math.sqrt(mu))
-    raise RuntimeError("carlson_rj failed to converge")  # pragma: no cover
+            return math.ldexp(3.0 * total + factor * series / (mu * math.sqrt(mu)), -3 * k)
+    raise ConvergenceError("carlson_rj failed to converge")
 
 
 def complete_Pi(n: float, m: float) -> float:

@@ -20,6 +20,10 @@ class EvaluationError(QuintoscError):
         self.abscissa = abscissa
 
 
+class ConvergenceError(QuintoscError):
+    """An iteration or quadrature did not reach its tolerance within its cap."""
+
+
 class ConstructionError(QuintoscError):
     """A closed-form solution could not be constructed from valid-looking input."""
 

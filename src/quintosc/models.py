@@ -17,16 +17,16 @@ substitution u = sin(theta).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from numpy.polynomial import polynomial as poly
-from scipy.integrate import quad
+from numpy.polynomial import legendre, polynomial as poly
 
 from . import elliptic
-from .errors import DomainError, QuintoscError
+from .errors import ConvergenceError, DomainError
 
 RELATIVISTIC = "relativistic"
 CABLE_MASS = "cable-mass"
@@ -142,22 +142,98 @@ def potential_phi(model: OscillatorModel, u):
     return out if out.ndim else float(out)
 
 
-def _psi_by_quadrature(model: OscillatorModel, u: float) -> float:
-    # Psi(u) after u = sin(theta): integral_{asin u}^{pi/2} d theta / sqrt(G(sin theta)).
-    lo, hi = math.asin(u), math.pi / 2.0
-    out = quad(lambda theta: 1.0 / math.sqrt(_g_factor(model, math.sin(theta))), lo, hi,
-               epsabs=1e-14, epsrel=1e-12, limit=200, full_output=1)
-    if len(out) > 3:
-        raise QuintoscError(f"quadrature on [{lo}, {hi}] did not converge: {out[3]}")
-    return out[0]
+# Nested trapezoid for complete quarter periods: 8 panels, doubled up to 2^16.
+_TRAPEZOID_PANELS = (8, 2 ** 16)
+_TRAPEZOID_TOL = 1e-15
+# Gauss-Legendre for partial intervals: 16 nodes, doubled up to 1024.
+_GAUSS_NODES = (16, 1024)
+_GAUSS_TOL = 1e-14
+
+
+def _theta_integrand(model: OscillatorModel):
+    """The regularised integrand theta -> 1 / sqrt(G(sin theta)) of Psi and the period."""
+    if model.kind != GENERIC:
+        return lambda theta: 1.0 / np.sqrt(_g_factor(model, np.sin(theta)))
+    # With s = sin^2 and c = cos^2, G(s) = c G(0) + s G(1) + c s R(s), so a
+    # G(0) or G(1) near zero keeps its relative precision at u = 0 and u = +-1,
+    # where s or c is small; Horner in s alone loses it at u = +-1.  G(1) is
+    # -f(1).  R(s) = (G(s) - c G(0) - s G(1)) / (s c): dividing by s shifts
+    # the coefficients and dividing by c = 1 - s takes running sums.
+    g = _generic_g_coeffs(model.force_spec)
+    g_0, g_1 = g[0], -sum(model.force_spec)
+    r = np.cumsum(np.concatenate(([g[0] + g[1] - g_1], g[2:]))[:-1]) if len(g) > 1 else ()
+
+    def integrand(theta):
+        s, c = np.square(np.sin(theta)), np.square(np.cos(theta))
+        acc = np.zeros_like(s)
+        for coeff in reversed(r):
+            acc = acc * s + coeff
+        return 1.0 / np.sqrt(c * g_0 + s * g_1 + c * s * acc)
+
+    return integrand
+
+
+def _quarter_period_integral(g) -> float:
+    """Integral of g over [0, pi/2] for a smooth g even about 0 and about pi/2.
+
+    Such a g is even and pi-periodic, so the trapezoid rule on the nodes
+    k*pi/(2n) is the periodic trapezoid rule, which converges exponentially
+    (Trefethen & Weideman, SIAM Review 56, 2014).  Each doubling of n adds
+    only the n midpoints.  The loop stops when two levels agree to
+    _TRAPEZOID_TOL relative and returns the finer one.
+    """
+    n, cap = _TRAPEZOID_PANELS
+    h = 0.5 * math.pi / n
+    values = g(h * np.arange(n + 1))
+    total = np.sum(values) - 0.5 * (values[0] + values[-1])
+    estimate = h * total
+    while n < cap:
+        total += np.sum(g(h * (np.arange(n) + 0.5)))
+        n, h, previous = 2 * n, 0.5 * h, estimate
+        estimate = h * total
+        if not 0.0 < estimate < math.inf:
+            raise DomainError(f"quarter-period integrand is not finite and positive (integral {estimate})")
+        if abs(estimate - previous) <= _TRAPEZOID_TOL * estimate:
+            return float(estimate)
+    raise ConvergenceError(f"quarter-period trapezoid did not converge within {cap} panels "
+                           f"(last change {abs(estimate - previous) / estimate:.3g} relative)")
+
+
+@functools.lru_cache(maxsize=None)  # at most 7 rules: n = 16, 32, ..., 1024
+def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    nodes, weights = legendre.leggauss(n)
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
+
+
+def _tail_integral(g, u: float) -> float:
+    """Integral of g over [asin u, pi/2] for 0 < u < 1 by Gauss-Legendre.
+
+    The interval never contains theta = 0, where a model's integrand may
+    have complex singularities close by.  Its width acos(u) keeps full
+    relative precision as u -> 1, where pi/2 - asin(u) would not.
+    """
+    half = 0.5 * math.acos(u)
+    n, cap = _GAUSS_NODES
+    estimate = math.nan
+    while n <= cap:
+        nodes, weights = _gauss_legendre(n)
+        previous, estimate = estimate, half * np.sum(weights * g(0.5 * math.pi - half * (1.0 + nodes)))
+        if not 0.0 < estimate < math.inf:
+            raise DomainError(f"time integrand is not finite and positive (integral {estimate})")
+        if abs(estimate - previous) <= _GAUSS_TOL * estimate:
+            return float(estimate)
+        n *= 2
+    raise ConvergenceError(f"Gauss-Legendre rule on [asin({u}), pi/2] did not converge within {cap} nodes")
 
 
 def exact_period(model: OscillatorModel) -> ExactPeriod:
     """Exact period of the model oscillation.
 
     Closed forms exist for the relativistic force (complete K and E) and
-    the cable-mass force (complete third-kind integral); the others fall
-    back to adaptive quadrature of the regularised period integral.
+    the cable-mass force (complete third-kind integral).  The others take
+    four times the quarter period integral of 1/sqrt(G(sin theta)) by the
+    nested periodic trapezoid rule, converged to 1e-15 relative.
     """
     _require_valid(model)
     a, b = model.a, model.b
@@ -171,31 +247,41 @@ def exact_period(model: OscillatorModel) -> ExactPeriod:
         J = math.hypot(1.0, a)
         A = J + b
         n = 0.5 * (1.0 - J)
-        m = n * (b - n) / A
-        # K(m) and Pi(n, m) for these negative n, m through their Carlson forms.
-        K = elliptic.carlson_rf(0.0, 1.0 - m, 1.0)
-        Pi = K + n / 3.0 * elliptic.carlson_rj(0.0, 1.0 - m, 1.0, 1.0 - n)
-        return ExactPeriod(4.0 / math.sqrt(A) * ((1.0 + J) * Pi - K), CLOSED_FORM_PI)
-    return ExactPeriod(4.0 * _psi_by_quadrature(model, 0.0), QUADRATURE)
+        m = n * ((b - n) / A)
+        # T = 4 / sqrt(A) * ((1 + J) Pi(n, m) - K(m)) for these negative n, m, with
+        # K = R_F(0, 1 - m, 1) and Pi = K + n/3 R_J(0, 1 - m, 1, 1 - n).  The
+        # arguments are divided by t = 1 - m (R_F and R_J are homogeneous of
+        # degree -1/2 and -3/2) and J is factored out, so that for huge a
+        # nothing overflows and R_J does not underflow.
+        t = 1.0 - m
+        rf = elliptic.carlson_rf(0.0, 1.0, 1.0 / t)
+        rj = elliptic.carlson_rj(0.0, 1.0, 1.0 / t, (1.0 - n) / t)
+        value = 4.0 * (J / math.sqrt(A)) / math.sqrt(t) * (rf + (1.0 + 1.0 / J) * (n / (3.0 * t)) * rj)
+        return ExactPeriod(value, CLOSED_FORM_PI)
+    return ExactPeriod(4.0 * _quarter_period_integral(_theta_integrand(model)), QUADRATURE)
 
 
 def time_integral_psi(model: OscillatorModel, u: float) -> float:
     """Time for the trajectory to travel from amplitude 1 down to u.
 
     Psi(u) = integral_u^1 ds / sqrt(Phi(s)), defined for u in (-1, 1];
-    Psi(1) = 0 and Psi(0) is a quarter period.  The relativistic model
-    uses the incomplete-F/E closed form, the rest integrate numerically.
+    Psi(1) = 0 and Psi(0) is a quarter period.  Negative u reflect through
+    Psi(u) = 2 Psi(0) - Psi(-u).  The relativistic model uses the
+    incomplete-F/E closed form; the others integrate 1/sqrt(G(sin theta)),
+    over [0, pi/2] by the nested trapezoid rule of exact_period and over
+    [asin u, pi/2] by Gauss-Legendre.
     """
     _require_valid(model)
     if not -1.0 < u <= 1.0:
         raise DomainError(f"time_integral_psi requires u in (-1, 1], got u={u}")
+    if u < 0.0:
+        return 2.0 * time_integral_psi(model, 0.0) - time_integral_psi(model, -u)
     if u == 1.0:
         return 0.0
     if model.kind == RELATIVISTIC:
-        if u < 0.0:
-            return 2.0 * _psi_relativistic(model.a, 0.0) - _psi_relativistic(model.a, -u)
         return _psi_relativistic(model.a, u)
-    return _psi_by_quadrature(model, u)
+    g = _theta_integrand(model)
+    return _quarter_period_integral(g) if u == 0.0 else _tail_integral(g, u)
 
 
 def _psi_relativistic(a: float, u: float) -> float:

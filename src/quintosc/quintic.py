@@ -25,11 +25,11 @@ from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
-from scipy.integrate import quad
 
 from .chebyshev import QuinticCoefficients
 from .elliptic import complete_K, jacobi_am, jacobi_sn_cn_dn
-from .errors import ConstructionError, QuintoscError, UnsupportedCaseError
+from .errors import ConstructionError, UnsupportedCaseError
+from .models import GENERIC, OscillatorModel, _quarter_period_integral, _theta_integrand
 
 CASE_I = "I"
 CASE_II = "II"
@@ -212,19 +212,15 @@ def solve(c: Coefficients) -> ClosedFormSolution:
 def period_by_quadrature(c: Coefficients) -> float:
     """Period from the time integral, independent of the closed forms.
 
-    Uses u'^2 = (1 - u^2) * h2(u^2) / 6 and u = sin(theta):
-    T = 4*sqrt(6) * integral_0^{pi/2} d theta / sqrt(h2(sin^2 theta)).
+    The quintic force -(c1*u + c3*u^3 + c5*u^5) is the generic odd
+    polynomial model, whose potential factors as (1 - u^2) * h2(u^2) / 6.
+    With u = sin(theta), T = 4 * integral_0^{pi/2} d theta / sqrt(h2(sin^2 theta) / 6),
+    taken by the nested periodic trapezoid rule of models.exact_period.
+    A triple whose h2 is not positive on [0, 1] raises DomainError.
     """
     c = _coerce(c)
-
-    def h2(s: float) -> float:
-        return (6.0 * c.c1 + 3.0 * c.c3 + 2.0 * c.c5) + (3.0 * c.c3 + 2.0 * c.c5) * s + 2.0 * c.c5 * s * s
-
-    out = quad(lambda theta: 1.0 / math.sqrt(h2(math.sin(theta) ** 2)), 0.0, math.pi / 2.0,
-               epsabs=1e-14, epsrel=1e-12, limit=200, full_output=1)
-    if len(out) > 3:
-        raise QuintoscError(f"period quadrature did not converge: {out[3]}")
-    return 4.0 * math.sqrt(6.0) * out[0]
+    model = OscillatorModel(GENERIC, force_spec=(-c.c1, -c.c3, -c.c5))
+    return 4.0 * _quarter_period_integral(_theta_integrand(model))
 
 
 def _state(solution: ClosedFormSolution, t):

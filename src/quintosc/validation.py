@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from typing import Callable, Union
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from . import models, quintic
 from .chebyshev import QuinticCoefficients, model_coefficients
@@ -85,6 +84,8 @@ def rk_oracle(rhs: ForceLike, t_end: float, tol: float = 1e-10, samples: int = 2
         raise DomainError(f"oracle tolerance must lie in [1e-13, 1e-6], got {tol}")
     if t_end <= 0.0:
         raise DomainError(f"oracle horizon must be positive, got {t_end}")
+    from scipy.integrate import solve_ivp  # imported here: only this oracle needs scipy
+
     force = (lambda u: models.restoring_force(rhs, u)) if isinstance(rhs, models.OscillatorModel) else rhs
     times = np.linspace(0.0, t_end, samples)
     result = solve_ivp(

@@ -2,11 +2,18 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+import scipy
 from click.testing import CliRunner
 
 from quintosc.cli import main
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 @pytest.fixture()
@@ -204,3 +211,26 @@ class TestOutputPlumbing:
         result = runner.invoke(main, ["--version"])
         assert result.exit_code == 0
         assert "0.1.0" in result.output
+
+
+def fresh_python(*args):
+    """Run a new interpreter on the package under src and return its stdout."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True, check=True)
+    return proc.stdout
+
+
+class TestScipyStaysOptional:
+    @pytest.mark.parametrize("code", [
+        "import quintosc",
+        "import quintosc.cli",
+        "from quintosc.cli import main; main(['period', '--model', 'duffing-relativistic', '--a', '2', "
+        "'--b', '0.5'], standalone_mode=False)",
+    ], ids=["import", "import_cli", "csv_period"])
+    def test_runtime_path_loads_no_scipy(self, code):
+        out = fresh_python("-c", code + "\nimport sys; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        assert out.splitlines()[-1] == "[]"
+
+    def test_json_versions_report_scipy(self):
+        out = fresh_python("-m", "quintosc.cli", "period", "--model", "relativistic", "--a", "1", "--format", "json")
+        assert json.loads(out)["versions"]["scipy"] == scipy.__version__

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from quintosc import elliptic as el
-from quintosc.errors import DomainError
+from quintosc.errors import ConvergenceError, DomainError
 
 
 class TestCompleteK:
@@ -142,6 +142,20 @@ class TestCarlson:
             el.carlson_rd(0.0, 0.0, 1.0)
         with pytest.raises(DomainError):
             el.carlson_rj(1.0, 2.0, 3.0, 0.0)
+
+    @pytest.mark.parametrize("k", [100, 250, -250])
+    def test_rj_homogeneity_is_exact(self, k):
+        # R_J(4^k x, ...) = 8^-k R_J(x, ...); at k = 250 the squares of the
+        # duplication step would overflow without rescaling.
+        s = 4.0 ** k
+        assert el.carlson_rj(0.0, s, 2.0 * s, 3.0 * s) == math.ldexp(el.carlson_rj(0.0, 1.0, 2.0, 3.0), -3 * k)
+
+    @pytest.mark.parametrize("func, args", [(el.carlson_rf, (math.nan, 1.0, 1.0)),
+                                            (el.carlson_rj, (math.nan, 1.0, 1.0, 1.0))])
+    def test_non_convergence_raises_convergence_error(self, func, args):
+        # A NaN passes the sign checks and never meets the duplication cutoff.
+        with pytest.raises(ConvergenceError):
+            func(*args)
 
 
 class TestJacobiAm:

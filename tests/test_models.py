@@ -2,12 +2,13 @@
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
 from quintosc import models
-from quintosc.errors import DomainError
+from quintosc.errors import ConvergenceError, DomainError
 
 REL1 = models.OscillatorModel("relativistic", a=1.0)
 CABLE11 = models.OscillatorModel("cable-mass", a=1.0, b=1.0)
@@ -31,6 +32,31 @@ def quarter_period_quadrature(model, lower_u=0.0):
     integrand = lambda theta: (1.0 - math.sin(theta) ** 2) ** 0.5 / math.sqrt(
         models.potential_phi(model, math.sin(theta)))
     return quad(integrand, math.asin(lower_u), math.pi / 2.0, epsabs=1e-14, epsrel=1e-12, limit=200)[0]
+
+
+def mp_time_integral(model, u=0.0):
+    """Psi(u) at 30 digits: mpmath tanh-sinh on 1/sqrt(G(sin theta)), split at theta = 0.
+
+    For the cable-mass, duffing-relativistic and generic kinds.  G is
+    written out from the force definitions in mpmath arithmetic, so only
+    the quadrature rule differs from the code under test.
+    """
+    with mp.workdps(30):
+        a, b = mp.mpf(model.a), mp.mpf(model.b)
+
+        def big_g(x):
+            if model.kind == "generic":
+                # G = Phi / (1 - x^2), Phi = -sum_k p_k (1 - x^(2k+2)) / (k+1).
+                return -sum(mp.mpf(p) * sum(x ** (2 * j) for j in range(k + 1)) / (k + 1)
+                            for k, p in enumerate(model.force_spec))
+            g_rel = 2 / (mp.sqrt(1 + a * a) + mp.sqrt(1 + a * a * x * x))
+            if model.kind == "cable-mass":
+                return 1 + b * g_rel
+            return (2 + a * a + a * a * x * x) / 2 + b * g_rel
+
+        lower = mp.asin(mp.mpf(u))
+        nodes = [lower, mp.pi / 2] if lower >= 0 else [lower, 0, mp.pi / 2]
+        return float(mp.quad(lambda theta: 1 / mp.sqrt(big_g(mp.sin(theta))), nodes))
 
 
 class TestRestoringForce:
@@ -119,10 +145,65 @@ class TestExactPeriod:
         with pytest.raises(DomainError):
             models.exact_period(models.OscillatorModel("cable-mass", a=1.0, b=0.0))
 
+    @pytest.mark.parametrize("a", [10.0 ** k for k in range(20, 301, 20)] + [1e155, 1.7e308])
+    def test_cable_mass_huge_amplitude(self, a):
+        # The force tends to -u, so the period tends to 2 pi.  The closed form
+        # loses ~3 digits to cancellation there, but nothing overflows and
+        # R_J does not underflow.
+        period = models.exact_period(models.OscillatorModel("cable-mass", a=a, b=0.5))
+        assert period.value == pytest.approx(2.0 * math.pi, rel=1e-12, abs=0.0)
+
     def test_relativistic_modulus_below_one(self):
         for a in np.logspace(-2.0, 2.0, 40):
             k = (math.hypot(1.0, a) - 1.0) / a
             assert 0.0 < k < 1.0
+
+
+class TestQuadratureOracle:
+    """The numpy quadratures against 30-digit mpmath."""
+
+    @pytest.mark.parametrize("a", [0.05, 1.3, 4.03, 20.3, 22.95, 30.0])
+    @pytest.mark.parametrize("b", [0.05, 0.7, 2.0])
+    def test_duffing_period(self, a, b):
+        model = models.OscillatorModel("duffing-relativistic", a=a, b=b)
+        assert models.exact_period(model).value == pytest.approx(4.0 * mp_time_integral(model), rel=1e-14, abs=0.0)
+
+    @pytest.mark.parametrize("spec", [(-1.0, -0.5), (-0.3, 1.2, -2.0)])
+    def test_generic_period(self, spec):
+        model = models.OscillatorModel("generic", force_spec=spec)
+        assert models.exact_period(model).value == pytest.approx(4.0 * mp_time_integral(model), rel=1e-14, abs=0.0)
+
+    @pytest.mark.parametrize("kind", ["duffing-relativistic", "cable-mass"])
+    @pytest.mark.parametrize("a", [0.05, 1.3, 8.0, 30.0])
+    def test_time_integral(self, kind, a):
+        model = models.OscillatorModel(kind, a=a, b=0.7)
+        for u in (-0.999, -0.5, -0.001, 0.001, 0.3, 0.9, 0.999999):
+            assert models.time_integral_psi(model, u) == pytest.approx(mp_time_integral(model, u), rel=1e-12, abs=0.0)
+
+    # min G = eps, at u = +-1 for the first spec (G(1) = -(p0 + p1)) and at
+    # u = 0 for the second (G(0) = -(p0 + p1/2)).
+    @pytest.mark.parametrize("spec", [lambda eps: (-1.0 - eps, 1.0), lambda eps: (0.5 - eps, -1.0)],
+                             ids=["min_at_amplitude", "min_at_centre"])
+    def test_nearly_singular_generic(self, spec):
+        # At min G = 1e-6 the trapezoid converges; the period is only defined
+        # to ~1e-11 by the rounded coefficients, and node abscissae rounded
+        # near pi/2 cost ~5e-15, so 1e-13 is the meaningful tolerance.
+        model = models.OscillatorModel("generic", force_spec=spec(1e-6))
+        assert models.exact_period(model).value == pytest.approx(4.0 * mp_time_integral(model), rel=1e-13, abs=0.0)
+        # At 1e-10 the integrand's peak is ~1e-5 wide, beyond 2^16 panels.
+        with pytest.raises(ConvergenceError):
+            models.exact_period(models.OscillatorModel("generic", force_spec=spec(1e-10)))
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    def test_overflowing_integrand_raises(self):
+        # a^2 overflows, G is infinite and the integrand vanishes: a period
+        # or time of 0 would be silently wrong.
+        model = models.OscillatorModel("duffing-relativistic", a=1e200, b=0.5)
+        with pytest.raises(DomainError):
+            models.exact_period(model)
+        for u in (0.3, -0.3):
+            with pytest.raises(DomainError):
+                models.time_integral_psi(model, u)
 
 
 class TestTimeIntegral:

@@ -8,7 +8,7 @@ from hypothesis import example, given, strategies as st
 
 from quintosc import quintic as q
 from quintosc.chebyshev import QuinticCoefficients
-from quintosc.errors import ConstructionError, UnsupportedCaseError
+from quintosc.errors import ConstructionError, DomainError, UnsupportedCaseError
 
 # Frozen from an independent 30-digit quadrature of the time integral.
 T_123 = 3.0725998166282099
@@ -118,6 +118,16 @@ class TestPeriod:
             for c in (c1, c2):
                 sol = q.solve(c)
                 assert sol.period == pytest.approx(q.period_by_quadrature(c), rel=1e-9)
+
+    def test_quadrature_matches_frozen_periods(self):
+        assert q.period_by_quadrature((1.0, 2.0, 3.0)) == pytest.approx(T_123, rel=1e-14, abs=0.0)
+        assert q.period_by_quadrature(CASE2) == pytest.approx(T_CASE2, rel=1e-14, abs=0.0)
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered in sqrt")
+    def test_quadrature_rejects_non_positive_potential(self):
+        # h2(s) = -6 < 0: the energy relation has no real velocity.
+        with pytest.raises(DomainError):
+            q.period_by_quadrature((-1.0, 0.0, 0.0))
 
     @given(st.sampled_from([(1.0, 2.0, 3.0), CASE2, (0.0, 2.0, 1.0), (0.3, 0.0, 0.0)]),
            st.floats(-12.0, 12.0))
