@@ -30,9 +30,13 @@ TABLE_REFERENCE = {
 }
 TABLE_TOLERANCE = 1e-5
 
+# The one float format of the CSV output: 17 significant digits round-trip
+# every double, and '%' gives the same text as format(x, ".17g").
+_FLOAT = "%.17g"
+
 
 def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
+    return _FLOAT % float(x)
 
 
 def _case_label(case: str) -> str:
@@ -178,25 +182,26 @@ def solve(model, a, b, force_spec, c1, c3, c5, samples, fmt, out):
         raise click.ClickException(str(exc))
     step = solution.period / (samples - 1)
     t = np.arange(samples) * step
-    u = quintic.evaluate(solution, t)
-    du = quintic.derivative(solution, t)
+    u, du = quintic._state(solution, t)
     sc = solution.solved
     udd = -(sc.c1 * u + sc.c3 * u ** 3 + sc.c5 * u ** 5)
     force = models.restoring_force(osc, u) if osc is not None else udd
     residual = udd - force
+    table = np.column_stack([t, u, du, residual])
     config["samples"] = samples
     if fmt == "json":
         results = {
             "case": _case_label(solution.case),
             "period": solution.period,
             "columns": ["t", "u", "u_dot", "residual"],
-            "rows": [list(row) for row in zip(t, u, du, residual)],
+            "rows": table.tolist(),
         }
         _emit_json(config, results, out)
         return
-    lines = ["t,u,u_dot,residual"]
-    lines.extend(f"{_fmt(ti)},{_fmt(ui)},{_fmt(dui)},{_fmt(ri)}" for ti, ui, dui, ri in zip(t, u, du, residual))
-    _emit("\n".join(lines) + "\n", out)
+    # One '%' over the flattened table leaves only the float-to-text work;
+    # a format() call per cell took twice as long at 100 001 samples.
+    row = ",".join([_FLOAT] * 4) + "\n"
+    _emit(("t,u,u_dot,residual\n" + row * samples) % tuple(table.ravel().tolist()), out)
 
 
 @main.command()

@@ -98,7 +98,8 @@ def carlson_rf(x: float, y: float, z: float) -> float:
 
     Arguments must be nonnegative with at most one of them zero.
     """
-    if min(x, y, z) < 0.0 or (x + y) == 0.0 or (y + z) == 0.0 or (z + x) == 0.0:
+    # Written so that NaN fails: every comparison with NaN is false.
+    if not (x >= 0.0 and y >= 0.0 and z >= 0.0) or (x + y) == 0.0 or (y + z) == 0.0 or (z + x) == 0.0:
         raise DomainError(f"carlson_rf requires nonnegative args, at most one zero: {(x, y, z)}")
     for _ in range(_MAX_ITER):
         sx, sy, sz = math.sqrt(x), math.sqrt(y), math.sqrt(z)
@@ -115,7 +116,7 @@ def carlson_rf(x: float, y: float, z: float) -> float:
 
 def carlson_rc(x: float, y: float) -> float:
     """Degenerate symmetric integral R_C(x, y) = R_F(x, y, y), y > 0."""
-    if x < 0.0 or y <= 0.0:
+    if not (x >= 0.0 and y > 0.0):
         raise DomainError(f"carlson_rc requires x >= 0 and y > 0, got {(x, y)}")
     for _ in range(_MAX_ITER):
         lam = 2.0 * math.sqrt(x) * math.sqrt(y) + y
@@ -132,7 +133,7 @@ def carlson_rd(x: float, y: float, z: float) -> float:
 
     Requires z > 0 and x, y >= 0 with at most one of x, y zero.
     """
-    if min(x, y) < 0.0 or (x + y) == 0.0 or z <= 0.0:
+    if not (x >= 0.0 and y >= 0.0 and z > 0.0) or (x + y) == 0.0:
         raise DomainError(f"carlson_rd requires x, y >= 0 (not both zero) and z > 0: {(x, y, z)}")
     total = 0.0
     factor = 1.0
@@ -164,7 +165,7 @@ def carlson_rj(x: float, y: float, z: float, p: float) -> float:
 
     Requires x, y, z >= 0 with at most one of them zero.
     """
-    if min(x, y, z) < 0.0 or (x + y) == 0.0 or (y + z) == 0.0 or (z + x) == 0.0 or p <= 0.0:
+    if not (x >= 0.0 and y >= 0.0 and z >= 0.0 and p > 0.0) or (x + y) == 0.0 or (y + z) == 0.0 or (z + x) == 0.0:
         raise DomainError(f"carlson_rj requires nonnegative x, y, z (at most one zero) and p > 0: {(x, y, z, p)}")
     # R_J is homogeneous of degree -3/2: R_J(x, ...) = 8^-k R_J(x / 4^k, ...).
     # Scaling the largest argument near 1 keeps the squares below from
@@ -269,9 +270,16 @@ def jacobi_am(u: ArrayLike, m: float) -> ArrayLike:
     refl = ur > K
     ur = np.where(refl, 2.0 * K - ur, ur)  # in [0, K]
 
+    # Each stage is phi <- (phi + asin(c/a sin(phi))) / 2, computed in place.
+    # c_n <= a_n holds under rounding, so the asin argument stays in [-1, 1].
     phi = np.ldexp(As[-1] * ur, len(cs))
+    step = np.empty_like(phi)
     for c, a in zip(reversed(cs), reversed(As)):
-        phi = 0.5 * (phi + np.arcsin(np.clip(c / a * np.sin(phi), -1.0, 1.0)))
+        np.sin(phi, out=step)
+        step *= c / a
+        np.arcsin(step, out=step)
+        phi += step
+        phi *= 0.5
     phi = np.where(refl, math.pi - phi, phi) + math.pi * wind
     return float(phi[0]) if scalar else phi
 

@@ -7,10 +7,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 import scipy
 from click.testing import CliRunner
 
+from quintosc import models, quintic
+from quintosc.chebyshev import QuinticCoefficients, model_coefficients
 from quintosc.cli import main
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -110,6 +113,45 @@ class TestSolve:
     def test_nothing_given(self, runner):
         result = runner.invoke(main, ["solve"])
         assert result.exit_code == 2
+
+    @pytest.mark.parametrize("args", [
+        ["--model", "relativistic", "--a", "3.1", "--samples", "1001"],
+        ["--model", "duffing-relativistic", "--a", "1", "--b", "0.3", "--samples", "1001"],
+        ["--c1", "1", "--c3", "2", "--c5", "3", "--samples", "777"],
+        ["--model", "relativistic", "--a", "3.1", "--samples", "2"],
+    ], ids=["case_one_model", "case_two_model", "raw_triple", "two_samples"])
+    def test_csv_matches_row_by_row_rendering(self, runner, args):
+        result = runner.invoke(main, ["solve", *args])
+        assert result.exit_code == 0
+        assert result.output == row_by_row_solve_csv(args)
+
+    def test_out_file_equals_stdout(self, runner, tmp_path):
+        args = ["solve", "--model", "relativistic", "--a", "3.1", "--samples", "101"]
+        target = tmp_path / "solve.csv"
+        assert runner.invoke(main, [*args, "--out", str(target)]).exit_code == 0
+        assert target.read_text() == runner.invoke(main, args).output
+
+
+def row_by_row_solve_csv(args):
+    """The solve CSV built cell by cell from the public evaluate/derivative."""
+    opts = dict(zip(args[::2], args[1::2]))
+    if "--model" in opts:
+        osc = models.OscillatorModel(opts["--model"], a=float(opts["--a"]), b=float(opts.get("--b", 0.0)))
+        coefficients = model_coefficients(osc)
+    else:
+        osc = None
+        coefficients = QuinticCoefficients(*(float(opts[k]) for k in ("--c1", "--c3", "--c5")))
+    samples = int(opts["--samples"])
+    solution = quintic.solve(coefficients)
+    t = np.arange(samples) * (solution.period / (samples - 1))
+    u = quintic.evaluate(solution, t)
+    du = quintic.derivative(solution, t)
+    sc = solution.solved
+    udd = -(sc.c1 * u + sc.c3 * u ** 3 + sc.c5 * u ** 5)
+    residual = udd - (models.restoring_force(osc, u) if osc is not None else udd)
+    lines = ["t,u,u_dot,residual"]
+    lines.extend(",".join(format(float(x), ".17g") for x in row) for row in zip(t, u, du, residual))
+    return "\n".join(lines) + "\n"
 
 
 class TestPeriod:

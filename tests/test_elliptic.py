@@ -7,6 +7,7 @@ double precision.
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -150,12 +151,27 @@ class TestCarlson:
         s = 4.0 ** k
         assert el.carlson_rj(0.0, s, 2.0 * s, 3.0 * s) == math.ldexp(el.carlson_rj(0.0, 1.0, 2.0, 3.0), -3 * k)
 
-    @pytest.mark.parametrize("func, args", [(el.carlson_rf, (math.nan, 1.0, 1.0)),
-                                            (el.carlson_rj, (math.nan, 1.0, 1.0, 1.0))])
-    def test_non_convergence_raises_convergence_error(self, func, args):
-        # A NaN passes the sign checks and never meets the duplication cutoff.
+    @pytest.mark.parametrize("func, args", [(el.carlson_rf, (1.0, 2.0, 4.0)),
+                                            (el.carlson_rj, (2.0, 3.0, 4.0, 0.5)),
+                                            (el.carlson_rc, (2.0, 3.0)),
+                                            (el.carlson_rd, (0.0, 2.0, 1.0))])
+    def test_non_convergence_raises_convergence_error(self, func, args, monkeypatch):
+        # One duplication step does not reach the series cutoff for these
+        # arguments, so a cap of one step must raise.
+        monkeypatch.setattr(el, "_MAX_ITER", 1)
         with pytest.raises(ConvergenceError):
             func(*args)
+
+    @pytest.mark.parametrize("func, args", [(el.carlson_rf, (1.0, 2.0, 4.0)),
+                                            (el.carlson_rc, (2.0, 3.0)),
+                                            (el.carlson_rd, (0.0, 2.0, 1.0)),
+                                            (el.carlson_rj, (2.0, 3.0, 4.0, 0.5))])
+    def test_nan_raises_domain_error(self, func, args):
+        # Every position, because min() skips a NaN that is not its first argument.
+        for i in range(len(args)):
+            bad = args[:i] + (math.nan,) + args[i + 1:]
+            with pytest.raises(DomainError):
+                func(*bad)
 
 
 class TestJacobiAm:
@@ -237,3 +253,63 @@ class TestJacobiSnCnDn:
     def test_domain(self):
         with pytest.raises(DomainError):
             el.jacobi_sn_cn_dn(0.3, 1.2)
+
+
+# Seeded random parameters plus m = 1 - 10^-k, where K grows like log(1/(1-m)).
+_ORACLE_SEED = 20221101
+_RANDOM_M = [float(m) for m in np.random.default_rng(_ORACLE_SEED).uniform(0.0, 0.999, 12)]
+_NEAR_ONE_M = [1.0 - 10.0 ** -k for k in range(1, 13)]
+_ORACLE_CASES = ([pytest.param(m, id=f"random{i}") for i, m in enumerate(_RANDOM_M)]
+                 + [pytest.param(m, id=f"one_minus_1e-{k}") for k, m in enumerate(_NEAR_ONE_M, start=1)])
+
+
+def _oracle_points(m):
+    """Eight seeded u in [-50K, 50K] and the 30-digit mpmath (am, sn, cn, dn) at each."""
+    K = el.complete_K(m)
+    u = np.random.default_rng([_ORACLE_SEED, int(m * 2 ** 52)]).uniform(-50.0 * K, 50.0 * K, 8)
+    ref = []
+    with mp.workdps(30):
+        mm = mp.mpf(m)
+        quarter = mp.ellipk(mm)
+        for x in u:
+            ux = mp.mpf(x)
+            sn, cn, dn = (mp.ellipfun(kind, ux, m=mm) for kind in ("sn", "cn", "dn"))
+            # am is continuous and stays within pi/2 of pi u / (2K), which fixes its branch.
+            principal = mp.atan2(sn, cn)
+            am = principal + 2 * mp.pi * mp.nint((mp.pi * ux / (2 * quarter) - principal) / (2 * mp.pi))
+            ref.append([float(v) for v in (am, sn, cn, dn)])
+    return u, np.array(ref).T
+
+
+def _reduction_tolerance(u):
+    # Folding u into [0, K] rounds u - 2K*wind once, which moves sn, cn and dn by
+    # up to about eps*|u| (their u-derivatives are at most 1); 1e-13 covers the rest.
+    return 1e-13 + 4.0 * np.finfo(float).eps * np.abs(u)
+
+
+class TestJacobiMpmathOracle:
+    """jacobi_am and jacobi_sn_cn_dn against 30-digit mpmath.ellipfun."""
+
+    @pytest.mark.parametrize("m", _ORACLE_CASES)
+    def test_am_sn_cn(self, m):
+        u, (am, sn, cn, _) = _oracle_points(m)
+        got_sn, got_cn, _ = el.jacobi_sn_cn_dn(u, m)
+        tol = _reduction_tolerance(u)
+        assert np.all(np.abs(got_sn - sn) <= tol)
+        assert np.all(np.abs(got_cn - cn) <= tol)
+        np.testing.assert_allclose(el.jacobi_am(u, m), am, rtol=1e-14, atol=0.0)
+
+    @pytest.mark.parametrize("m", _ORACLE_CASES[:len(_RANDOM_M)])
+    def test_dn(self, m):
+        u, (_, _, _, dn) = _oracle_points(m)
+        assert np.all(np.abs(el.jacobi_sn_cn_dn(u, m).dn - dn) <= _reduction_tolerance(u))
+
+    @pytest.mark.xfail(strict=True, reason="dn = sqrt(1 - m sn^2) cancels as m -> 1: at u = 0.999K the "
+                       "relative error is 8.6e-11 for m = 1 - 1e-6 and 4.5e-6 for m = 1 - 1e-12; "
+                       "cn^2 + (1 - m) sn^2 under the root would keep it")
+    @pytest.mark.parametrize("m", [1.0 - 1e-6, 1.0 - 1e-12], ids=["one_minus_1e-6", "one_minus_1e-12"])
+    def test_dn_relative_precision_near_one(self, m):
+        u = 0.999 * el.complete_K(m)
+        with mp.workdps(30):
+            ref = float(mp.ellipfun("dn", mp.mpf(u), m=mp.mpf(m)))
+        assert el.jacobi_sn_cn_dn(u, m).dn == pytest.approx(ref, rel=1e-13, abs=0.0)
