@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 
@@ -79,19 +79,10 @@ class EllipticMoments:
     j2: float
     j4: float
     j6: float
-    a: float
 
 
-class PiMoments(NamedTuple):
-    """Chebyshev-weight moments w_n = integral s^n / sqrt(1-s^2) ds over [-1, 1]."""
-
-    w2: float
-    w4: float
-    w6: float
-    w8: float
-
-
-PI_MOMENTS = PiMoments(math.pi / 2.0, 3.0 * math.pi / 8.0, 5.0 * math.pi / 16.0, 35.0 * math.pi / 128.0)
+# Chebyshev-weight moments w_n = integral s^n / sqrt(1-s^2) ds over [-1, 1], n = 2, 4, 6, 8.
+PI_MOMENTS = (math.pi / 2.0, 3.0 * math.pi / 8.0, 5.0 * math.pi / 16.0, 35.0 * math.pi / 128.0)
 
 
 _FIRST_LEVEL = 64
@@ -204,7 +195,7 @@ def _moments_by_series(a: float) -> EllipticMoments:
         coeff *= -a2 * (2 * k + 1) / (2 * k + 2)
         if abs(coeff) < 1e-18:
             break
-    return EllipticMoments(totals[0], totals[1], totals[2], a)
+    return EllipticMoments(*totals)
 
 
 def closed_form_moments(a: float) -> EllipticMoments:
@@ -223,7 +214,7 @@ def closed_form_moments(a: float) -> EllipticMoments:
     j2 = 2.0 / a2 * (je - kj)
     j4 = 2.0 / (3.0 * a2 * a2) * (2.0 * (a2 - 1.0) * je - (a2 - 2.0) * kj)
     j6 = 2.0 / (15.0 * a2 ** 3) * ((8.0 * a2 * a2 - 7.0 * a2 + 8.0) * je - (4.0 * a2 * a2 - 3.0 * a2 + 8.0) * kj)
-    return EllipticMoments(j2, j4, j6, a)
+    return EllipticMoments(j2, j4, j6)
 
 
 def _alphas_from_moments(m2: float, m4: float, m6: float) -> ChebyshevOddCoefficients:
@@ -247,16 +238,16 @@ def model_coefficients(model: models.OscillatorModel) -> QuinticCoefficients:
         return to_monomial(project_odd_quintic(lambda u: models.restoring_force(model, u)), "quadrature")
     a, b = model.a, model.b
     jm = closed_form_moments(a)
-    w = PI_MOMENTS
+    w2, w4, w6, w8 = PI_MOMENTS
     if model.kind == models.RELATIVISTIC:
         m2, m4, m6 = jm.j2, jm.j4, jm.j6
     elif model.kind == models.CABLE_MASS:
-        m2 = w.w2 + b * jm.j2
-        m4 = w.w4 + b * jm.j4
-        m6 = w.w6 + b * jm.j6
+        m2 = w2 + b * jm.j2
+        m4 = w4 + b * jm.j4
+        m6 = w6 + b * jm.j6
     else:
         a2 = a * a
-        m2 = w.w2 + a2 * w.w4 + b * jm.j2
-        m4 = w.w4 + a2 * w.w6 + b * jm.j4
-        m6 = w.w6 + a2 * w.w8 + b * jm.j6
+        m2 = w2 + a2 * w4 + b * jm.j2
+        m4 = w4 + a2 * w6 + b * jm.j4
+        m6 = w6 + a2 * w8 + b * jm.j6
     return to_monomial(_alphas_from_moments(m2, m4, m6), "closed_form")

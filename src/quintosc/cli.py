@@ -227,20 +227,19 @@ def period(model, a, b, force_spec, fmt, out):
 
 @main.command()
 @click.argument("which", type=click.IntRange(1, 3))
-@click.option("--grid", type=int, default=4001, show_default=True, help="Residual grid on [0, T/4].")
 @output_options
-def table(which, grid, fmt, out):
+def table(which, fmt, out):
     """Reproduce published residual table 1, 2 or 3 cell by cell."""
     kind, cells = TABLE_REFERENCE[which]
     rows = []
     for a, b, reference in cells:
         osc = models.OscillatorModel(kind, a=a, b=b if b is not None else 0.0)
-        report = residual_sup_norm(osc, quintic.solve(model_coefficients(osc)), grid)
+        report = residual_sup_norm(osc, quintic.solve(model_coefficients(osc)))
         difference = abs(report.sup_norm - reference)
         rows.append((a, b, report.sup_norm, reference, difference, difference <= TABLE_TOLERANCE))
     all_pass = all(row[5] for row in rows)
     if fmt == "json":
-        config = {"command": "table", "which": which, "model": kind, "grid": grid}
+        config = {"command": "table", "which": which, "model": kind}
         results = {
             "tolerance": TABLE_TOLERANCE,
             "cells": [
@@ -271,9 +270,8 @@ def table(which, grid, fmt, out):
 @click.option("--b-max", type=float, default=None)
 @click.option("--b-steps", type=int, default=1, show_default=True)
 @click.option("--b", type=float, default=None, help="Single b value (alternative to a b range).")
-@click.option("--grid", type=int, default=4001, show_default=True, help="Residual grid on [0, T/4].")
 @output_options
-def sweep(model, a_min, a_max, a_steps, b_min, b_max, b_steps, b, grid, fmt, out):
+def sweep(model, a_min, a_max, a_steps, b_min, b_max, b_steps, b, fmt, out):
     """Coefficients, case, periods and residual over a parameter grid."""
     if not 0.0 < a_min <= a_max or a_steps < 1:
         raise click.UsageError("need 0 < --a-min <= --a-max and --a-steps >= 1")
@@ -291,10 +289,10 @@ def sweep(model, a_min, a_max, a_steps, b_min, b_max, b_steps, b, grid, fmt, out
     rows = []
     for av in a_values:
         for bv in b_values:
-            rows.append(_sweep_row(model, float(av), float(bv), grid))
+            rows.append(_sweep_row(model, float(av), float(bv)))
     if fmt == "json":
         config = {"command": "sweep", "model": model, "a_min": a_min, "a_max": a_max, "a_steps": a_steps,
-                  "b_values": [float(x) for x in b_values], "grid": grid}
+                  "b_values": [float(x) for x in b_values]}
         keys = ("a", "b", "c1", "c3", "c5", "delta", "case", "T_exact", "T_quintic", "ratio",
                 "residual_sup", "status")
         _emit_json(config, [dict(zip(keys, row)) for row in rows], out)
@@ -305,7 +303,7 @@ def sweep(model, a_min, a_max, a_steps, b_min, b_max, b_steps, b, grid, fmt, out
     _emit("\n".join(lines) + "\n", out)
 
 
-def _sweep_row(kind: str, a: float, b: float, grid: int) -> tuple:
+def _sweep_row(kind: str, a: float, b: float) -> tuple:
     osc = models.OscillatorModel(kind, a=a, b=b)
     problems = models.validate_params(osc)
     if problems:
@@ -316,7 +314,7 @@ def _sweep_row(kind: str, a: float, b: float, grid: int) -> tuple:
         case = _case_label(quintic.classify(c))
         exact = models.exact_period(osc).value
         solution = quintic.solve(c)
-        sup = residual_sup_norm(osc, solution, grid).sup_norm
+        sup = residual_sup_norm(osc, solution).sup_norm
         return (a, b, c.c1, c.c3, c.c5, delta, case, exact, solution.period,
                 exact / solution.period, sup, "ok")
     except QuintoscError as exc:

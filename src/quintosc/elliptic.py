@@ -203,21 +203,6 @@ def carlson_rj(x: float, y: float, z: float, p: float) -> float:
     raise ConvergenceError("carlson_rj failed to converge")
 
 
-def complete_Pi(n: float, m: float) -> float:
-    """Complete elliptic integral of the third kind Pi(n, m).
-
-    The characteristic must satisfy n < 1 and the parameter 0 <= m < 1.
-    """
-    if n >= 1.0:
-        raise DomainError(f"complete_Pi requires characteristic n < 1, got n={n}")
-    if not 0.0 <= m < 1.0:
-        raise DomainError(f"complete_Pi requires 0 <= m < 1, got m={m}")
-    rf = carlson_rf(0.0, 1.0 - m, 1.0)
-    if n == 0.0:
-        return rf
-    return rf + n / 3.0 * carlson_rj(0.0, 1.0 - m, 1.0, 1.0 - n)
-
-
 def incomplete_F(phi: float, m: float) -> float:
     """Incomplete elliptic integral of the first kind F(phi | m).
 

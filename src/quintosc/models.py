@@ -96,11 +96,7 @@ def restoring_force(model: OscillatorModel, u):
 def _generic_force(model: OscillatorModel, u: np.ndarray) -> np.ndarray:
     if not model.force_spec:
         raise DomainError("generic model requires a non-empty force_spec")
-    u2 = np.square(u)
-    acc = np.zeros_like(u)
-    for p in reversed(model.force_spec):
-        acc = acc * u2 + p
-    return acc * u
+    return poly.polyval(np.square(u), model.force_spec) * u
 
 
 def _generic_g_coeffs(spec: Sequence[float]) -> np.ndarray:
@@ -119,12 +115,7 @@ def _g_factor(model: OscillatorModel, u):
     if model.kind == GENERIC:
         if not model.force_spec:
             raise DomainError("generic model requires a non-empty force_spec")
-        g = _generic_g_coeffs(model.force_spec)
-        u2 = np.square(u)
-        acc = np.zeros_like(u)
-        for coeff in reversed(g):
-            acc = acc * u2 + coeff
-        return acc
+        return poly.polyval(np.square(u), _generic_g_coeffs(model.force_spec))
     J = math.hypot(1.0, a)
     # (J - sqrt(1+a^2 u^2)) / (1 - u^2) rationalised; exact at u = +-1.
     g_rel = 2.0 / (J + _sqrt_term(a, u))
@@ -161,14 +152,11 @@ def _theta_integrand(model: OscillatorModel):
     # the coefficients and dividing by c = 1 - s takes running sums.
     g = _generic_g_coeffs(model.force_spec)
     g_0, g_1 = g[0], -sum(model.force_spec)
-    r = np.cumsum(np.concatenate(([g[0] + g[1] - g_1], g[2:]))[:-1]) if len(g) > 1 else ()
+    r = np.cumsum(np.concatenate(([g[0] + g[1] - g_1], g[2:]))[:-1]) if len(g) > 2 else [0.0]
 
     def integrand(theta):
         s, c = np.square(np.sin(theta)), np.square(np.cos(theta))
-        acc = np.zeros_like(s)
-        for coeff in reversed(r):
-            acc = acc * s + coeff
-        return 1.0 / np.sqrt(c * g_0 + s * g_1 + c * s * acc)
+        return 1.0 / np.sqrt(c * g_0 + s * g_1 + c * s * poly.polyval(s, r))
 
     return integrand
 

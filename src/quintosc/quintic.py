@@ -60,9 +60,6 @@ class CaseIParameters:
     A: float
     B: float
     m: float
-    P: float
-    Q: float
-    k_tilde: float
     period: float
 
 
@@ -121,35 +118,26 @@ def classify(c: Coefficients) -> str:
     return UNSUPPORTED
 
 
-def solve_case1(c: Coefficients) -> CaseIParameters:
-    """Construct the negative-discriminant solution parameters."""
-    c = _coerce(c)
-    label = classify(c)
-    if label != CASE_I:
-        raise ConstructionError(f"solve_case1 requires a Case I triple, classify gave {label!r}")
+def _case_one(c: QuinticCoefficients, k: int) -> CaseIParameters:
+    """Negative-discriminant solution parameters of the Case I triple 4^k * c."""
     P = c.c1 + c.c3 + c.c5
     Q = 6.0 * c.c1 + 3.0 * c.c3 + 2.0 * c.c5
     k_tilde = 4.0 * c.c1 + 3.0 * c.c3 + 2.0 * c.c5
     if P <= 0.0 or Q <= 0.0:
         raise ConstructionError(f"Case I needs P > 0 and Q > 0, got P={P}, Q={Q}")
     pq = P * Q
-    A = (6.0 / pq) ** 0.25 / 2.0
+    A = math.ldexp((6.0 / pq) ** 0.25 / 2.0, -k)
     B = Q / (6.0 * P)
     m = 0.5 - math.sqrt(6.0) / 8.0 * k_tilde / math.sqrt(pq)
     if -1e-12 < m < 0.0:
         m = 0.0
     if not 0.0 <= m < 1.0:
         raise ConstructionError(f"Case I parameter m={m} outside [0, 1)")
-    period = 8.0 * A * complete_K(m)
-    return CaseIParameters(A, B, m, P, Q, k_tilde, period)
+    return CaseIParameters(A, B, m, 8.0 * A * complete_K(m))
 
 
-def solve_case2(c: Coefficients) -> CaseIIParameters:
-    """Construct the positive-discriminant solution parameters."""
-    c = _coerce(c)
-    label = classify(c)
-    if label != CASE_II:
-        raise ConstructionError(f"solve_case2 requires a Case II triple, classify gave {label!r}")
+def _case_two(c: QuinticCoefficients, k: int) -> CaseIIParameters:
+    """Positive-discriminant solution parameters of the Case II triple 4^k * c."""
     # h2(s) = a2*s^2 + b2*s + q2 with both roots negative in Case II.
     a2 = 2.0 * c.c5
     b2 = 3.0 * c.c3 + 2.0 * c.c5
@@ -165,13 +153,16 @@ def solve_case2(c: Coefficients) -> CaseIIParameters:
     m = (s2 - s1) / (s1 * (s2 - 1.0))
     if not 0.0 < m < 1.0:
         raise ConstructionError(f"Case II parameter m={m} outside (0, 1)")
-    rate = math.sqrt(c.c5 * s1 * (s2 - 1.0) / 3.0)
-    period = 4.0 * complete_K(m) / rate
-    return CaseIIParameters(s1, s2, m, rate, period)
+    rate = math.ldexp(math.sqrt(c.c5 * s1 * (s2 - 1.0) / 3.0), k)
+    return CaseIIParameters(s1, s2, m, rate, 4.0 * complete_K(m) / rate)
+
+
+# Order in which solve() takes the cases of the two nudged triples.
+_PREFERENCE = (CASE_I, CASE_II, DEGENERATE, UNSUPPORTED)
 
 
 def solve(c: Coefficients) -> ClosedFormSolution:
-    """Dispatch over classify and return a ClosedFormSolution.
+    """Classify a triple once and return its ClosedFormSolution.
 
     Two borderline situations are solved through a nearby triple, with
     the c5 shift recorded on the result: a c5 that is negligible against
@@ -187,26 +178,24 @@ def solve(c: Coefficients) -> ClosedFormSolution:
     if abs(c.c5) <= C5_FLOOR * scale:
         target = QuinticCoefficients(c.c1, c.c3, C5_FLOOR * scale, c.provenance)
     label = classify(target)
-    if label == CASE_I:
-        params = solve_case1(target)
-        return ClosedFormSolution(c, CASE_I, params, params.period, target, target.c5 - c.c5)
-    if label == CASE_II:
-        params = solve_case2(target)
-        return ClosedFormSolution(c, CASE_II, params, params.period, target, target.c5 - c.c5)
     if label == UNSUPPORTED:
         raise UnsupportedCaseError(
             f"triple ({c.c1}, {c.c3}, {c.c5}) is outside both solvable cases "
             "(needs c5 > 0 and, for a positive discriminant, 6c1 + 3c3 + 2c5 > 0)"
         )
-    for wanted_case, builder in ((CASE_I, solve_case1), (CASE_II, solve_case2)):
-        for sign in (1.0, -1.0):
-            nudged = QuinticCoefficients(target.c1, target.c3, target.c5 * (1.0 + sign * NUDGE),
-                                         target.provenance)
-            if classify(nudged) == wanted_case:
-                params = builder(nudged)
-                return ClosedFormSolution(c, wanted_case, params, params.period, nudged,
-                                          nudged.c5 - c.c5)
-    raise ConstructionError(f"degenerate triple ({c.c1}, {c.c3}, {c.c5}) resisted the c5 nudge")
+    if label == DEGENERATE:
+        nudged = (QuinticCoefficients(target.c1, target.c3, target.c5 * (1.0 + sign * NUDGE), target.provenance)
+                  for sign in (1.0, -1.0))
+        label, target = min(((classify(n), n) for n in nudged), key=lambda pair: _PREFERENCE.index(pair[0]))
+        if label not in (CASE_I, CASE_II):
+            raise ConstructionError(f"degenerate triple ({c.c1}, {c.c3}, {c.c5}) resisted the c5 nudge")
+    # u(t) solves 4^k * c when v(2^k t) solves c, so the parameters are built
+    # on a triple of unit size, where nothing overflows or underflows, and
+    # only A, the rate and the period carry the scale, as exact powers of two.
+    k = math.frexp(scale)[1] // 2
+    unit = QuinticCoefficients(*(math.ldexp(x, -2 * k) for x in target.as_tuple()))
+    params = (_case_one if label == CASE_I else _case_two)(unit, k)
+    return ClosedFormSolution(c, label, params, params.period, target, target.c5 - c.c5)
 
 
 def period_by_quadrature(c: Coefficients) -> float:

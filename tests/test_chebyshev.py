@@ -129,9 +129,9 @@ class TestMonomialMap:
 class TestMoments:
     def test_small_amplitude_limit(self):
         m = ch.closed_form_moments(1e-4)
-        assert m.j2 == pytest.approx(ch.PI_MOMENTS.w2, abs=1e-7)
-        assert m.j4 == pytest.approx(ch.PI_MOMENTS.w4, abs=1e-7)
-        assert m.j6 == pytest.approx(ch.PI_MOMENTS.w6, abs=1e-7)
+        assert m.j2 == pytest.approx(ch.PI_MOMENTS[0], abs=1e-7)
+        assert m.j4 == pytest.approx(ch.PI_MOMENTS[1], abs=1e-7)
+        assert m.j6 == pytest.approx(ch.PI_MOMENTS[2], abs=1e-7)
 
     def test_frozen_values(self):
         m = ch.closed_form_moments(1.0)
