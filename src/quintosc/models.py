@@ -276,7 +276,9 @@ def _psi_relativistic(a: float, u: float) -> float:
     J = math.hypot(1.0, a)
     m = ((J - 1.0) / a) ** 2
     amp = math.sqrt(J + 1.0)
-    arg = (J - math.sqrt(1.0 + a * a * u * u)) / (J - 1.0)
+    # (J - sqrt(1 + a^2 u^2)) / (J - 1) rationalised: J - 1 cancels as a -> 0
+    # and is exactly 0 for a below ~1e-8.
+    arg = (1.0 - u) * (1.0 + u) * (J + 1.0) / (J + math.hypot(1.0, a * u))
     phi = math.asin(math.sqrt(min(max(arg, 0.0), 1.0)))
     return math.sqrt(2.0) * (amp * elliptic.incomplete_E(phi, m) - elliptic.incomplete_F(phi, m) / amp)
 

@@ -8,6 +8,7 @@ for trajectory-level checks.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Union
 
@@ -77,13 +78,14 @@ def rk_oracle(rhs: ForceLike, t_end: float, tol: float = 1e-10, samples: int = 2
     """Integrate u'' = f(u) from (1, 0) with an adaptive embedded RK pair.
 
     ``rhs`` is either a model or a plain callable u -> f(u).  The local
-    tolerance must lie in [1e-13, 1e-6]; the returned trajectory holds
-    ``samples`` uniformly spaced points on [0, t_end].
+    tolerance must lie in [1e-13, 1e-6] and the horizon t_end must be
+    positive and finite; the returned trajectory holds ``samples``
+    uniformly spaced points on [0, t_end].
     """
     if not 1e-13 <= tol <= 1e-6:
         raise DomainError(f"oracle tolerance must lie in [1e-13, 1e-6], got {tol}")
-    if t_end <= 0.0:
-        raise DomainError(f"oracle horizon must be positive, got {t_end}")
+    if not 0.0 < t_end < math.inf:
+        raise DomainError(f"oracle horizon must be positive and finite, got {t_end}")
     from scipy.integrate import solve_ivp  # imported here: only this oracle needs scipy
 
     force = (lambda u: models.restoring_force(rhs, u)) if isinstance(rhs, models.OscillatorModel) else rhs

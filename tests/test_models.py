@@ -37,7 +37,7 @@ def quarter_period_quadrature(model, lower_u=0.0):
 def mp_time_integral(model, u=0.0):
     """Psi(u) at 30 digits: mpmath tanh-sinh on 1/sqrt(G(sin theta)), split at theta = 0.
 
-    For the cable-mass, duffing-relativistic and generic kinds.  G is
+    For every kind; the relativistic one has b = 0.  G is
     written out from the force definitions in mpmath arithmetic, so only
     the quadrature rule differs from the code under test.
     """
@@ -50,6 +50,8 @@ def mp_time_integral(model, u=0.0):
                 return -sum(mp.mpf(p) * sum(x ** (2 * j) for j in range(k + 1)) / (k + 1)
                             for k, p in enumerate(model.force_spec))
             g_rel = 2 / (mp.sqrt(1 + a * a) + mp.sqrt(1 + a * a * x * x))
+            if model.kind == "relativistic":
+                return g_rel
             if model.kind == "cable-mass":
                 return 1 + b * g_rel
             return (2 + a * a + a * a * x * x) / 2 + b * g_rel
@@ -222,6 +224,14 @@ class TestTimeIntegral:
             for u in (-0.6, -0.2, 0.0, 0.3, 0.8):
                 reference = quarter_period_quadrature(model, lower_u=u)
                 assert models.time_integral_psi(model, u) == pytest.approx(reference, rel=1e-10)
+
+    @pytest.mark.parametrize("a", [5e-324, 1e-9, 1e-3, 0.3])
+    def test_relativistic_small_amplitude(self, a):
+        # J - 1 = a^2 / (J + 1) cancels as a -> 0 and is 0 for a below ~1e-8,
+        # where the force is -u to double precision and Psi(u) = acos(u).
+        model = models.OscillatorModel("relativistic", a=a)
+        for u in (-0.6, 0.0, 0.3, 0.8, 0.999999):
+            assert models.time_integral_psi(model, u) == pytest.approx(mp_time_integral(model, u), rel=1e-13, abs=0.0)
 
     @pytest.mark.parametrize("model", ALL_VALID)
     def test_quarter_period_identity(self, model):

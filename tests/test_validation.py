@@ -8,6 +8,7 @@ import pytest
 from quintosc import models, quintic, validation
 from quintosc.chebyshev import model_coefficients
 from quintosc.errors import DomainError
+from timeouts import deadline
 
 REL1 = models.OscillatorModel("relativistic", a=1.0)
 
@@ -92,6 +93,12 @@ class TestRkOracle:
             validation.rk_oracle(lambda u: -u, 1.0, tol=1e-14)
         with pytest.raises(DomainError):
             validation.rk_oracle(lambda u: -u, 1.0, tol=1e-5)
+
+    @pytest.mark.parametrize("t_end", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+    def test_horizon_domain(self, t_end):
+        # A NaN or infinite horizon used to integrate forever.
+        with deadline(10.0), pytest.raises(DomainError):
+            validation.rk_oracle(lambda u: -u, t_end)
 
     def test_harmonic_oscillator(self):
         oracle = validation.rk_oracle(lambda u: -u, 2.0 * math.pi, tol=1e-10)
