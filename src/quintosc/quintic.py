@@ -118,11 +118,11 @@ def classify(c: Coefficients) -> str:
     return UNSUPPORTED
 
 
-def _case_one(c: QuinticCoefficients, k: int) -> CaseIParameters:
-    """Negative-discriminant solution parameters of the Case I triple 4^k * c."""
-    P = c.c1 + c.c3 + c.c5
-    Q = 6.0 * c.c1 + 3.0 * c.c3 + 2.0 * c.c5
-    k_tilde = 4.0 * c.c1 + 3.0 * c.c3 + 2.0 * c.c5
+def _case_one(c1: float, c3: float, c5: float, k: int) -> CaseIParameters:
+    """Negative-discriminant solution parameters of the Case I triple 4^k * (c1, c3, c5)."""
+    P = c1 + c3 + c5
+    Q = 6.0 * c1 + 3.0 * c3 + 2.0 * c5
+    k_tilde = 4.0 * c1 + 3.0 * c3 + 2.0 * c5
     if P <= 0.0 or Q <= 0.0:
         raise ConstructionError(f"Case I needs P > 0 and Q > 0, got P={P}, Q={Q}")
     pq = P * Q
@@ -136,12 +136,12 @@ def _case_one(c: QuinticCoefficients, k: int) -> CaseIParameters:
     return CaseIParameters(A, B, m, 8.0 * A * complete_K(m))
 
 
-def _case_two(c: QuinticCoefficients, k: int) -> CaseIIParameters:
-    """Positive-discriminant solution parameters of the Case II triple 4^k * c."""
+def _case_two(c1: float, c3: float, c5: float, k: int) -> CaseIIParameters:
+    """Positive-discriminant solution parameters of the Case II triple 4^k * (c1, c3, c5)."""
     # h2(s) = a2*s^2 + b2*s + q2 with both roots negative in Case II.
-    a2 = 2.0 * c.c5
-    b2 = 3.0 * c.c3 + 2.0 * c.c5
-    q2 = 6.0 * c.c1 + 3.0 * c.c3 + 2.0 * c.c5
+    a2 = 2.0 * c5
+    b2 = 3.0 * c3 + 2.0 * c5
+    q2 = 6.0 * c1 + 3.0 * c3 + 2.0 * c5
     disc = b2 * b2 - 4.0 * a2 * q2  # equals 3*delta
     if disc <= 0.0:
         raise ConstructionError(f"h2 has no distinct real roots (discriminant {disc})")
@@ -153,12 +153,8 @@ def _case_two(c: QuinticCoefficients, k: int) -> CaseIIParameters:
     m = (s2 - s1) / (s1 * (s2 - 1.0))
     if not 0.0 < m < 1.0:
         raise ConstructionError(f"Case II parameter m={m} outside (0, 1)")
-    rate = math.ldexp(math.sqrt(c.c5 * s1 * (s2 - 1.0) / 3.0), k)
+    rate = math.ldexp(math.sqrt(c5 * s1 * (s2 - 1.0) / 3.0), k)
     return CaseIIParameters(s1, s2, m, rate, 4.0 * complete_K(m) / rate)
-
-
-# Order in which solve() takes the cases of the two nudged triples.
-_PREFERENCE = (CASE_I, CASE_II, DEGENERATE, UNSUPPORTED)
 
 
 def solve(c: Coefficients) -> ClosedFormSolution:
@@ -184,17 +180,19 @@ def solve(c: Coefficients) -> ClosedFormSolution:
             "(needs c5 > 0 and, for a positive discriminant, 6c1 + 3c3 + 2c5 > 0)"
         )
     if label == DEGENERATE:
-        nudged = (QuinticCoefficients(target.c1, target.c3, target.c5 * (1.0 + sign * NUDGE), target.provenance)
-                  for sign in (1.0, -1.0))
-        label, target = min(((classify(n), n) for n in nudged), key=lambda pair: _PREFERENCE.index(pair[0]))
-        if label not in (CASE_I, CASE_II):
+        nudged = [QuinticCoefficients(target.c1, target.c3, target.c5 * (1.0 + sign * NUDGE), target.provenance)
+                  for sign in (1.0, -1.0)]
+        labels = [classify(n) for n in nudged]
+        label = next((case for case in (CASE_I, CASE_II) if case in labels), DEGENERATE)
+        if label == DEGENERATE:
             raise ConstructionError(f"degenerate triple ({c.c1}, {c.c3}, {c.c5}) resisted the c5 nudge")
+        target = nudged[labels.index(label)]
     # u(t) solves 4^k * c when v(2^k t) solves c, so the parameters are built
     # on a triple of unit size, where nothing overflows or underflows, and
     # only A, the rate and the period carry the scale, as exact powers of two.
     k = math.frexp(scale)[1] // 2
-    unit = QuinticCoefficients(*(math.ldexp(x, -2 * k) for x in target.as_tuple()))
-    params = (_case_one if label == CASE_I else _case_two)(unit, k)
+    unit = [math.ldexp(x, -2 * k) for x in target.as_tuple()]
+    params = (_case_one if label == CASE_I else _case_two)(*unit, k)
     return ClosedFormSolution(c, label, params, params.period, target, target.c5 - c.c5)
 
 
