@@ -96,7 +96,8 @@ class TestRkOracle:
 
     @pytest.mark.parametrize("t_end", [math.nan, math.inf, -math.inf, 0.0, -1.0])
     def test_horizon_domain(self, t_end):
-        # A NaN or infinite horizon used to integrate forever.
+        # NaN fails every comparison and an infinite horizon never ends, so
+        # both must be rejected before the integrator starts.
         with deadline(10.0), pytest.raises(DomainError):
             validation.rk_oracle(lambda u: -u, t_end)
 
