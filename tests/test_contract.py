@@ -83,7 +83,7 @@ def test_every_public_callable_is_probed():
 @given(st.sampled_from(models.KINDS), VALUES, VALUES, VALUES)
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_raises_only_package_errors(name, kind, x, y, z):
-    with deadline(5.0), np.errstate(all="ignore"):
+    with deadline(5.0):
         try:
             CALLS[name](kind, x, y, z)
         except (QuintoscError, TypeError):
