@@ -20,7 +20,7 @@ import numpy as np
 from . import __version__, models, quintic
 from .chebyshev import QuinticCoefficients, model_coefficients, project_odd_quintic, to_monomial
 from .errors import QuintoscError
-from .validation import residual_sup_norm
+from .validation import _residual, residual_sup_norm
 
 TABLE_REFERENCE = {
     1: ("relativistic", [(1.0, None, 0.0013005), (2.0, None, 0.0109030), (3.0, None, 0.0219219),
@@ -183,11 +183,7 @@ def solve(model, a, b, force_spec, c1, c3, c5, samples, fmt, out):
     step = solution.period / (samples - 1)
     t = np.arange(samples) * step
     u, du = quintic._state(solution, t)
-    sc = solution.solved
-    udd = -(sc.c1 * u + sc.c3 * u ** 3 + sc.c5 * u ** 5)
-    force = models.restoring_force(osc, u) if osc is not None else udd
-    residual = udd - force
-    table = np.column_stack([t, u, du, residual])
+    table = np.column_stack([t, u, du, _residual(osc, solution.solved, u)])
     config["samples"] = samples
     if fmt == "json":
         results = {

@@ -10,8 +10,8 @@ solution is periodic with |u| <= 1 whenever c5 > 0 and either
 
     (I)  h2 has no real root in a neighbourhood of [0, 1]
          (discriminant delta = 3c3^2 - 4c5(4c1 + c3 + c5) < 0), or
-    (II) delta > 0 with h2(0) = 6c1 + 3c3 + 2c5 > 0, which puts both
-         roots of h2 on the negative axis.
+    (II) delta > 0 with h2(0) = 6c1 + 3c3 + 2c5 > 0 and h2'(0) = 3c3 + 2c5 > 0,
+         which put both roots of h2 on the negative axis.
 
 Each case inverts the resulting elliptic time integral into Jacobi
 functions; see DLMF chapter 22 for the function conventions (we pass the
@@ -113,7 +113,7 @@ def classify(c: Coefficients) -> str:
         return DEGENERATE
     if delta < 0.0:
         return CASE_I
-    if 6.0 * c.c1 + 3.0 * c.c3 + 2.0 * c.c5 > 0.0:
+    if 6.0 * c.c1 + 3.0 * c.c3 + 2.0 * c.c5 > 0.0 and 3.0 * c.c3 + 2.0 * c.c5 > 0.0:
         return CASE_II
     return UNSUPPORTED
 
@@ -177,7 +177,7 @@ def solve(c: Coefficients) -> ClosedFormSolution:
     if label == UNSUPPORTED:
         raise UnsupportedCaseError(
             f"triple ({c.c1}, {c.c3}, {c.c5}) is outside both solvable cases "
-            "(needs c5 > 0 and, for a positive discriminant, 6c1 + 3c3 + 2c5 > 0)"
+            "(needs c5 > 0 and, for a positive discriminant, 6c1 + 3c3 + 2c5 > 0 and 3c3 + 2c5 > 0)"
         )
     if label == DEGENERATE:
         nudged = [QuinticCoefficients(target.c1, target.c3, target.c5 * (1.0 + sign * NUDGE), target.provenance)

@@ -1,16 +1,15 @@
 """Validation harness for the quintication pipeline.
 
-Measures how well the solved quintic trajectory satisfies the original
-equation through the residual operator L u = u'' - f_a(u), compares exact
-and approximate periods, and provides an independent Runge-Kutta oracle
-for trajectory-level checks.
+Measures the residual L u = u'' - f_a(u) of the solved quintic against
+the original force, compares exact and approximate periods, and provides
+an independent Runge-Kutta oracle for trajectory-level checks.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Callable
 
 import numpy as np
 
@@ -26,7 +25,6 @@ class ResidualReport:
     grid: int
     sup_norm: float
     argmax_t: float
-    samples: np.ndarray  # rows of (t, Lu)
 
 
 @dataclass(frozen=True)
@@ -44,24 +42,31 @@ class OracleTrajectory:
     tolerance: float
 
 
+def _residual(model: models.OscillatorModel | None, c: QuinticCoefficients, u):
+    """L u = u'' - f_a(u) with u'' = -(c1*u + c3*u^3 + c5*u^5); 0 when model is None."""
+    udd = -(c.c1 * u + c.c3 * u ** 3 + c.c5 * u ** 5)
+    return udd - (models.restoring_force(model, u) if model is not None else udd)
+
+
 def residual_sup_norm(model: models.OscillatorModel, solution: quintic.ClosedFormSolution,
                       grid: int = 4001) -> ResidualReport:
     """Sup norm of L u = u'' - f_a(u) over the first quarter period.
 
-    Because u solves the quintic equation exactly, its second derivative
-    is -(c1*u + c3*u^3 + c5*u^5) pointwise and the residual reduces to an
-    algebraic expression in u; no numerical differentiation is involved.
+    u'' = -(c1*u + c3*u^3 + c5*u^5) holds exactly, so L u depends on t only
+    through u, which falls from 1 to 0 over that quarter: the sup is taken
+    over ``grid`` equally spaced amplitudes in [0, 1], and argmax_t is when
+    the solved quintic reaches the maximising one (its time integral Psi).
     """
+    models._require_valid(model)
     if grid < 2:
         raise DomainError(f"residual grid must have at least 2 points, got {grid}")
     c = solution.solved
-    t = np.linspace(0.0, 0.25 * solution.period, grid)
-    u = quintic.evaluate(solution, t)
-    udd = -(c.c1 * u + c.c3 * u ** 3 + c.c5 * u ** 5)
-    residual = udd - models.restoring_force(model, u)
-    i = int(np.argmax(np.abs(residual)))
-    samples = np.column_stack([t, residual])
-    return ResidualReport(model, solution.coefficients, grid, float(abs(residual[i])), float(t[i]), samples)
+    u = np.linspace(0.0, 1.0, grid)
+    residual = np.abs(_residual(model, c, u))
+    i = int(np.argmax(residual))
+    quintic_model = models.OscillatorModel(models.GENERIC, force_spec=(-c.c1, -c.c3, -c.c5))
+    argmax_t = models.time_integral_psi(quintic_model, float(u[i]))
+    return ResidualReport(model, solution.coefficients, grid, float(residual[i]), argmax_t)
 
 
 def period_ratio(model: models.OscillatorModel) -> PeriodComparison:
@@ -71,21 +76,20 @@ def period_ratio(model: models.OscillatorModel) -> PeriodComparison:
     return PeriodComparison(exact, approx, exact / approx)
 
 
-ForceLike = Union[models.OscillatorModel, Callable]
-
-
-def rk_oracle(rhs: ForceLike, t_end: float, tol: float = 1e-10, samples: int = 2001) -> OracleTrajectory:
+def rk_oracle(rhs: models.OscillatorModel | Callable, t_end: float, tol: float = 1e-10, samples: int = 2001) -> OracleTrajectory:
     """Integrate u'' = f(u) from (1, 0) with an adaptive embedded RK pair.
 
     ``rhs`` is either a model or a plain callable u -> f(u).  The local
     tolerance must lie in [1e-13, 1e-6] and the horizon t_end must be
-    positive and finite; the returned trajectory holds ``samples``
+    positive and finite; the returned trajectory holds ``samples`` >= 1
     uniformly spaced points on [0, t_end].
     """
     if not 1e-13 <= tol <= 1e-6:
         raise DomainError(f"oracle tolerance must lie in [1e-13, 1e-6], got {tol}")
     if not 0.0 < t_end < math.inf:
         raise DomainError(f"oracle horizon must be positive and finite, got {t_end}")
+    if samples < 1:
+        raise DomainError(f"oracle needs at least 1 sample, got {samples}")
     from scipy.integrate import solve_ivp  # imported here: only this oracle needs scipy
 
     force = (lambda u: models.restoring_force(rhs, u)) if isinstance(rhs, models.OscillatorModel) else rhs

@@ -48,7 +48,7 @@ CALLS = {
     "QuinticCoefficients": lambda k, x, y, z: quintosc.QuinticCoefficients(x, y, z),
     "QuintoscError": lambda k, x, y, z: quintosc.QuintoscError(x),
     "ResidualReport": lambda k, x, y, z: quintosc.ResidualReport(
-        model(k, x, y), SOLUTION.coefficients, 2, x, y, np.array([[x, y]])),
+        model(k, x, y), SOLUTION.coefficients, 2, x, y),
     "UnsupportedCaseError": lambda k, x, y, z: quintosc.UnsupportedCaseError(x),
     "classify": lambda k, x, y, z: quintosc.classify((x, y, z)),
     "closed_form_moments": lambda k, x, y, z: quintosc.closed_form_moments(x),

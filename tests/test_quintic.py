@@ -57,6 +57,21 @@ class TestDiscriminantAndClassify:
         # delta > 0 but 6c1 + 3c3 + 2c5 < 0: no bounded oscillation.
         assert q.classify((-1.0, 0.0, 1.0)) == q.UNSUPPORTED
 
+    def test_classify_rejects_roots_above_one(self):
+        # delta > 0 and h2(0) > 0, but 3c3 + 2c5 < 0 puts both roots of h2
+        # on the positive axis (3.19 and 70.8 here), outside Case II.
+        assert q.classify((1.0, -0.5, 0.01)) == q.UNSUPPORTED
+        with pytest.raises(UnsupportedCaseError):
+            q.solve((1.0, -0.5, 0.01))
+
+    @pytest.mark.parametrize("spec", [(-1.0, 0.1), (-0.3, 0.02), (-1.0, 0.5)])
+    def test_softening_generic_models_are_unsupported(self, spec):
+        from quintosc.chebyshev import model_coefficients
+        from quintosc.models import OscillatorModel
+
+        with pytest.raises(UnsupportedCaseError):
+            q.solve(model_coefficients(OscillatorModel("generic", force_spec=spec)))
+
     def test_classification_is_total(self):
         for c in [(0.0, 0.0, 0.0), (1e300, -1e300, 1e-300), (-5.0, 2.0, 0.1)]:
             assert q.classify(c) in (q.CASE_I, q.CASE_II, q.DEGENERATE, q.UNSUPPORTED)

@@ -4,8 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from quintosc import models, quintic, validation
+from quintosc import cli, models, quintic, validation
 from quintosc.chebyshev import model_coefficients
 from quintosc.errors import DomainError
 from timeouts import deadline
@@ -15,6 +16,12 @@ REL1 = models.OscillatorModel("relativistic", a=1.0)
 
 def solved(model):
     return quintic.solve(model_coefficients(model))
+
+
+def abs_residual(model, solution, u):
+    """|u'' - f(u)| at amplitudes u, written out apart from validation."""
+    c = solution.solved
+    return np.abs(-(c.c1 * u + c.c3 * u ** 3 + c.c5 * u ** 5) - models.restoring_force(model, u))
 
 
 class TestResidualSupNorm:
@@ -29,10 +36,52 @@ class TestResidualSupNorm:
         solution = solved(REL1)
         report = validation.residual_sup_norm(REL1, solution, grid=501)
         assert report.grid == 501
-        assert report.samples.shape == (501, 2)
         assert report.sup_norm >= 0.0
         assert 0.0 <= report.argmax_t <= solution.period / 4.0
-        assert np.max(np.abs(report.samples[:, 1])) == report.sup_norm
+
+    @pytest.mark.parametrize("kind, a, b", [
+        *(("relativistic", a, 0.0) for a, _, _ in cli.TABLE_REFERENCE[1][1]),
+        *(("duffing-relativistic", a, b) for a, b, _ in cli.TABLE_REFERENCE[2][1] + cli.TABLE_REFERENCE[3][1]),
+        ("relativistic", 30.0, 0.0), ("duffing-relativistic", 30.0, 1.0),
+    ])
+    def test_sup_matches_fine_amplitude_grid(self, kind, a, b):
+        model = models.OscillatorModel(kind, a=a, b=b)
+        solution = solved(model)
+        fine = np.max(abs_residual(model, solution, np.linspace(0.0, 1.0, 2_000_001)))
+        assert validation.residual_sup_norm(model, solution).sup_norm == pytest.approx(fine, rel=1e-5)
+
+    @pytest.mark.parametrize("model", [
+        REL1, models.OscillatorModel("relativistic", a=30.0),
+        models.OscillatorModel("cable-mass", a=3.0, b=0.25),
+        models.OscillatorModel("duffing-relativistic", a=1.3, b=0.7),
+        models.OscillatorModel("generic", force_spec=(-1.0, -0.5, -0.2, -0.1)),
+    ])
+    def test_argmax_t_reaches_maximising_amplitude(self, model):
+        solution = solved(model)
+        report = validation.residual_sup_norm(model, solution)
+        u = np.linspace(0.0, 1.0, report.grid)
+        u_max = u[np.argmax(abs_residual(model, solution, u))]
+        assert quintic.evaluate(solution, report.argmax_t) == pytest.approx(u_max, abs=1e-12)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.floats(0.05, 30.0), st.floats(0.05, 2.0))
+    def test_duffing_sup_is_b_times_relativistic_sup(self, a, b):
+        # The polynomial part of the duffing force projects exactly, so the
+        # residual functions differ by the factor b at every amplitude.
+        duffing = models.OscillatorModel("duffing-relativistic", a=a, b=b)
+        relativistic = models.OscillatorModel("relativistic", a=a)
+        sup = validation.residual_sup_norm(duffing, solved(duffing)).sup_norm
+        sup_rel = validation.residual_sup_norm(relativistic, solved(relativistic)).sup_norm
+        assert abs(sup - b * sup_rel) <= 1e-13 * (1.0 + a * a + b)
+
+    @pytest.mark.parametrize("model", [
+        *(models.OscillatorModel(kind, a=math.nan, b=1.0) for kind in models.KINDS[:3]),
+        models.OscillatorModel("generic", force_spec=(math.nan,)),
+        models.OscillatorModel("relativistic", a=-2.0),
+    ])
+    def test_invalid_model_rejected(self, model):
+        with pytest.raises(DomainError):
+            validation.residual_sup_norm(model, solved(REL1))
 
     def test_grid_refinement_stability(self):
         for model in (REL1, models.OscillatorModel("duffing-relativistic", a=1.3, b=0.7)):
@@ -100,6 +149,15 @@ class TestRkOracle:
         # both must be rejected before the integrator starts.
         with deadline(10.0), pytest.raises(DomainError):
             validation.rk_oracle(lambda u: -u, t_end)
+
+    @pytest.mark.parametrize("samples", [0, -1])
+    def test_sample_count_domain(self, samples):
+        with pytest.raises(DomainError):
+            validation.rk_oracle(lambda u: -u, 1.0, samples=samples)
+
+    def test_single_sample(self):
+        oracle = validation.rk_oracle(lambda u: -u, 1.0, samples=1)
+        assert oracle.times.tolist() == [0.0] and oracle.values.tolist() == [1.0]
 
     def test_harmonic_oscillator(self):
         oracle = validation.rk_oracle(lambda u: -u, 2.0 * math.pi, tol=1e-10)
