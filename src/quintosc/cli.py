@@ -121,7 +121,7 @@ def main():
 
 @main.command()
 @model_options
-@click.option("--nodes", type=int, default=64, show_default=True, help="Gauss-Chebyshev node count.")
+@click.option("--nodes", type=click.IntRange(min=16), default=64, show_default=True, help="Gauss-Chebyshev node count.")
 @output_options
 def coeffs(model, a, b, force_spec, nodes, fmt, out):
     """Quintic coefficients by both routes, discriminant and case."""

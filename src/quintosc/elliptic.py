@@ -214,8 +214,9 @@ def incomplete_F(phi: float, m: float) -> float:
     if abs(phi) > math.pi / 2.0 + 1e-12:
         raise DomainError(f"incomplete_F requires |phi| <= pi/2, got phi={phi}")
     s = math.sin(phi)
-    c2 = max(math.cos(phi) ** 2, 0.0)
-    return s * carlson_rf(c2, 1.0 - m * s * s, 1.0)
+    c2 = math.cos(phi) ** 2
+    # 1 - m sin^2 written as cos^2 + (1 - m) sin^2: no cancellation as m -> 1 and phi -> pi/2.
+    return s * carlson_rf(c2, c2 + (1.0 - m) * s * s, 1.0)
 
 
 def incomplete_E(phi: float, m: float) -> float:
@@ -227,8 +228,8 @@ def incomplete_E(phi: float, m: float) -> float:
     s = math.sin(phi)
     if s == 0.0:
         return 0.0
-    c2 = max(math.cos(phi) ** 2, 0.0)
-    w = 1.0 - m * s * s
+    c2 = math.cos(phi) ** 2
+    w = c2 + (1.0 - m) * s * s
     return s * carlson_rf(c2, w, 1.0) - m * s ** 3 / 3.0 * carlson_rd(c2, w, 1.0)
 
 

@@ -1,8 +1,9 @@
 """Validation harness for the quintication pipeline.
 
 Measures the residual L u = u'' - f_a(u) of the solved quintic against
-the original force, compares exact and approximate periods, and provides
-an independent Runge-Kutta oracle for trajectory-level checks.
+the original force (its sup over the amplitude, timed in closed form),
+compares exact and approximate periods, and provides an independent
+Runge-Kutta oracle for trajectory-level checks.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import numpy as np
 
 from . import models, quintic
 from .chebyshev import QuinticCoefficients, model_coefficients
-from .errors import DomainError, QuintoscError
+from .errors import DomainError, EvaluationError, QuintoscError
 
 
 @dataclass(frozen=True, eq=False)
@@ -54,8 +55,10 @@ def residual_sup_norm(model: models.OscillatorModel, solution: quintic.ClosedFor
 
     u'' = -(c1*u + c3*u^3 + c5*u^5) holds exactly, so L u depends on t only
     through u, which falls from 1 to 0 over that quarter: the sup is taken
-    over ``grid`` equally spaced amplitudes in [0, 1], and argmax_t is when
-    the solved quintic reaches the maximising one (its time integral Psi).
+    over ``grid`` equally spaced amplitudes in [0, 1].  argmax_t is when the
+    solved quintic reaches the maximising amplitude, inverted in closed form
+    by one Carlson R_F call (quintic._time_to).  A residual sample that is
+    not finite raises EvaluationError carrying its amplitude.
     """
     models._require_valid(model)
     if grid < 2:
@@ -63,10 +66,11 @@ def residual_sup_norm(model: models.OscillatorModel, solution: quintic.ClosedFor
     c = solution.solved
     u = np.linspace(0.0, 1.0, grid)
     residual = np.abs(_residual(model, c, u))
-    i = int(np.argmax(residual))
-    quintic_model = models.OscillatorModel(models.GENERIC, force_spec=(-c.c1, -c.c3, -c.c5))
-    argmax_t = models.time_integral_psi(quintic_model, float(u[i]))
-    return ResidualReport(model, solution.coefficients, grid, float(residual[i]), argmax_t)
+    i = int(np.argmax(residual))  # the first NaN, if there is one
+    if not math.isfinite(residual[i]):
+        raise EvaluationError("residual is not finite", float(u[i]))
+    return ResidualReport(model, solution.coefficients, grid, float(residual[i]),
+                          quintic._time_to(solution, float(u[i])))
 
 
 def period_ratio(model: models.OscillatorModel) -> PeriodComparison:

@@ -68,6 +68,12 @@ class TestCoeffs:
         assert payload["config"]["model"] == "relativistic"
         assert "quintosc" in payload["versions"]
 
+    def test_too_few_nodes_is_a_usage_error(self, runner):
+        # The fixed rule needs at least 16 nodes; an invalid argument exits 2.
+        result = runner.invoke(main, ["coeffs", "--model", "relativistic", "--a", "2", "--nodes", "10"])
+        assert result.exit_code == 2
+        assert "--nodes" in result.output
+
     def test_deterministic_output(self, runner):
         args = ["coeffs", "--model", "cable-mass", "--a", "1.5", "--b", "0.4"]
         first = runner.invoke(main, args)

@@ -310,3 +310,29 @@ class TestJacobiMpmathOracle:
         with mp.workdps(30):
             ref = float(mp.ellipfun("dn", mp.mpf(u), m=mp.mpf(m)))
         assert el.jacobi_sn_cn_dn(u, m).dn == pytest.approx(ref, rel=1e-13, abs=0.0)
+
+
+# The integrals reach further towards m = 1 than the Jacobi functions above.
+_INTEGRAL_CASES = ([pytest.param(m, id=f"random{i}") for i, m in enumerate(_RANDOM_M)]
+                   + [pytest.param(1.0 - 10.0 ** -k, id=f"one_minus_1e-{k}") for k in range(1, 16)])
+
+
+class TestIntegralsMpmathOracle:
+    """complete_K/E and incomplete_F/E against 30-digit mpmath.ellipk/ellipe/ellipf."""
+
+    @pytest.mark.parametrize("m", _INTEGRAL_CASES)
+    def test_complete(self, m):
+        with mp.workdps(30):
+            K, E = float(mp.ellipk(mp.mpf(m))), float(mp.ellipe(mp.mpf(m)))
+        assert el.complete_K(m) == pytest.approx(K, rel=1e-14, abs=0.0)
+        assert el.complete_E(m) == pytest.approx(E, rel=1e-14, abs=0.0)
+
+    @pytest.mark.parametrize("m", _INTEGRAL_CASES)
+    def test_incomplete(self, m):
+        # Six seeded phi, then phi -> pi/2, where 1 - m sin^2(phi) used to cancel as m -> 1.
+        seeded = np.random.default_rng([_ORACLE_SEED, int(m * 2 ** 52)]).uniform(-math.pi / 2.0, math.pi / 2.0, 6)
+        for phi in [*map(float, seeded), math.pi / 2.0 - 1e-4, math.pi / 2.0 - 1e-8, math.pi / 2.0]:
+            with mp.workdps(30):
+                F, E = float(mp.ellipf(mp.mpf(phi), mp.mpf(m))), float(mp.ellipe(mp.mpf(phi), mp.mpf(m)))
+            assert el.incomplete_F(phi, m) == pytest.approx(F, rel=1e-14, abs=0.0)
+            assert el.incomplete_E(phi, m) == pytest.approx(E, rel=1e-14, abs=0.0)

@@ -2,12 +2,13 @@
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-from quintosc import quintic as q
-from quintosc.chebyshev import QuinticCoefficients
+from quintosc import cli, models, quintic as q
+from quintosc.chebyshev import QuinticCoefficients, model_coefficients
 from quintosc.errors import DomainError, UnsupportedCaseError
 
 # Frozen from an independent 30-digit quadrature of the time integral.
@@ -66,11 +67,8 @@ class TestDiscriminantAndClassify:
 
     @pytest.mark.parametrize("spec", [(-1.0, 0.1), (-0.3, 0.02), (-1.0, 0.5)])
     def test_softening_generic_models_are_unsupported(self, spec):
-        from quintosc.chebyshev import model_coefficients
-        from quintosc.models import OscillatorModel
-
         with pytest.raises(UnsupportedCaseError):
-            q.solve(model_coefficients(OscillatorModel("generic", force_spec=spec)))
+            q.solve(model_coefficients(models.OscillatorModel("generic", force_spec=spec)))
 
     def test_classification_is_total(self):
         for c in [(0.0, 0.0, 0.0), (1e300, -1e300, 1e-300), (-5.0, 2.0, 0.1)]:
@@ -274,10 +272,7 @@ class TestSolveDispatch:
 
     def test_harmonic_generic_model(self):
         # c5 is lifted to C5_FLOOR * c1 and the lifted triple is Case I.
-        from quintosc.chebyshev import model_coefficients
-        from quintosc.models import OscillatorModel
-
-        sol = q.solve(model_coefficients(OscillatorModel("generic", force_spec=(-0.3,))))
+        sol = q.solve(model_coefficients(models.OscillatorModel("generic", force_spec=(-0.3,))))
         assert sol.case == q.CASE_I and sol.nudge > 0.0
         assert sol.period == pytest.approx(2.0 * math.pi / math.sqrt(0.3), rel=1e-9)
 
@@ -301,3 +296,61 @@ class TestSolveDispatch:
         sol = q.solve((0.0, 2.0, 1.0))
         oracle = rk_oracle(lambda u: -(2.0 * u ** 3 + u ** 5), sol.period, tol=1e-10)
         assert compare_trajectories(sol, oracle) < 1e-5
+
+
+def mp_psi(c: QuinticCoefficients, u: float) -> float:
+    """Psi(u) of the quintic at 30 digits: tanh-sinh on 1/sqrt(G(sin theta)) over [asin u, pi/2].
+
+    G = Phi / (1 - u^2) = c1 + c3 (1 + u^2) / 2 + c5 (1 + u^2 + u^4) / 3.
+    """
+    with mp.workdps(30):
+        c1, c3, c5 = (mp.mpf(x) for x in c.as_tuple())
+
+        def big_g(x):
+            return c1 + c3 * (1 + x ** 2) / 2 + c5 * (1 + x ** 2 + x ** 4) / 3
+
+        return float(mp.quad(lambda theta: 1 / mp.sqrt(big_g(mp.sin(theta))), [mp.asin(mp.mpf(u)), mp.pi / 2]))
+
+
+_SPEC_RNG = np.random.default_rng(20221101)
+TIME_TO_MODELS = [
+    *(models.OscillatorModel("relativistic", a=a) for a, _, _ in cli.TABLE_REFERENCE[1][1]),
+    *(models.OscillatorModel("duffing-relativistic", a=a, b=b)
+      for a, b, _ in cli.TABLE_REFERENCE[2][1] + cli.TABLE_REFERENCE[3][1]),
+    models.OscillatorModel("duffing-relativistic", a=30.0, b=1.0),
+    models.OscillatorModel("cable-mass", a=3.0, b=0.25),
+    *(models.OscillatorModel("generic", force_spec=tuple(-_SPEC_RNG.uniform(0.1, 2.0, 4))) for _ in range(4)),
+]
+TIME_TO_SOLUTIONS = ([pytest.param(q.solve(model_coefficients(m)), id=f"{m.kind}-{m.a:g}-{m.b:g}-{i}")
+                      for i, m in enumerate(TIME_TO_MODELS)]
+                     + [pytest.param(q.solve(c), id=f"raw{c}") for c in [(1.0, 2.0, 3.0), CASE2]])
+TIME_TO_AMPLITUDES = [0.0, 1e-300, 1e-9, 0.5, 1.0 - 1e-12, 1.0]
+
+
+class TestTimeTo:
+    """_time_to inverts the trajectory over the first quarter period."""
+
+    @pytest.mark.parametrize("sol", TIME_TO_SOLUTIONS)
+    def test_against_mpmath_time_integral(self, sol):
+        for u in TIME_TO_AMPLITUDES:
+            assert q._time_to(sol, u) == pytest.approx(mp_psi(sol.solved, u), rel=1e-14, abs=0.0)
+
+    @pytest.mark.parametrize("sol", TIME_TO_SOLUTIONS)
+    def test_end_points(self, sol):
+        assert q._time_to(sol, 1.0) == 0.0
+        assert q._time_to(sol, 0.0) == pytest.approx(sol.period / 4.0, rel=4e-16, abs=0.0)
+
+    @pytest.mark.parametrize("sol", TIME_TO_SOLUTIONS)
+    def test_round_trip_through_evaluate(self, sol):
+        for u in [*TIME_TO_AMPLITUDES, *np.linspace(0.0, 1.0, 33)]:
+            assert q.evaluate(sol, q._time_to(sol, float(u))) == pytest.approx(u, rel=0.0, abs=1e-13)
+
+    @given(st.sampled_from([(1.0, 2.0, 3.0), CASE2, case1_triple(2.0, 2.5, 0.4), case2_triple(-4.0, -0.3, 1.7)]),
+           st.floats(-300.0, 300.0), st.floats(0.0, 1.0))
+    @example((1.0, 2.0, 3.0), 300.0, 0.5)
+    @example(CASE2, -300.0, 1e-9)
+    def test_time_rescaling(self, c, log_lam, u):
+        # u(sqrt(lam) t) solves lam*c whenever u(t) solves c, as for the period.
+        lam = 10.0 ** log_lam
+        scaled = q._time_to(q.solve(tuple(lam * x for x in c)), u)
+        assert scaled * math.sqrt(lam) == pytest.approx(q._time_to(q.solve(c), u), rel=1e-12, abs=0.0)

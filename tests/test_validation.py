@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from quintosc import cli, models, quintic, validation
 from quintosc.chebyshev import model_coefficients
-from quintosc.errors import DomainError
+from quintosc.errors import DomainError, EvaluationError
 from timeouts import deadline
 
 REL1 = models.OscillatorModel("relativistic", a=1.0)
@@ -62,6 +62,46 @@ class TestResidualSupNorm:
         u = np.linspace(0.0, 1.0, report.grid)
         u_max = u[np.argmax(abs_residual(model, solution, u))]
         assert quintic.evaluate(solution, report.argmax_t) == pytest.approx(u_max, abs=1e-12)
+
+    @pytest.mark.parametrize("kind, a, b", [
+        *(("relativistic", a, 0.0) for a, _, _ in cli.TABLE_REFERENCE[1][1]),
+        *(("duffing-relativistic", a, b) for a, b, _ in cli.TABLE_REFERENCE[2][1] + cli.TABLE_REFERENCE[3][1]),
+    ])
+    def test_argmax_t_matches_time_integral_of_solved_quintic(self, kind, a, b):
+        # The closed-form inverse against the quadrature of Psi it replaced.
+        model = models.OscillatorModel(kind, a=a, b=b)
+        solution = solved(model)
+        report = validation.residual_sup_norm(model, solution)
+        u = np.linspace(0.0, 1.0, report.grid)
+        u_max = float(u[np.argmax(abs_residual(model, solution, u))])
+        c = solution.solved
+        quintic_model = models.OscillatorModel("generic", force_spec=(-c.c1, -c.c3, -c.c5))
+        assert report.argmax_t == pytest.approx(models.time_integral_psi(quintic_model, u_max), rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("model", [
+        REL1, models.OscillatorModel("cable-mass", a=3.0, b=0.25),
+        models.OscillatorModel("duffing-relativistic", a=1.3, b=0.7),
+        models.OscillatorModel("generic", force_spec=(-1.0, -0.5, -0.5, 0.5, -0.2)),
+    ])
+    def test_no_quadrature(self, model, monkeypatch):
+        # argmax_t comes from the closed form, never from a time quadrature.
+        solution = solved(model)
+
+        def forbidden(*args):
+            raise AssertionError("residual_sup_norm ran a quadrature")
+
+        monkeypatch.setattr(models, "_tail_integral", forbidden)
+        monkeypatch.setattr(models, "_quarter_period_integral", forbidden)
+        # Each model's residual peaks inside (0, 1), where the old route needed a quadrature.
+        assert 0.0 < validation.residual_sup_norm(model, solution).argmax_t < solution.period / 4.0
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    def test_non_finite_residual_raises(self):
+        # a*a overflows, so the relativistic force is inf*0 = NaN at u = 0.
+        with pytest.raises(EvaluationError) as info:
+            validation.residual_sup_norm(models.OscillatorModel("relativistic", a=1e160),
+                                         quintic.solve((1.0, 2.0, 3.0)))
+        assert info.value.abscissa == 0.0
 
     @settings(max_examples=200, deadline=None)
     @given(st.floats(0.05, 30.0), st.floats(0.05, 2.0))
