@@ -37,7 +37,7 @@ from typing import Callable
 import numpy as np
 
 from . import models
-from .elliptic import complete_E, complete_K
+from .elliptic import _legendre_fe
 from .errors import ConvergenceError, DomainError, EvaluationError
 
 
@@ -204,16 +204,19 @@ def closed_form_moments(a: float) -> EllipticMoments:
         raise DomainError(f"closed_form_moments requires a > 0, got a={a}")
     if a <= _SERIES_CUTOFF:
         return _moments_by_series(a)
-    a2 = a * a
+    # K and E at m = a^2 / (1 + a^2), passed as m1 = 1 / J^2.  The brackets
+    # are scaled by 1 / a^2 = x so that no power of a overflows.
     J = math.hypot(1.0, a)
-    m = a2 / (1.0 + a2)
-    K = complete_K(m)
-    E = complete_E(m)
-    je = J * E
-    kj = K / J
-    j2 = 2.0 / a2 * (je - kj)
-    j4 = 2.0 / (3.0 * a2 * a2) * (2.0 * (a2 - 1.0) * je - (a2 - 2.0) * kj)
-    j6 = 2.0 / (15.0 * a2 ** 3) * ((8.0 * a2 * a2 - 7.0 * a2 + 8.0) * je - (4.0 * a2 * a2 - 3.0 * a2 + 8.0) * kj)
+    m1 = (1.0 / J) * (1.0 / J)
+    if m1 == 0.0:
+        raise DomainError(f"closed_form_moments needs m1 = 1/(1 + a^2) > 0, which underflows at a={a}")
+    K, E = _legendre_fe(1.0, 0.0, m1)
+    x = (1.0 / a) * (1.0 / a)
+    je = (J / a) * E / a
+    kj = K / J / a / a
+    j2 = 2.0 * (je - kj)
+    j4 = 2.0 / 3.0 * (2.0 * (1.0 - x) * je - (1.0 - 2.0 * x) * kj)
+    j6 = 2.0 / 15.0 * ((8.0 - 7.0 * x + 8.0 * x * x) * je - (4.0 - 3.0 * x + 8.0 * x * x) * kj)
     return EllipticMoments(j2, j4, j6)
 
 
@@ -250,4 +253,7 @@ def model_coefficients(model: models.OscillatorModel) -> QuinticCoefficients:
         m2 = w2 + a2 * w4 + b * jm.j2
         m4 = w4 + a2 * w6 + b * jm.j4
         m6 = w6 + a2 * w8 + b * jm.j6
-    return to_monomial(_alphas_from_moments(m2, m4, m6), "closed_form")
+    c = to_monomial(_alphas_from_moments(m2, m4, m6), "closed_form")
+    if not all(map(math.isfinite, c.as_tuple())):
+        raise DomainError(f"quintic coefficients of {model} overflow: {c.as_tuple()}")
+    return c

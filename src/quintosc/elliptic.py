@@ -6,11 +6,13 @@ Every function below takes the *parameter* m = k**2, never the modulus k.
 This matches DLMF chapters 19 and 22; callers translating formulas written
 in terms of the modulus must square it first.
 
-Complete integrals use the arithmetic-geometric mean, incomplete ones go
-through Carlson's symmetric forms R_F, R_C, R_D, R_J with the standard
-duplication iteration (Carlson, Numer. Math. 33, 1979).  The Jacobi
-amplitude uses a descending Landen chain, which keeps it well defined for
-arbitrarily large arguments.
+Every Legendre integral, complete or incomplete, goes through one pair of
+private routines on Carlson's symmetric forms R_F and R_D (duplication
+iteration: Carlson, Numer. Algorithms 10, 1995), which take sin(phi),
+cos^2(phi) and the complementary parameter m1 = 1 - m.  A caller that
+knows m1 exactly passes it, so nothing cancels as m -> 1.  The Jacobi
+amplitude uses the arithmetic-geometric mean and a descending Landen
+chain, which keeps it well defined for arbitrarily large arguments.
 """
 
 from __future__ import annotations
@@ -43,24 +45,6 @@ class JacobiTriple(NamedTuple):
     dn: ArrayLike
 
 
-def _agm_chain(m: float) -> tuple[list[float], list[float]]:
-    """Run the AGM from (1, sqrt(1-m)); return the c_n and a_n sequences.
-
-    The returned lists start at n = 1, i.e. chain[0] holds (c_1, a_1).
-    """
-    a, b = 1.0, math.sqrt(1.0 - m)
-    cs: list[float] = []
-    As: list[float] = []
-    for _ in range(_MAX_ITER):
-        c = 0.5 * (a - b)
-        a, b = 0.5 * (a + b), math.sqrt(a * b)
-        cs.append(c)
-        As.append(a)
-        if abs(c) < _AGM_TOL * a:
-            return cs, As
-    raise ConvergenceError("AGM failed to converge")  # pragma: no cover
-
-
 def complete_K(m: float) -> float:
     """Complete elliptic integral of the first kind K(m).
 
@@ -68,29 +52,14 @@ def complete_K(m: float) -> float:
     """
     if not 0.0 <= m < 1.0:
         raise DomainError(f"complete_K requires 0 <= m < 1, got m={m}")
-    if m == 0.0:
-        return math.pi / 2.0
-    _, As = _agm_chain(m)
-    return math.pi / (2.0 * As[-1])
+    return _legendre_f(1.0, 0.0, 1.0 - m)
 
 
 def complete_E(m: float) -> float:
     """Complete elliptic integral of the second kind E(m), 0 <= m <= 1."""
     if not 0.0 <= m <= 1.0:
         raise DomainError(f"complete_E requires 0 <= m <= 1, got m={m}")
-    if m == 0.0:
-        return math.pi / 2.0
-    if m == 1.0:
-        return 1.0
-    cs, As = _agm_chain(m)
-    # E = K * (1 - sum 2**(n-1) c_n**2), where c_0**2 = m.
-    total = 0.5 * m
-    weight = 0.5
-    for c in cs:
-        weight *= 2.0
-        total += weight * c * c
-    K = math.pi / (2.0 * As[-1])
-    return K * (1.0 - total)
+    return 1.0 if m == 1.0 else _legendre_fe(1.0, 0.0, 1.0 - m)[1]
 
 
 def carlson_rf(x: float, y: float, z: float) -> float:
@@ -203,6 +172,29 @@ def carlson_rj(x: float, y: float, z: float, p: float) -> float:
     raise ConvergenceError("carlson_rj failed to converge")
 
 
+def _legendre_f(s: float, c2: float, m1: float) -> float:
+    """F(phi | 1 - m1) = s R_F(c2, c2 + m1 s^2, 1) from s = sin(phi), c2 = cos^2(phi) (DLMF 19.25.5).
+
+    c2 + m1 s^2 is 1 - m sin^2(phi) without the cancellation as m -> 1.
+    """
+    return s * carlson_rf(c2, c2 + m1 * s * s, 1.0)
+
+
+def _legendre_fe(s: float, c2: float, m1: float) -> tuple[float, float]:
+    """F and E(phi | 1 - m1) for |phi| <= pi/2, from s = sin(phi), c2 = cos^2(phi).
+
+    E = m1 F + (m m1 / 3) s^3 R_D(c2, 1, d2) + m s c / sqrt(d2), d2 = c2 + m1 s^2
+    (DLMF 19.25.10), adds terms of one sign, so nothing cancels as m -> 1.
+    R_D ~ 3 / m1 would overflow for a subnormal m1; its arguments scaled by
+    4^18 divide it by exactly 2^54.
+    """
+    f = _legendre_f(s, c2, m1)
+    d2 = c2 + m1 * s * s
+    m = 1.0 - m1
+    rd = carlson_rd(math.ldexp(c2, 36), math.ldexp(1.0, 36), math.ldexp(d2, 36))
+    return f, m1 * f + m * s ** 3 / 3.0 * (math.ldexp(m1, 54) * rd) + m * s * math.sqrt(c2 / d2)
+
+
 def incomplete_F(phi: float, m: float) -> float:
     """Incomplete elliptic integral of the first kind F(phi | m).
 
@@ -213,10 +205,7 @@ def incomplete_F(phi: float, m: float) -> float:
         raise DomainError(f"incomplete_F requires 0 <= m < 1, got m={m}")
     if abs(phi) > math.pi / 2.0 + 1e-12:
         raise DomainError(f"incomplete_F requires |phi| <= pi/2, got phi={phi}")
-    s = math.sin(phi)
-    c2 = math.cos(phi) ** 2
-    # 1 - m sin^2 written as cos^2 + (1 - m) sin^2: no cancellation as m -> 1 and phi -> pi/2.
-    return s * carlson_rf(c2, c2 + (1.0 - m) * s * s, 1.0)
+    return _legendre_f(math.sin(phi), math.cos(phi) ** 2, 1.0 - m)
 
 
 def incomplete_E(phi: float, m: float) -> float:
@@ -225,12 +214,7 @@ def incomplete_E(phi: float, m: float) -> float:
         raise DomainError(f"incomplete_E requires 0 <= m < 1, got m={m}")
     if abs(phi) > math.pi / 2.0 + 1e-12:
         raise DomainError(f"incomplete_E requires |phi| <= pi/2, got phi={phi}")
-    s = math.sin(phi)
-    if s == 0.0:
-        return 0.0
-    c2 = math.cos(phi) ** 2
-    w = c2 + (1.0 - m) * s * s
-    return s * carlson_rf(c2, w, 1.0) - m * s ** 3 / 3.0 * carlson_rd(c2, w, 1.0)
+    return _legendre_fe(math.sin(phi), math.cos(phi) ** 2, 1.0 - m)[1]
 
 
 def jacobi_am(u: ArrayLike, m: float) -> ArrayLike:
@@ -249,8 +233,15 @@ def jacobi_am(u: ArrayLike, m: float) -> ArrayLike:
         out = u_arr.copy()
         return float(out[0]) if scalar else out
 
-    cs, As = _agm_chain(m)
-    K = math.pi / (2.0 * As[-1])  # complete_K(m) from the same chain
+    # The AGM from (1, sqrt(1 - m)) gives the chain's c_n, a_n (n >= 1) and K = pi / (2 a_N).
+    a, b, cs, As = 1.0, math.sqrt(1.0 - m), [], []
+    while not cs or abs(cs[-1]) >= _AGM_TOL * a:
+        if len(cs) == _MAX_ITER:
+            raise ConvergenceError("AGM failed to converge")  # pragma: no cover
+        cs.append(0.5 * (a - b))
+        a, b = 0.5 * (a + b), math.sqrt(a * b)
+        As.append(a)
+    K = math.pi / (2.0 * a)
     wind = np.floor(u_arr / (2.0 * K))
     ur = u_arr - 2.0 * K * wind  # in [0, 2K)
     refl = ur > K
@@ -290,7 +281,7 @@ def jacobi_sn_cn_dn(u: ArrayLike, m: float) -> JacobiTriple:
         phi = np.atleast_1d(jacobi_am(u_arr, m))
         sn = np.sin(phi)
         cn = np.cos(phi)
-        dn = np.sqrt(1.0 - m * sn * sn)
+        dn = np.sqrt(cn * cn + (1.0 - m) * sn * sn)  # 1 - m sn^2 without the cancellation as m -> 1
     if scalar:
         return JacobiTriple(float(sn[0]), float(cn[0]), float(dn[0]))
     return JacobiTriple(sn, cn, dn)

@@ -75,7 +75,8 @@ class ExactPeriod:
 
 
 def _sqrt_term(a: float, u):
-    return np.sqrt(1.0 + (a * a) * np.square(u))
+    # (a*u)^2, not a^2 u^2: once a*a overflows, inf * 0 would be NaN at u = 0.
+    return np.sqrt(1.0 + np.square(a * u))
 
 
 def restoring_force(model: OscillatorModel, u):
@@ -218,7 +219,7 @@ def _tail_integral(g, u: float) -> float:
 def exact_period(model: OscillatorModel) -> ExactPeriod:
     """Exact period of the model oscillation.
 
-    Closed forms exist for the relativistic force (complete K and E) and
+    Closed forms exist for the relativistic force (4 Psi(0), complete K and E) and
     the cable-mass force (complete third-kind integral).  The others take
     four times the quarter period integral of 1/sqrt(G(sin theta)) by the
     nested periodic trapezoid rule, converged to 1e-15 relative.
@@ -226,11 +227,7 @@ def exact_period(model: OscillatorModel) -> ExactPeriod:
     _require_valid(model)
     a, b = model.a, model.b
     if model.kind == RELATIVISTIC:
-        J = math.hypot(1.0, a)
-        m = ((J - 1.0) / a) ** 2
-        amp = math.sqrt(J + 1.0)
-        value = 4.0 * math.sqrt(2.0) * (amp * elliptic.complete_E(m) - elliptic.complete_K(m) / amp)
-        return ExactPeriod(value, CLOSED_FORM_KE)
+        return ExactPeriod(4.0 * _psi_relativistic(a, 0.0), CLOSED_FORM_KE)
     if model.kind == CABLE_MASS:
         J = math.hypot(1.0, a)
         A = J + b
@@ -273,14 +270,20 @@ def time_integral_psi(model: OscillatorModel, u: float) -> float:
 
 
 def _psi_relativistic(a: float, u: float) -> float:
+    """Psi(u) = sqrt(2) (sqrt(J+1) E(phi | m) - F(phi | m) / sqrt(J+1)), J = sqrt(1 + a^2), 0 <= u < 1.
+
+    m = ((J - 1) / a)^2 rounds to 1 from a ~ 1e16 on, but 1 - m = 2 / (J + 1)
+    does not.  sin^2(phi) = (J - h) / (J - 1), h = sqrt(1 + a^2 u^2), is
+    (1 - u^2) / (1 + t) and cos^2(phi) = (u^2 + t) / (1 + t) with
+    t = (a u / (h + 1)) (a u / (J + 1)) in [0, 1): nothing cancels or overflows.
+    """
     J = math.hypot(1.0, a)
-    m = ((J - 1.0) / a) ** 2
+    au = a * u
+    t = au / (math.hypot(1.0, au) + 1.0) * (au / (J + 1.0))
+    s = math.sqrt((1.0 - u) * (1.0 + u) / (1.0 + t))
+    f, e = elliptic._legendre_fe(s, (u * u + t) / (1.0 + t), 2.0 / (J + 1.0))
     amp = math.sqrt(J + 1.0)
-    # (J - sqrt(1 + a^2 u^2)) / (J - 1) rationalised: J - 1 cancels as a -> 0
-    # and is exactly 0 for a below ~1e-8.
-    arg = (1.0 - u) * (1.0 + u) * (J + 1.0) / (J + math.hypot(1.0, a * u))
-    phi = math.asin(math.sqrt(min(max(arg, 0.0), 1.0)))
-    return math.sqrt(2.0) * (amp * elliptic.incomplete_E(phi, m) - elliptic.incomplete_F(phi, m) / amp)
+    return math.sqrt(2.0) * (amp * e - f / amp)
 
 
 def validate_params(model: OscillatorModel) -> list[str]:

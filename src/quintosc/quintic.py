@@ -27,7 +27,7 @@ from typing import Union
 import numpy as np
 
 from .chebyshev import QuinticCoefficients
-from .elliptic import carlson_rf, complete_K, jacobi_am, jacobi_sn_cn_dn
+from .elliptic import _legendre_f, complete_K, jacobi_am, jacobi_sn_cn_dn
 from .errors import ConstructionError, UnsupportedCaseError
 from .models import GENERIC, OscillatorModel, _quarter_period_integral, _theta_integrand
 
@@ -250,9 +250,8 @@ def _time_to(solution: ClosedFormSolution, u: float) -> float:
     """First time t >= 0 at which the solution reaches amplitude u in [0, 1].
 
     Inverts _state over the first quarter period: t is an incomplete
-    F(phi | m) = sin(phi) R_F(cos^2 phi, cos^2 phi + (1 - m) sin^2 phi, 1)
-    (DLMF 19.25.5), with sin and cos of the amplitude phi read off u
-    algebraically, so u = 1 gives 0 and u = 0 a quarter period.
+    F(phi | m) (elliptic._legendre_f), with sin and cos of the amplitude
+    phi read off u algebraically, so u = 1 gives 0 and u = 0 a quarter period.
     """
     p = solution.params
     if solution.case == CASE_I:
@@ -261,12 +260,12 @@ def _time_to(solution: ClosedFormSolution, u: float) -> float:
         w = math.sqrt(p.B) * (1.0 - u) * (1.0 + u)
         d = u * u + w
         sin_phi, cos_phi = 2.0 * u * math.sqrt(w) / d, (u * u - w) / d
-        f = p.A * sin_phi * carlson_rf(cos_phi ** 2, cos_phi ** 2 + (1.0 - p.m) * sin_phi ** 2, 1.0)
+        f = p.A * _legendre_f(sin_phi, cos_phi ** 2, 1.0 - p.m)
         return f if cos_phi >= 0.0 else 0.25 * solution.period - f
     # u^2 = -s1 cn^2 / (sn^2 - s1) with phi = am(rate t) in [0, pi/2].
     q = u * u - p.s1
     sn2, cn2 = -p.s1 * (1.0 - u) * (1.0 + u) / q, u * u * (1.0 - p.s1) / q
-    return math.sqrt(sn2) * carlson_rf(cn2, cn2 + (1.0 - p.m) * sn2, 1.0) / p.rate
+    return _legendre_f(math.sqrt(sn2), cn2, 1.0 - p.m) / p.rate
 
 
 def evaluate(solution: ClosedFormSolution, t):

@@ -45,7 +45,8 @@ class OracleTrajectory:
 
 def _residual(model: models.OscillatorModel | None, c: QuinticCoefficients, u):
     """L u = u'' - f_a(u) with u'' = -(c1*u + c3*u^3 + c5*u^5); 0 when model is None."""
-    udd = -(c.c1 * u + c.c3 * u ** 3 + c.c5 * u ** 5)
+    s = u * u
+    udd = -(u * (c.c1 + s * (c.c3 + c.c5 * s)))
     return udd - (models.restoring_force(model, u) if model is not None else udd)
 
 

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -143,6 +144,19 @@ class TestMoments:
         assert m8.j4 == pytest.approx(0.16477916798295162, rel=1e-13)
         assert m8.j6 == pytest.approx(0.13205329379659422, rel=1e-13)
 
+    @pytest.mark.parametrize("a", [1e8, 1e9, 1e12])
+    def test_large_amplitude_against_quadrature(self, a):
+        # m = a^2 / (1 + a^2) rounds to 1 here; the moments take 1 - m = 1 / (1 + a^2).
+        m = ch.closed_form_moments(a)
+        for n, got in ((2, m.j2), (4, m.j4), (6, m.j6)):
+            with mp.workdps(30):
+                # J_n = 2 * integral_0^{pi/2} sin^n / sqrt(1 + a^2 sin^2); split where
+                # the integrand turns, at theta ~ 10^k / a.
+                A = mp.mpf(a)
+                nodes = [0] + [mp.mpf(10) ** k / A for k in range(int(math.log10(a)) + 1)] + [mp.pi / 2]
+                ref = 2 * mp.quad(lambda th: mp.sin(th) ** n / mp.sqrt(1 + (A * mp.sin(th)) ** 2), nodes)
+            assert got == pytest.approx(float(ref), rel=1e-14, abs=0.0)
+
     @pytest.mark.parametrize("a", [0.2, 1.0, 5.0, 30.0])
     def test_ordering(self, a):
         m = ch.closed_form_moments(a)
@@ -190,6 +204,12 @@ class TestModelCoefficients:
         duffing = ch.model_coefficients(models.OscillatorModel("duffing-relativistic", a=1.0, b=0.5))
         assert discriminant(duffing) > 0.0
         assert classify(duffing) == "II"
+
+    @pytest.mark.parametrize("a", [1e8, 1e10, 1e12])
+    @pytest.mark.parametrize("kind", ["relativistic", "cable-mass", "duffing-relativistic"])
+    def test_large_amplitude_triples_are_finite(self, kind, a):
+        c = ch.model_coefficients(models.OscillatorModel(kind, a=a, b=0.5))
+        assert all(map(math.isfinite, c.as_tuple()))
 
     def test_generic_falls_back_to_projection(self):
         model = models.OscillatorModel("generic", force_spec=(-1.0, -0.25))

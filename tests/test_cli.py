@@ -153,7 +153,8 @@ def row_by_row_solve_csv(args):
     u = quintic.evaluate(solution, t)
     du = quintic.derivative(solution, t)
     sc = solution.solved
-    udd = -(sc.c1 * u + sc.c3 * u ** 3 + sc.c5 * u ** 5)
+    s = u * u
+    udd = -(u * (sc.c1 + s * (sc.c3 + sc.c5 * s)))
     residual = udd - (models.restoring_force(osc, u) if osc is not None else udd)
     lines = ["t,u,u_dot,residual"]
     lines.extend(",".join(format(float(x), ".17g") for x in row) for row in zip(t, u, du, residual))

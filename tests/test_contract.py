@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import quintosc
-from quintosc import models
+from quintosc import chebyshev, models
 from quintosc.errors import QuintoscError
 from timeouts import deadline
 
@@ -88,3 +88,29 @@ def test_raises_only_package_errors(name, kind, x, y, z):
             CALLS[name](kind, x, y, z)
         except (QuintoscError, TypeError):
             pass
+
+
+# Every power of ten a double holds, and the largest round amplitude below the top.
+AMPLITUDES = [10.0 ** k for k in range(-300, 309)] + [1.7e308]
+
+
+def test_amplitude_sweep_is_finite_or_raises():
+    """Moments, catalogue coefficients and relativistic times: finite values or a QuintoscError."""
+    bad = []
+    for a in AMPLITUDES:
+        rel = models.OscillatorModel(models.RELATIVISTIC, a=a)
+        calls = {
+            "closed_form_moments": lambda: [*vars(chebyshev.closed_form_moments(a)).values()],
+            "exact_period": lambda: [models.exact_period(rel).value],
+            "time_integral_psi": lambda: [models.time_integral_psi(rel, u) for u in (0.0, 1e-9, 0.5, -0.5, 1.0 - 1e-12)],
+            **{kind: lambda kind=kind: chebyshev.model_coefficients(models.OscillatorModel(kind, a=a, b=0.5)).as_tuple()
+               for kind in (models.RELATIVISTIC, models.CABLE_MASS, models.DUFFING_RELATIVISTIC)},
+        }
+        for name, call in calls.items():
+            try:
+                values = call()
+            except QuintoscError:
+                continue
+            if not all(map(math.isfinite, values)):
+                bad.append(f"{name} at a={a!r}: {values}")
+    assert not bad, "\n".join(bad)

@@ -61,6 +61,22 @@ def mp_time_integral(model, u=0.0):
         return float(mp.quad(lambda theta: 1 / mp.sqrt(big_g(mp.sin(theta))), nodes))
 
 
+def mp_relativistic_psi(a, u):
+    """Psi(u) = sqrt(2) (sqrt(J+1) E(phi | m) - F(phi | m) / sqrt(J+1)) from mpmath at 700 digits.
+
+    m = ((J - 1) / a)^2 and sin^2(phi) = (J - sqrt(1 + a^2 u^2)) / (J - 1),
+    J = sqrt(1 + a^2), as written before any rearrangement; 700 digits
+    resolve 1 - m ~ 2 / a for every a up to 1e300.
+    """
+    with mp.workdps(700):
+        a, u = mp.mpf(a), mp.mpf(u)
+        J = mp.sqrt(1 + a * a)
+        m = ((J - 1) / a) ** 2
+        phi = mp.asin(mp.sqrt((J - mp.sqrt(1 + a * a * u * u)) / (J - 1)))
+        amp = mp.sqrt(J + 1)
+        return float(mp.sqrt(2) * (amp * mp.ellipe(phi, m) - mp.ellipf(phi, m) / amp))
+
+
 class TestRestoringForce:
     def test_pointwise_examples(self):
         assert models.restoring_force(REL1, 1.0) == pytest.approx(-1.0 / math.sqrt(2.0), rel=1e-15)
@@ -155,6 +171,11 @@ class TestExactPeriod:
         period = models.exact_period(models.OscillatorModel("cable-mass", a=a, b=0.5))
         assert period.value == pytest.approx(2.0 * math.pi, rel=1e-12, abs=0.0)
 
+    @pytest.mark.parametrize("a", [0.3, 2.0, 1e7, 1e300])
+    def test_relativistic_period_is_four_psi_zero(self, a):
+        model = models.OscillatorModel("relativistic", a=a)
+        assert models.exact_period(model).value == 4.0 * models.time_integral_psi(model, 0.0)
+
     def test_relativistic_modulus_below_one(self):
         for a in np.logspace(-2.0, 2.0, 40):
             k = (math.hypot(1.0, a) - 1.0) / a
@@ -197,6 +218,7 @@ class TestQuadratureOracle:
             models.exact_period(models.OscillatorModel("generic", force_spec=spec(1e-10)))
 
     @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_overflowing_integrand_raises(self):
         # a^2 overflows, G is infinite and the integrand vanishes: a period
         # or time of 0 would be silently wrong.
@@ -232,6 +254,15 @@ class TestTimeIntegral:
         model = models.OscillatorModel("relativistic", a=a)
         for u in (-0.6, 0.0, 0.3, 0.8, 0.999999):
             assert models.time_integral_psi(model, u) == pytest.approx(mp_time_integral(model, u), rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("a", [1e16, 1e50, 1e150, 1e300])
+    def test_relativistic_huge_amplitude(self, a):
+        # m = ((J - 1) / a)^2 rounds to 1 from a ~ 1e16 on, but 1 - m ~ 2 / a
+        # does not; the reference resolves it at 700 digits.
+        model = models.OscillatorModel("relativistic", a=a)
+        for u in (0.0, 1e-9, 0.5, 1.0 - 1e-12):
+            assert models.time_integral_psi(model, u) == pytest.approx(mp_relativistic_psi(a, u), rel=2e-15, abs=0.0)
+        assert models.exact_period(model).value == pytest.approx(4.0 * mp_relativistic_psi(a, 0.0), rel=2e-15, abs=0.0)
 
     @pytest.mark.parametrize("model", ALL_VALID)
     def test_quarter_period_identity(self, model):
