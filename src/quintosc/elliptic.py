@@ -11,8 +11,9 @@ private routines on Carlson's symmetric forms R_F and R_D (duplication
 iteration: Carlson, Numer. Algorithms 10, 1995), which take sin(phi),
 cos^2(phi) and the complementary parameter m1 = 1 - m.  A caller that
 knows m1 exactly passes it, so nothing cancels as m -> 1.  The Jacobi
-amplitude uses the arithmetic-geometric mean and a descending Landen
-chain, which keeps it well defined for arbitrarily large arguments.
+functions come from one Gauss-transformation kernel: one sin and one cos
+per point, then only + - * /, so a float runs the same lines as an array
+and gives the same bits (numpy's sin and cos loop serves both).
 """
 
 from __future__ import annotations
@@ -26,9 +27,9 @@ from .errors import ConvergenceError, DomainError
 
 ArrayLike = Union[float, np.ndarray]
 
-# One ulp of the iterate is ~2.2e-16 relative, so the loop must accept a
-# gap slightly above that or it can stall forever one ulp apart.
-_AGM_TOL = 1e-15
+# The Gauss chain stops at a modulus k below this: sn(z | k^2) and cn(z | k^2)
+# are sin z and cos z up to O(k^2 z), under an ulp of z.
+_GAUSS_TOL = 2.0 ** -27
 _MAX_ITER = 100
 
 # Carlson duplication cutoffs tuned for double precision: the truncation
@@ -217,71 +218,70 @@ def incomplete_E(phi: float, m: float) -> float:
     return _legendre_fe(math.sin(phi), math.cos(phi) ** 2, 1.0 - m)[1]
 
 
+def _real(x: ArrayLike) -> ArrayLike:
+    """x as a float, or as a float array when it has at least one dimension."""
+    if isinstance(x, float):
+        return x
+    x = np.asarray(x, dtype=float)
+    return x if x.ndim else float(x)
+
+
+def _gauss(x: ArrayLike, m: float) -> tuple[ArrayLike, ArrayLike, ArrayLike]:
+    """sn(x | m), cn(x | m) and the base angle z = a_N x, for 0 <= m < 1.
+
+    Descending Landen (Gauss) transformation, DLMF 22.7.1-22.7.3: the AGM from
+    (1, sqrt(1 - m)) gives the moduli k_n = c_n / a_n, and each stage lifts
+    sn, cn, dn of modulus k_n at x a_n to modulus k_(n-1) at x a_(n-1), from
+    sin z, cos z, 1 at k_N, so no argument reduction is needed.
+    """
+    # The AGM always ends: a and b meet to within an ulp.
+    a, b, ks = 1.0, math.sqrt(1.0 - m), []
+    while not ks or ks[-1] >= _GAUSS_TOL:
+        ks.append((a - b) / (a + b))
+        a, b = 0.5 * (a + b), math.sqrt(a * b)
+    z = a * x
+    s, c, d = np.sin(z), np.cos(z), 1.0
+    # Augmented assignments work in place on arrays and rebind floats.
+    for k in reversed(ks):
+        t = s * s
+        t *= k
+        r = 1.0 / (1.0 + t)
+        c *= d
+        c *= r
+        d = 1.0 - t
+        d *= r
+        s *= r
+        s *= 1.0 + k
+    return s, c, z
+
+
 def jacobi_am(u: ArrayLike, m: float) -> ArrayLike:
     """Jacobi amplitude am(u, m) for 0 <= m < 1 and unrestricted real u.
 
-    Arguments outside [0, K] are folded in with the quasi-periodicity
-    am(u + 2K) = am(u) + pi and the reflection am(2K - u) = pi - am(u),
-    so the result stays accurate far from the origin.
+    am - z stays within pi/2 of zero for the Gauss base angle z = pi u / (2K),
+    which fixes the branch of atan2(sn, cn).
     """
     if not 0.0 <= m < 1.0:
         raise DomainError(f"jacobi_am requires 0 <= m < 1, got m={m}")
-    u_arr = np.asarray(u, dtype=float)
-    scalar = u_arr.ndim == 0
-    u_arr = np.atleast_1d(u_arr)
-    if m == 0.0:
-        out = u_arr.copy()
-        return float(out[0]) if scalar else out
-
-    # The AGM from (1, sqrt(1 - m)) gives the chain's c_n, a_n (n >= 1) and K = pi / (2 a_N).
-    a, b, cs, As = 1.0, math.sqrt(1.0 - m), [], []
-    while not cs or abs(cs[-1]) >= _AGM_TOL * a:
-        if len(cs) == _MAX_ITER:
-            raise ConvergenceError("AGM failed to converge")  # pragma: no cover
-        cs.append(0.5 * (a - b))
-        a, b = 0.5 * (a + b), math.sqrt(a * b)
-        As.append(a)
-    K = math.pi / (2.0 * a)
-    wind = np.floor(u_arr / (2.0 * K))
-    ur = u_arr - 2.0 * K * wind  # in [0, 2K)
-    refl = ur > K
-    ur = np.where(refl, 2.0 * K - ur, ur)  # in [0, K]
-
-    # Each stage is phi <- (phi + asin(c/a sin(phi))) / 2, computed in place.
-    # c_n <= a_n holds under rounding, so the asin argument stays in [-1, 1].
-    phi = np.ldexp(As[-1] * ur, len(cs))
-    step = np.empty_like(phi)
-    for c, a in zip(reversed(cs), reversed(As)):
-        np.sin(phi, out=step)
-        step *= c / a
-        np.arcsin(step, out=step)
-        phi += step
-        phi *= 0.5
-    phi = np.where(refl, math.pi - phi, phi) + math.pi * wind
-    return float(phi[0]) if scalar else phi
+    s, c, z = _gauss(_real(u), m)
+    phi = np.arctan2(s, c)
+    am = phi + 2.0 * math.pi * np.round((z - phi) / (2.0 * math.pi))
+    return am if isinstance(am, np.ndarray) else float(am)
 
 
 def jacobi_sn_cn_dn(u: ArrayLike, m: float) -> JacobiTriple:
     """Jacobi elliptic functions sn, cn, dn for 0 <= m <= 1.
 
-    The limiting cases short-circuit: m = 0 gives trigonometric and
-    m = 1 hyperbolic functions (the amplitude itself is not defined
-    at m = 1, which is why jacobi_am excludes it).
+    A float u gives floats, bit-identical to the same u inside an array.
+    m = 1 gives the hyperbolic functions (the amplitude itself is not
+    defined there, which is why jacobi_am excludes it).
     """
     if not 0.0 <= m <= 1.0:
         raise DomainError(f"jacobi_sn_cn_dn requires 0 <= m <= 1, got m={m}")
-    u_arr = np.asarray(u, dtype=float)
-    scalar = u_arr.ndim == 0
-    u_arr = np.atleast_1d(u_arr)
+    u = _real(u)
     if m == 1.0:
-        sn = np.tanh(u_arr)
-        cn = 1.0 / np.cosh(u_arr)
-        dn = cn.copy()
+        sn, cn, dn = np.tanh(u), 1.0 / np.cosh(u), 1.0 / np.cosh(u)
     else:
-        phi = np.atleast_1d(jacobi_am(u_arr, m))
-        sn = np.sin(phi)
-        cn = np.cos(phi)
+        sn, cn, _ = _gauss(u, m)
         dn = np.sqrt(cn * cn + (1.0 - m) * sn * sn)  # 1 - m sn^2 without the cancellation as m -> 1
-    if scalar:
-        return JacobiTriple(float(sn[0]), float(cn[0]), float(dn[0]))
-    return JacobiTriple(sn, cn, dn)
+    return JacobiTriple(*map(float, (sn, cn, dn))) if isinstance(u, float) else JacobiTriple(sn, cn, dn)

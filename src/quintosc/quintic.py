@@ -27,8 +27,8 @@ from typing import Union
 import numpy as np
 
 from .chebyshev import QuinticCoefficients
-from .elliptic import _legendre_f, complete_K, jacobi_am, jacobi_sn_cn_dn
-from .errors import ConstructionError, UnsupportedCaseError
+from .elliptic import _legendre_f, complete_K, jacobi_sn_cn_dn
+from .errors import ConstructionError, DomainError, UnsupportedCaseError
 from .models import GENERIC, OscillatorModel, _quarter_period_integral, _theta_integrand
 
 CASE_I = "I"
@@ -211,39 +211,39 @@ def period_by_quadrature(c: Coefficients) -> float:
 
 
 def _state(solution: ClosedFormSolution, t):
-    """Signed u(t) and u'(t) from one Jacobi call, for scalar or array t.
+    """Signed u(t) and u'(t) from one jacobi_sn_cn_dn call, for finite scalar or array t.
 
-    The Jacobi functions carry the sign of the cosine-like wave, so no
-    square root of u^2 or of the energy is taken and the zero crossings
-    and turning points keep full relative precision.  A scalar runs as a
-    batch of one through the same numpy loops, so scalar and batch
-    results are bit-identical.
+    sn and cn carry the sign of the wave, so no square root of u^2 or of the
+    energy is taken, and the zero crossings and turning points keep full
+    relative precision.  A float t runs the same lines as an array: every
+    step is + - * /, min, max, sqrt or, inside the Gauss kernel, numpy's
+    own sin and cos loop, so scalar and batch results are bit-identical.
     """
-    t_arr = np.asarray(t, dtype=float)
-    tau = np.atleast_1d(t_arr)
+    if not np.isfinite(t).all():
+        raise DomainError("evaluate and derivative need finite times")
+    # Past 2^52 periods an ulp of t spans a period; clipping there keeps t/(2A), rate*t finite,
+    # and makes t a float or a float array.
+    span = math.ldexp(solution.period, 52)
+    t = np.minimum(np.maximum(t, -span), span)
     p = solution.params
     if solution.case == CASE_I:
-        # am(2K - x) = pi - am(x) turns the half-angle form of u^2 into
-        # u = sqrt(sb) cos(psi) / D, D^2 = sb cos^2(psi) + sin^2(psi), with
-        # psi = am(t/A)/2; then du/dpsi = -sqrt(sb) sin(psi) / D^3 and
-        # dpsi/dt = dn(t/A) / (2A).
-        am = jacobi_am(tau / p.A, p.m)
-        cos_psi, sin_psi = np.cos(0.5 * am), np.sin(0.5 * am)
+        # psi = am(t/A)/2: u = sqrt(sb) cos(psi) / D, u' = -sqrt(sb) sin(psi) dn(t/A) / (2A D^3),
+        # D^2 = sb cos^2(psi) + sin^2(psi).  DLMF 22.6.5-22.6.6 at t/(2A): cos(psi) = cn/w, sin(psi) = sn dn/w,
+        # dn(t/A) = (dn^4 + m (1 - m) sn^4) / w^2, w^2 = 1 - m sn^4; w cancels and no sum left cancels.
+        sn, cn, dn = jacobi_sn_cn_dn(t / (2.0 * p.A), p.m)
         sb = math.sqrt(p.B)
-        d = np.sqrt(sb * np.square(cos_psi) + np.square(sin_psi))
-        dn = np.sqrt(1.0 - p.m * np.square(2.0 * sin_psi * cos_psi))  # dn(t/A) = sqrt(1 - m sin^2(am))
-        u = math.sqrt(sb) * cos_psi / d
-        du = -math.sqrt(sb) * sin_psi * dn / (2.0 * p.A * d ** 3)
+        sn2, dn2 = sn * sn, dn * dn
+        e = sb * cn * cn + sn2 * dn2
+        u = math.sqrt(sb) * cn / np.sqrt(e)
+        du = -math.sqrt(sb) / (2.0 * p.A) * dn * (dn2 * dn2 + p.m * (1.0 - p.m) * sn2 * sn2) / (e * np.sqrt(e)) * sn
     else:
         # u^2 = -s1 cn^2 / q with q = sn^2 - s1 > 0 (s1 < 0), so u = cn sqrt(-s1/q).
-        sn, cn, dn = jacobi_sn_cn_dn(p.rate * tau, p.m)
-        q = np.square(sn) - p.s1
+        sn, cn, dn = jacobi_sn_cn_dn(p.rate * t, p.m)
+        q = sn * sn - p.s1
         u = cn * np.sqrt(-p.s1 / q)
-        du = -p.rate * math.sqrt(-p.s1) * (1.0 - p.s1) * sn * dn / (q * np.sqrt(q))
-    du = du + 0.0  # the +0.0 drops IEEE negative zeros
-    if t_arr.ndim == 0:
-        return float(u[0]), float(du[0])
-    return u, du
+        du = -p.rate * math.sqrt(-p.s1) * (1.0 - p.s1) * dn / (q * np.sqrt(q)) * sn
+    du = du + 0.0  # sn is the last factor above, so a subnormal u' rounds once; +0.0 drops negative zeros
+    return (float(u), float(du)) if isinstance(t, float) else (u, du)
 
 
 def _time_to(solution: ClosedFormSolution, u: float) -> float:
@@ -269,10 +269,10 @@ def _time_to(solution: ClosedFormSolution, u: float) -> float:
 
 
 def evaluate(solution: ClosedFormSolution, t):
-    """Signed trajectory u(t) for scalar or array t, over all real times."""
+    """Signed trajectory u(t) for scalar or array t, over all finite times (NaN or inf raises DomainError)."""
     return _state(solution, t)[0]
 
 
 def derivative(solution: ClosedFormSolution, t):
-    """Velocity u'(t) for scalar or array t, over all real times."""
+    """Velocity u'(t) for scalar or array t, over all finite times (NaN or inf raises DomainError)."""
     return _state(solution, t)[1]

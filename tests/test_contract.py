@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 import quintosc
 from quintosc import chebyshev, models
-from quintosc.errors import QuintoscError
+from quintosc.errors import DomainError, QuintoscError
 from timeouts import deadline
 
 EXTREMES = [math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324, 2.5e-310, 1e308, -1e308]
@@ -88,6 +88,21 @@ def test_raises_only_package_errors(name, kind, x, y, z):
             CALLS[name](kind, x, y, z)
         except (QuintoscError, TypeError):
             pass
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([quintosc.evaluate, quintosc.derivative]),
+       st.sampled_from([SOLUTION, quintosc.solve((-1.0 / 3.0, 4.0 / 3.0, 1.0)), quintosc.solve((1e300, 2e300, 3e300))]),
+       st.one_of(VALUES, st.floats()))
+def test_trajectory_is_finite_or_raises_domain_error(func, solution, t):
+    """A finite time gives a finite u or u', scalar or in an array; NaN or +-inf raises DomainError."""
+    if math.isfinite(t):
+        assert math.isfinite(func(solution, t))
+        assert np.all(np.isfinite(func(solution, np.array([t, 1.0]))))
+    else:
+        for bad in (t, np.array([1.0, t])):
+            with pytest.raises(DomainError):
+                func(solution, bad)
 
 
 # Every power of ten a double holds, and the largest round amplitude below the top.

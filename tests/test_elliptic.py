@@ -251,6 +251,14 @@ class TestJacobiSnCnDn:
         with pytest.raises(DomainError):
             el.jacobi_sn_cn_dn(0.3, 1.2)
 
+    @given(st.lists(st.floats(-1e7, 1e7), min_size=1, max_size=20),
+           st.sampled_from([0.0, 0.07, 0.88, 1.0 - 1e-12, 1.0]))
+    @pytest.mark.filterwarnings("ignore:overflow encountered in cosh")
+    def test_scalar_is_a_batch_of_one(self, u, m):
+        batch = el.jacobi_sn_cn_dn(np.array(u), m)
+        for i, x in enumerate(u):
+            assert el.jacobi_sn_cn_dn(x, m) == tuple(f[i] for f in batch)
+
 
 # Seeded random parameters plus m = 1 - 10^-k, where K grows like log(1/(1-m)).
 _ORACLE_SEED = 20221101
@@ -303,9 +311,7 @@ class TestJacobiMpmathOracle:
 
     @pytest.mark.parametrize("m", [
         pytest.param(1.0 - 1e-6, id="one_minus_1e-6"),
-        pytest.param(1.0 - 1e-12, id="one_minus_1e-12", marks=pytest.mark.xfail(
-            strict=True, reason="dn = sqrt(cn^2 + (1 - m) sn^2) no longer cancels, but at u = 0.999K the "
-            "Landen-chain cn is itself off by 2.2e-9 relative, which leaves dn off by 5.2e-13")),
+        pytest.param(1.0 - 1e-12, id="one_minus_1e-12"),
     ])
     def test_dn_relative_precision_near_one(self, m):
         u = 0.999 * el.complete_K(m)

@@ -41,6 +41,10 @@ SIX_TRIPLES = [
     case2_triple(-1.5, -1.0, 0.25),
 ]
 
+# A Case I triple with m = 1 - 4e-8 and a Case II triple with m = 1 - 1e-12:
+# h2 nearly vanishes inside [0, 1] or at u = 0, close to a separatrix.
+NEAR_SEPARATRIX = [case1_triple(0.5, 1e-4, 1.0), case2_triple(-1.0, -5e-13, 1.0)]
+
 
 class TestDiscriminantAndClassify:
     def test_discriminant_examples(self):
@@ -243,16 +247,76 @@ class TestEvaluate:
     def test_turning_point_velocity_keeps_relative_precision(self, c):
         # u'(t) = -(c1 + c3 + c5) t + O(t^3) after the turning point u(0) = 1.
         sol = q.solve(c)
+        slope = -(c[0] + c[1] + c[2])
         for t in (1e-7 * sol.period, 1e-9 * sol.period):
-            assert q.derivative(sol, t) == pytest.approx(-(c[0] + c[1] + c[2]) * t, rel=1e-6)
+            assert q.derivative(sol, t) == pytest.approx(slope * t, rel=1e-6)
+        # Nothing of the size of t is squared on the way, so the slope survives
+        # at 1e-300 and at the smallest subnormal, up to its rounding grid.
+        assert q.derivative(sol, 1e-300) == pytest.approx(slope * 1e-300, rel=1e-14)
+        assert q.derivative(sol, 5e-324) == pytest.approx(slope * 5e-324, rel=0.0, abs=3 * 5e-324)
 
-    @pytest.mark.parametrize("c", SIX_TRIPLES)
-    def test_scalar_is_a_batch_of_one(self, c):
+    @given(st.sampled_from(SIX_TRIPLES + NEAR_SEPARATRIX), st.lists(st.one_of(
+        st.floats(-1e6, 1e6).map(lambda k: ("periods", k)),
+        st.integers(-4_000_000, 4_000_000).map(lambda n: ("quarters", n)),
+        st.sampled_from([("time", 0.0), ("time", -0.0)]),
+        st.floats(-2.2250738585072014e-308, 2.2250738585072014e-308).map(lambda x: ("time", x)),
+    ), min_size=1, max_size=12))
+    def test_scalar_is_a_batch_of_one(self, c, draws):
         sol = q.solve(c)
-        t = np.linspace(-1.3 * sol.period, 2.7 * sol.period, 41)
+        scale = {"periods": sol.period, "quarters": sol.period / 4.0, "time": 1.0}
+        t = np.array([scale[kind] * x for kind, x in draws])
         u, du = q.evaluate(sol, t), q.derivative(sol, t)
         assert [q.evaluate(sol, float(x)) for x in t] == u.tolist()
         assert [q.derivative(sol, float(x)) for x in t] == du.tolist()
+
+
+def mp_trajectory(sol: q.ClosedFormSolution, t: float) -> tuple[float, float]:
+    """u(t) and u'(t) at 30 digits from mpmath.ellipfun and the solution's own parameters.
+
+    Case I takes the half amplitude psi = am(t/A)/2 itself, with the branch of
+    am fixed as in the elliptic oracle; Case II takes sn, cn, dn at rate * t.
+    """
+    p = sol.params
+    with mp.workdps(30):
+        m = mp.mpf(p.m)
+        if sol.case == q.CASE_I:
+            x = mp.mpf(t) / mp.mpf(p.A)
+            sn, cn, dn = (mp.ellipfun(kind, x, m=m) for kind in ("sn", "cn", "dn"))
+            principal = mp.atan2(sn, cn)
+            am = principal + 2 * mp.pi * mp.nint((mp.pi * x / (2 * mp.ellipk(m)) - principal) / (2 * mp.pi))
+            sb = mp.sqrt(mp.mpf(p.B))
+            d = mp.sqrt(sb * mp.cos(am / 2) ** 2 + mp.sin(am / 2) ** 2)
+            return (float(mp.sqrt(sb) * mp.cos(am / 2) / d),
+                    float(-mp.sqrt(sb) * mp.sin(am / 2) * dn / (2 * mp.mpf(p.A) * d ** 3)))
+        x = mp.mpf(p.rate) * mp.mpf(t)
+        sn, cn, dn = (mp.ellipfun(kind, x, m=m) for kind in ("sn", "cn", "dn"))
+        s1 = mp.mpf(p.s1)
+        qq = sn ** 2 - s1
+        return (float(cn * mp.sqrt(-s1 / qq)),
+                float(-mp.mpf(p.rate) * mp.sqrt(-s1) * (1 - s1) * sn * dn / qq ** 1.5))
+
+
+class TestTrajectoryMpmathOracle:
+    """evaluate and derivative against 30-digit mpmath at seeded times within +-50 periods."""
+
+    def test_near_separatrix_triples(self):
+        (one, two) = (q.solve(c) for c in NEAR_SEPARATRIX)
+        assert one.case == q.CASE_I and one.nudge == 0.0 and 1.0 - one.params.m == pytest.approx(4e-8, rel=1e-3)
+        assert two.case == q.CASE_II and 1.0 - two.params.m == pytest.approx(1e-12, rel=1e-3)
+
+    @pytest.mark.parametrize("c", SIX_TRIPLES + NEAR_SEPARATRIX)
+    def test_against_ellipfun(self, c):
+        sol = q.solve(c)
+        t = np.random.default_rng([20221101, *map(int, np.abs(c) * 1e6)]).uniform(-50.0, 50.0, 8) * sol.period
+        ref = np.array([mp_trajectory(sol, x) for x in t]).T
+        # Scaling t rounds it once, which moves u by up to eps |t| max|u'| and u'
+        # by eps |t| max|u''|; 1e-13 of each scale covers the rest (as for sn, cn, dn).
+        # u'^2 = c1 (1 - u^2) + c3 (1 - u^4) / 2 + c5 (1 - u^6) / 3 bounds the first.
+        vmax = math.sqrt(abs(c[0]) + abs(c[1]) / 2.0 + abs(c[2]) / 3.0)
+        amax = abs(c[0]) + abs(c[1]) + abs(c[2])
+        slack = 4.0 * np.finfo(float).eps * np.abs(t)
+        assert np.all(np.abs(q.evaluate(sol, t) - ref[0]) <= 1e-13 + slack * vmax)
+        assert np.all(np.abs(q.derivative(sol, t) - ref[1]) <= (1e-13 + slack) * max(vmax, amax))
 
 
 class TestSolveDispatch:
