@@ -12,8 +12,8 @@ iteration: Carlson, Numer. Algorithms 10, 1995), which take sin(phi),
 cos^2(phi) and the complementary parameter m1 = 1 - m.  A caller that
 knows m1 exactly passes it, so nothing cancels as m -> 1.  The Jacobi
 functions come from one Gauss-transformation kernel: one sin and one cos
-per point, then only + - * /, so a float runs the same lines as an array
-and gives the same bits (numpy's sin and cos loop serves both).
+per point, then only + - * /, so a float runs the same lines as an array,
+on Python floats, and gives the same bits (numpy's sin and cos loop serves both).
 """
 
 from __future__ import annotations
@@ -219,11 +219,19 @@ def incomplete_E(phi: float, m: float) -> float:
 
 
 def _real(x: ArrayLike) -> ArrayLike:
-    """x as a float, or as a float array when it has at least one dimension."""
-    if isinstance(x, float):
+    """x as a plain float for any real scalar (np.float32 and 0-d arrays too), else as a float64 array."""
+    if type(x) is float:
         return x
-    x = np.asarray(x, dtype=float)
+    try:
+        x = np.asarray(x, dtype=float)
+    except OverflowError:
+        raise DomainError("argument is too large for a float") from None
     return x if x.ndim else float(x)
+
+
+def _sqrt(x: ArrayLike) -> ArrayLike:
+    """math.sqrt for a float, np.sqrt for an array: both correctly rounded, so the bits agree."""
+    return math.sqrt(x) if isinstance(x, float) else np.sqrt(x)
 
 
 def _gauss(x: ArrayLike, m: float) -> tuple[ArrayLike, ArrayLike, ArrayLike]:
@@ -241,6 +249,8 @@ def _gauss(x: ArrayLike, m: float) -> tuple[ArrayLike, ArrayLike, ArrayLike]:
         a, b = 0.5 * (a + b), math.sqrt(a * b)
     z = a * x
     s, c, d = np.sin(z), np.cos(z), 1.0
+    if isinstance(z, float):  # numpy's loop pins the bits of sin and cos; the stages then run on floats
+        s, c = float(s), float(c)
     # Augmented assignments work in place on arrays and rebind floats.
     for k in reversed(ks):
         t = s * s
@@ -280,8 +290,9 @@ def jacobi_sn_cn_dn(u: ArrayLike, m: float) -> JacobiTriple:
         raise DomainError(f"jacobi_sn_cn_dn requires 0 <= m <= 1, got m={m}")
     u = _real(u)
     if m == 1.0:
-        sn, cn, dn = np.tanh(u), 1.0 / np.cosh(u), 1.0 / np.cosh(u)
+        e = np.exp(-np.abs(u))  # sech u = 2 e / (1 + e^2) has no cosh to overflow past |u| ~ 710
+        sn, cn, dn = np.tanh(u), 2.0 * e / (1.0 + e * e), 2.0 * e / (1.0 + e * e)
     else:
         sn, cn, _ = _gauss(u, m)
-        dn = np.sqrt(cn * cn + (1.0 - m) * sn * sn)  # 1 - m sn^2 without the cancellation as m -> 1
+        dn = _sqrt(cn * cn + (1.0 - m) * sn * sn)  # 1 - m sn^2 without the cancellation as m -> 1
     return JacobiTriple(*map(float, (sn, cn, dn))) if isinstance(u, float) else JacobiTriple(sn, cn, dn)

@@ -27,7 +27,7 @@ from typing import Union
 import numpy as np
 
 from .chebyshev import QuinticCoefficients
-from .elliptic import _legendre_f, complete_K, jacobi_sn_cn_dn
+from .elliptic import _legendre_f, _real, _sqrt, complete_K, jacobi_sn_cn_dn
 from .errors import ConstructionError, DomainError, UnsupportedCaseError
 from .models import GENERIC, OscillatorModel, _quarter_period_integral, _theta_integrand
 
@@ -215,16 +215,16 @@ def _state(solution: ClosedFormSolution, t):
 
     sn and cn carry the sign of the wave, so no square root of u^2 or of the
     energy is taken, and the zero crossings and turning points keep full
-    relative precision.  A float t runs the same lines as an array: every
-    step is + - * /, min, max, sqrt or, inside the Gauss kernel, numpy's
-    own sin and cos loop, so scalar and batch results are bit-identical.
+    relative precision.  A scalar t runs the same lines as an array, on Python
+    floats: + - * /, min, max, a correctly rounded sqrt and numpy's own sin and
+    cos loop in the Gauss kernel, so scalar and batch results are bit-identical.
     """
-    if not np.isfinite(t).all():
+    t = _real(t)
+    if not (math.isfinite(t) if isinstance(t, float) else np.isfinite(t).all()):
         raise DomainError("evaluate and derivative need finite times")
-    # Past 2^52 periods an ulp of t spans a period; clipping there keeps t/(2A), rate*t finite,
-    # and makes t a float or a float array.
+    # Past 2^52 periods an ulp of t spans a period; clipping there keeps t/(2A), rate*t finite.
     span = math.ldexp(solution.period, 52)
-    t = np.minimum(np.maximum(t, -span), span)
+    t = min(max(t, -span), span) if isinstance(t, float) else np.minimum(np.maximum(t, -span), span)
     p = solution.params
     if solution.case == CASE_I:
         # psi = am(t/A)/2: u = sqrt(sb) cos(psi) / D, u' = -sqrt(sb) sin(psi) dn(t/A) / (2A D^3),
@@ -234,16 +234,15 @@ def _state(solution: ClosedFormSolution, t):
         sb = math.sqrt(p.B)
         sn2, dn2 = sn * sn, dn * dn
         e = sb * cn * cn + sn2 * dn2
-        u = math.sqrt(sb) * cn / np.sqrt(e)
-        du = -math.sqrt(sb) / (2.0 * p.A) * dn * (dn2 * dn2 + p.m * (1.0 - p.m) * sn2 * sn2) / (e * np.sqrt(e)) * sn
+        u = math.sqrt(sb) * cn / _sqrt(e)
+        du = -math.sqrt(sb) / (2.0 * p.A) * dn * (dn2 * dn2 + p.m * (1.0 - p.m) * sn2 * sn2) / (e * _sqrt(e)) * sn
     else:
         # u^2 = -s1 cn^2 / q with q = sn^2 - s1 > 0 (s1 < 0), so u = cn sqrt(-s1/q).
         sn, cn, dn = jacobi_sn_cn_dn(p.rate * t, p.m)
         q = sn * sn - p.s1
-        u = cn * np.sqrt(-p.s1 / q)
-        du = -p.rate * math.sqrt(-p.s1) * (1.0 - p.s1) * dn / (q * np.sqrt(q)) * sn
-    du = du + 0.0  # sn is the last factor above, so a subnormal u' rounds once; +0.0 drops negative zeros
-    return (float(u), float(du)) if isinstance(t, float) else (u, du)
+        u = cn * _sqrt(-p.s1 / q)
+        du = -p.rate * math.sqrt(-p.s1) * (1.0 - p.s1) * dn / (q * _sqrt(q)) * sn
+    return u, du + 0.0  # sn is the last factor above, so a subnormal u' rounds once; +0.0 drops negative zeros
 
 
 def _time_to(solution: ClosedFormSolution, u: float) -> float:

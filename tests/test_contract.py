@@ -105,6 +105,12 @@ def test_trajectory_is_finite_or_raises_domain_error(func, solution, t):
                 func(solution, bad)
 
 
+def test_time_beyond_the_float_range_raises():
+    for func in (quintosc.evaluate, quintosc.derivative):
+        with pytest.raises((QuintoscError, TypeError)):
+            func(SOLUTION, 10 ** 400)
+
+
 # Every power of ten a double holds, and the largest round amplitude below the top.
 AMPLITUDES = [10.0 ** k for k in range(-300, 309)] + [1.7e308]
 

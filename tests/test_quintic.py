@@ -9,6 +9,7 @@ from hypothesis import example, given, strategies as st
 
 from quintosc import cli, models, quintic as q
 from quintosc.chebyshev import QuinticCoefficients, model_coefficients
+from quintosc.elliptic import jacobi_sn_cn_dn
 from quintosc.errors import DomainError, UnsupportedCaseError
 
 # Frozen from an independent 30-digit quadrature of the time integral.
@@ -265,9 +266,38 @@ class TestEvaluate:
         sol = q.solve(c)
         scale = {"periods": sol.period, "quarters": sol.period / 4.0, "time": 1.0}
         t = np.array([scale[kind] * x for kind, x in draws])
-        u, du = q.evaluate(sol, t), q.derivative(sol, t)
-        assert [q.evaluate(sol, float(x)) for x in t] == u.tolist()
-        assert [q.derivative(sol, float(x)) for x in t] == du.tolist()
+        for func in (q.evaluate, q.derivative):
+            scalars = [func(sol, float(x)) for x in t]
+            assert all(type(x) is float for x in scalars)
+            # Bit patterns, so that -0.0 and 0.0 differ.
+            assert [x.hex() for x in scalars] == [x.hex() for x in func(sol, t).tolist()]
+
+    @pytest.mark.parametrize("c", [(1.0, 2.0, 3.0), CASE2])
+    def test_float32_times_run_in_double(self, c):
+        sol = q.solve(c)
+        t32 = np.array([1.5, 7.25, -0.1], np.float32)
+        t64 = t32.astype(float)
+        for func in (q.evaluate, q.derivative):
+            assert func(sol, t32).tobytes() == func(sol, t64).tobytes()
+            for x32, x64 in zip(t32, t64):
+                got = func(sol, x32)
+                assert type(got) is float and got.hex() == func(sol, float(x64)).hex()
+
+    @pytest.mark.parametrize("c", [(1.0, 2.0, 3.0), CASE2])
+    def test_scalar_path_runs_on_python_floats(self, c, monkeypatch):
+        # No timing gate: a scalar query must not reach numpy's sqrt, isfinite or clip at all.
+        sol = q.solve(c)
+
+        def banned(*args, **kwargs):
+            raise AssertionError("numpy called on the scalar path")
+
+        for name in ("sqrt", "isfinite", "minimum", "maximum"):
+            monkeypatch.setattr(np, name, banned)
+        assert type(q.evaluate(sol, 1.3)) is float
+        assert type(q.derivative(sol, np.float64(-2.7))) is float
+        assert all(type(x) is float for x in jacobi_sn_cn_dn(0.9, sol.params.m))
+        with pytest.raises(AssertionError, match="numpy called"):
+            q.evaluate(sol, np.array([1.3]))
 
 
 def mp_trajectory(sol: q.ClosedFormSolution, t: float) -> tuple[float, float]:
