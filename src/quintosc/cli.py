@@ -11,6 +11,7 @@ cannot be completed, 2 for invalid arguments or parameter domains.
 
 from __future__ import annotations
 
+import functools
 import json
 import sys
 
@@ -35,45 +36,29 @@ TABLE_TOLERANCE = 1e-5
 _FLOAT = "%.17g"
 
 
-def _fmt(x: float) -> str:
-    return _FLOAT % float(x)
-
-
 def _case_label(case: str) -> str:
     return f"Case {case}" if case in (quintic.CASE_I, quintic.CASE_II) else case
 
 
-def _versions() -> dict:
-    import scipy  # imported here: only the JSON versions field needs scipy
-
-    return {"quintosc": __version__, "numpy": np.__version__, "scipy": scipy.__version__}
-
-
-def _emit(text: str, out: str | None) -> None:
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text)
-    else:
-        click.echo(text, nl=False)
-
-
-def _emit_json(config: dict, results, out: str | None) -> None:
-    payload = {"config": config, "results": results, "versions": _versions()}
-    _emit(json.dumps(payload, indent=2) + "\n", out)
-
-
-def _parse_force_spec(text: str) -> tuple[float, ...]:
-    try:
-        return tuple(float(part) for part in text.split(","))
-    except ValueError:
-        raise click.UsageError(f"--force-spec must be comma-separated numbers, got {text!r}")
+def _csv(columns, rows) -> str:
+    """CSV text: a float array as one table, else cells as text, numbers as _FLOAT, None as empty."""
+    head = ",".join(columns) + "\n"
+    if isinstance(rows, np.ndarray):
+        # One '%' over the flattened table leaves only the float-to-text work;
+        # a format() call per cell took twice as long at 100 001 samples.
+        return head + ((",".join([_FLOAT] * len(columns)) + "\n") * len(rows)) % tuple(rows.ravel().tolist())
+    return head + "".join(
+        ",".join("" if x is None else x if isinstance(x, str) else _FLOAT % float(x) for x in row) + "\n" for row in rows)
 
 
 def _build_model(kind: str | None, a: float | None, b: float | None,
                  force_spec: str | None) -> models.OscillatorModel:
     if kind is None:
         raise click.UsageError("a --model is required here")
-    spec = _parse_force_spec(force_spec) if force_spec is not None else None
+    try:
+        spec = tuple(float(part) for part in force_spec.split(",")) if force_spec is not None else None
+    except ValueError:
+        raise click.UsageError(f"--force-spec must be comma-separated numbers, got {force_spec!r}")
     if kind != models.GENERIC and spec is not None:
         raise click.UsageError("--force-spec only applies to --model generic")
     model = models.OscillatorModel(kind, a=a if a is not None else 1.0,
@@ -103,207 +88,158 @@ def model_options(f):
     return f
 
 
-def output_options(f):
-    for option in (
-        click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv", show_default=True),
-        click.option("--out", type=click.Path(dir_okay=False, writable=True), default=None,
-                     help="Write output here instead of stdout."),
-    ):
-        f = option(f)
-    return f
-
-
 @click.group()
 @click.version_option(__version__)
 def main():
     """Quintic approximation of odd nonlinear oscillators."""
 
 
-@main.command()
+def _command(f):
+    """Register f, which returns (config, results, columns, rows), as a subcommand of main.
+
+    Adds --format/--out, writes CSV or the JSON envelope, turns a QuintoscError
+    into "Error: <message>" with exit 1, and exits 1 after a table whose
+    all_pass is false.
+    """
+    @functools.wraps(f)
+    def run(fmt, out, **params):
+        try:
+            config, results, columns, rows = f(**params)
+        except QuintoscError as exc:
+            raise click.ClickException(str(exc))
+        if fmt == "json":
+            import scipy  # imported here: only the JSON versions field needs scipy
+
+            versions = {"quintosc": __version__, "numpy": np.__version__, "scipy": scipy.__version__}
+            payload = {"config": {"command": f.__name__, **config}, "results": results, "versions": versions}
+            text = json.dumps(payload, indent=2, default=np.ndarray.tolist) + "\n"
+        else:
+            text = _csv(columns, rows)
+        with click.open_file(out or "-", "w") as fh:
+            fh.write(text)
+        if isinstance(results, dict) and results.get("all_pass") is False:
+            sys.exit(1)
+
+    cmd = main.command()(run)
+    cmd.params += [
+        click.Option(["--out"], type=click.Path(dir_okay=False, writable=True), help="Write output here instead of stdout."),
+        click.Option(["--format", "fmt"], type=click.Choice(["csv", "json"]), default="csv", show_default=True),
+    ]
+    return cmd
+
+
+@_command
 @model_options
 @click.option("--nodes", type=click.IntRange(min=16), default=64, show_default=True, help="Gauss-Chebyshev node count.")
-@output_options
-def coeffs(model, a, b, force_spec, nodes, fmt, out):
+def coeffs(model, a, b, force_spec, nodes):
     """Quintic coefficients by both routes, discriminant and case."""
     osc = _build_model(model, a, b, force_spec)
-    try:
-        closed = model_coefficients(osc)
-        quadr = to_monomial(project_odd_quintic(lambda u: models.restoring_force(osc, u), nodes))
-    except QuintoscError as exc:
-        raise click.ClickException(str(exc))
-    delta = quintic.discriminant(closed)
-    case = _case_label(quintic.classify(closed))
+    closed = model_coefficients(osc)
+    quadr = to_monomial(project_odd_quintic(lambda u: models.restoring_force(osc, u), nodes))
     diff = tuple(x - y for x, y in zip(closed.as_tuple(), quadr.as_tuple()))
-    if fmt == "json":
-        config = {"command": "coeffs", **_model_config(osc), "nodes": nodes}
-        results = {
-            "closed_form": dict(zip(("c1", "c3", "c5"), closed.as_tuple())),
-            "quadrature": dict(zip(("c1", "c3", "c5"), quadr.as_tuple())),
-            "difference": dict(zip(("c1", "c3", "c5"), diff)),
-            "provenance": closed.provenance,
-            "discriminant": delta,
-            "case": case,
-        }
-        _emit_json(config, results, out)
-        return
-    lines = ["quantity,value"]
-    for name, triple in (("closed_form", closed.as_tuple()), ("quadrature", quadr.as_tuple()), ("difference", diff)):
-        lines.extend(f"{name}_{label},{_fmt(value)}" for label, value in zip(("c1", "c3", "c5"), triple))
-    lines.append(f"discriminant,{_fmt(delta)}")
-    lines.append(f"case,{case}")
-    _emit("\n".join(lines) + "\n", out)
+    triples = {"closed_form": closed.as_tuple(), "quadrature": quadr.as_tuple(), "difference": diff}
+    results = {name: dict(zip(("c1", "c3", "c5"), triple)) for name, triple in triples.items()}
+    results.update(provenance=closed.provenance, discriminant=quintic.discriminant(closed),
+                   case=_case_label(quintic.classify(closed)))
+    rows = [(f"{name}_{label}", value) for name in triples for label, value in results[name].items()]
+    rows += [("discriminant", results["discriminant"]), ("case", results["case"])]
+    return {**_model_config(osc), "nodes": nodes}, results, ("quantity", "value"), rows
 
 
-@main.command()
+@_command
 @model_options
 @click.option("--c1", type=float, default=None, help="Raw quintic coefficient (bypasses --model).")
 @click.option("--c3", type=float, default=None)
 @click.option("--c5", type=float, default=None)
-@click.option("--samples", type=int, default=1000, show_default=True, help="Samples over one period.")
-@output_options
-def solve(model, a, b, force_spec, c1, c3, c5, samples, fmt, out):
+@click.option("--samples", type=click.IntRange(min=2), default=1000, show_default=True, help="Samples over one period.")
+def solve(model, a, b, force_spec, c1, c3, c5, samples):
     """Trajectory of the solved quintic over one period."""
-    if samples < 2:
-        raise click.UsageError("--samples must be at least 2")
     raw = [x is not None for x in (c1, c3, c5)]
     if model is None and all(raw):
         osc = None
         coefficients = QuinticCoefficients(c1, c3, c5)
-        config = {"command": "solve", "c1": c1, "c3": c3, "c5": c5}
+        config = {"c1": c1, "c3": c3, "c5": c5}
     elif model is not None and not any(raw):
         osc = _build_model(model, a, b, force_spec)
         coefficients = model_coefficients(osc)
-        config = {"command": "solve", **_model_config(osc)}
+        config = _model_config(osc)
     else:
         raise click.UsageError("give either --model or the full raw triple --c1 --c3 --c5")
-    try:
-        solution = quintic.solve(coefficients)
-    except QuintoscError as exc:
-        raise click.ClickException(str(exc))
-    step = solution.period / (samples - 1)
-    t = np.arange(samples) * step
+    solution = quintic.solve(coefficients)
+    t = np.arange(samples) * (solution.period / (samples - 1))
     u, du = quintic._state(solution, t)
+    columns = ("t", "u", "u_dot", "residual")
     table = np.column_stack([t, u, du, _residual(osc, solution.solved, u)])
-    config["samples"] = samples
-    if fmt == "json":
-        results = {
-            "case": _case_label(solution.case),
-            "period": solution.period,
-            "columns": ["t", "u", "u_dot", "residual"],
-            "rows": table.tolist(),
-        }
-        _emit_json(config, results, out)
-        return
-    # One '%' over the flattened table leaves only the float-to-text work;
-    # a format() call per cell took twice as long at 100 001 samples.
-    row = ",".join([_FLOAT] * 4) + "\n"
-    _emit(("t,u,u_dot,residual\n" + row * samples) % tuple(table.ravel().tolist()), out)
+    results = {"case": _case_label(solution.case), "period": solution.period, "columns": columns, "rows": table}
+    return {**config, "samples": samples}, results, columns, table
 
 
-@main.command()
+@_command
 @model_options
-@output_options
-def period(model, a, b, force_spec, fmt, out):
+def period(model, a, b, force_spec):
     """Exact period, quintication period and their ratio."""
     osc = _build_model(model, a, b, force_spec)
-    try:
-        exact = models.exact_period(osc)
-        approx = quintic.solve(model_coefficients(osc)).period
-    except QuintoscError as exc:
-        raise click.ClickException(str(exc))
+    exact = models.exact_period(osc)
+    approx = quintic.solve(model_coefficients(osc)).period
     ratio = exact.value / approx
-    if fmt == "json":
-        config = {"command": "period", **_model_config(osc)}
-        results = {"exact": exact.value, "method": exact.method, "quintic": approx, "ratio": ratio}
-        _emit_json(config, results, out)
-        return
-    lines = ["exact,quintic,ratio", f"{_fmt(exact.value)},{_fmt(approx)},{_fmt(ratio)}"]
-    _emit("\n".join(lines) + "\n", out)
+    results = {"exact": exact.value, "method": exact.method, "quintic": approx, "ratio": ratio}
+    return _model_config(osc), results, ("exact", "quintic", "ratio"), [(exact.value, approx, ratio)]
 
 
-@main.command()
+@_command
 @click.argument("which", type=click.IntRange(1, 3))
-@output_options
-def table(which, fmt, out):
+def table(which):
     """Reproduce published residual table 1, 2 or 3 cell by cell."""
     kind, cells = TABLE_REFERENCE[which]
+    columns = ("a", "b", "computed", "reference", "difference", "status")
     rows = []
     for a, b, reference in cells:
         osc = models.OscillatorModel(kind, a=a, b=b if b is not None else 0.0)
-        report = residual_sup_norm(osc, quintic.solve(model_coefficients(osc)))
-        difference = abs(report.sup_norm - reference)
-        rows.append((a, b, report.sup_norm, reference, difference, difference <= TABLE_TOLERANCE))
-    all_pass = all(row[5] for row in rows)
-    if fmt == "json":
-        config = {"command": "table", "which": which, "model": kind}
-        results = {
-            "tolerance": TABLE_TOLERANCE,
-            "cells": [
-                {"a": a, "b": b, "computed": sup, "reference": ref, "difference": diff,
-                 "status": "pass" if ok else "fail"}
-                for a, b, sup, ref, diff, ok in rows
-            ],
-            "all_pass": all_pass,
-        }
-        _emit_json(config, results, out)
-    else:
-        lines = ["a,b,computed,reference,difference,status"]
-        for a, b, sup, ref, diff, ok in rows:
-            b_text = "" if b is None else _fmt(b)
-            lines.append(f"{_fmt(a)},{b_text},{_fmt(sup)},{_fmt(ref)},{_fmt(diff)},{'pass' if ok else 'fail'}")
-        _emit("\n".join(lines) + "\n", out)
-    if not all_pass:
-        sys.exit(1)
+        sup = residual_sup_norm(osc, quintic.solve(model_coefficients(osc))).sup_norm
+        difference = abs(sup - reference)
+        rows.append((a, b, sup, reference, difference, "pass" if difference <= TABLE_TOLERANCE else "fail"))
+    results = {"tolerance": TABLE_TOLERANCE, "cells": [dict(zip(columns, row)) for row in rows],
+               "all_pass": all(row[5] == "pass" for row in rows)}
+    return {"which": which, "model": kind}, results, columns, rows
 
 
-@main.command()
+@_command
 @click.option("--model", type=click.Choice([models.RELATIVISTIC, models.CABLE_MASS, models.DUFFING_RELATIVISTIC]),
               required=True)
 @click.option("--a-min", type=float, required=True)
 @click.option("--a-max", type=float, required=True)
-@click.option("--a-steps", type=int, default=30, show_default=True)
+@click.option("--a-steps", type=click.IntRange(min=1), default=30, show_default=True)
 @click.option("--b-min", type=float, default=None)
 @click.option("--b-max", type=float, default=None)
-@click.option("--b-steps", type=int, default=1, show_default=True)
+@click.option("--b-steps", type=click.IntRange(min=1), default=1, show_default=True)
 @click.option("--b", type=float, default=None, help="Single b value (alternative to a b range).")
-@output_options
-def sweep(model, a_min, a_max, a_steps, b_min, b_max, b_steps, b, fmt, out):
+def sweep(model, a_min, a_max, a_steps, b_min, b_max, b_steps, b):
     """Coefficients, case, periods and residual over a parameter grid."""
-    if not 0.0 < a_min <= a_max or a_steps < 1:
-        raise click.UsageError("need 0 < --a-min <= --a-max and --a-steps >= 1")
+    if not 0.0 < a_min <= a_max:
+        raise click.UsageError("need 0 < --a-min <= --a-max")
     a_values = np.linspace(a_min, a_max, a_steps)
     if model == models.RELATIVISTIC:
         b_values = [0.0]
     elif b_min is not None and b_max is not None:
-        if not 0.0 < b_min <= b_max or b_steps < 1:
-            raise click.UsageError("need 0 < --b-min <= --b-max and --b-steps >= 1")
+        if not 0.0 < b_min <= b_max:
+            raise click.UsageError("need 0 < --b-min <= --b-max")
         b_values = list(np.linspace(b_min, b_max, b_steps))
     elif b is not None:
         b_values = [b]
     else:
         raise click.UsageError(f"--model {model} needs --b or a --b-min/--b-max range")
-    rows = []
-    for av in a_values:
-        for bv in b_values:
-            rows.append(_sweep_row(model, float(av), float(bv)))
-    if fmt == "json":
-        config = {"command": "sweep", "model": model, "a_min": a_min, "a_max": a_max, "a_steps": a_steps,
-                  "b_values": [float(x) for x in b_values]}
-        keys = ("a", "b", "c1", "c3", "c5", "delta", "case", "T_exact", "T_quintic", "ratio",
-                "residual_sup", "status")
-        _emit_json(config, [dict(zip(keys, row)) for row in rows], out)
-        return
-    lines = ["a,b,c1,c3,c5,delta,case,T_exact,T_quintic,ratio,residual_sup,status"]
-    for row in rows:
-        lines.append(",".join("" if x is None else (x if isinstance(x, str) else _fmt(x)) for x in row))
-    _emit("\n".join(lines) + "\n", out)
+    rows = [_sweep_row(model, float(av), float(bv)) for av in a_values for bv in b_values]
+    columns = ("a", "b", "c1", "c3", "c5", "delta", "case", "T_exact", "T_quintic", "ratio", "residual_sup", "status")
+    config = {"model": model, "a_min": a_min, "a_max": a_max, "a_steps": a_steps,
+              "b_values": [float(x) for x in b_values]}
+    return config, [dict(zip(columns, row)) for row in rows], columns, rows
 
 
 def _sweep_row(kind: str, a: float, b: float) -> tuple:
     osc = models.OscillatorModel(kind, a=a, b=b)
     problems = models.validate_params(osc)
     if problems:
-        return (a, b, None, None, None, None, None, None, None, None, None, "; ".join(problems))
+        return (a, b, *[None] * 9, "; ".join(problems))
     try:
         c = model_coefficients(osc)
         delta = quintic.discriminant(c)
@@ -314,7 +250,7 @@ def _sweep_row(kind: str, a: float, b: float) -> tuple:
         return (a, b, c.c1, c.c3, c.c5, delta, case, exact, solution.period,
                 exact / solution.period, sup, "ok")
     except QuintoscError as exc:
-        return (a, b, None, None, None, None, None, None, None, None, None, str(exc))
+        return (a, b, *[None] * 9, str(exc))
 
 
 if __name__ == "__main__":

@@ -219,9 +219,14 @@ def incomplete_E(phi: float, m: float) -> float:
 
 
 def _real(x: ArrayLike) -> ArrayLike:
-    """x as a plain float for any real scalar (np.float32 and 0-d arrays too), else as a float64 array."""
+    """x as a plain float for any real scalar (np.float32 and 0-d arrays too), else as a float64 array.
+
+    Text and object arrays raise TypeError: np.asarray(x, dtype=float) alone would parse "1.5".
+    """
     if type(x) is float:
         return x
+    if np.asarray(x).dtype.kind not in "biuf" and not isinstance(x, int):  # an int past int64 is an object array
+        raise TypeError(f"expected real numbers, got {type(x).__name__} {x!r:.40}")
     try:
         x = np.asarray(x, dtype=float)
     except OverflowError:

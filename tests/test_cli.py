@@ -27,7 +27,8 @@ def runner():
 def csv_rows(output):
     lines = [line for line in output.strip().splitlines() if line]
     header = lines[0].split(",")
-    return header, [line.split(",") for line in lines[1:]]
+    # A sweep's status column is last and holds the error text as written, commas included.
+    return header, [line.split(",", len(header) - 1) for line in lines[1:]]
 
 
 class TestCoeffs:
@@ -106,6 +107,14 @@ class TestSolve:
         _, rows = csv_rows(result.output)
         worst = max(abs(float(row[3])) for row in rows)
         assert worst == pytest.approx(0.0219219, abs=1e-4)
+
+    @pytest.mark.parametrize("command", ["coeffs", "period", "solve"])
+    def test_library_error_exits_one_with_its_message(self, runner, command):
+        # closed_form_moments refuses a = 1e200 (m1 underflows); every command reports it alike.
+        result = runner.invoke(main, [command, "--model", "relativistic", "--a", "1e200"])
+        assert result.exit_code == 1
+        assert "Error: closed_form_moments" in result.output
+        assert isinstance(result.exception, SystemExit)
 
     def test_unsupported_triple_fails(self, runner):
         result = runner.invoke(main, ["solve", "--c1", "1", "--c3", "1", "--c5", "-1"])
@@ -240,9 +249,15 @@ class TestSweep:
                 "--a-steps", "4", "--b", "0.7"]
         assert runner.invoke(main, args).output == runner.invoke(main, args).output
 
-    def test_bad_range_rejected(self, runner):
-        result = runner.invoke(main, ["sweep", "--model", "relativistic",
-                                      "--a-min", "2", "--a-max", "1", "--a-steps", "5"])
+    @pytest.mark.parametrize("args", [
+        ["sweep", "--model", "relativistic", "--a-min", "2", "--a-max", "1", "--a-steps", "5"],
+        ["sweep", "--model", "relativistic", "--a-min", "1", "--a-max", "2", "--a-steps", "0"],
+        ["sweep", "--model", "cable-mass", "--a-min", "1", "--a-max", "2", "--b-min", "0.1", "--b-max", "1",
+         "--b-steps", "0"],
+        ["solve", "--model", "relativistic", "--samples", "1"],
+    ], ids=["a_order", "a_steps", "b_steps", "samples"])
+    def test_bad_range_rejected(self, runner, args):
+        result = runner.invoke(main, args)
         assert result.exit_code == 2
 
 
@@ -262,6 +277,49 @@ class TestOutputPlumbing:
         assert "0.1.0" in result.output
 
 
+def json_as_table(command, results):
+    """The (columns, rows) that the CSV of a command shows, read off its JSON results."""
+    if command == "coeffs":
+        rows = [[f"{name}_{k}", v] for name in ("closed_form", "quadrature", "difference")
+                for k, v in results[name].items()]
+        return ["quantity", "value"], rows + [["discriminant", results["discriminant"]], ["case", results["case"]]]
+    if command == "period":
+        return ["exact", "quintic", "ratio"], [[results["exact"], results["quintic"], results["ratio"]]]
+    if command == "solve":
+        return results["columns"], results["rows"]
+    records = results["cells"] if command == "table" else results
+    return list(records[0]), [list(record.values()) for record in records]
+
+
+class TestCsvJsonAgree:
+    @pytest.mark.parametrize("args, code", [
+        (["coeffs", "--model", "cable-mass", "--a", "1.5", "--b", "0.4"], 0),
+        (["period", "--model", "duffing-relativistic", "--a", "2", "--b", "0.5"], 0),
+        (["solve", "--model", "relativistic", "--a", "3", "--samples", "11"], 0),
+        (["table", "1"], 0),
+        (["table", "2"], 1),
+        (["sweep", "--model", "relativistic", "--a-min", "1", "--a-max", "1e200", "--a-steps", "3"], 0),
+    ], ids=["coeffs", "period", "solve", "table_1", "table_2", "sweep_with_failing_rows"])
+    def test_every_csv_cell_is_the_json_value(self, runner, args, code):
+        csv_result = runner.invoke(main, args)
+        json_result = runner.invoke(main, [*args, "--format", "json"])
+        assert csv_result.exit_code == json_result.exit_code == code
+        header, rows = csv_rows(csv_result.stdout)
+        columns, values = json_as_table(args[0], json.loads(json_result.stdout)["results"])
+        assert header == list(columns) and len(rows) == len(values)
+        for row, record in zip(rows, values):
+            for text, value in zip(row, record, strict=True):
+                if value is None:
+                    assert text == ""
+                elif isinstance(value, str):
+                    assert text == value
+                else:
+                    assert float(text) == value
+        if args[0] == "sweep":
+            # a = 5e199 and 1e200 fail in closed_form_moments: empty in CSV, null in JSON.
+            assert [record[2] is None for record in values] == [False, True, True]
+
+
 def fresh_python(*args):
     """Run a new interpreter on the package under src and return its stdout."""
     env = dict(os.environ, PYTHONPATH=str(SRC))
@@ -275,7 +333,10 @@ class TestScipyStaysOptional:
         "import quintosc.cli",
         "from quintosc.cli import main; main(['period', '--model', 'duffing-relativistic', '--a', '2', "
         "'--b', '0.5'], standalone_mode=False)",
-    ], ids=["import", "import_cli", "csv_period"])
+        "from quintosc.cli import main; main(['table', '1'], standalone_mode=False)",
+        "from quintosc.cli import main; main(['solve', '--model', 'relativistic', '--a', '2', '--samples', '11'], "
+        "standalone_mode=False)",
+    ], ids=["import", "import_cli", "csv_period", "csv_table", "csv_solve"])
     def test_runtime_path_loads_no_scipy(self, code):
         out = fresh_python("-c", code + "\nimport sys; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
         assert out.splitlines()[-1] == "[]"

@@ -283,6 +283,18 @@ class TestEvaluate:
                 got = func(sol, x32)
                 assert type(got) is float and got.hex() == func(sol, float(x64)).hex()
 
+    @pytest.mark.parametrize("t", ["1.5", b"1.5", ["1.5", "2"], np.array(["1.5"]), np.array([1.5], dtype=object)],
+                             ids=["str", "bytes", "str_list", "str_array", "object_array"])
+    @pytest.mark.parametrize("func", [
+        lambda t: q.evaluate(q.solve((1.0, 2.0, 3.0)), t),
+        lambda t: q.derivative(q.solve(CASE2), t),
+        lambda t: jacobi_sn_cn_dn(t, 0.5),
+    ], ids=["evaluate", "derivative", "jacobi_sn_cn_dn"])
+    def test_non_numeric_times_are_refused(self, func, t):
+        # np.asarray(t, dtype=float) would parse the text as a number.
+        with pytest.raises(TypeError, match="expected real numbers"):
+            func(t)
+
     @pytest.mark.parametrize("c", [(1.0, 2.0, 3.0), CASE2])
     def test_scalar_path_runs_on_python_floats(self, c, monkeypatch):
         # No timing gate: a scalar query must not reach numpy's sqrt, isfinite or clip at all.
