@@ -40,6 +40,13 @@ def _case_label(case: str) -> str:
     return f"Case {case}" if case in (quintic.CASE_I, quintic.CASE_II) else case
 
 
+def _quote(text: str) -> str:
+    """A text cell, quoted (RFC 4180) when it holds a comma, a quote or a line break."""
+    if "," in text or '"' in text or "\n" in text or "\r" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def _csv(columns, rows) -> str:
     """CSV text: a float array as one table, else cells as text, numbers as _FLOAT, None as empty."""
     head = ",".join(columns) + "\n"
@@ -48,7 +55,8 @@ def _csv(columns, rows) -> str:
         # a format() call per cell took twice as long at 100 001 samples.
         return head + ((",".join([_FLOAT] * len(columns)) + "\n") * len(rows)) % tuple(rows.ravel().tolist())
     return head + "".join(
-        ",".join("" if x is None else x if isinstance(x, str) else _FLOAT % float(x) for x in row) + "\n" for row in rows)
+        ",".join("" if x is None else _quote(x) if isinstance(x, str) else _FLOAT % float(x) for x in row) + "\n"
+        for row in rows)
 
 
 def _build_model(kind: str | None, a: float | None, b: float | None,

@@ -11,9 +11,9 @@ private routines on Carlson's symmetric forms R_F and R_D (duplication
 iteration: Carlson, Numer. Algorithms 10, 1995), which take sin(phi),
 cos^2(phi) and the complementary parameter m1 = 1 - m.  A caller that
 knows m1 exactly passes it, so nothing cancels as m -> 1.  The Jacobi
-functions come from one Gauss-transformation kernel: one sin and one cos
-per point, then only + - * /, so a float runs the same lines as an array,
-on Python floats, and gives the same bits (numpy's sin and cos loop serves both).
+functions come from one Gauss-transformation kernel: one tangent per
+point, w = tan(z/2), then only + - * /, so a float runs the same lines as an
+array, on Python floats, and gives the same bits (numpy's tan loop serves both).
 """
 
 from __future__ import annotations
@@ -245,7 +245,8 @@ def _gauss(x: ArrayLike, m: float) -> tuple[ArrayLike, ArrayLike, ArrayLike]:
     Descending Landen (Gauss) transformation, DLMF 22.7.1-22.7.3: the AGM from
     (1, sqrt(1 - m)) gives the moduli k_n = c_n / a_n, and each stage lifts
     sn, cn, dn of modulus k_n at x a_n to modulus k_(n-1) at x a_(n-1), from
-    sin z, cos z, 1 at k_N, so no argument reduction is needed.
+    sin z, cos z, 1 at k_N, so no argument reduction is needed.  Both come from
+    w = tan(z/2): numpy vectorises float64 tan (on AVX-512) but not sin and cos.
     """
     # The AGM always ends: a and b meet to within an ulp.
     a, b, ks = 1.0, math.sqrt(1.0 - m), []
@@ -253,10 +254,17 @@ def _gauss(x: ArrayLike, m: float) -> tuple[ArrayLike, ArrayLike, ArrayLike]:
         ks.append((a - b) / (a + b))
         a, b = 0.5 * (a + b), math.sqrt(a * b)
     z = a * x
-    s, c, d = np.sin(z), np.cos(z), 1.0
-    if isinstance(z, float):  # numpy's loop pins the bits of sin and cos; the stages then run on floats
-        s, c = float(s), float(c)
+    w = np.tan(0.5 * z)  # |w| < 1e19 for every double z, so w^2 stays finite
+    if isinstance(z, float):  # numpy's loop pins the bits of tan; the rest then runs on floats
+        w = float(w)
+    # sin z = 2w / (1 + w^2), cos z = (1 - w)(1 + w) / (1 + w^2).
     # Augmented assignments work in place on arrays and rebind floats.
+    t = 1.0 + w * w
+    s = w + w
+    s /= t
+    c = (1.0 - w) * (1.0 + w)
+    c /= t
+    d = 1.0
     for k in reversed(ks):
         t = s * s
         t *= k

@@ -27,7 +27,7 @@ from typing import Union
 import numpy as np
 
 from .chebyshev import QuinticCoefficients
-from .elliptic import _legendre_f, _real, _sqrt, complete_K, jacobi_sn_cn_dn
+from .elliptic import _gauss, _legendre_f, _real, _sqrt, complete_K
 from .errors import ConstructionError, DomainError, UnsupportedCaseError
 from .models import GENERIC, OscillatorModel, _quarter_period_integral, _theta_integrand
 
@@ -210,14 +210,11 @@ def period_by_quadrature(c: Coefficients) -> float:
     return 4.0 * _quarter_period_integral(_theta_integrand(model))
 
 
-def _state(solution: ClosedFormSolution, t):
-    """Signed u(t) and u'(t) from one jacobi_sn_cn_dn call, for finite scalar or array t.
+def _jacobi(solution: ClosedFormSolution, t):
+    """sn and cn at t/(2A) in Case I and at rate * t in Case II, for finite scalar or array t.
 
-    sn and cn carry the sign of the wave, so no square root of u^2 or of the
-    energy is taken, and the zero crossings and turning points keep full
-    relative precision.  A scalar t runs the same lines as an array, on Python
-    floats: + - * /, min, max, a correctly rounded sqrt and numpy's own sin and
-    cos loop in the Gauss kernel, so scalar and batch results are bit-identical.
+    A scalar t runs the same lines as an array on Python floats (+ - * /, min, max, a correctly
+    rounded sqrt, numpy's tan loop), so _u and _du give scalar and batch the same bits.
     """
     t = _real(t)
     if not (math.isfinite(t) if isinstance(t, float) else np.isfinite(t).all()):
@@ -226,23 +223,42 @@ def _state(solution: ClosedFormSolution, t):
     span = math.ldexp(solution.period, 52)
     t = min(max(t, -span), span) if isinstance(t, float) else np.minimum(np.maximum(t, -span), span)
     p = solution.params
+    return _gauss(t / (2.0 * p.A) if solution.case == CASE_I else p.rate * t, p.m)[:2]
+
+
+# sn and cn carry the sign of the wave: no square root of u^2 or of the energy is taken, so
+# zero crossings and turning points keep full relative precision.  Case I: psi = am(t/A)/2 gives
+# u = sqrt(sb) cos(psi) / D, u' = -sqrt(sb) sin(psi) dn(t/A) / (2A D^3), D^2 = sb cos^2(psi) + sin^2(psi);
+# at t/(2A) (DLMF 22.6.5-22.6.6) cos(psi) = cn/w, sin(psi) = sn dn/w, dn(t/A) = (dn^4 + m (1 - m) sn^4) / w^2,
+# w^2 = 1 - m sn^4, so w cancels.  Case II: u = cn sqrt(-s1/q), q = sn^2 - s1 > 0 (s1 < 0).
+# dn^2 = cn^2 + (1 - m) sn^2 is 1 - m sn^2 without the cancellation as m -> 1; no sum cancels.
+
+def _u(solution: ClosedFormSolution, sn, cn):
+    p = solution.params
     if solution.case == CASE_I:
-        # psi = am(t/A)/2: u = sqrt(sb) cos(psi) / D, u' = -sqrt(sb) sin(psi) dn(t/A) / (2A D^3),
-        # D^2 = sb cos^2(psi) + sin^2(psi).  DLMF 22.6.5-22.6.6 at t/(2A): cos(psi) = cn/w, sin(psi) = sn dn/w,
-        # dn(t/A) = (dn^4 + m (1 - m) sn^4) / w^2, w^2 = 1 - m sn^4; w cancels and no sum left cancels.
-        sn, cn, dn = jacobi_sn_cn_dn(t / (2.0 * p.A), p.m)
+        sb, sn2, cn2 = math.sqrt(p.B), sn * sn, cn * cn
+        return math.sqrt(sb) * cn / _sqrt(sb * cn2 + sn2 * (cn2 + (1.0 - p.m) * sn2))
+    return cn * _sqrt(-p.s1 / (sn * sn - p.s1))
+
+
+def _du(solution: ClosedFormSolution, sn, cn):
+    p = solution.params
+    sn2, cn2 = sn * sn, cn * cn
+    dn2 = cn2 + (1.0 - p.m) * sn2
+    if solution.case == CASE_I:
         sb = math.sqrt(p.B)
-        sn2, dn2 = sn * sn, dn * dn
-        e = sb * cn * cn + sn2 * dn2
-        u = math.sqrt(sb) * cn / _sqrt(e)
-        du = -math.sqrt(sb) / (2.0 * p.A) * dn * (dn2 * dn2 + p.m * (1.0 - p.m) * sn2 * sn2) / (e * _sqrt(e)) * sn
+        e = sb * cn2 + sn2 * dn2
+        du = -math.sqrt(sb) / (2.0 * p.A) * _sqrt(dn2) * (dn2 * dn2 + p.m * (1.0 - p.m) * sn2 * sn2) / (e * _sqrt(e))
     else:
-        # u^2 = -s1 cn^2 / q with q = sn^2 - s1 > 0 (s1 < 0), so u = cn sqrt(-s1/q).
-        sn, cn, dn = jacobi_sn_cn_dn(p.rate * t, p.m)
-        q = sn * sn - p.s1
-        u = cn * _sqrt(-p.s1 / q)
-        du = -p.rate * math.sqrt(-p.s1) * (1.0 - p.s1) * dn / (q * _sqrt(q)) * sn
-    return u, du + 0.0  # sn is the last factor above, so a subnormal u' rounds once; +0.0 drops negative zeros
+        q = sn2 - p.s1
+        du = -p.rate * math.sqrt(-p.s1) * (1.0 - p.s1) * _sqrt(dn2) / (q * _sqrt(q))
+    return du * sn + 0.0  # sn last, so a subnormal u' rounds once; +0.0 drops negative zeros
+
+
+def _state(solution: ClosedFormSolution, t):
+    """Signed u(t) and u'(t) from one Gauss kernel call: the pair `quintosc solve` prints."""
+    sn, cn = _jacobi(solution, t)
+    return _u(solution, sn, cn), _du(solution, sn, cn)
 
 
 def _time_to(solution: ClosedFormSolution, u: float) -> float:
@@ -269,9 +285,9 @@ def _time_to(solution: ClosedFormSolution, u: float) -> float:
 
 def evaluate(solution: ClosedFormSolution, t):
     """Signed trajectory u(t) for scalar or array t, over all finite times (NaN or inf raises DomainError)."""
-    return _state(solution, t)[0]
+    return _u(solution, *_jacobi(solution, t))
 
 
 def derivative(solution: ClosedFormSolution, t):
     """Velocity u'(t) for scalar or array t, over all finite times (NaN or inf raises DomainError)."""
-    return _state(solution, t)[1]
+    return _du(solution, *_jacobi(solution, t))

@@ -1,5 +1,7 @@
 """End-to-end tests for the command line interface."""
 
+import csv
+import io
 import json
 import math
 import os
@@ -25,10 +27,8 @@ def runner():
 
 
 def csv_rows(output):
-    lines = [line for line in output.strip().splitlines() if line]
-    header = lines[0].split(",")
-    # A sweep's status column is last and holds the error text as written, commas included.
-    return header, [line.split(",", len(header) - 1) for line in lines[1:]]
+    header, *rows = csv.reader(io.StringIO(output))
+    return header, rows
 
 
 class TestCoeffs:
@@ -243,6 +243,18 @@ class TestSweep:
             assert float(row[4]) > 0.0
             assert row[6] == "Case I"
             assert row[-1] == "ok"
+
+    def test_failing_rows_quote_their_message(self, runner):
+        # a = 5e199 and 1e200 fail with a message that holds a comma (RFC 4180 quoting);
+        # the ok row is written unquoted, as before.
+        result = runner.invoke(main, ["sweep", "--model", "relativistic", "--a-min", "1", "--a-max", "1e200",
+                                      "--a-steps", "3"])
+        assert result.exit_code == 0
+        rows = list(csv.reader(io.StringIO(result.output)))
+        assert [len(row) for row in rows] == [12] * 4
+        assert [row[-1] == "ok" for row in rows[1:]] == [True, False, False]
+        assert "," in rows[2][-1] and result.output.splitlines()[2].endswith(f'"{rows[2][-1]}"')
+        assert result.output.splitlines()[1] == ",".join(rows[1]) and '"' not in result.output.splitlines()[1]
 
     def test_deterministic(self, runner):
         args = ["sweep", "--model", "cable-mass", "--a-min", "0.5", "--a-max", "2",

@@ -6,6 +6,7 @@ double precision.
 """
 
 import math
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -320,6 +321,51 @@ class TestJacobiMpmathOracle:
         with mp.workdps(30):
             ref = float(mp.ellipfun("dn", mp.mpf(u), m=mp.mpf(m)))
         assert el.jacobi_sn_cn_dn(u, m).dn == pytest.approx(ref, rel=1e-13, abs=0.0)
+
+
+    @pytest.mark.parametrize("m", _ORACLE_CASES[:len(_RANDOM_M)])
+    def test_sn_cn_at_the_zeros_of_cn(self, m):
+        # cn vanishes at odd multiples of K, where the base angle sits at odd multiples of pi/2.
+        K = el.complete_K(m)
+        odd = 2 * np.random.default_rng([_ORACLE_SEED, int(m * 2 ** 52), 1]).integers(-50, 50, 8) + 1
+        u = np.concatenate([odd * K - 1e-12, odd * K + 1e-12])
+        with mp.workdps(30):
+            ref = np.array([[float(mp.ellipfun(kind, mp.mpf(x), m=mp.mpf(m))) for x in u] for kind in ("sn", "cn")])
+        sn, cn, _ = el.jacobi_sn_cn_dn(u, m)
+        tol = _reduction_tolerance(u)
+        assert np.all(np.abs(sn - ref[0]) <= tol)
+        assert np.all(np.abs(cn - ref[1]) <= tol)
+
+
+def _base_angles():
+    """Seeded z near 0, at and beside odd multiples of pi (|tan(z/2)| large) and up to the clip edge 2 pi 2^52."""
+    rng = np.random.default_rng([_ORACLE_SEED, 2])
+    odd = (2 * rng.integers(-10 ** 6, 10 ** 6, 300) + 1) * math.pi
+    edge = math.ldexp(2.0 * math.pi, 52)
+    return np.concatenate([
+        rng.uniform(-1e-3, 1e-3, 300), [0.0, -0.0, 5e-324],
+        odd, odd + rng.uniform(-1e-9, 1e-9, 300),
+        rng.uniform(-edge, edge, 300), edge - rng.uniform(0.0, 1e3, 300), [edge, -edge],
+        [math.ldexp(6381956970095103, 798)],  # the double z/2 closest to an odd multiple of pi/2: |tan| ~ 2e18
+    ])
+
+
+class TestGaussBase:
+    """The Gauss chain starts from w = tan(z/2); at m = 0 it is one exact stage, so sn and cn are the base."""
+
+    def test_base_stays_on_the_unit_circle(self):
+        z = _base_angles()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            sn, cn, _ = el.jacobi_sn_cn_dn(z, 0.0)
+        assert np.all(np.abs(sn * sn + cn * cn - 1.0) <= 4.0 * np.finfo(float).eps)
+
+    def test_scalar_is_a_batch_of_one(self):
+        z = _base_angles()
+        for m in (0.0, 0.5):
+            batch = el.jacobi_sn_cn_dn(z, m)
+            for i, x in enumerate(z.tolist()):
+                assert [f.hex() for f in el.jacobi_sn_cn_dn(x, m)] == [float(f[i]).hex() for f in batch]
 
 
 # The integrals reach further towards m = 1 than the Jacobi functions above.

@@ -273,6 +273,20 @@ class TestEvaluate:
             assert [x.hex() for x in scalars] == [x.hex() for x in func(sol, t).tolist()]
 
     @pytest.mark.parametrize("c", [(1.0, 2.0, 3.0), CASE2])
+    def test_evaluate_and_derivative_are_the_printed_pair(self, c):
+        # `quintosc solve` prints quintic._state; evaluate and derivative each compute only their half of it.
+        sol = q.solve(c)
+        rng = np.random.default_rng(13)
+        t = np.concatenate([[0.0, -0.0, 5e-324, -5e-324, 1e-310, 0.25 * sol.period, 1e6 * sol.period],
+                            rng.uniform(-50.0, 50.0, 40) * sol.period])
+        u, du = q._state(sol, t)
+        assert [x.hex() for x in q.evaluate(sol, t).tolist()] == [x.hex() for x in u.tolist()]
+        assert [x.hex() for x in q.derivative(sol, t).tolist()] == [x.hex() for x in du.tolist()]
+        for x in t.tolist():
+            u, du = q._state(sol, x)
+            assert (q.evaluate(sol, x).hex(), q.derivative(sol, x).hex()) == (u.hex(), du.hex())
+
+    @pytest.mark.parametrize("c", [(1.0, 2.0, 3.0), CASE2])
     def test_float32_times_run_in_double(self, c):
         sol = q.solve(c)
         t32 = np.array([1.5, 7.25, -0.1], np.float32)
@@ -297,17 +311,21 @@ class TestEvaluate:
 
     @pytest.mark.parametrize("c", [(1.0, 2.0, 3.0), CASE2])
     def test_scalar_path_runs_on_python_floats(self, c, monkeypatch):
-        # No timing gate: a scalar query must not reach numpy's sqrt, isfinite or clip at all.
+        # No timing gate: a scalar query must not reach numpy's sqrt, isfinite, clip, sin or cos at all.
         sol = q.solve(c)
 
         def banned(*args, **kwargs):
             raise AssertionError("numpy called on the scalar path")
 
-        for name in ("sqrt", "isfinite", "minimum", "maximum"):
+        for name in ("sqrt", "isfinite", "minimum", "maximum", "sin", "cos"):
             monkeypatch.setattr(np, name, banned)
+        # The one numpy call left is the Gauss kernel's tan, once per query, on a Python float.
+        tan, calls = np.tan, []
+        monkeypatch.setattr(np, "tan", lambda x: calls.append(x) or tan(x))
         assert type(q.evaluate(sol, 1.3)) is float
         assert type(q.derivative(sol, np.float64(-2.7))) is float
         assert all(type(x) is float for x in jacobi_sn_cn_dn(0.9, sol.params.m))
+        assert [type(x) for x in calls] == [float] * 3
         with pytest.raises(AssertionError, match="numpy called"):
             q.evaluate(sol, np.array([1.3]))
 
