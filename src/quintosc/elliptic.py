@@ -239,6 +239,11 @@ def _sqrt(x: ArrayLike) -> ArrayLike:
     return math.sqrt(x) if isinstance(x, float) else np.sqrt(x)
 
 
+def _dn2(sn2: ArrayLike, cn2: ArrayLike, m: float) -> ArrayLike:
+    """dn^2 from sn^2 and cn^2: cn^2 + (1 - m) sn^2 is 1 - m sn^2 without the cancellation as m -> 1."""
+    return cn2 + (1.0 - m) * sn2
+
+
 def _gauss(x: ArrayLike, m: float) -> tuple[ArrayLike, ArrayLike, ArrayLike]:
     """sn(x | m), cn(x | m) and the base angle z = a_N x, for 0 <= m < 1.
 
@@ -246,7 +251,8 @@ def _gauss(x: ArrayLike, m: float) -> tuple[ArrayLike, ArrayLike, ArrayLike]:
     (1, sqrt(1 - m)) gives the moduli k_n = c_n / a_n, and each stage lifts
     sn, cn, dn of modulus k_n at x a_n to modulus k_(n-1) at x a_(n-1), from
     sin z, cos z, 1 at k_N, so no argument reduction is needed.  Both come from
-    w = tan(z/2): numpy vectorises float64 tan (on AVX-512) but not sin and cos.
+    one w = tan(z/2) per point rather than one sin and one cos (BENCH_13.json
+    gives the timings and the host they were measured on).
     """
     # The AGM always ends: a and b meet to within an ulp.
     a, b, ks = 1.0, math.sqrt(1.0 - m), []
@@ -307,5 +313,5 @@ def jacobi_sn_cn_dn(u: ArrayLike, m: float) -> JacobiTriple:
         sn, cn, dn = np.tanh(u), 2.0 * e / (1.0 + e * e), 2.0 * e / (1.0 + e * e)
     else:
         sn, cn, _ = _gauss(u, m)
-        dn = _sqrt(cn * cn + (1.0 - m) * sn * sn)  # 1 - m sn^2 without the cancellation as m -> 1
+        dn = _sqrt(_dn2(sn * sn, cn * cn, m))
     return JacobiTriple(*map(float, (sn, cn, dn))) if isinstance(u, float) else JacobiTriple(sn, cn, dn)

@@ -27,7 +27,7 @@ from typing import Union
 import numpy as np
 
 from .chebyshev import QuinticCoefficients
-from .elliptic import _gauss, _legendre_f, _real, _sqrt, complete_K
+from .elliptic import _dn2, _gauss, _legendre_f, _real, _sqrt, complete_K
 from .errors import ConstructionError, DomainError, UnsupportedCaseError
 from .models import GENERIC, OscillatorModel, _quarter_period_integral, _theta_integrand
 
@@ -230,28 +230,32 @@ def _jacobi(solution: ClosedFormSolution, t):
 # zero crossings and turning points keep full relative precision.  Case I: psi = am(t/A)/2 gives
 # u = sqrt(sb) cos(psi) / D, u' = -sqrt(sb) sin(psi) dn(t/A) / (2A D^3), D^2 = sb cos^2(psi) + sin^2(psi);
 # at t/(2A) (DLMF 22.6.5-22.6.6) cos(psi) = cn/w, sin(psi) = sn dn/w, dn(t/A) = (dn^4 + m (1 - m) sn^4) / w^2,
-# w^2 = 1 - m sn^4, so w cancels.  Case II: u = cn sqrt(-s1/q), q = sn^2 - s1 > 0 (s1 < 0).
-# dn^2 = cn^2 + (1 - m) sn^2 is 1 - m sn^2 without the cancellation as m -> 1; no sum cancels.
+# w^2 = 1 - m sn^4, so w cancels.  Case II: u = cn sqrt(-s1/q), q = sn^2 - s1 > 0 (s1 < 0).  No sum cancels.
+
+def _case_i_squares(p: CaseIParameters, sn, cn):
+    """Case I: sn^2, dn^2 and e = sb cn^2 + sn^2 dn^2 = D^2 w^2, the one copy u and u' share."""
+    sn2, cn2 = sn * sn, cn * cn
+    dn2 = _dn2(sn2, cn2, p.m)
+    return sn2, dn2, math.sqrt(p.B) * cn2 + sn2 * dn2
+
 
 def _u(solution: ClosedFormSolution, sn, cn):
     p = solution.params
     if solution.case == CASE_I:
-        sb, sn2, cn2 = math.sqrt(p.B), sn * sn, cn * cn
-        return math.sqrt(sb) * cn / _sqrt(sb * cn2 + sn2 * (cn2 + (1.0 - p.m) * sn2))
+        return math.sqrt(math.sqrt(p.B)) * cn / _sqrt(_case_i_squares(p, sn, cn)[2])
     return cn * _sqrt(-p.s1 / (sn * sn - p.s1))
 
 
 def _du(solution: ClosedFormSolution, sn, cn):
     p = solution.params
-    sn2, cn2 = sn * sn, cn * cn
-    dn2 = cn2 + (1.0 - p.m) * sn2
     if solution.case == CASE_I:
-        sb = math.sqrt(p.B)
-        e = sb * cn2 + sn2 * dn2
-        du = -math.sqrt(sb) / (2.0 * p.A) * _sqrt(dn2) * (dn2 * dn2 + p.m * (1.0 - p.m) * sn2 * sn2) / (e * _sqrt(e))
+        sn2, dn2, e = _case_i_squares(p, sn, cn)
+        w2_dn = dn2 * dn2 + p.m * (1.0 - p.m) * sn2 * sn2  # w^2 dn(t/A)
+        du = -math.sqrt(math.sqrt(p.B)) / (2.0 * p.A) * _sqrt(dn2) * w2_dn / (e * _sqrt(e))
     else:
+        sn2 = sn * sn
         q = sn2 - p.s1
-        du = -p.rate * math.sqrt(-p.s1) * (1.0 - p.s1) * _sqrt(dn2) / (q * _sqrt(q))
+        du = -p.rate * math.sqrt(-p.s1) * (1.0 - p.s1) * _sqrt(_dn2(sn2, cn * cn, p.m)) / (q * _sqrt(q))
     return du * sn + 0.0  # sn last, so a subnormal u' rounds once; +0.0 drops negative zeros
 
 
