@@ -244,24 +244,25 @@ def _dn2(sn2: ArrayLike, cn2: ArrayLike, m: float) -> ArrayLike:
     return cn2 + (1.0 - m) * sn2
 
 
-def _gauss(x: ArrayLike, m: float) -> tuple[ArrayLike, ArrayLike, ArrayLike]:
-    """sn(x | m), cn(x | m) and the base angle z = a_N x, for 0 <= m < 1.
+def _gauss(x: ArrayLike, m: float, rate: float = 1.0, over: float = 1.0) -> tuple[ArrayLike, ArrayLike, float]:
+    """sn(u | m), cn(u | m) at u = rate x / over, and the AGM mean a_N, for 0 <= m < 1.
 
     Descending Landen (Gauss) transformation, DLMF 22.7.1-22.7.3: the AGM from
     (1, sqrt(1 - m)) gives the moduli k_n = c_n / a_n, and each stage lifts
-    sn, cn, dn of modulus k_n at x a_n to modulus k_(n-1) at x a_(n-1), from
-    sin z, cos z, 1 at k_N, so no argument reduction is needed.  Both come from
-    one w = tan(z/2) per point rather than one sin and one cos (BENCH_13.json
-    gives the timings and the host they were measured on).
+    sn, cn, dn of modulus k_n at u a_n to modulus k_(n-1) at u a_(n-1), from
+    sin z, cos z, 1 at k_N and the base angle z = a_N u, so no argument
+    reduction is needed.  Both come from one w = tan(z/2) per point rather than
+    one sin and one cos (BENCH_13.json gives the timings and the host they were
+    measured on), taken as tan(((a_N / 2) rate / over) x): x is scaled once, by
+    a factor rounded once when rate or over is 1.
     """
     # The AGM always ends: a and b meet to within an ulp.
     a, b, ks = 1.0, math.sqrt(1.0 - m), []
     while not ks or ks[-1] >= _GAUSS_TOL:
         ks.append((a - b) / (a + b))
         a, b = 0.5 * (a + b), math.sqrt(a * b)
-    z = a * x
-    w = np.tan(0.5 * z)  # |w| < 1e19 for every double z, so w^2 stays finite
-    if isinstance(z, float):  # numpy's loop pins the bits of tan; the rest then runs on floats
+    w = np.tan((0.5 * a * rate / over) * x)  # |w| < 1e19 for every double z, so w^2 stays finite
+    if isinstance(x, float):  # numpy's loop pins the bits of tan; the rest then runs on floats
         w = float(w)
     # sin z = 2w / (1 + w^2), cos z = (1 - w)(1 + w) / (1 + w^2).
     # Augmented assignments work in place on arrays and rebind floats.
@@ -270,18 +271,21 @@ def _gauss(x: ArrayLike, m: float) -> tuple[ArrayLike, ArrayLike, ArrayLike]:
     s /= t
     c = (1.0 - w) * (1.0 + w)
     c /= t
-    d = 1.0
-    for k in reversed(ks):
+    # Stage n takes cn to cn r d with r = 1 / (1 + k sn^2) and d = (1 - k sn^2) r, the lifted dn.
+    # dn starts at 1 and the last stage's dn is never read, so stage 0 (the last) skips d.
+    for n in range(len(ks) - 1, -1, -1):
+        k = ks[n]
         t = s * s
         t *= k
         r = 1.0 / (1.0 + t)
-        c *= d
         c *= r
-        d = 1.0 - t
-        d *= r
         s *= r
         s *= 1.0 + k
-    return s, c, z
+        if n:
+            t = 1.0 - t
+            t *= r
+            c *= t
+    return s, c, a
 
 
 def jacobi_am(u: ArrayLike, m: float) -> ArrayLike:
@@ -292,7 +296,9 @@ def jacobi_am(u: ArrayLike, m: float) -> ArrayLike:
     """
     if not 0.0 <= m < 1.0:
         raise DomainError(f"jacobi_am requires 0 <= m < 1, got m={m}")
-    s, c, z = _gauss(_real(u), m)
+    u = _real(u)
+    s, c, a = _gauss(u, m)
+    z = a * u
     phi = np.arctan2(s, c)
     am = phi + 2.0 * math.pi * np.round((z - phi) / (2.0 * math.pi))
     return am if isinstance(am, np.ndarray) else float(am)

@@ -213,17 +213,22 @@ def period_by_quadrature(c: Coefficients) -> float:
 def _jacobi(solution: ClosedFormSolution, t):
     """sn and cn at t/(2A) in Case I and at rate * t in Case II, for finite scalar or array t.
 
-    A scalar t runs the same lines as an array on Python floats (+ - * /, min, max, a correctly
-    rounded sqrt, numpy's tan loop), so _u and _du give scalar and batch the same bits.
+    The kernel scales t once, inside its tangent argument, by a factor rounded once.  One
+    reduction, max |t|, guards the times: NaN or inf raises, and only a batch that reaches
+    past the span is clipped.  A scalar t runs the same lines as an array on Python floats
+    (+ - * /, abs, min, max, a correctly rounded sqrt, numpy's tan loop), so _u and _du give
+    scalar and batch the same bits.
     """
     t = _real(t)
-    if not (math.isfinite(t) if isinstance(t, float) else np.isfinite(t).all()):
-        raise DomainError("evaluate and derivative need finite times")
-    # Past 2^52 periods an ulp of t spans a period; clipping there keeps t/(2A), rate*t finite.
+    # Past 2^52 periods an ulp of t spans a period; clipping there keeps the tangent argument finite.
     span = math.ldexp(solution.period, 52)
-    t = min(max(t, -span), span) if isinstance(t, float) else np.minimum(np.maximum(t, -span), span)
+    top = abs(t) if isinstance(t, float) else np.abs(t).max(initial=0.0)  # NaN if any t is NaN
+    if not top <= span:
+        if not math.isfinite(top):
+            raise DomainError("evaluate and derivative need finite times")
+        t = min(max(t, -span), span) if isinstance(t, float) else np.minimum(np.maximum(t, -span), span)
     p = solution.params
-    return _gauss(t / (2.0 * p.A) if solution.case == CASE_I else p.rate * t, p.m)[:2]
+    return (_gauss(t, p.m, over=2.0 * p.A) if solution.case == CASE_I else _gauss(t, p.m, p.rate))[:2]
 
 
 # sn and cn carry the sign of the wave: no square root of u^2 or of the energy is taken, so
@@ -251,11 +256,11 @@ def _du(solution: ClosedFormSolution, sn, cn):
     if solution.case == CASE_I:
         sn2, dn2, e = _case_i_squares(p, sn, cn)
         w2_dn = dn2 * dn2 + p.m * (1.0 - p.m) * sn2 * sn2  # w^2 dn(t/A)
-        du = -math.sqrt(math.sqrt(p.B)) / (2.0 * p.A) * _sqrt(dn2) * w2_dn / (e * _sqrt(e))
+        du = -math.sqrt(math.sqrt(p.B)) / (2.0 * p.A) * w2_dn * _sqrt(dn2 / e) / e
     else:
         sn2 = sn * sn
         q = sn2 - p.s1
-        du = -p.rate * math.sqrt(-p.s1) * (1.0 - p.s1) * _sqrt(_dn2(sn2, cn * cn, p.m)) / (q * _sqrt(q))
+        du = -p.rate * math.sqrt(-p.s1) * (1.0 - p.s1) * _sqrt(_dn2(sn2, cn * cn, p.m) / q) / q
     return du * sn + 0.0  # sn last, so a subnormal u' rounds once; +0.0 drops negative zeros
 
 

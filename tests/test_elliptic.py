@@ -337,6 +337,30 @@ class TestJacobiMpmathOracle:
         assert np.all(np.abs(cn - ref[1]) <= tol)
 
 
+_ONE_STAGE_M = [1e-9, 2.5e-8]
+
+
+class TestOneStageChain:
+    """m below ~3e-8: the first Gauss stage is also the last, so it neither starts from dn nor forms one."""
+
+    @pytest.mark.parametrize("m", _ONE_STAGE_M)
+    def test_am_sn_cn(self, m):
+        b = math.sqrt(1.0 - m)
+        assert (1.0 - b) / (1.0 + b) < el._GAUSS_TOL
+        u, (am, sn, cn, _) = _oracle_points(m)
+        got_sn, got_cn, _ = el.jacobi_sn_cn_dn(u, m)
+        tol = _reduction_tolerance(u)
+        assert np.all(np.abs(got_sn - sn) <= tol)
+        assert np.all(np.abs(got_cn - cn) <= tol)
+        np.testing.assert_allclose(el.jacobi_am(u, m), am, rtol=1e-14, atol=0.0)
+
+    @given(st.lists(st.floats(-1e7, 1e7), min_size=1, max_size=20), st.sampled_from(_ONE_STAGE_M))
+    def test_scalar_is_a_batch_of_one(self, u, m):
+        batch = el.jacobi_sn_cn_dn(np.array(u), m)
+        for i, x in enumerate(u):
+            assert [f.hex() for f in el.jacobi_sn_cn_dn(x, m)] == [float(f[i]).hex() for f in batch]
+
+
 def _base_angles():
     """Seeded z near 0, at and beside odd multiples of pi (|tan(z/2)| large) and up to the clip edge 2 pi 2^52."""
     rng = np.random.default_rng([_ORACLE_SEED, 2])

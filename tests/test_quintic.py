@@ -286,6 +286,36 @@ class TestEvaluate:
             u, du = q._state(sol, x)
             assert (q.evaluate(sol, x).hex(), q.derivative(sol, x).hex()) == (u.hex(), du.hex())
 
+    @pytest.mark.parametrize("func", [q.evaluate, q.derivative])
+    @pytest.mark.parametrize("c", [(1.0, 2.0, 3.0), CASE2])
+    def test_empty_and_two_dimensional_batches(self, c, func):
+        sol = q.solve(c)
+        empty = func(sol, np.array([]))
+        assert empty.shape == (0,) and empty.dtype == np.float64
+        t = np.linspace(-3.0, 3.0, 12).reshape(3, 4) * sol.period
+        got = func(sol, t)
+        assert got.shape == (3, 4)
+        assert got.tobytes() == func(sol, t.ravel()).tobytes()
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("where", [0, 5000, 9999])
+    @pytest.mark.parametrize("func", [q.evaluate, q.derivative])
+    def test_one_non_finite_time_in_a_batch_raises(self, func, where, bad):
+        sol = q.solve((1.0, 2.0, 3.0))
+        t = np.linspace(-64.0, 64.0, 10_000) * sol.period
+        t[where] = bad
+        with pytest.raises(DomainError):
+            func(sol, t)
+
+    @pytest.mark.parametrize("func", [q.evaluate, q.derivative])
+    @pytest.mark.parametrize("c", [(1.0, 2.0, 3.0), CASE2])
+    def test_a_time_past_the_span_clips_only_itself(self, c, func):
+        # One t beyond 2^52 periods sends the whole batch through the clip; every other entry keeps its bits.
+        sol = q.solve(c)
+        t = np.concatenate([np.random.default_rng(14).uniform(-50.0, 50.0, 20) * sol.period, [1e300, -1e300, 0.0]])
+        batch = func(sol, t).tolist()
+        assert [func(sol, x).hex() for x in t.tolist()] == [x.hex() for x in batch]
+
     @pytest.mark.parametrize("c", [(1.0, 2.0, 3.0), CASE2])
     def test_float32_times_run_in_double(self, c):
         sol = q.solve(c)

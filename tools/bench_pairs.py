@@ -10,15 +10,19 @@ alternating which side goes first, then one ``--workload all --trace 1`` run
 per side for the per-layer metrics.  The JSON holds every run's value,
 ``correct``, ``attempted`` and ``failed``, each side's median and quartiles,
 the pairs the change won (ties count for neither side) and the machine facts
-perfbench reports.  A run that perfbench marks incorrect stops the tool with
-exit status 1 and no JSON written.  Runs are sequential: one benchmark process
-at a time.
+perfbench reports.  End-to-end times are scaled to perfbench's reference
+speed while the per-layer trace values are raw, so each metric that
+perfbench also prints unscaled (its ``raw: {...}`` line) carries those raw
+runs and quartiles under ``raw``, to set against the trace.  A run that
+perfbench marks incorrect stops the tool with exit status 1 and no JSON
+written.  Runs are sequential: one benchmark process at a time.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import re
 import statistics
 import subprocess
 import sys
@@ -29,6 +33,7 @@ ROOT = Path(__file__).resolve().parent.parent
 # Alternating pairs per workload: enough for trajectory's 9-of-10 gate, fewer where no gain is claimed.
 PAIRS = {"trajectory": 10, "catalogue": 5, "cli": 5}
 SIDES = ("parent", "change")
+RAW = re.compile(r"raw: (\{.*\})\)$", re.MULTILINE)
 
 
 def export(rev: str, dest: Path) -> str:
@@ -42,11 +47,14 @@ def export(rev: str, dest: Path) -> str:
 
 
 def perfbench(tree: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
-    """One perfbench run; its last stdout line is the result object.  Exits on a run marked incorrect."""
+    """One perfbench run: its last stdout line, plus its printed unscaled values as "raw".  Exits if incorrect."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", str(trace)]
     proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True, check=True)
     result = json.loads(proc.stdout.splitlines()[-1])
+    raw = RAW.search(proc.stdout)
+    if raw:
+        result["raw"] = json.loads(raw.group(1))
     if not result["correct"]:
         sys.exit(f"{tree.name} {workload} --trace {trace}: perfbench reports correct=false: {json.dumps(result)}")
     return result
@@ -63,7 +71,7 @@ def quartiles(values: list[float]) -> dict:
 
 
 def summarise(runs: dict, better: dict) -> dict:
-    """Per metric: each side's runs and quartiles, and the pairs the change won."""
+    """Per metric: each side's runs and quartiles, the pairs the change won, and the raw runs if printed."""
     out = {}
     for name in runs["parent"][0]["metrics"]:
         sides = {side: [r["metrics"][name]["value"] for r in runs[side]] for side in SIDES}
@@ -72,6 +80,9 @@ def summarise(runs: dict, better: dict) -> dict:
         out[name] = {"unit": runs["parent"][0]["metrics"][name]["unit"], "better": better.get(name, "lower"),
                      **{side: {**quartiles(v), "runs": v} for side, v in sides.items()},
                      "change_wins": f"{wins} of {len(sides['parent'])}"}
+        if name in runs["parent"][0].get("raw", {}):
+            out[name]["raw"] = {side: {**quartiles(v), "runs": v} for side, v in
+                                ((side, [r["raw"][name] for r in runs[side]]) for side in SIDES)}
     out["runs"] = {side: outcome(runs[side]) for side in SIDES}
     return out
 
