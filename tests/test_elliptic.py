@@ -253,7 +253,7 @@ class TestJacobiSnCnDn:
             el.jacobi_sn_cn_dn(0.3, 1.2)
 
     @given(st.lists(st.floats(-1e7, 1e7), min_size=1, max_size=20),
-           st.sampled_from([0.0, 0.07, 0.88, 1.0 - 1e-12, 1.0]))
+           st.sampled_from([0.0, 1e-9, 2.5e-8, 0.07, 0.88, 1.0 - 1e-12, 1.0]))
     def test_scalar_is_a_batch_of_one(self, u, m):
         batch = el.jacobi_sn_cn_dn(np.array(u), m)
         for i, x in enumerate(u):
@@ -267,8 +267,11 @@ class TestJacobiSnCnDn:
 _ORACLE_SEED = 20221101
 _RANDOM_M = [float(m) for m in np.random.default_rng(_ORACLE_SEED).uniform(0.0, 0.999, 12)]
 _NEAR_ONE_M = [1.0 - 10.0 ** -k for k in range(1, 13)]
+# Below m ~ 3e-8 the first Gauss stage is also the last: it neither starts from dn nor forms one.
+_ONE_STAGE_M = [1e-9, 2.5e-8]
 _ORACLE_CASES = ([pytest.param(m, id=f"random{i}") for i, m in enumerate(_RANDOM_M)]
-                 + [pytest.param(m, id=f"one_minus_1e-{k}") for k, m in enumerate(_NEAR_ONE_M, start=1)])
+                 + [pytest.param(m, id=f"one_minus_1e-{k}") for k, m in enumerate(_NEAR_ONE_M, start=1)]
+                 + [pytest.param(m, id=f"one_stage_{m:g}") for m in _ONE_STAGE_M])
 
 
 def _oracle_points(m):
@@ -337,30 +340,6 @@ class TestJacobiMpmathOracle:
         assert np.all(np.abs(cn - ref[1]) <= tol)
 
 
-_ONE_STAGE_M = [1e-9, 2.5e-8]
-
-
-class TestOneStageChain:
-    """m below ~3e-8: the first Gauss stage is also the last, so it neither starts from dn nor forms one."""
-
-    @pytest.mark.parametrize("m", _ONE_STAGE_M)
-    def test_am_sn_cn(self, m):
-        b = math.sqrt(1.0 - m)
-        assert (1.0 - b) / (1.0 + b) < el._GAUSS_TOL
-        u, (am, sn, cn, _) = _oracle_points(m)
-        got_sn, got_cn, _ = el.jacobi_sn_cn_dn(u, m)
-        tol = _reduction_tolerance(u)
-        assert np.all(np.abs(got_sn - sn) <= tol)
-        assert np.all(np.abs(got_cn - cn) <= tol)
-        np.testing.assert_allclose(el.jacobi_am(u, m), am, rtol=1e-14, atol=0.0)
-
-    @given(st.lists(st.floats(-1e7, 1e7), min_size=1, max_size=20), st.sampled_from(_ONE_STAGE_M))
-    def test_scalar_is_a_batch_of_one(self, u, m):
-        batch = el.jacobi_sn_cn_dn(np.array(u), m)
-        for i, x in enumerate(u):
-            assert [f.hex() for f in el.jacobi_sn_cn_dn(x, m)] == [float(f[i]).hex() for f in batch]
-
-
 def _base_angles():
     """Seeded z near 0, at and beside odd multiples of pi (|tan(z/2)| large) and up to the clip edge 2 pi 2^52."""
     rng = np.random.default_rng([_ORACLE_SEED, 2])
@@ -376,6 +355,11 @@ def _base_angles():
 
 class TestGaussBase:
     """The Gauss chain starts from w = tan(z/2); at m = 0 it is one exact stage, so sn and cn are the base."""
+
+    @pytest.mark.parametrize("m", _ONE_STAGE_M)
+    def test_one_stage_chain(self, m):
+        b = math.sqrt(1.0 - m)
+        assert (1.0 - b) / (1.0 + b) < el._GAUSS_TOL
 
     def test_base_stays_on_the_unit_circle(self):
         z = _base_angles()
