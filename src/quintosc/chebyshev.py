@@ -20,7 +20,10 @@ stops when the largest change of any alpha is at most 1e-14 * max|f|,
 returns the coarser of the last two levels (the one whose error that
 change estimates, and the exact 64-node value whenever 64 nodes already
 resolve the force), and raises ConvergenceError if 46 656 nodes (64 * 3^6)
-do not converge.  An explicit node count keeps the fixed rule.
+do not converge.  An explicit node count keeps the fixed rule.  The
+generic model's force is an odd polynomial, which a fixed rule integrates
+exactly, so model_coefficients passes max(64, L + 3) nodes for its L
+coefficients and the adaptive default serves arbitrary forces.
 
 For the catalogue models the projection integrals also have closed forms
 in terms of complete elliptic integrals (the J_n moments below, compare
@@ -234,26 +237,33 @@ def _alphas_from_moments(m2: float, m4: float, m6: float) -> ChebyshevOddCoeffic
 def model_coefficients(model: models.OscillatorModel) -> QuinticCoefficients:
     """Quintic coefficients of a catalogue model via the closed-form moments.
 
-    The generic model has no closed form and falls back to the quadrature
-    route (the provenance tag says which path produced the result).
+    The generic model has no closed form and takes the quadrature route
+    (the provenance tag says which path produced the result).  Its force
+    is an odd polynomial of degree 2L - 1 for L coefficients, so the fixed
+    rule on max(64, L + 3) nodes, exact up to degree 2 * nodes - 1,
+    integrates T5 * f exactly; up to L = 61 it is the 64-node level the
+    adaptive default would stop at.  Coefficients that overflow raise
+    DomainError on either route.
     """
     if model.kind == models.GENERIC:
-        return to_monomial(project_odd_quintic(lambda u: models.restoring_force(model, u)), "quadrature")
-    a, b = model.a, model.b
-    jm = closed_form_moments(a)
-    w2, w4, w6, w8 = PI_MOMENTS
-    if model.kind == models.RELATIVISTIC:
-        m2, m4, m6 = jm.j2, jm.j4, jm.j6
-    elif model.kind == models.CABLE_MASS:
-        m2 = w2 + b * jm.j2
-        m4 = w4 + b * jm.j4
-        m6 = w6 + b * jm.j6
+        nodes = max(_FIRST_LEVEL, len(model.force_spec or ()) + 3)
+        c = to_monomial(project_odd_quintic(lambda u: models.restoring_force(model, u), nodes), "quadrature")
     else:
-        a2 = a * a
-        m2 = w2 + a2 * w4 + b * jm.j2
-        m4 = w4 + a2 * w6 + b * jm.j4
-        m6 = w6 + a2 * w8 + b * jm.j6
-    c = to_monomial(_alphas_from_moments(m2, m4, m6), "closed_form")
+        a, b = model.a, model.b
+        jm = closed_form_moments(a)
+        w2, w4, w6, w8 = PI_MOMENTS
+        if model.kind == models.RELATIVISTIC:
+            m2, m4, m6 = jm.j2, jm.j4, jm.j6
+        elif model.kind == models.CABLE_MASS:
+            m2 = w2 + b * jm.j2
+            m4 = w4 + b * jm.j4
+            m6 = w6 + b * jm.j6
+        else:
+            a2 = a * a
+            m2 = w2 + a2 * w4 + b * jm.j2
+            m4 = w4 + a2 * w6 + b * jm.j4
+            m6 = w6 + a2 * w8 + b * jm.j6
+        c = to_monomial(_alphas_from_moments(m2, m4, m6), "closed_form")
     if not all(map(math.isfinite, c.as_tuple())):
         raise DomainError(f"quintic coefficients of {model} overflow: {c.as_tuple()}")
     return c

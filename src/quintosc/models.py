@@ -67,6 +67,11 @@ class OscillatorModel:
         if self.force_spec is not None:
             object.__setattr__(self, "force_spec", tuple(float(p) for p in self.force_spec))
 
+    @functools.cached_property
+    def _problems(self) -> tuple[str, ...]:
+        # A frozen model's problems depend on its fields only: find them once per instance.
+        return tuple(_find_problems(self))
+
 
 @dataclass(frozen=True)
 class ExactPeriod:
@@ -295,8 +300,15 @@ def validate_params(model: OscillatorModel) -> list[str]:
     catalogue kinds G > 0 holds analytically once a (and b where it is
     used) is positive and finite.  For the generic model G is a
     polynomial in s = u^2, so its minimum over s in [0, 1] is taken
-    exactly, at s = 0, s = 1 or a critical point.
+    exactly, at s = 0, s = 1 or a critical point.  The problems are
+    computed once per model instance; exact_period, time_integral_psi
+    and validation.residual_sup_norm reuse them, and each call here
+    returns a fresh list.
     """
+    return list(model._problems)
+
+
+def _find_problems(model: OscillatorModel) -> list[str]:
     problems: list[str] = []
     if model.kind == GENERIC:
         if not model.force_spec:
@@ -322,6 +334,5 @@ def validate_params(model: OscillatorModel) -> list[str]:
 
 
 def _require_valid(model: OscillatorModel) -> None:
-    problems = validate_params(model)
-    if problems:
-        raise DomainError("; ".join(problems))
+    if model._problems:
+        raise DomainError("; ".join(model._problems))

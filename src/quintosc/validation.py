@@ -8,6 +8,7 @@ Runge-Kutta oracle for trajectory-level checks.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -50,6 +51,13 @@ def _residual(model: models.OscillatorModel | None, c: QuinticCoefficients, u):
     return udd - (models.restoring_force(model, u) if model is not None else udd)
 
 
+@functools.lru_cache(maxsize=1, typed=True)  # one grid size at a time: a sweep reuses one
+def _amplitudes(grid: int) -> np.ndarray:
+    u = np.linspace(0.0, 1.0, grid)
+    u.flags.writeable = False
+    return u
+
+
 def residual_sup_norm(model: models.OscillatorModel, solution: quintic.ClosedFormSolution,
                       grid: int = 4001) -> ResidualReport:
     """Sup norm of L u = u'' - f_a(u) over the first quarter period.
@@ -65,7 +73,7 @@ def residual_sup_norm(model: models.OscillatorModel, solution: quintic.ClosedFor
     if grid < 2:
         raise DomainError(f"residual grid must have at least 2 points, got {grid}")
     c = solution.solved
-    u = np.linspace(0.0, 1.0, grid)
+    u = _amplitudes(grid)
     residual = np.abs(_residual(model, c, u))
     i = int(np.argmax(residual))  # the first NaN, if there is one
     if not math.isfinite(residual[i]):

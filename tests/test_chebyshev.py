@@ -5,7 +5,7 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from quintosc import chebyshev as ch
 from quintosc import models
@@ -76,13 +76,34 @@ class TestProjection:
         assert abs(a64.alpha3 - a128.alpha3) < 1e-12
         assert abs(a64.alpha5 - a128.alpha5) < 1e-12
 
-    def test_default_equals_64_nodes_for_odd_polynomials(self):
-        # 64 nodes integrate these exactly, so the adaptive default stops
-        # at the first tripling and returns the 64-node level unchanged.
-        for spec in ((-1.0, -0.25), (2.0, -3.0, 0.5), (0.3, 1.7, -2.2, 0.9, -0.4)):
-            model = models.OscillatorModel("generic", force_spec=spec)
-            force = lambda u: models.restoring_force(model, u)
-            assert ch.project_odd_quintic(force) == ch.project_odd_quintic(force, nodes=64)
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=61))
+    @example([-1.0, -0.25])
+    @example([2.0, -3.0, 0.5])
+    @example([0.3, 1.7, -2.2, 0.9, -0.4])
+    def test_default_equals_64_nodes_for_odd_polynomials(self, spec):
+        # 64 nodes integrate T5 * f exactly up to degree 121 (61 coefficients),
+        # so the adaptive default stops at the first tripling and returns the
+        # 64-node level unchanged: the rule model_coefficients takes directly.
+        model = models.OscillatorModel("generic", force_spec=spec)
+        force = lambda u: models.restoring_force(model, u)
+        default = ch.project_odd_quintic(force)
+        assert default == ch.project_odd_quintic(force, nodes=64)
+        assert ch.model_coefficients(model) == ch.to_monomial(default)
+
+    def test_long_generic_spec_projects_exactly(self):
+        # Degree 139 is past the 64-node rule; model_coefficients takes 73
+        # nodes, exact for T5 * f.  The gap to numpy's basis change is
+        # 5.0e-17 * sum|p| here.
+        spec = np.random.default_rng(70).uniform(-1.0, 1.0, 70)
+        model = models.OscillatorModel("generic", force_spec=spec)
+        alphas = ch.project_odd_quintic(lambda u: models.restoring_force(model, u), nodes=73)
+        assert ch.model_coefficients(model) == ch.to_monomial(alphas)
+        odd = np.zeros(2 * len(spec))
+        odd[1::2] = spec
+        want = np.polynomial.chebyshev.poly2cheb(odd)[[1, 3, 5]]
+        got = np.array([alphas.alpha1, alphas.alpha3, alphas.alpha5])
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.sum(np.abs(spec))
 
     def test_adaptive_cap_raises_but_explicit_nodes_return(self):
         # Branch points at +-i/a this close to [-1, 1] leave the default

@@ -1,13 +1,15 @@
 """Tests for the oscillator model catalogue."""
 
+import copy
 import math
+import pickle
 
 import mpmath as mp
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from quintosc import models
+from quintosc import chebyshev, models, quintic, validation
 from quintosc.errors import ConvergenceError, DomainError
 
 REL1 = models.OscillatorModel("relativistic", a=1.0)
@@ -336,3 +338,37 @@ class TestValidateParams:
     def test_infinite_parameters_rejected(self, model):
         problems = models.validate_params(model)
         assert len(problems) == 1 and "must be positive and finite" in problems[0]
+
+    def test_generic_chain_finds_roots_once(self, monkeypatch):
+        # The chain of one cli sweep row checks positivity once per model:
+        # one polyroots call, not one per entry point.
+        calls = []
+        polyroots = np.polynomial.polynomial.polyroots
+        monkeypatch.setattr(np.polynomial.polynomial, "polyroots", lambda c: calls.append(c) or polyroots(c))
+        model = models.OscillatorModel("generic", force_spec=(-1.0, -0.5, -0.5, 0.5, -0.2))
+        assert models.validate_params(model) == []
+        solution = quintic.solve(chebyshev.model_coefficients(model))
+        models.exact_period(model)
+        validation.residual_sup_norm(model, solution)
+        assert len(calls) == 1
+
+    def test_invalid_generic_still_rejected_after_validate_params(self):
+        bad = models.OscillatorModel("generic", force_spec=(-1.0, 4.0, -3.2))
+        problems = models.validate_params(bad)
+        assert len(problems) == 1 and "Phi(" in problems[0]
+        problems.append("changed by the caller")
+        assert models.validate_params(bad) == problems[:1]
+        solution = quintic.solve((1.0, 2.0, 3.0))
+        for call in (models.exact_period, lambda m: models.time_integral_psi(m, 0.5),
+                     lambda m: validation.residual_sup_norm(m, solution)):
+            with pytest.raises(DomainError, match=r"Phi\("):
+                call(bad)
+
+    @pytest.mark.parametrize("checked", [False, True])
+    def test_copies_compare_equal(self, checked):
+        model = models.OscillatorModel("generic", force_spec=(-1.0, 4.0, -3.2))
+        if checked:
+            models.validate_params(model)
+        for twin in (copy.copy(model), pickle.loads(pickle.dumps(model))):
+            assert twin == model and hash(twin) == hash(model)
+            assert models.validate_params(twin) == models.validate_params(model)

@@ -154,6 +154,15 @@ class TestResidualSupNorm:
         analytic = -(c.c1 * u + c.c3 * u ** 3 + c.c5 * u ** 5)
         assert np.max(np.abs(stencil - analytic)) < 1e-6
 
+    def test_shared_grid_is_read_only(self):
+        # One cached grid per size; switching sizes rebuilds it, bit for bit.
+        solution = solved(REL1)
+        first = validation.residual_sup_norm(REL1, solution, 4001)
+        assert not validation._amplitudes(4001).flags.writeable
+        validation.residual_sup_norm(REL1, solution, 1001)
+        again = validation.residual_sup_norm(REL1, solution, 4001)
+        assert (again.sup_norm.hex(), again.argmax_t.hex()) == (first.sup_norm.hex(), first.argmax_t.hex())
+
     def test_tiny_grid_rejected(self):
         with pytest.raises(DomainError):
             validation.residual_sup_norm(REL1, solved(REL1), grid=1)

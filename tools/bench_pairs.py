@@ -4,14 +4,14 @@
 
 Both revisions are exported with ``git archive`` into ``--workdir`` (default: a
 fresh temporary directory), so each side runs its own committed ``perfbench/``
-and ``src/``.  For each workload in PAIRS the tool runs ``perfbench/run.py
---trace 0`` for the parent's ``BENCHMARK.json`` ``run_seconds`` in pairs,
-alternating which side goes first, then one ``--workload all --trace 1`` run
-per side for the per-layer metrics.  The JSON holds every run's value,
-``correct``, ``attempted`` and ``failed``, each side's median and quartiles,
-the pairs the change won (ties count for neither side) and the machine facts
-perfbench reports.  End-to-end times are scaled to perfbench's reference
-speed while the per-layer trace values are raw, so each metric that
+and ``src/``.  For each workload the tool runs ``perfbench/run.py --trace 0``
+for the parent's ``BENCHMARK.json`` ``run_seconds`` in PAIRS pairs, alternating
+which side goes first, then TRACED_RUNS ``--workload all --trace 1`` runs per
+side, alternating the same way, for the per-layer metrics.  The JSON holds every
+run's value, ``correct``, ``attempted`` and ``failed``, each side's median and
+quartiles, the runs the change won (ties count for neither side) and the
+machine facts perfbench reports.  End-to-end times are scaled to perfbench's
+reference speed while the per-layer trace values are raw, so each metric that
 perfbench also prints unscaled (its ``raw: {...}`` line) carries those raw
 runs and quartiles under ``raw``, to set against the trace.  A run that
 perfbench marks incorrect stops the tool with exit status 1 and no JSON
@@ -30,8 +30,9 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-# Alternating pairs per workload: enough for trajectory's 9-of-10 gate, fewer where no gain is claimed.
-PAIRS = {"trajectory": 10, "catalogue": 5, "cli": 5}
+WORKLOADS = ("trajectory", "catalogue", "cli")
+PAIRS = 10  # alternating pairs per workload: the fewest a 9-of-10 gate can be read from
+TRACED_RUNS = 3  # traced runs per side: a median, not one run, attributes a per-layer change
 SIDES = ("parent", "change")
 RAW = re.compile(r"raw: (\{.*\})\)$", re.MULTILINE)
 
@@ -60,6 +61,17 @@ def perfbench(tree: Path, workload: str, seed: int, seconds: float, trace: int) 
     return result
 
 
+def alternate(trees: dict, workload: str, seed: int, seconds: float, trace: int, count: int) -> dict:
+    """count runs per side; round i runs the parent first for even i, the change first for odd i."""
+    runs = {side: [] for side in SIDES}
+    for i in range(count):
+        for side in (SIDES if i % 2 == 0 else SIDES[::-1]):
+            runs[side].append(perfbench(trees[side], workload, seed, seconds, trace))
+            print(f"{workload} --trace {trace} round {i} {side}: {json.dumps(runs[side][-1]['metrics'])}",
+                  flush=True)
+    return runs
+
+
 def outcome(runs: list[dict]) -> dict:
     """correct, attempted and failed of each run, in run order."""
     return {key: [r[key] for r in runs] for key in ("correct", "attempted", "failed")}
@@ -71,13 +83,15 @@ def quartiles(values: list[float]) -> dict:
 
 
 def summarise(runs: dict, better: dict) -> dict:
-    """Per metric: each side's runs and quartiles, the pairs the change won, and the raw runs if printed."""
+    """Per metric: each side's runs and quartiles, the runs the change won, and the raw runs if printed."""
     out = {}
     for name in runs["parent"][0]["metrics"]:
         sides = {side: [r["metrics"][name]["value"] for r in runs[side]] for side in SIDES}
-        sign = 1.0 if better.get(name, "lower") == "higher" else -1.0
+        # A traced "all" run prefixes each metric with its workload.
+        direction = better.get(name) or better.get(name.partition(".")[2], "lower")
+        sign = 1.0 if direction == "higher" else -1.0
         wins = sum(sign * (c - p) > 0 for p, c in zip(sides["parent"], sides["change"]))
-        out[name] = {"unit": runs["parent"][0]["metrics"][name]["unit"], "better": better.get(name, "lower"),
+        out[name] = {"unit": runs["parent"][0]["metrics"][name]["unit"], "better": direction,
                      **{side: {**quartiles(v), "runs": v} for side, v in sides.items()},
                      "change_wins": f"{wins} of {len(sides['parent'])}"}
         if name in runs["parent"][0].get("raw", {}):
@@ -103,28 +117,18 @@ def main(argv=None) -> int:
     better = {m["name"]: m["better"] for m in spec["end_to_end"] + spec["per_layer"]}
     seconds = spec["run_seconds"]
 
-    workloads = {}
-    for workload, pairs in PAIRS.items():
-        runs = {side: [] for side in SIDES}
-        for i in range(pairs):
-            for side in (SIDES if i % 2 == 0 else SIDES[::-1]):
-                runs[side].append(perfbench(trees[side], workload, args.seed, seconds, 0))
-                print(f"{workload} pair {i} {side}: {json.dumps(runs[side][-1]['metrics'])}", flush=True)
-        workloads[workload] = summarise(runs, better)
-
-    trace = {side: perfbench(trees[side], "all", args.seed, seconds, 1) for side in SIDES}
+    workloads = {workload: summarise(alternate(trees, workload, args.seed, seconds, 0, PAIRS), better)
+                 for workload in WORKLOADS}
+    trace = summarise(alternate(trees, "all", args.seed, seconds, 1, TRACED_RUNS), better)
     report = json.loads(next((trees["change"] / "perfbench" / "out").glob("*.json")).read_text())
     summary = {
         "command": f"python3 perfbench/run.py --workload W --seed {args.seed} --seconds {seconds:g}",
         "seed": args.seed, "seconds": seconds,
         "parent_sha": shas["parent"], "change_sha": shas["change"],
-        "order": "pair i runs the parent first for even i, the change first for odd i",
+        "order": "round i runs the parent first for even i, the change first for odd i",
         "machine": report["machine"],
         "workloads": workloads,
-        "trace": {name: {side: trace[side]["metrics"][name]["value"] for side in SIDES}
-                  | {"unit": trace["parent"]["metrics"][name]["unit"]}
-                  for name in trace["parent"]["metrics"]},
-        "trace_runs": {side: outcome([trace[side]]) for side in SIDES},
+        "trace": trace,
     }
     args.out.write_text(json.dumps(summary, indent=1) + "\n")
     return 0
