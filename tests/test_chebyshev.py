@@ -240,6 +240,12 @@ class TestModelCoefficients:
         assert c.c3 == pytest.approx(0.25, abs=1e-13)
         assert c.c5 == pytest.approx(0.0, abs=1e-13)
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_generic_overflow_raises(self):
+        # The node sums of this force overflow: no inf or NaN triple comes back.
+        with pytest.raises(DomainError, match="overflow"):
+            ch.model_coefficients(models.OscillatorModel("generic", force_spec=(1e307, -2e307, -1e307)))
+
     @pytest.mark.parametrize("model", [
         models.OscillatorModel("relativistic", a=0.5),
         models.OscillatorModel("relativistic", a=2.0),
