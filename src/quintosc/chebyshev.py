@@ -111,8 +111,10 @@ def _fixed_rule(force: Callable, nodes: int) -> tuple[np.ndarray, np.ndarray]:
     """Alphas of the ``nodes``-point first-kind rule and the force values used."""
     theta = (2.0 * np.arange(1, nodes + 1) - 1.0) * (math.pi / (2.0 * nodes))
     vals = _force_values(force, np.cos(theta))
-    # T_n(cos theta) = cos(n theta), so the weights collapse to 2/nodes.
-    sums = [float(np.cos(theta) @ vals), float(np.cos(3.0 * theta) @ vals), float(np.cos(5.0 * theta) @ vals)]
+    # T_n(cos theta) = cos(n theta), so the weights collapse to 2/nodes.  A sum that overflows
+    # stays silent and reaches the caller's finiteness check.
+    with np.errstate(over="ignore", invalid="ignore"):
+        sums = [float(np.cos(theta) @ vals), float(np.cos(3.0 * theta) @ vals), float(np.cos(5.0 * theta) @ vals)]
     return (2.0 / nodes) * np.array(sums), vals
 
 
@@ -153,9 +155,11 @@ def project_odd_quintic(force: Callable, nodes: int | None = None) -> ChebyshevO
         vals = _force_values(force, basis[0])
         fmax = max(fmax, float(np.max(np.abs(vals))))
         # Pairwise sums: on the long levels a BLAS dot wakes its threads,
-        # which cost milliseconds per call on a loaded host.
-        finer = alphas / 3.0 + (2.0 / (3.0 * n)) * (basis * vals).sum(axis=1)
-        change = float(np.max(np.abs(finer - alphas)))
+        # which cost milliseconds per call on a loaded host.  An overflow
+        # gives a non-finite change, which never converges.
+        with np.errstate(over="ignore", invalid="ignore"):
+            finer = alphas / 3.0 + (2.0 / (3.0 * n)) * (basis * vals).sum(axis=1)
+            change = float(np.max(np.abs(finer - alphas)))
         # The floor keeps forces of subnormal size, whose values carry no
         # relative precision, from never converging.
         if change <= max(_CONVERGED * fmax, _TINY):
@@ -168,8 +172,7 @@ def project_odd_quintic(force: Callable, nodes: int | None = None) -> ChebyshevO
         alphas = finer
 
 
-def to_monomial(alphas: ChebyshevOddCoefficients, provenance: str = "quadrature") -> QuinticCoefficients:
-    """Rewrite alpha1*T1 + alpha3*T3 + alpha5*T5 as -(c1*u + c3*u^3 + c5*u^5)."""
+def _monomial(alphas: ChebyshevOddCoefficients, provenance: str) -> QuinticCoefficients:
     a1, a3, a5 = alphas.alpha1, alphas.alpha3, alphas.alpha5
     return QuinticCoefficients(
         -(a1 - 3.0 * a3 + 5.0 * a5),
@@ -177,6 +180,17 @@ def to_monomial(alphas: ChebyshevOddCoefficients, provenance: str = "quadrature"
         -16.0 * a5,
         provenance,
     )
+
+
+def to_monomial(alphas: ChebyshevOddCoefficients, provenance: str = "quadrature") -> QuinticCoefficients:
+    """Rewrite alpha1*T1 + alpha3*T3 + alpha5*T5 as -(c1*u + c3*u^3 + c5*u^5).
+
+    A triple that is not finite (non-finite alphas, or sums that overflow) raises DomainError.
+    """
+    c = _monomial(alphas, provenance)
+    if not all(map(math.isfinite, c.as_tuple())):
+        raise DomainError(f"monomial coefficients of {alphas} overflow: {c.as_tuple()}")
+    return c
 
 
 _SERIES_CUTOFF = 0.25
@@ -247,7 +261,7 @@ def model_coefficients(model: models.OscillatorModel) -> QuinticCoefficients:
     """
     if model.kind == models.GENERIC:
         nodes = max(_FIRST_LEVEL, len(model.force_spec or ()) + 3)
-        c = to_monomial(project_odd_quintic(lambda u: models.restoring_force(model, u), nodes), "quadrature")
+        c = _monomial(project_odd_quintic(lambda u: models.restoring_force(model, u), nodes), "quadrature")
     else:
         a, b = model.a, model.b
         jm = closed_form_moments(a)
@@ -263,7 +277,7 @@ def model_coefficients(model: models.OscillatorModel) -> QuinticCoefficients:
             m2 = w2 + a2 * w4 + b * jm.j2
             m4 = w4 + a2 * w6 + b * jm.j4
             m6 = w6 + a2 * w8 + b * jm.j6
-        c = to_monomial(_alphas_from_moments(m2, m4, m6), "closed_form")
+        c = _monomial(_alphas_from_moments(m2, m4, m6), "closed_form")
     if not all(map(math.isfinite, c.as_tuple())):
         raise DomainError(f"quintic coefficients of {model} overflow: {c.as_tuple()}")
     return c

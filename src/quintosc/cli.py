@@ -175,7 +175,7 @@ def solve(model, a, b, force_spec, c1, c3, c5, samples):
         raise click.UsageError("give either --model or the full raw triple --c1 --c3 --c5")
     solution = quintic.solve(coefficients)
     t = np.arange(samples) * (solution.period / (samples - 1))
-    u, du = quintic._state(solution, t)
+    u, du = quintic.evaluate(solution, t), quintic.derivative(solution, t)
     columns = ("t", "u", "u_dot", "residual")
     table = np.column_stack([t, u, du, _residual(osc, solution.solved, u)])
     results = {"case": _case_label(solution.case), "period": solution.period, "columns": columns, "rows": table}

@@ -89,10 +89,17 @@ class ClosedFormSolution:
     nudge: float = 0.0  # solved.c5 - coefficients.c5
 
 
+def _delta(c1: float, c3: float, c5: float) -> float:
+    return 3.0 * c3 * c3 - 4.0 * c5 * (4.0 * c1 + c3 + c5)
+
+
 def discriminant(c: Coefficients) -> float:
-    """delta = 3*c3^2 - 4*c5*(4*c1 + c3 + c5)."""
+    """delta = 3*c3^2 - 4*c5*(4*c1 + c3 + c5); a delta that is not finite raises DomainError."""
     c = _coerce(c)
-    return 3.0 * c.c3 * c.c3 - 4.0 * c.c5 * (4.0 * c.c1 + c.c3 + c.c5)
+    delta = _delta(c.c1, c.c3, c.c5)
+    if not math.isfinite(delta):
+        raise DomainError(f"discriminant of ({c.c1}, {c.c3}, {c.c5}) is not finite: {delta}")
+    return delta
 
 
 def classify(c: Coefficients) -> str:
@@ -107,13 +114,13 @@ def classify(c: Coefficients) -> str:
     if not c.c5 > 0.0:
         return UNSUPPORTED
     scale = max(abs(c.c1), abs(c.c3), c.c5)
-    c = QuinticCoefficients(c.c1 / scale, c.c3 / scale, c.c5 / scale)
-    delta = discriminant(c)
-    if abs(delta) <= 1e-9 * max(1.0, 3.0 * c.c3 * c.c3):
+    c1, c3, c5 = c.c1 / scale, c.c3 / scale, c.c5 / scale
+    delta = _delta(c1, c3, c5)  # NaN for a non-finite triple, which falls through to UNSUPPORTED
+    if abs(delta) <= 1e-9 * max(1.0, 3.0 * c3 * c3):
         return DEGENERATE
     if delta < 0.0:
         return CASE_I
-    if 6.0 * c.c1 + 3.0 * c.c3 + 2.0 * c.c5 > 0.0 and 3.0 * c.c3 + 2.0 * c.c5 > 0.0:
+    if 6.0 * c1 + 3.0 * c3 + 2.0 * c5 > 0.0 and 3.0 * c3 + 2.0 * c5 > 0.0:
         return CASE_II
     return UNSUPPORTED
 
@@ -210,6 +217,20 @@ def period_by_quadrature(c: Coefficients) -> float:
     return 4.0 * _quarter_period_integral(_theta_integrand(model))
 
 
+# The last computed _jacobi result, (solution, key, (sn, cn)), held for the paired call, so that
+# evaluate and derivative on the same solution and times make one kernel call.  The next call
+# empties it: at most one grid is held process-wide.  The held arrays are read-only and the key
+# is private, so concurrent callers can lose a hit but never read another call's values.
+_last = None
+
+
+def _same_times(key, t) -> bool:
+    """Same type, shape and bits, so that -0.0 != 0.0; never float ==."""
+    if isinstance(t, float) or isinstance(key, float):
+        return type(key) is type(t) and key.hex() == t.hex()
+    return np.array_equal(key.view(np.int64), t.view(np.int64))  # False for another shape
+
+
 def _jacobi(solution: ClosedFormSolution, t):
     """sn and cn at t/(2A) in Case I and at rate * t in Case II, for finite scalar or array t.
 
@@ -218,8 +239,16 @@ def _jacobi(solution: ClosedFormSolution, t):
     past the span is clipped.  A scalar t runs the same lines as an array on Python floats
     (+ - * /, abs, min, max, a correctly rounded sqrt, numpy's tan loop), so _u and _du give
     scalar and batch the same bits.
+
+    Each call empties the slot _last, reuses it for the same solution object and times of the
+    same bits, and otherwise stores its result there with a private copy of t taken before the clip.
     """
+    global _last
     t = _real(t)
+    last, _last = _last, None
+    if last is not None and last[0] is solution and _same_times(last[1], t):
+        return last[2]
+    key = t if isinstance(t, float) else t.copy()
     # Past 2^52 periods an ulp of t spans a period; clipping there keeps the tangent argument finite.
     span = math.ldexp(solution.period, 52)
     top = abs(t) if isinstance(t, float) else np.abs(t).max(initial=0.0)  # NaN if any t is NaN
@@ -228,7 +257,11 @@ def _jacobi(solution: ClosedFormSolution, t):
             raise DomainError("evaluate and derivative need finite times")
         t = min(max(t, -span), span) if isinstance(t, float) else np.minimum(np.maximum(t, -span), span)
     p = solution.params
-    return (_gauss(t, p.m, over=2.0 * p.A) if solution.case == CASE_I else _gauss(t, p.m, p.rate))[:2]
+    sn, cn, _ = _gauss(t, p.m, over=2.0 * p.A) if solution.case == CASE_I else _gauss(t, p.m, p.rate)
+    if not isinstance(sn, float):
+        sn.flags.writeable = cn.flags.writeable = False
+    _last = (solution, key, (sn, cn))
+    return sn, cn
 
 
 # sn and cn carry the sign of the wave: no square root of u^2 or of the energy is taken, so
@@ -264,16 +297,10 @@ def _du(solution: ClosedFormSolution, sn, cn):
     return du * sn + 0.0  # sn last, so a subnormal u' rounds once; +0.0 drops negative zeros
 
 
-def _state(solution: ClosedFormSolution, t):
-    """Signed u(t) and u'(t) from one Gauss kernel call: the pair `quintosc solve` prints."""
-    sn, cn = _jacobi(solution, t)
-    return _u(solution, sn, cn), _du(solution, sn, cn)
-
-
 def _time_to(solution: ClosedFormSolution, u: float) -> float:
     """First time t >= 0 at which the solution reaches amplitude u in [0, 1].
 
-    Inverts _state over the first quarter period: t is an incomplete
+    Inverts evaluate over the first quarter period: t is an incomplete
     F(phi | m) (elliptic._legendre_f), with sin and cos of the amplitude
     phi read off u algebraically, so u = 1 gives 0 and u = 0 a quarter period.
     """

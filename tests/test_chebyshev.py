@@ -138,6 +138,13 @@ class TestMonomialMap:
         c = ch.to_monomial(ch.ChebyshevOddCoefficients(-1.0, 0.0, 0.0))
         assert c.provenance == "quadrature"
 
+    @pytest.mark.parametrize("alphas", [(1e308, -1e308, 1e308), (0.0, 0.0, 1.5e307), (math.nan, 0.0, 0.0),
+                                        (0.0, -math.inf, 0.0)])
+    def test_non_finite_triple_raises(self, alphas):
+        # The first two overflow in the monomial sums; the last two carry a non-finite alpha.
+        with pytest.raises(DomainError, match="overflow"):
+            ch.to_monomial(ch.ChebyshevOddCoefficients(*alphas))
+
     @given(st.floats(-5.0, 5.0), st.floats(-5.0, 5.0), st.floats(-5.0, 5.0))
     def test_polynomial_round_trip(self, c1, c3, c5):
         force = lambda u: -(c1 * u + c3 * u ** 3 + c5 * u ** 5)
@@ -240,9 +247,8 @@ class TestModelCoefficients:
         assert c.c3 == pytest.approx(0.25, abs=1e-13)
         assert c.c5 == pytest.approx(0.0, abs=1e-13)
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_generic_overflow_raises(self):
-        # The node sums of this force overflow: no inf or NaN triple comes back.
+        # The node sums of this force overflow, silently: no warning and no inf or NaN triple comes back.
         with pytest.raises(DomainError, match="overflow"):
             ch.model_coefficients(models.OscillatorModel("generic", force_spec=(1e307, -2e307, -1e307)))
 

@@ -140,6 +140,13 @@ class TestSolve:
         assert result.exit_code == 0
         assert result.output == row_by_row_solve_csv(args)
 
+    def test_one_kernel_call_per_trajectory(self, runner, monkeypatch):
+        calls = []
+        kernel = quintic._gauss
+        monkeypatch.setattr(quintic, "_gauss", lambda *args, **kwargs: calls.append(args) or kernel(*args, **kwargs))
+        assert runner.invoke(main, ["solve", "--c1", "1", "--c3", "2", "--c5", "3", "--samples", "101"]).exit_code == 0
+        assert len(calls) == 1
+
     def test_out_file_equals_stdout(self, runner, tmp_path):
         args = ["solve", "--model", "relativistic", "--a", "3.1", "--samples", "101"]
         target = tmp_path / "solve.csv"

@@ -1,6 +1,8 @@
 """Tests for the closed-form quintic oscillator solutions."""
 
 import math
+import sys
+import threading
 
 import mpmath as mp
 import numpy as np
@@ -47,11 +49,44 @@ SIX_TRIPLES = [
 NEAR_SEPARATRIX = [case1_triple(0.5, 1e-4, 1.0), case2_triple(-1.0, -5e-13, 1.0)]
 
 
+def bits(x):
+    """Bit patterns of a float or of every entry of an array, so that -0.0 and 0.0 differ."""
+    return x.hex() if isinstance(x, float) else [v.hex() for v in x.tolist()]
+
+
+def cold(func, c, t):
+    """func on a fresh solution of c: a new object, so no earlier call can serve it from the slot."""
+    return func(q.solve(c), t)
+
+
+@pytest.fixture()
+def kernel_calls(monkeypatch):
+    """One entry per Gauss-kernel call that quintic makes, cold() calls included: clear it before counting."""
+    calls = []
+
+    kernel = q._gauss
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return kernel(*args, **kwargs)
+
+    monkeypatch.setattr(q, "_gauss", counted)
+    return calls
+
+
 class TestDiscriminantAndClassify:
     def test_discriminant_examples(self):
         assert q.discriminant((1.0, 2.0, 3.0)) == -96.0
         assert q.discriminant((1.0, 0.0, 0.0)) == 0.0
         assert q.discriminant((0.0, 1.0, 0.0)) == 3.0
+
+    @pytest.mark.parametrize("c, case", [((1e200, 1e200, 1e200), q.CASE_I), ((1.0, 1e300, 1.0), q.CASE_II),
+                                         ((math.nan, 2.0, 3.0), q.UNSUPPORTED), ((1.0, 2.0, math.inf), q.UNSUPPORTED)])
+    def test_non_finite_discriminant_raises(self, c, case):
+        # classify works on the unit-scaled triple, so it still sorts the triples that overflow.
+        with pytest.raises(DomainError, match="not finite"):
+            q.discriminant(c)
+        assert q.classify(c) == case
 
     def test_classify_examples(self):
         assert q.classify((1.0, 2.0, 3.0)) == q.CASE_I
@@ -272,19 +307,130 @@ class TestEvaluate:
             # Bit patterns, so that -0.0 and 0.0 differ.
             assert [x.hex() for x in scalars] == [x.hex() for x in func(sol, t).tolist()]
 
-    @pytest.mark.parametrize("c", [(1.0, 2.0, 3.0), CASE2])
-    def test_evaluate_and_derivative_are_the_printed_pair(self, c):
-        # `quintosc solve` prints quintic._state; evaluate and derivative each compute only their half of it.
+    @pytest.mark.parametrize("c", SIX_TRIPLES + NEAR_SEPARATRIX)
+    def test_evaluate_and_derivative_are_the_printed_pair(self, c, kernel_calls):
+        # `quintosc solve` prints evaluate then derivative on one grid: one kernel call, and
+        # the second call, served from the slot, gives the bits of a cold call, in either order.
         sol = q.solve(c)
-        rng = np.random.default_rng(13)
         t = np.concatenate([[0.0, -0.0, 5e-324, -5e-324, 1e-310, 0.25 * sol.period, 1e6 * sol.period],
-                            rng.uniform(-50.0, 50.0, 40) * sol.period])
-        u, du = q._state(sol, t)
-        assert [x.hex() for x in q.evaluate(sol, t).tolist()] == [x.hex() for x in u.tolist()]
-        assert [x.hex() for x in q.derivative(sol, t).tolist()] == [x.hex() for x in du.tolist()]
-        for x in t.tolist():
-            u, du = q._state(sol, x)
-            assert (q.evaluate(sol, x).hex(), q.derivative(sol, x).hex()) == (u.hex(), du.hex())
+                            np.random.default_rng(13).uniform(-50.0, 50.0, 40) * sol.period])
+        for times in (t, *t.tolist()):
+            for first, second in ((q.evaluate, q.derivative), (q.derivative, q.evaluate)):
+                expected = [bits(cold(f, c, times)) for f in (first, second)]
+                kernel_calls.clear()
+                pair = (first(sol, times), second(sol, times))
+                assert len(kernel_calls) == 1 and q._last is None
+                assert [bits(x) for x in pair] == expected
+
+    @pytest.mark.parametrize("c", [(1.0, 2.0, 3.0), CASE2])
+    def test_time_edited_in_place_misses(self, c, kernel_calls):
+        sol = q.solve(c)
+        t = np.linspace(0.0, 3.0, 50) * sol.period
+        q.evaluate(sol, t)
+        t[7] += 0.1 * sol.period
+        kernel_calls.clear()
+        du = q.derivative(sol, t)
+        assert len(kernel_calls) == 1
+        assert bits(du) == bits(cold(q.derivative, c, t))
+
+    @pytest.mark.parametrize("zero, other", [(0.0, -0.0), (-0.0, 0.0)])
+    @pytest.mark.parametrize("wrap", [float, lambda x: np.array([x, 1.0])])
+    def test_signed_zeros_are_different_times(self, zero, other, wrap, kernel_calls):
+        sol = q.solve((1.0, 2.0, 3.0))
+        q.evaluate(sol, wrap(zero))
+        kernel_calls.clear()
+        du = q.derivative(sol, wrap(other))
+        assert len(kernel_calls) == 1
+        assert bits(du) == bits(cold(q.derivative, (1.0, 2.0, 3.0), wrap(other)))
+
+    def test_an_equal_solution_misses(self, kernel_calls):
+        sol, twin = q.solve(CASE2), q.solve(CASE2)
+        assert sol == twin and sol is not twin
+        t = np.linspace(-1.0, 1.0, 9) * sol.period
+        q.evaluate(sol, t)
+        q.derivative(twin, t)
+        assert len(kernel_calls) == 2
+
+    @pytest.mark.parametrize("c", [(1.0, 2.0, 3.0), CASE2])
+    def test_non_contiguous_view(self, c, kernel_calls):
+        sol = q.solve(c)
+        base = np.linspace(-5.0, 5.0, 40) * sol.period
+        view = base[::3]
+        expected = (bits(cold(q.evaluate, c, view)), bits(cold(q.derivative, c, view)))
+        kernel_calls.clear()
+        u, du = q.evaluate(sol, view), q.derivative(sol, view.copy())  # the same bits in another layout
+        assert len(kernel_calls) == 1 and (bits(u), bits(du)) == expected
+        q.evaluate(sol, view)
+        base[3] = 0.0  # edits view[1] through its base array
+        du = q.derivative(sol, view)
+        assert len(kernel_calls) == 3
+        assert bits(du) == bits(cold(q.derivative, c, view))
+
+    def test_zero_dimensional_array_is_the_float(self, kernel_calls):
+        c = (1.0, 2.0, 3.0)
+        sol = q.solve(c)
+        x = 0.3 * sol.period
+        expected = (cold(q.evaluate, c, x).hex(), cold(q.derivative, c, x).hex())
+        kernel_calls.clear()
+        u, du = q.evaluate(sol, np.array(x)), q.derivative(sol, x)
+        assert type(u) is float and type(du) is float and len(kernel_calls) == 1
+        assert (u.hex(), du.hex()) == expected
+        # A one-element batch differs in type and shape: a miss, which returns an array.
+        q.evaluate(sol, x)
+        assert bits(q.derivative(sol, np.array([x]))) == [du.hex()]
+        assert len(kernel_calls) == 3
+
+    @pytest.mark.parametrize("c", [(1.0, 2.0, 3.0), CASE2])
+    def test_times_past_the_clip(self, c, kernel_calls):
+        # The key is t before the clip: 1e300 and the span clip to the same time but are different keys.
+        sol = q.solve(c)
+        span = math.ldexp(sol.period, 52)
+        t = np.array([1e300, -1e300, 0.5 * sol.period, span])
+        expected = (bits(cold(q.evaluate, c, t)), bits(cold(q.derivative, c, t)))
+        kernel_calls.clear()
+        u, du = q.evaluate(sol, t), q.derivative(sol, t)
+        assert len(kernel_calls) == 1 and (bits(u), bits(du)) == expected
+        q.evaluate(sol, 1e300)
+        assert q.derivative(sol, span).hex() == du[3].hex()
+        assert len(kernel_calls) == 3
+
+    def test_the_slot_is_read_only_and_skips_bad_times(self):
+        sol = q.solve((1.0, 2.0, 3.0))
+        t = np.linspace(0.0, 1.0, 5) * sol.period
+        q.evaluate(sol, t)
+        held, key, (sn, cn) = q._last
+        assert held is sol and key is not t and not (sn.flags.writeable or cn.flags.writeable)
+        t[2] = math.nan
+        with pytest.raises(DomainError):
+            q.derivative(sol, t)
+        assert q._last is None
+
+    def test_threads_sharing_the_slot_get_their_own_values(self):
+        # More threads than cores, switching often: a race may lose a hit, never hand over another grid.
+        cases = [(c, np.linspace(-2.0, 2.0, 64) * q.solve(c).period) for c in SIX_TRIPLES]
+        expected = [(bits(cold(q.evaluate, c, t)), bits(cold(q.derivative, c, t))) for c, t in cases]
+        wrong = []
+
+        def work(i):
+            c, t = cases[i]
+            for _ in range(100):
+                sol = q.solve(c)
+                pair = (q.evaluate, q.derivative) if _ % 2 else (q.derivative, q.evaluate)
+                got = {f: bits(f(sol, t)) for f in pair}
+                if (got[q.evaluate], got[q.derivative]) != expected[i]:
+                    wrong.append(c)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(i,)) for i in range(len(cases))]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads) and not wrong
 
     @pytest.mark.parametrize("func", [q.evaluate, q.derivative])
     @pytest.mark.parametrize("c", [(1.0, 2.0, 3.0), CASE2])
