@@ -63,7 +63,6 @@ def cold(func, c, t):
 def kernel_calls(monkeypatch):
     """One entry per Gauss-kernel call that quintic makes, cold() calls included: clear it before counting."""
     calls = []
-
     kernel = q._gauss
 
     def counted(*args, **kwargs):
@@ -413,9 +412,9 @@ class TestEvaluate:
 
         def work(i):
             c, t = cases[i]
-            for _ in range(100):
+            for k in range(100):
                 sol = q.solve(c)
-                pair = (q.evaluate, q.derivative) if _ % 2 else (q.derivative, q.evaluate)
+                pair = (q.evaluate, q.derivative) if k % 2 else (q.derivative, q.evaluate)
                 got = {f: bits(f(sol, t)) for f in pair}
                 if (got[q.evaluate], got[q.derivative]) != expected[i]:
                     wrong.append(c)
