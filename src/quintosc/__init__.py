@@ -11,7 +11,6 @@ __version__ = "0.1.0"
 
 from .chebyshev import (
     ChebyshevOddCoefficients,
-    EllipticMoments,
     QuinticCoefficients,
     closed_form_moments,
     model_coefficients,
@@ -37,7 +36,6 @@ __all__ = [
     "ConstructionError",
     "ConvergenceError",
     "DomainError",
-    "EllipticMoments",
     "EvaluationError",
     "ExactPeriod",
     "OracleTrajectory",

@@ -25,10 +25,11 @@ generic model's force is an odd polynomial, which a fixed rule integrates
 exactly, so model_coefficients passes max(64, L + 3) nodes for its L
 coefficients and the adaptive default serves arbitrary forces.
 
-For the catalogue models the projection integrals also have closed forms
-in terms of complete elliptic integrals (the J_n moments below, compare
-Byrd & Friedman 236.16 / 331.01-03); both routes are exposed so they can
-be checked against each other.
+For the catalogue models the projection integrals reduce to the moments
+J_n of the weight 1/sqrt(1 + a^2 s^2): closed forms in complete elliptic
+integrals above a = 1 (Byrd & Friedman 236.16 / 331.01-03), the 64-node
+rule at and below it.  Both routes are exposed so they can be checked
+against each other.
 """
 
 from __future__ import annotations
@@ -75,15 +76,6 @@ class QuinticCoefficients:
         return (self.c1, self.c3, self.c5)
 
 
-@dataclass(frozen=True)
-class EllipticMoments:
-    """Closed-form values of J_n(a) = integral s^n / sqrt((1-s^2)(1+a^2 s^2)) ds over [-1, 1]."""
-
-    j2: float
-    j4: float
-    j6: float
-
-
 # Chebyshev-weight moments w_n = integral s^n / sqrt(1-s^2) ds over [-1, 1], n = 2, 4, 6, 8.
 PI_MOMENTS = (math.pi / 2.0, 3.0 * math.pi / 8.0, 5.0 * math.pi / 16.0, 35.0 * math.pi / 128.0)
 
@@ -107,15 +99,26 @@ def _force_values(force: Callable, s: np.ndarray) -> np.ndarray:
     return vals
 
 
+def _angles(nodes: int) -> np.ndarray:
+    """Angles of the ``nodes``-point first-kind rule, whose nodes are their cosines."""
+    return (2.0 * np.arange(1, nodes + 1) - 1.0) * (math.pi / (2.0 * nodes))
+
+
+def _finite(alphas: np.ndarray, nodes: int) -> np.ndarray:
+    if not np.isfinite(alphas).all():
+        raise DomainError(f"Chebyshev projection sums overflow on {nodes} nodes: {alphas.tolist()}")
+    return alphas
+
+
 def _fixed_rule(force: Callable, nodes: int) -> tuple[np.ndarray, np.ndarray]:
     """Alphas of the ``nodes``-point first-kind rule and the force values used."""
-    theta = (2.0 * np.arange(1, nodes + 1) - 1.0) * (math.pi / (2.0 * nodes))
+    theta = _angles(nodes)
     vals = _force_values(force, np.cos(theta))
     # T_n(cos theta) = cos(n theta), so the weights collapse to 2/nodes.  A sum that overflows
-    # stays silent and reaches the caller's finiteness check.
+    # stays silent and raises DomainError below.
     with np.errstate(over="ignore", invalid="ignore"):
         sums = [float(np.cos(theta) @ vals), float(np.cos(3.0 * theta) @ vals), float(np.cos(5.0 * theta) @ vals)]
-    return (2.0 / nodes) * np.array(sums), vals
+    return _finite((2.0 / nodes) * np.array(sums), nodes), vals
 
 
 def project_odd_quintic(force: Callable, nodes: int | None = None) -> ChebyshevOddCoefficients:
@@ -137,7 +140,8 @@ def project_odd_quintic(force: Callable, nodes: int | None = None) -> ChebyshevO
     convergence it raises ``ConvergenceError``; pass ``nodes`` explicitly to
     accept a fixed rule instead.  Non-finite force values raise
     ``EvaluationError`` at the first offending abscissa of the level that
-    produced them.
+    produced them, and finite values whose sums overflow raise
+    ``DomainError`` at that level, on either rule.
     """
     if nodes is not None:
         if nodes < 16:
@@ -155,10 +159,9 @@ def project_odd_quintic(force: Callable, nodes: int | None = None) -> ChebyshevO
         vals = _force_values(force, basis[0])
         fmax = max(fmax, float(np.max(np.abs(vals))))
         # Pairwise sums: on the long levels a BLAS dot wakes its threads,
-        # which cost milliseconds per call on a loaded host.  An overflow
-        # gives a non-finite change, which never converges.
+        # which cost milliseconds per call on a loaded host.
         with np.errstate(over="ignore", invalid="ignore"):
-            finer = alphas / 3.0 + (2.0 / (3.0 * n)) * (basis * vals).sum(axis=1)
+            finer = _finite(alphas / 3.0 + (2.0 / (3.0 * n)) * (basis * vals).sum(axis=1), 3 * n)
             change = float(np.max(np.abs(finer - alphas)))
         # The floor keeps forces of subnormal size, whose values carry no
         # relative precision, from never converging.
@@ -193,34 +196,27 @@ def to_monomial(alphas: ChebyshevOddCoefficients, provenance: str = "quadrature"
     return c
 
 
-_SERIES_CUTOFF = 0.25
+# At and below this amplitude the moments come from the 64-node rule: the
+# weight's Bernstein ellipse has rho >= 1 + sqrt(2) there, while the K/E
+# brackets cancel to order a^4 and a^6 and lose digits as a falls.
+_RULE_CUTOFF = 1.0
+_RULE_NODES = np.cos(_angles(_FIRST_LEVEL))
+_RULE_POWERS = _RULE_NODES ** np.array([[2.0], [4.0], [6.0]])
 
 
-def _moments_by_series(a: float) -> EllipticMoments:
-    # Below the cutoff the K/E brackets cancel to order a^4 and a^6 and
-    # the prefactors 1/a^4, 1/a^6 amplify the rounding, so expand the
-    # weight binomially instead; terms shrink by a^2 per order.
-    a2 = a * a
-    weights = [math.pi]
-    for j in range(1, 64):
-        weights.append(weights[-1] * (2 * j - 1) / (2 * j))
-    totals = [0.0, 0.0, 0.0]
-    coeff = 1.0
-    for k in range(60):
-        for i in (1, 2, 3):
-            totals[i - 1] += coeff * weights[i + k]
-        coeff *= -a2 * (2 * k + 1) / (2 * k + 2)
-        if abs(coeff) < 1e-18:
-            break
-    return EllipticMoments(*totals)
+def closed_form_moments(a: float) -> tuple[float, float, float]:
+    """Moments (J2, J4, J6), J_n(a) = integral s^n / sqrt((1-s^2)(1+a^2 s^2)) ds over [-1, 1], a > 0.
 
-
-def closed_form_moments(a: float) -> EllipticMoments:
-    """Elliptic moments J2, J4, J6 for the weight 1/sqrt(1 + a^2 s^2), a > 0."""
+    Above a = 1 they are closed forms in K and E at m = a^2 / (1 + a^2).
+    At and below a = 1 they are the 64-node first-kind sums
+    (pi/64) * sum s_j^n / sqrt(1 + (a*s_j)^2), accurate to rounding there.
+    """
     if not a > 0.0:
         raise DomainError(f"closed_form_moments requires a > 0, got a={a}")
-    if a <= _SERIES_CUTOFF:
-        return _moments_by_series(a)
+    if a <= _RULE_CUTOFF:
+        # Pairwise sums, with no BLAS dot.
+        sums = (_RULE_POWERS / np.sqrt(1.0 + (a * _RULE_NODES) ** 2)).sum(axis=1)
+        return tuple(((math.pi / _FIRST_LEVEL) * sums).tolist())
     # K and E at m = a^2 / (1 + a^2), passed as m1 = 1 / J^2.  The brackets
     # are scaled by 1 / a^2 = x so that no power of a overflows.
     J = math.hypot(1.0, a)
@@ -234,7 +230,7 @@ def closed_form_moments(a: float) -> EllipticMoments:
     j2 = 2.0 * (je - kj)
     j4 = 2.0 / 3.0 * (2.0 * (1.0 - x) * je - (1.0 - 2.0 * x) * kj)
     j6 = 2.0 / 15.0 * ((8.0 - 7.0 * x + 8.0 * x * x) * je - (4.0 - 3.0 * x + 8.0 * x * x) * kj)
-    return EllipticMoments(j2, j4, j6)
+    return (j2, j4, j6)
 
 
 def _alphas_from_moments(m2: float, m4: float, m6: float) -> ChebyshevOddCoefficients:
@@ -264,19 +260,19 @@ def model_coefficients(model: models.OscillatorModel) -> QuinticCoefficients:
         c = _monomial(project_odd_quintic(lambda u: models.restoring_force(model, u), nodes), "quadrature")
     else:
         a, b = model.a, model.b
-        jm = closed_form_moments(a)
+        j2, j4, j6 = closed_form_moments(a)
         w2, w4, w6, w8 = PI_MOMENTS
         if model.kind == models.RELATIVISTIC:
-            m2, m4, m6 = jm.j2, jm.j4, jm.j6
+            m2, m4, m6 = j2, j4, j6
         elif model.kind == models.CABLE_MASS:
-            m2 = w2 + b * jm.j2
-            m4 = w4 + b * jm.j4
-            m6 = w6 + b * jm.j6
+            m2 = w2 + b * j2
+            m4 = w4 + b * j4
+            m6 = w6 + b * j6
         else:
             a2 = a * a
-            m2 = w2 + a2 * w4 + b * jm.j2
-            m4 = w4 + a2 * w6 + b * jm.j4
-            m6 = w6 + a2 * w8 + b * jm.j6
+            m2 = w2 + a2 * w4 + b * j2
+            m4 = w4 + a2 * w6 + b * j4
+            m6 = w6 + a2 * w8 + b * j6
         c = _monomial(_alphas_from_moments(m2, m4, m6), "closed_form")
     if not all(map(math.isfinite, c.as_tuple())):
         raise DomainError(f"quintic coefficients of {model} overflow: {c.as_tuple()}")

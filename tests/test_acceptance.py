@@ -151,6 +151,8 @@ def test_criterion_6_elliptic_substrate():
 
 
 def test_criterion_7_projection_route_agreement():
+    # At a <= 1 the moments are sums over the projection's own 64 nodes, so there this checks only
+    # the moment assembly; test_chebyshev's mpmath oracle checks the moments themselves.
     configs = [("relativistic", a, 0.0) for a in (0.5, 1.0, 2.0, 8.0, 20.0)]
     for kind in ("cable-mass", "duffing-relativistic"):
         configs.extend((kind, a, b) for a in (0.5, 1.0, 2.0, 8.0, 20.0) for b in (0.3, 0.7, 1.0))

@@ -14,6 +14,15 @@ from quintosc.errors import DomainError, EvaluationError, QuintoscError
 RELATIVISTIC_A1 = models.OscillatorModel("relativistic", a=1.0)
 
 
+def mp_moments(a):
+    """30-digit J_n(a) = 2 * integral_0^{pi/2} sin^n / sqrt(1 + a^2 sin^2) for n = 2, 4, 6."""
+    with mp.workdps(30):
+        # Split where the integrand turns, at theta ~ 10^k / a, when a > 1.
+        A = mp.mpf(a)
+        nodes = [0] + [mp.mpf(10) ** k / A for k in range(int(math.log10(a)) + 1) if a > 1] + [mp.pi / 2]
+        return [2 * mp.quad(lambda th: mp.sin(th) ** n / mp.sqrt(1 + (A * mp.sin(th)) ** 2), nodes) for n in (2, 4, 6)]
+
+
 class TestProjection:
     def test_linear_force(self):
         alphas = ch.project_odd_quintic(lambda u: -u)
@@ -123,6 +132,16 @@ class TestProjection:
         assert abs(alphas.alpha1 - 0.75 * c) <= 1e-3 * c
         assert abs(alphas.alpha3 - 0.25 * c) <= 1e-3 * c
 
+    @pytest.mark.parametrize("force,nodes,level", [
+        (lambda u: 1e307 * u - 2e307 * u ** 3 - 1e307 * u ** 5, 64, 64),
+        (lambda u: 1e307 * u - 2e307 * u ** 3 - 1e307 * u ** 5, None, 64),
+        (lambda u: 4e306 * u, None, 192),
+    ])
+    def test_overflowing_sums_raise_at_their_level(self, force, nodes, level):
+        # Every force value is finite, but the node sums of that level overflow.
+        with pytest.raises(DomainError, match=f"overflow on {level} nodes"):
+            ch.project_odd_quintic(force, nodes)
+
 
 class TestMonomialMap:
     @pytest.mark.parametrize("alphas,expected", [
@@ -157,38 +176,55 @@ class TestMonomialMap:
 
 class TestMoments:
     def test_small_amplitude_limit(self):
-        m = ch.closed_form_moments(1e-4)
-        assert m.j2 == pytest.approx(ch.PI_MOMENTS[0], abs=1e-7)
-        assert m.j4 == pytest.approx(ch.PI_MOMENTS[1], abs=1e-7)
-        assert m.j6 == pytest.approx(ch.PI_MOMENTS[2], abs=1e-7)
+        j2, j4, j6 = ch.closed_form_moments(1e-4)
+        assert j2 == pytest.approx(ch.PI_MOMENTS[0], abs=1e-7)
+        assert j4 == pytest.approx(ch.PI_MOMENTS[1], abs=1e-7)
+        assert j6 == pytest.approx(ch.PI_MOMENTS[2], abs=1e-7)
 
     def test_frozen_values(self):
-        m = ch.closed_form_moments(1.0)
-        assert m.j2 == pytest.approx(1.1981402347355922, rel=1e-13)
-        assert m.j4 == pytest.approx(0.87401918476403994, rel=1e-13)
-        assert m.j6 == pytest.approx(0.71888414084135532, rel=1e-13)
-        m8 = ch.closed_form_moments(8.0)
-        assert m8.j2 == pytest.approx(0.24423456106878077, rel=1e-13)
-        assert m8.j4 == pytest.approx(0.16477916798295162, rel=1e-13)
-        assert m8.j6 == pytest.approx(0.13205329379659422, rel=1e-13)
+        j2, j4, j6 = ch.closed_form_moments(1.0)
+        assert j2 == pytest.approx(1.1981402347355922, rel=1e-13)
+        assert j4 == pytest.approx(0.87401918476403994, rel=1e-13)
+        assert j6 == pytest.approx(0.71888414084135532, rel=1e-13)
+        j2, j4, j6 = ch.closed_form_moments(8.0)
+        assert j2 == pytest.approx(0.24423456106878077, rel=1e-13)
+        assert j4 == pytest.approx(0.16477916798295162, rel=1e-13)
+        assert j6 == pytest.approx(0.13205329379659422, rel=1e-13)
 
     @pytest.mark.parametrize("a", [1e8, 1e9, 1e12])
     def test_large_amplitude_against_quadrature(self, a):
         # m = a^2 / (1 + a^2) rounds to 1 here; the moments take 1 - m = 1 / (1 + a^2).
-        m = ch.closed_form_moments(a)
-        for n, got in ((2, m.j2), (4, m.j4), (6, m.j6)):
-            with mp.workdps(30):
-                # J_n = 2 * integral_0^{pi/2} sin^n / sqrt(1 + a^2 sin^2); split where
-                # the integrand turns, at theta ~ 10^k / a.
-                A = mp.mpf(a)
-                nodes = [0] + [mp.mpf(10) ** k / A for k in range(int(math.log10(a)) + 1)] + [mp.pi / 2]
-                ref = 2 * mp.quad(lambda th: mp.sin(th) ** n / mp.sqrt(1 + (A * mp.sin(th)) ** 2), nodes)
+        for got, ref in zip(ch.closed_form_moments(a), mp_moments(a)):
             assert got == pytest.approx(float(ref), rel=1e-14, abs=0.0)
+
+    @pytest.mark.parametrize("a", [5e-324, 1e-3, 0.05, 0.25, 0.26, 0.3, 0.5, 0.7, 1.0, math.nextafter(1.0, 2.0),
+                                   1.5, 2.0, 8.0, 30.0])
+    def test_moments_and_triples_against_mpmath(self, a):
+        # Both sides of the switch from the 64-node rule to the K/E brackets at a = 1.
+        ref = mp_moments(a)
+        for got, want in zip(ch.closed_form_moments(a), ref):
+            assert abs(got - want) <= 2e-15 * abs(want)
+        b = 0.7
+        with mp.workdps(30):
+            A = mp.mpf(a)
+            w2, w4, w6, w8 = (mp.pi / 2, 3 * mp.pi / 8, 5 * mp.pi / 16, 35 * mp.pi / 128)
+            moments = {
+                "relativistic": ref,
+                "cable-mass": [w + b * j for w, j in zip((w2, w4, w6), ref)],
+                "duffing-relativistic": [w + A ** 2 * v + b * j for w, v, j in zip((w2, w4, w6), (w4, w6, w8), ref)],
+            }
+            for kind, (m2, m4, m6) in moments.items():
+                C = -2 / mp.pi
+                a1, a3, a5 = C * m2, C * (4 * m4 - 3 * m2), C * (16 * m6 - 20 * m4 + 5 * m2)
+                want = (-(a1 - 3 * a3 + 5 * a5), -4 * (a3 - 5 * a5), -16 * a5)
+                got = ch.model_coefficients(models.OscillatorModel(kind, a=a, b=b)).as_tuple()
+                scale = max(map(abs, got))
+                assert max(abs(g - w) for g, w in zip(got, want)) <= 2e-13 * scale, kind
 
     @pytest.mark.parametrize("a", [0.2, 1.0, 5.0, 30.0])
     def test_ordering(self, a):
-        m = ch.closed_form_moments(a)
-        assert m.j2 > m.j4 > m.j6 > 0.0
+        j2, j4, j6 = ch.closed_form_moments(a)
+        assert j2 > j4 > j6 > 0.0
 
     def test_domain(self):
         with pytest.raises(DomainError):

@@ -39,7 +39,6 @@ CALLS = {
     "ConstructionError": lambda k, x, y, z: quintosc.ConstructionError(x),
     "ConvergenceError": lambda k, x, y, z: quintosc.ConvergenceError(x),
     "DomainError": lambda k, x, y, z: quintosc.DomainError(x),
-    "EllipticMoments": lambda k, x, y, z: quintosc.EllipticMoments(x, y, z),
     "EvaluationError": lambda k, x, y, z: quintosc.EvaluationError("message", x),
     "ExactPeriod": lambda k, x, y, z: quintosc.ExactPeriod(x, k),
     "OracleTrajectory": lambda k, x, y, z: quintosc.OracleTrajectory(np.array([x]), np.array([y]), np.array([z]), x),
@@ -121,7 +120,7 @@ def test_amplitude_sweep_is_finite_or_raises():
     for a in AMPLITUDES:
         rel = models.OscillatorModel(models.RELATIVISTIC, a=a)
         calls = {
-            "closed_form_moments": lambda: [*vars(chebyshev.closed_form_moments(a)).values()],
+            "closed_form_moments": lambda: list(chebyshev.closed_form_moments(a)),
             "exact_period": lambda: [models.exact_period(rel).value],
             "time_integral_psi": lambda: [models.time_integral_psi(rel, u) for u in (0.0, 1e-9, 0.5, -0.5, 1.0 - 1e-12)],
             **{kind: lambda kind=kind: chebyshev.model_coefficients(models.OscillatorModel(kind, a=a, b=0.5)).as_tuple()
