@@ -104,21 +104,17 @@ def _angles(nodes: int) -> np.ndarray:
     return (2.0 * np.arange(1, nodes + 1) - 1.0) * (math.pi / (2.0 * nodes))
 
 
-def _finite(alphas: np.ndarray, nodes: int) -> np.ndarray:
-    if not np.isfinite(alphas).all():
-        raise DomainError(f"Chebyshev projection sums overflow on {nodes} nodes: {alphas.tolist()}")
-    return alphas
-
-
 def _fixed_rule(force: Callable, nodes: int) -> tuple[np.ndarray, np.ndarray]:
     """Alphas of the ``nodes``-point first-kind rule and the force values used."""
     theta = _angles(nodes)
     vals = _force_values(force, np.cos(theta))
-    # T_n(cos theta) = cos(n theta), so the weights collapse to 2/nodes.  A sum that overflows
-    # stays silent and raises DomainError below.
+    # T_n(cos theta) = cos(n theta), so the weights collapse to 2/nodes.  Sums that overflow
+    # stay silent here and raise DomainError below.
     with np.errstate(over="ignore", invalid="ignore"):
         sums = [float(np.cos(theta) @ vals), float(np.cos(3.0 * theta) @ vals), float(np.cos(5.0 * theta) @ vals)]
-    return _finite((2.0 / nodes) * np.array(sums), nodes), vals
+    if not all(map(math.isfinite, sums)):
+        raise DomainError(f"Chebyshev projection sums overflow on {nodes} nodes: {sums}")
+    return (2.0 / nodes) * np.array(sums), vals
 
 
 def project_odd_quintic(force: Callable, nodes: int | None = None) -> ChebyshevOddCoefficients:
@@ -161,8 +157,10 @@ def project_odd_quintic(force: Callable, nodes: int | None = None) -> ChebyshevO
         # Pairwise sums: on the long levels a BLAS dot wakes its threads,
         # which cost milliseconds per call on a loaded host.
         with np.errstate(over="ignore", invalid="ignore"):
-            finer = _finite(alphas / 3.0 + (2.0 / (3.0 * n)) * (basis * vals).sum(axis=1), 3 * n)
+            finer = alphas / 3.0 + (2.0 / (3.0 * n)) * (basis * vals).sum(axis=1)
             change = float(np.max(np.abs(finer - alphas)))
+        if not math.isfinite(change):
+            raise DomainError(f"Chebyshev projection sums overflow on {3 * n} nodes: {finer.tolist()}")
         # The floor keeps forces of subnormal size, whose values carry no
         # relative precision, from never converging.
         if change <= max(_CONVERGED * fmax, _TINY):

@@ -207,14 +207,14 @@ class TestMoments:
         b = 0.7
         with mp.workdps(30):
             A = mp.mpf(a)
-            w2, w4, w6, w8 = (mp.pi / 2, 3 * mp.pi / 8, 5 * mp.pi / 16, 35 * mp.pi / 128)
+            w2, w4, w6, w8 = mp.pi / 2, 3 * mp.pi / 8, 5 * mp.pi / 16, 35 * mp.pi / 128
+            C = -2 / mp.pi
             moments = {
                 "relativistic": ref,
                 "cable-mass": [w + b * j for w, j in zip((w2, w4, w6), ref)],
                 "duffing-relativistic": [w + A ** 2 * v + b * j for w, v, j in zip((w2, w4, w6), (w4, w6, w8), ref)],
             }
             for kind, (m2, m4, m6) in moments.items():
-                C = -2 / mp.pi
                 a1, a3, a5 = C * m2, C * (4 * m4 - 3 * m2), C * (16 * m6 - 20 * m4 + 5 * m2)
                 want = (-(a1 - 3 * a3 + 5 * a5), -4 * (a3 - 5 * a5), -16 * a5)
                 got = ch.model_coefficients(models.OscillatorModel(kind, a=a, b=b)).as_tuple()
