@@ -34,6 +34,7 @@ against each other.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -104,14 +105,24 @@ def _angles(nodes: int) -> np.ndarray:
     return (2.0 * np.arange(1, nodes + 1) - 1.0) * (math.pi / (2.0 * nodes))
 
 
+@functools.lru_cache(maxsize=1)  # one node count at a time: nearly every call uses 64
+def _basis(nodes: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only rows cos(theta), cos(3 theta), cos(5 theta) on the ``nodes``-point rule's angles."""
+    theta = _angles(nodes)
+    rows = (np.cos(theta), np.cos(3.0 * theta), np.cos(5.0 * theta))
+    for row in rows:
+        row.flags.writeable = False
+    return rows
+
+
 def _fixed_rule(force: Callable, nodes: int) -> tuple[np.ndarray, np.ndarray]:
     """Alphas of the ``nodes``-point first-kind rule and the force values used."""
-    theta = _angles(nodes)
-    vals = _force_values(force, np.cos(theta))
+    basis = _basis(nodes)
+    vals = _force_values(force, basis[0])
     # T_n(cos theta) = cos(n theta), so the weights collapse to 2/nodes.  Sums that overflow
     # stay silent here and raise DomainError below.
     with np.errstate(over="ignore", invalid="ignore"):
-        sums = [float(np.cos(theta) @ vals), float(np.cos(3.0 * theta) @ vals), float(np.cos(5.0 * theta) @ vals)]
+        sums = [float(row @ vals) for row in basis]
     if not all(map(math.isfinite, sums)):
         raise DomainError(f"Chebyshev projection sums overflow on {nodes} nodes: {sums}")
     return (2.0 / nodes) * np.array(sums), vals
@@ -198,7 +209,7 @@ def to_monomial(alphas: ChebyshevOddCoefficients, provenance: str = "quadrature"
 # weight's Bernstein ellipse has rho >= 1 + sqrt(2) there, while the K/E
 # brackets cancel to order a^4 and a^6 and lose digits as a falls.
 _RULE_CUTOFF = 1.0
-_RULE_NODES = np.cos(_angles(_FIRST_LEVEL))
+_RULE_NODES = _basis(_FIRST_LEVEL)[0]
 _RULE_POWERS = _RULE_NODES ** np.array([[2.0], [4.0], [6.0]])
 
 

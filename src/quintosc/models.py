@@ -99,10 +99,18 @@ def restoring_force(model: OscillatorModel, u):
     return out if out.ndim else float(out)
 
 
+def _horner(x, c):
+    """Sum of c[k] * x**k for a non-empty 1-d c: numpy.polynomial.polynomial.polyval's operations, in its order."""
+    acc = c[-1] + x * 0
+    for ck in c[-2::-1]:
+        acc = ck + acc * x
+    return acc
+
+
 def _generic_force(model: OscillatorModel, u: np.ndarray) -> np.ndarray:
     if not model.force_spec:
         raise DomainError("generic model requires a non-empty force_spec")
-    return poly.polyval(np.square(u), model.force_spec) * u
+    return _horner(np.square(u), model.force_spec) * u
 
 
 def _generic_g_coeffs(spec: Sequence[float]) -> np.ndarray:
@@ -121,7 +129,7 @@ def _g_factor(model: OscillatorModel, u):
     if model.kind == GENERIC:
         if not model.force_spec:
             raise DomainError("generic model requires a non-empty force_spec")
-        return poly.polyval(np.square(u), _generic_g_coeffs(model.force_spec))
+        return _horner(np.square(u), _generic_g_coeffs(model.force_spec))
     J = math.hypot(1.0, a)
     # (J - sqrt(1+a^2 u^2)) / (1 - u^2) rationalised; exact at u = +-1.
     g_rel = 2.0 / (J + _sqrt_term(a, u))
@@ -141,6 +149,9 @@ def potential_phi(model: OscillatorModel, u):
 
 # Nested trapezoid for complete quarter periods: 8 panels, doubled up to 2^16.
 _TRAPEZOID_PANELS = (8, 2 ** 16)
+# The first integrand call covers the 64-panel grid, whose strided views are the
+# 8-, 16-, 32- and 64-panel levels; finer levels evaluate their midpoints.
+_TRAPEZOID_GRID = 64
 _TRAPEZOID_TOL = 1e-15
 # Gauss-Legendre for partial intervals: 16 nodes, doubled up to 1024.
 _GAUSS_NODES = (16, 1024)
@@ -162,7 +173,7 @@ def _theta_integrand(model: OscillatorModel):
 
     def integrand(theta):
         s, c = np.square(np.sin(theta)), np.square(np.cos(theta))
-        return 1.0 / np.sqrt(c * g_0 + s * g_1 + c * s * poly.polyval(s, r))
+        return 1.0 / np.sqrt(c * g_0 + s * g_1 + c * s * _horner(s, r))
 
     return integrand
 
@@ -172,17 +183,29 @@ def _quarter_period_integral(g) -> float:
 
     Such a g is even and pi-periodic, so the trapezoid rule on the nodes
     k*pi/(2n) is the periodic trapezoid rule, which converges exponentially
-    (Trefethen & Weideman, SIAM Review 56, 2014).  Each doubling of n adds
-    only the n midpoints.  The loop stops when two levels agree to
+    (Trefethen & Weideman, SIAM Review 56, 2014).  g is evaluated once on
+    the 64-panel grid, which must be finite and positive (else DomainError);
+    the 8-, 16-, 32- and 64-panel levels are its strided views, and each
+    further doubling of n evaluates only the n new midpoints.  Every level's
+    step is a power-of-two multiple of the finest, so the nodes are the same
+    floats however they are formed.  The loop stops when two levels agree to
     _TRAPEZOID_TOL relative and returns the finer one.
     """
     n, cap = _TRAPEZOID_PANELS
+    with np.errstate(all="ignore"):
+        grid = g((0.5 * math.pi / _TRAPEZOID_GRID) * np.arange(_TRAPEZOID_GRID + 1))
+    if not (0.0 < grid.min() and grid.max() < math.inf):  # NaN fails both
+        raise DomainError(f"quarter-period integrand is not finite and positive on the first grid "
+                          f"(min {grid.min()}, max {grid.max()})")
+    stride = _TRAPEZOID_GRID // n
+    values = grid[::stride]
     h = 0.5 * math.pi / n
-    values = g(h * np.arange(n + 1))
-    total = np.sum(values) - 0.5 * (values[0] + values[-1])
+    # np.add.reduce is np.sum's own reduction, without its dispatch layers.
+    total = np.add.reduce(values) - 0.5 * (values[0] + values[-1])
     estimate = h * total
     while n < cap:
-        total += np.sum(g(h * (np.arange(n) + 0.5)))
+        stride //= 2
+        total += np.add.reduce(grid[stride::2 * stride] if stride else g(h * (np.arange(n) + 0.5)))
         n, h, previous = 2 * n, 0.5 * h, estimate
         estimate = h * total
         if not 0.0 < estimate < math.inf:
@@ -319,8 +342,15 @@ def _find_problems(model: OscillatorModel) -> list[str]:
             problems.append(f"restoring force must be negative at u=1, got f(1)={sum(model.force_spec)}")
         else:
             g = _generic_g_coeffs(model.force_spec)
-            s = np.concatenate(([0.0, 1.0], np.clip(poly.polyroots(poly.polyder(g)).real, 0.0, 1.0)))
-            gs = poly.polyval(s, g)
+            d = g[1:] * np.arange(1, len(g))  # G', formed as polyder forms it
+            if len(d) > 2:
+                roots = poly.polyroots(d).real.tolist()
+            else:  # polyroots' own branches: it drops a zero leading coefficient and solves a line directly
+                roots = [float(-d[0] / d[1])] if len(d) == 2 and d[1] != 0.0 else []
+            # Clipped to [0, 1] as np.clip clips, with NaN kept.
+            s = [0.0, 1.0] + [min(1.0, max(0.0, r)) if r == r else r for r in roots]
+            coeffs = g.tolist()
+            gs = [_horner(x, coeffs) for x in s]
             i = np.argmin(gs)
             if not gs[i] > 0.0:
                 problems.append(f"potential must be positive on (-1, 1): "

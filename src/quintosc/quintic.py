@@ -210,11 +210,14 @@ def period_by_quadrature(c: Coefficients) -> float:
     polynomial model, whose potential factors as (1 - u^2) * h2(u^2) / 6.
     With u = sin(theta), T = 4 * integral_0^{pi/2} d theta / sqrt(h2(sin^2 theta) / 6),
     taken by the nested periodic trapezoid rule of models.exact_period.
-    A triple whose h2 is not positive on [0, 1] raises DomainError.
+    As in solve, the rule runs on the triple scaled to unit size by an exact
+    power of four, so subnormal and huge triples neither overflow nor
+    underflow.  A triple whose h2 is not positive on [0, 1] raises DomainError.
     """
     c = _coerce(c)
-    model = OscillatorModel(GENERIC, force_spec=(-c.c1, -c.c3, -c.c5))
-    return 4.0 * _quarter_period_integral(_theta_integrand(model))
+    k = math.frexp(max(abs(c.c1), abs(c.c3), abs(c.c5)))[1] // 2
+    model = OscillatorModel(GENERIC, force_spec=[-math.ldexp(x, -2 * k) for x in c.as_tuple()])
+    return math.ldexp(4.0 * _quarter_period_integral(_theta_integrand(model)), -k)
 
 
 # The last computed _jacobi result, (solution, key, (sn, cn)), held for the paired call, so that

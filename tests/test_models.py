@@ -7,6 +7,8 @@ import pickle
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
+from numpy.polynomial import polynomial as poly
 from scipy.integrate import quad
 
 from quintosc import chebyshev, models, quintic, validation
@@ -232,6 +234,70 @@ class TestQuadratureOracle:
                 models.time_integral_psi(model, u)
 
 
+def trapezoid_by_levels(g):
+    """The nested trapezoid with one g call per level, as it was before the 64-panel first grid.
+
+    Returns the converged value and its panel count.
+    """
+    n, cap = 8, 2 ** 16
+    h = 0.5 * math.pi / n
+    values = g(h * np.arange(n + 1))
+    total = np.sum(values) - 0.5 * (values[0] + values[-1])
+    estimate = h * total
+    while n < cap:
+        total += np.sum(g(h * (np.arange(n) + 0.5)))
+        n, h, previous = 2 * n, 0.5 * h, estimate
+        estimate = h * total
+        if abs(estimate - previous) <= 1e-15 * estimate:
+            return float(estimate), n
+    raise AssertionError("no convergence")
+
+
+def trapezoid_models():
+    """Seeded duffing and generic models, with some that need 64 to 512 panels."""
+    rng = np.random.default_rng(2718)
+    out = [models.OscillatorModel("duffing-relativistic", a=30.0, b=1.0)]
+    for _ in range(40):
+        a = math.exp(rng.uniform(math.log(0.05), math.log(30.0)))
+        out.append(models.OscillatorModel("duffing-relativistic", a=a, b=rng.uniform(0.05, 2.0)))
+        out.append(models.OscillatorModel("generic", force_spec=-rng.uniform(0.05, 2.0, size=rng.integers(1, 5))))
+    # min G = eps near u = +-1 or u = 0 narrows the integrand's peak.
+    for eps in (0.3, 0.1, 0.03, 1e-2, 3e-3, 1e-3):
+        out += [models.OscillatorModel("generic", force_spec=(-1.0 - eps, 1.0)),
+                models.OscillatorModel("generic", force_spec=(0.5 - eps, -1.0))]
+    return out
+
+
+class TestTrapezoid:
+    def test_bits_match_one_call_per_level(self):
+        levels = {"duffing-relativistic": set(), "generic": set()}
+        for model in trapezoid_models():
+            g = models._theta_integrand(model)
+            expected, n = trapezoid_by_levels(g)
+            assert models._quarter_period_integral(g).hex() == expected.hex(), model
+            levels[model.kind].add(n)
+        assert {16, 32, 64, 128, 256} <= levels["duffing-relativistic"]
+        assert {16, 32, 64, 128, 256} <= levels["generic"]
+
+    def test_one_integrand_call_up_to_64_panels(self):
+        for model in trapezoid_models():
+            g = models._theta_integrand(model)
+            calls = []
+            models._quarter_period_integral(lambda theta: calls.append(theta.size) or g(theta))
+            n = trapezoid_by_levels(g)[1]
+            # The 65-node grid, then the n/2 midpoints of each level past 64 panels.
+            assert calls == [65] + [2 ** k for k in range(6, n.bit_length() - 1)]
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -1.0])
+    def test_bad_value_on_first_grid_raises(self, bad):
+        # The node pi/128 lies only on the 64-panel level, which the one-call-per-level
+        # loop never reached for this constant integrand: it returned pi/2.
+        def g(theta):
+            return np.where(theta == theta[1], bad, 1.0) if theta.size == 65 else np.ones_like(theta)
+        with pytest.raises(DomainError, match="first grid"):
+            models._quarter_period_integral(g)
+
+
 class TestTimeIntegral:
     def test_zero_at_amplitude(self):
         for model in ALL_VALID:
@@ -372,3 +438,46 @@ class TestValidateParams:
         for twin in (copy.copy(model), pickle.loads(pickle.dumps(model))):
             assert twin == model and hash(twin) == hash(model)
             assert models.validate_params(twin) == models.validate_params(model)
+
+
+def generic_problems_by_polyder(spec):
+    """The generic positivity check as it was, through polyder, polyval, concatenate and clip."""
+    if sum(spec) >= 0.0:
+        return [f"restoring force must be negative at u=1, got f(1)={sum(spec)}"]
+    g = models._generic_g_coeffs(spec)
+    s = np.concatenate(([0.0, 1.0], np.clip(poly.polyroots(poly.polyder(g)).real, 0.0, 1.0)))
+    gs = poly.polyval(s, g)
+    i = np.argmin(gs)
+    if not gs[i] > 0.0:
+        return [f"potential must be positive on (-1, 1): Phi({math.sqrt(s[i]):.6g}) = {(1.0 - s[i]) * gs[i]:.6g}"]
+    return []
+
+
+_coefficient = st.floats(allow_nan=False, allow_infinity=True, width=64)
+
+
+class TestGenericPolynomial:
+    @given(st.lists(_coefficient, min_size=1, max_size=61),
+           st.one_of(_coefficient, st.builds(np.array, _coefficient),
+                     st.lists(_coefficient, max_size=8).map(np.array)))
+    def test_horner_is_polyval(self, coeffs, x):
+        with np.errstate(all="ignore"):
+            expected = poly.polyval(x, coeffs)
+            for c in (coeffs, np.array(coeffs)):
+                got = models._horner(x, c)
+                assert np.shape(got) == np.shape(expected)
+                # repr tells -0.0 from 0.0; NaN payloads are not compared.
+                assert repr(np.asarray(got).tolist()) == repr(np.asarray(expected).tolist())
+
+    def test_positivity_check_matches_polyder_route(self):
+        # Small integers make exact zeros: G' with a zero or vanishing leading
+        # coefficient, linear G' and roots at s = +-0 and s = 1.
+        rng = np.random.default_rng(4)
+        failing = 0
+        for i in range(3000):
+            size = int(rng.integers(1, 7))
+            spec = tuple(rng.integers(-3, 4, size).astype(float)) if i % 2 else tuple(rng.normal(size=size))
+            expected = generic_problems_by_polyder(spec)
+            assert models._find_problems(models.OscillatorModel("generic", force_spec=spec)) == expected, spec
+            failing += bool(expected) and "Phi(" in expected[0]
+        assert failing > 100

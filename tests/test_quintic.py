@@ -172,11 +172,36 @@ class TestPeriod:
         assert q.period_by_quadrature((1.0, 2.0, 3.0)) == pytest.approx(T_123, rel=1e-14, abs=0.0)
         assert q.period_by_quadrature(CASE2) == pytest.approx(T_CASE2, rel=1e-14, abs=0.0)
 
-    @pytest.mark.filterwarnings("ignore:invalid value encountered in sqrt")
     def test_quadrature_rejects_non_positive_potential(self):
-        # h2(s) = -6 < 0: the energy relation has no real velocity.
+        # h2(s) = -6 < 0: the energy relation has no real velocity.  The
+        # integrand's first grid is NaN, which raises without a warning.
         with pytest.raises(DomainError):
             q.period_by_quadrature((-1.0, 0.0, 0.0))
+        with pytest.raises(DomainError):
+            q.period_by_quadrature((-5e-324, 0.0, 1e-323))
+
+    def test_quadrature_of_subnormal_triples(self):
+        # The rule runs on the triple scaled to unit size by a power of four,
+        # so nothing overflows in 1/sqrt(h2) or underflows in h2.
+        tiny = (0.0, 0.0, 5e-324)
+        assert q.period_by_quadrature(tiny) == pytest.approx(q.solve(tiny).period, rel=1e-15, abs=0.0)
+        # 5e-324 is 4^-537, so the period is exactly 2^537 times that of the unit cubic.
+        assert q.period_by_quadrature((0.0, 5e-324, 0.0)) == math.ldexp(q.period_by_quadrature((0.0, 1.0, 0.0)), 537)
+        assert q.period_by_quadrature((1e-320, 1e-320, 0.0)) == pytest.approx(
+            q.period_by_quadrature((1.0, 1.0, 0.0)) / math.sqrt(1e-320), rel=1e-12, abs=0.0)
+
+    def test_quadrature_scaling_keeps_normal_range_bits(self):
+        # Scaling by 4^-k is exact away from the subnormal range, so every
+        # sum and square root of the rule scales exactly and the bits stay.
+        rng = np.random.default_rng(374)
+        for _ in range(100):
+            lam = 10.0 ** rng.uniform(-100.0, 100.0)
+            for c in (case1_triple(rng.uniform(-3, 3), rng.uniform(0.1, 3), rng.uniform(0.1, 5)),
+                      case2_triple(rng.uniform(-6, -0.4), rng.uniform(-0.35, -0.05), rng.uniform(0.1, 5))):
+                c = tuple(lam * x for x in c)
+                unscaled = models.OscillatorModel("generic", force_spec=(-c[0], -c[1], -c[2]))
+                expected = 4.0 * models._quarter_period_integral(models._theta_integrand(unscaled))
+                assert q.period_by_quadrature(c).hex() == expected.hex()
 
     @given(st.sampled_from([(1.0, 2.0, 3.0), CASE2, (0.0, 2.0, 1.0), (0.3, 0.0, 0.0)]),
            st.floats(-300.0, 300.0))
