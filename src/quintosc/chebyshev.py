@@ -100,15 +100,11 @@ def _force_values(force: Callable, s: np.ndarray) -> np.ndarray:
     return vals
 
 
-def _angles(nodes: int) -> np.ndarray:
-    """Angles of the ``nodes``-point first-kind rule, whose nodes are their cosines."""
-    return (2.0 * np.arange(1, nodes + 1) - 1.0) * (math.pi / (2.0 * nodes))
-
-
 @functools.lru_cache(maxsize=1)  # one node count at a time: nearly every call uses 64
 def _basis(nodes: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Read-only rows cos(theta), cos(3 theta), cos(5 theta) on the ``nodes``-point rule's angles."""
-    theta = _angles(nodes)
+    """Read-only rows cos(theta), cos(3 theta), cos(5 theta) on the ``nodes``-point first-kind
+    rule's angles theta; the first row holds its nodes."""
+    theta = (2.0 * np.arange(1, nodes + 1) - 1.0) * (math.pi / (2.0 * nodes))
     rows = (np.cos(theta), np.cos(3.0 * theta), np.cos(5.0 * theta))
     for row in rows:
         row.flags.writeable = False
