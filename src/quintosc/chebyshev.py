@@ -88,8 +88,8 @@ _TINY = np.finfo(float).tiny
 
 
 def _force_values(force: Callable, s: np.ndarray) -> np.ndarray:
-    try:
-        vals = np.asarray(force(s), dtype=float)
+    try:  # the force gets its own copy of the nodes, which it may write into
+        vals = np.asarray(force(s.copy()), dtype=float)
         if vals.shape != s.shape:
             raise TypeError
     except (TypeError, ValueError):
@@ -127,7 +127,8 @@ def _fixed_rule(force: Callable, nodes: int) -> tuple[np.ndarray, np.ndarray]:
 def project_odd_quintic(force: Callable, nodes: int | None = None) -> ChebyshevOddCoefficients:
     """Project an odd force onto T1, T3, T5 by Gauss-Chebyshev quadrature.
 
-    ``force`` may accept arrays or plain floats.  An explicit ``nodes``
+    ``force`` may accept arrays or plain floats; it gets its own copy of
+    each node array and may write into it.  An explicit ``nodes``
     (at least 16) selects the fixed ``nodes``-point rule, which is exact for
     polynomial integrands of degree <= 2*nodes - 1.
 

@@ -344,10 +344,7 @@ def _find_problems(model: OscillatorModel) -> list[str]:
         else:
             g = _generic_g_coeffs(model.force_spec)
             d = g[1:] * np.arange(1, len(g))  # G', formed as polyder forms it
-            if len(d) > 2:
-                roots = poly.polyroots(d).real.tolist()
-            else:  # polyroots' own branches: it drops a zero leading coefficient and solves a line directly
-                roots = [float(-d[0] / d[1])] if len(d) == 2 and d[1] != 0.0 else []
+            roots = poly.polyroots(d).real.tolist() if len(d) else []  # a constant G has no critical point
             s = [0.0, 1.0] + [min(1.0, max(0.0, r)) for r in roots]
             coeffs = g.tolist()
             gs = [_horner(x, coeffs) for x in s]

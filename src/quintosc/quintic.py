@@ -164,6 +164,12 @@ def _case_two(c1: float, c3: float, c5: float, k: int) -> CaseIIParameters:
     return CaseIIParameters(s1, s2, m, rate, 4.0 * complete_K(m) / rate)
 
 
+def _unit_triple(c: QuinticCoefficients, scale: float) -> tuple[int, list[float]]:
+    """k and the triple divided by 4^k, the power of four that brings ``scale`` near 1; exact."""
+    k = math.frexp(scale)[1] // 2
+    return k, [math.ldexp(x, -2 * k) for x in c.as_tuple()]
+
+
 def solve(c: Coefficients) -> ClosedFormSolution:
     """Classify a triple once and return its ClosedFormSolution.
 
@@ -197,8 +203,7 @@ def solve(c: Coefficients) -> ClosedFormSolution:
     # u(t) solves 4^k * c when v(2^k t) solves c, so the parameters are built
     # on a triple of unit size, where nothing overflows or underflows, and
     # only A, the rate and the period carry the scale, as exact powers of two.
-    k = math.frexp(scale)[1] // 2
-    unit = [math.ldexp(x, -2 * k) for x in target.as_tuple()]
+    k, unit = _unit_triple(target, scale)
     params = (_case_one if label == CASE_I else _case_two)(*unit, k)
     return ClosedFormSolution(c, label, params, params.period, target, target.c5 - c.c5)
 
@@ -215,8 +220,8 @@ def period_by_quadrature(c: Coefficients) -> float:
     underflow.  A triple whose h2 is not positive on [0, 1] raises DomainError.
     """
     c = _coerce(c)
-    k = math.frexp(max(abs(c.c1), abs(c.c3), abs(c.c5)))[1] // 2
-    model = OscillatorModel(GENERIC, force_spec=[-math.ldexp(x, -2 * k) for x in c.as_tuple()])
+    k, unit = _unit_triple(c, max(abs(c.c1), abs(c.c3), abs(c.c5)))
+    model = OscillatorModel(GENERIC, force_spec=[-x for x in unit])
     return math.ldexp(4.0 * _quarter_period_integral(_theta_integrand(model)), -k)
 
 

@@ -48,6 +48,17 @@ class TestProjection:
         vectorised = ch.project_odd_quintic(lambda u: -np.sin(u))
         assert alphas == vectorised
 
+    @pytest.mark.parametrize("nodes", [None, 64, 100])
+    def test_force_may_write_into_its_argument(self, nodes):
+        def in_place(u):
+            u *= u * u
+            return np.negative(u, out=u)
+
+        want = ch.project_odd_quintic(lambda u: -(u * u * u), nodes=nodes)
+        assert ch.project_odd_quintic(in_place, nodes=nodes) == want
+        # The cached nodes are untouched: the same projection again is unchanged.
+        assert ch.project_odd_quintic(lambda u: -(u * u * u), nodes=nodes) == want
+
     def test_node_floor(self):
         with pytest.raises(DomainError):
             ch.project_odd_quintic(lambda u: -u, nodes=8)
