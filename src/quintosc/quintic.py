@@ -165,7 +165,7 @@ def _case_two(c1: float, c3: float, c5: float, k: int) -> CaseIIParameters:
 
 
 def _unit_triple(c: QuinticCoefficients, scale: float) -> tuple[int, list[float]]:
-    """k and the triple divided by 4^k, the power of four that brings ``scale`` near 1; exact."""
+    """k with 4^k near ``scale``, and the triple divided by 4^k, exact unless a quotient is subnormal."""
     k = math.frexp(scale)[1] // 2
     return k, [math.ldexp(x, -2 * k) for x in c.as_tuple()]
 
