@@ -196,28 +196,6 @@ def _legendre_fe(s: float, c2: float, m1: float) -> tuple[float, float]:
     return f, m1 * f + m * s ** 3 / 3.0 * (math.ldexp(m1, 54) * rd) + m * s * math.sqrt(c2 / d2)
 
 
-def incomplete_F(phi: float, m: float) -> float:
-    """Incomplete elliptic integral of the first kind F(phi | m).
-
-    Restricted to |phi| <= pi/2 and 0 <= m < 1 (m = 1 only if |phi| < pi/2,
-    but we reject it outright for simplicity of the contract).
-    """
-    if not 0.0 <= m < 1.0:
-        raise DomainError(f"incomplete_F requires 0 <= m < 1, got m={m}")
-    if abs(phi) > math.pi / 2.0 + 1e-12:
-        raise DomainError(f"incomplete_F requires |phi| <= pi/2, got phi={phi}")
-    return _legendre_f(math.sin(phi), math.cos(phi) ** 2, 1.0 - m)
-
-
-def incomplete_E(phi: float, m: float) -> float:
-    """Incomplete elliptic integral of the second kind E(phi | m)."""
-    if not 0.0 <= m < 1.0:
-        raise DomainError(f"incomplete_E requires 0 <= m < 1, got m={m}")
-    if abs(phi) > math.pi / 2.0 + 1e-12:
-        raise DomainError(f"incomplete_E requires |phi| <= pi/2, got phi={phi}")
-    return _legendre_fe(math.sin(phi), math.cos(phi) ** 2, 1.0 - m)[1]
-
-
 def _real(x: ArrayLike) -> ArrayLike:
     """x as a plain float for any real scalar (np.float32 and 0-d arrays too), else as a float64 array.
 
@@ -244,8 +222,8 @@ def _dn2(sn2: ArrayLike, cn2: ArrayLike, m: float) -> ArrayLike:
     return cn2 + (1.0 - m) * sn2
 
 
-def _gauss(x: ArrayLike, m: float, rate: float = 1.0, over: float = 1.0) -> tuple[ArrayLike, ArrayLike, float]:
-    """sn(u | m), cn(u | m) at u = rate x / over, and the AGM mean a_N, for 0 <= m < 1.
+def _gauss(x: ArrayLike, m: float, rate: float = 1.0, over: float = 1.0) -> tuple[ArrayLike, ArrayLike]:
+    """sn(u | m) and cn(u | m) at u = rate x / over, for 0 <= m < 1.
 
     Descending Landen (Gauss) transformation, DLMF 22.7.1-22.7.3: the AGM from
     (1, sqrt(1 - m)) gives the moduli k_n = c_n / a_n, and each stage lifts
@@ -285,31 +263,14 @@ def _gauss(x: ArrayLike, m: float, rate: float = 1.0, over: float = 1.0) -> tupl
             t = 1.0 - t
             t *= r
             c *= t
-    return s, c, a
-
-
-def jacobi_am(u: ArrayLike, m: float) -> ArrayLike:
-    """Jacobi amplitude am(u, m) for 0 <= m < 1 and unrestricted real u.
-
-    am - z stays within pi/2 of zero for the Gauss base angle z = pi u / (2K),
-    which fixes the branch of atan2(sn, cn).
-    """
-    if not 0.0 <= m < 1.0:
-        raise DomainError(f"jacobi_am requires 0 <= m < 1, got m={m}")
-    u = _real(u)
-    s, c, a = _gauss(u, m)
-    z = a * u
-    phi = np.arctan2(s, c)
-    am = phi + 2.0 * math.pi * np.round((z - phi) / (2.0 * math.pi))
-    return am if isinstance(am, np.ndarray) else float(am)
+    return s, c
 
 
 def jacobi_sn_cn_dn(u: ArrayLike, m: float) -> JacobiTriple:
     """Jacobi elliptic functions sn, cn, dn for 0 <= m <= 1.
 
     A float u gives floats, bit-identical to the same u inside an array.
-    m = 1 gives the hyperbolic functions (the amplitude itself is not
-    defined there, which is why jacobi_am excludes it).
+    m = 1 gives the hyperbolic functions.
     """
     if not 0.0 <= m <= 1.0:
         raise DomainError(f"jacobi_sn_cn_dn requires 0 <= m <= 1, got m={m}")
@@ -318,6 +279,6 @@ def jacobi_sn_cn_dn(u: ArrayLike, m: float) -> JacobiTriple:
         e = np.exp(-np.abs(u))  # sech u = 2 e / (1 + e^2) has no cosh to overflow past |u| ~ 710
         sn, cn, dn = np.tanh(u), 2.0 * e / (1.0 + e * e), 2.0 * e / (1.0 + e * e)
     else:
-        sn, cn, _ = _gauss(u, m)
+        sn, cn = _gauss(u, m)
         dn = _sqrt(_dn2(sn * sn, cn * cn, m))
     return JacobiTriple(*map(float, (sn, cn, dn))) if isinstance(u, float) else JacobiTriple(sn, cn, dn)

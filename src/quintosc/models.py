@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from numpy.polynomial import legendre, polynomial as poly
+from numpy.polynomial import polynomial as poly
 
 from . import elliptic
 from .errors import ConvergenceError, DomainError
@@ -153,9 +153,6 @@ _TRAPEZOID_PANELS = (8, 2 ** 16)
 # 8-, 16-, 32- and 64-panel levels; finer levels evaluate their midpoints.
 _TRAPEZOID_GRID = 64
 _TRAPEZOID_TOL = 1e-15
-# Gauss-Legendre for partial intervals: 16 nodes, doubled up to 1024.
-_GAUSS_NODES = (16, 1024)
-_GAUSS_TOL = 1e-14
 
 
 def _theta_integrand(model: OscillatorModel):
@@ -216,34 +213,6 @@ def _quarter_period_integral(g) -> float:
                            f"(last change {abs(estimate - previous) / estimate:.3g} relative)")
 
 
-@functools.lru_cache(maxsize=None)  # at most 7 rules: n = 16, 32, ..., 1024
-def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
-    nodes, weights = legendre.leggauss(n)
-    nodes.flags.writeable = weights.flags.writeable = False
-    return nodes, weights
-
-
-def _tail_integral(g, u: float) -> float:
-    """Integral of g over [asin u, pi/2] for 0 < u < 1 by Gauss-Legendre.
-
-    The interval never contains theta = 0, where a model's integrand may
-    have complex singularities close by.  Its width acos(u) keeps full
-    relative precision as u -> 1, where pi/2 - asin(u) would not.
-    """
-    half = 0.5 * math.acos(u)
-    n, cap = _GAUSS_NODES
-    estimate = math.nan
-    while n <= cap:
-        nodes, weights = _gauss_legendre(n)
-        previous, estimate = estimate, half * np.sum(weights * g(0.5 * math.pi - half * (1.0 + nodes)))
-        if not 0.0 < estimate < math.inf:
-            raise DomainError(f"time integrand is not finite and positive (integral {estimate})")
-        if abs(estimate - previous) <= _GAUSS_TOL * estimate:
-            return float(estimate)
-        n *= 2
-    raise ConvergenceError(f"Gauss-Legendre rule on [asin({u}), pi/2] did not converge within {cap} nodes")
-
-
 def exact_period(model: OscillatorModel) -> ExactPeriod:
     """Exact period of the model oscillation.
 
@@ -278,24 +247,25 @@ def exact_period(model: OscillatorModel) -> ExactPeriod:
 def time_integral_psi(model: OscillatorModel, u: float) -> float:
     """Time for the trajectory to travel from amplitude 1 down to u.
 
-    Psi(u) = integral_u^1 ds / sqrt(Phi(s)), defined for u in (-1, 1];
-    Psi(1) = 0 and Psi(0) is a quarter period.  Negative u reflect through
-    Psi(u) = 2 Psi(0) - Psi(-u).  The relativistic model uses the
-    incomplete-F/E closed form; the others integrate 1/sqrt(G(sin theta)),
-    over [0, pi/2] by the nested trapezoid rule of exact_period and over
-    [asin u, pi/2] by Gauss-Legendre.
+    Psi(u) = integral_u^1 ds / sqrt(Phi(s)); Psi(1) = 0 and Psi(0) is a
+    quarter period.  The relativistic model takes every u in (-1, 1] by its
+    F/E closed form, negative u through Psi(u) = 2 Psi(0) - Psi(-u).  The
+    other kinds have no closed form and take u = 1 and u = 0 only, Psi(0)
+    being exact_period's nested trapezoid on 1/sqrt(G(sin theta)); any other
+    u raises DomainError.
     """
     _require_valid(model)
     if not -1.0 < u <= 1.0:
         raise DomainError(f"time_integral_psi requires u in (-1, 1], got u={u}")
-    if u < 0.0:
-        return 2.0 * time_integral_psi(model, 0.0) - time_integral_psi(model, -u)
     if u == 1.0:
         return 0.0
     if model.kind == RELATIVISTIC:
+        if u < 0.0:
+            return 2.0 * _psi_relativistic(model.a, 0.0) - _psi_relativistic(model.a, -u)
         return _psi_relativistic(model.a, u)
-    g = _theta_integrand(model)
-    return _quarter_period_integral(g) if u == 0.0 else _tail_integral(g, u)
+    if u != 0.0:
+        raise DomainError(f"time_integral_psi of a {model.kind} model takes u = 0 or u = 1 only, got u={u}")
+    return _quarter_period_integral(_theta_integrand(model))
 
 
 def _psi_relativistic(a: float, u: float) -> float:

@@ -265,7 +265,7 @@ def _jacobi(solution: ClosedFormSolution, t):
             raise DomainError("evaluate and derivative need finite times")
         t = min(max(t, -span), span) if isinstance(t, float) else np.minimum(np.maximum(t, -span), span)
     p = solution.params
-    sn, cn, _ = _gauss(t, p.m, over=2.0 * p.A) if solution.case == CASE_I else _gauss(t, p.m, p.rate)
+    sn, cn = _gauss(t, p.m, over=2.0 * p.A) if solution.case == CASE_I else _gauss(t, p.m, p.rate)
     if not isinstance(sn, float):
         sn.flags.writeable = cn.flags.writeable = False
     _last = (solution, key, (sn, cn))

@@ -80,41 +80,49 @@ class TestCompletePi:
         assert complete_pi(0.3, 0.5) == pytest.approx(2.2503768219439467, rel=1e-12)
 
 
+def legendre_F(phi, m):
+    """F(phi | m) for |phi| <= pi/2, by the kernel of complete_K and the relativistic Psi."""
+    return el._legendre_f(math.sin(phi), math.cos(phi) ** 2, 1.0 - m)
+
+
+def legendre_E(phi, m):
+    """E(phi | m) for |phi| <= pi/2, by the kernel of complete_E and the relativistic Psi."""
+    return el._legendre_fe(math.sin(phi), math.cos(phi) ** 2, 1.0 - m)[1]
+
+
+def amplitude(u, m):
+    """am(u | m) = atan2(sn, cn), the branch in (-pi, pi]."""
+    return math.atan2(*el.jacobi_sn_cn_dn(u, m)[:2])
+
+
 class TestIncomplete:
     def test_F_at_zero(self):
-        assert el.incomplete_F(0.0, 0.6) == 0.0
+        assert legendre_F(0.0, 0.6) == 0.0
 
     def test_F_at_quarter_turn_equals_K(self):
         for m in (0.1, 0.5, 0.93):
-            assert el.incomplete_F(math.pi / 2.0, m) == pytest.approx(el.complete_K(m), rel=1e-13)
+            assert legendre_F(math.pi / 2.0, m) == pytest.approx(el.complete_K(m), rel=1e-13)
 
     def test_F_trigonometric_limit(self):
-        assert el.incomplete_F(math.pi / 4.0, 0.0) == pytest.approx(math.pi / 4.0, rel=1e-14)
+        assert legendre_F(math.pi / 4.0, 0.0) == pytest.approx(math.pi / 4.0, rel=1e-14)
 
     def test_F_frozen_values(self):
-        assert el.incomplete_F(0.7, 0.3) == pytest.approx(0.71651771598539318, rel=1e-13)
-        assert el.incomplete_F(-1.1, 0.82) == pytest.approx(-1.3243535733114105, rel=1e-13)
+        assert legendre_F(0.7, 0.3) == pytest.approx(0.71651771598539318, rel=1e-13)
+        assert legendre_F(-1.1, 0.82) == pytest.approx(-1.3243535733114105, rel=1e-13)
 
     def test_F_odd(self):
-        assert el.incomplete_F(-0.9, 0.4) == pytest.approx(-el.incomplete_F(0.9, 0.4), rel=1e-14)
+        assert legendre_F(-0.9, 0.4) == pytest.approx(-legendre_F(0.9, 0.4), rel=1e-14)
 
     def test_E_at_zero(self):
-        assert el.incomplete_E(0.0, 0.6) == 0.0
+        assert legendre_E(0.0, 0.6) == 0.0
 
     def test_E_completes(self):
         for m in (0.2, 0.8):
-            assert el.incomplete_E(math.pi / 2.0, m) == pytest.approx(el.complete_E(m), rel=1e-13)
+            assert legendre_E(math.pi / 2.0, m) == pytest.approx(el.complete_E(m), rel=1e-13)
 
     def test_E_frozen_values(self):
-        assert el.incomplete_E(math.pi / 3.0, 0.4) == pytest.approx(0.98240033979859737, rel=1e-13)
-        assert el.incomplete_E(1.2, 0.77) == pytest.approx(1.0079575201536281, rel=1e-13)
-
-    @pytest.mark.parametrize("func", [el.incomplete_F, el.incomplete_E])
-    def test_domain(self, func):
-        with pytest.raises(DomainError):
-            func(2.0, 0.5)
-        with pytest.raises(DomainError):
-            func(0.5, 1.0)
+        assert legendre_E(math.pi / 3.0, 0.4) == pytest.approx(0.98240033979859737, rel=1e-13)
+        assert legendre_E(1.2, 0.77) == pytest.approx(1.0079575201536281, rel=1e-13)
 
 
 class TestCarlson:
@@ -172,43 +180,24 @@ class TestCarlson:
                 func(*bad)
 
 
-class TestJacobiAm:
+class TestAmplitude:
     def test_at_zero(self):
-        assert el.jacobi_am(0.0, 0.55) == 0.0
+        assert amplitude(0.0, 0.55) == 0.0
 
     def test_at_K(self):
         for m in (0.1, 0.6, 0.9):
-            assert el.jacobi_am(el.complete_K(m), m) == pytest.approx(math.pi / 2.0, abs=1e-13)
+            assert amplitude(el.complete_K(m), m) == pytest.approx(math.pi / 2.0, abs=1e-13)
 
     def test_frozen_values(self):
-        assert el.jacobi_am(0.7, 0.3) == pytest.approx(0.68452459366129396, rel=1e-13)
-        assert el.jacobi_am(2.5, 0.6) == pytest.approx(1.9292991034477884, rel=1e-13)
-        assert el.jacobi_am(-4.0, 0.35) == pytest.approx(-3.6455185180819532, rel=1e-13)
-
-    def test_quasi_periodicity(self):
-        m = 0.72
-        K = el.complete_K(m)
-        u = np.linspace(-6.0 * K, 6.0 * K, 97)
-        np.testing.assert_allclose(el.jacobi_am(u + 2.0 * K, m), el.jacobi_am(u, m) + math.pi,
-                                   rtol=0.0, atol=1e-12)
+        assert amplitude(0.7, 0.3) == pytest.approx(0.68452459366129396, rel=1e-13)
+        assert amplitude(2.5, 0.6) == pytest.approx(1.9292991034477884, rel=1e-13)
+        # am(-4 | 0.35) lies below -pi, so atan2 gives it plus 2 pi.
+        assert amplitude(-4.0, 0.35) == pytest.approx(-3.6455185180819532 + 2.0 * math.pi, rel=1e-13)
 
     def test_round_trip_through_F(self):
         m = 0.44
         for phi in np.linspace(-math.pi / 2.0 + 1e-3, math.pi / 2.0 - 1e-3, 31):
-            assert el.jacobi_am(el.incomplete_F(phi, m), m) == pytest.approx(phi, abs=1e-11)
-
-    def test_vectorised_matches_scalar(self):
-        u = np.array([-3.3, -0.2, 0.0, 1.7, 9.4])
-        out = el.jacobi_am(u, 0.5)
-        assert out.shape == u.shape
-        for ui, oi in zip(u, out):
-            assert el.jacobi_am(float(ui), 0.5) == pytest.approx(oi, abs=1e-14)
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            el.jacobi_am(1.0, 1.0)
-        with pytest.raises(DomainError):
-            el.jacobi_am(1.0, -0.2)
+            assert amplitude(legendre_F(phi, m), m) == pytest.approx(phi, abs=1e-11)
 
 
 class TestJacobiSnCnDn:
@@ -275,20 +264,11 @@ _ORACLE_CASES = ([pytest.param(m, id=f"random{i}") for i, m in enumerate(_RANDOM
 
 
 def _oracle_points(m):
-    """Eight seeded u in [-50K, 50K] and the 30-digit mpmath (am, sn, cn, dn) at each."""
+    """Eight seeded u in [-50K, 50K] and the 30-digit mpmath (sn, cn, dn) at each."""
     K = el.complete_K(m)
     u = np.random.default_rng([_ORACLE_SEED, int(m * 2 ** 52)]).uniform(-50.0 * K, 50.0 * K, 8)
-    ref = []
     with mp.workdps(30):
-        mm = mp.mpf(m)
-        quarter = mp.ellipk(mm)
-        for x in u:
-            ux = mp.mpf(x)
-            sn, cn, dn = (mp.ellipfun(kind, ux, m=mm) for kind in ("sn", "cn", "dn"))
-            # am is continuous and stays within pi/2 of pi u / (2K), which fixes its branch.
-            principal = mp.atan2(sn, cn)
-            am = principal + 2 * mp.pi * mp.nint((mp.pi * ux / (2 * quarter) - principal) / (2 * mp.pi))
-            ref.append([float(v) for v in (am, sn, cn, dn)])
+        ref = [[float(mp.ellipfun(kind, mp.mpf(x), m=mp.mpf(m))) for kind in ("sn", "cn", "dn")] for x in u]
     return u, np.array(ref).T
 
 
@@ -299,20 +279,19 @@ def _reduction_tolerance(u):
 
 
 class TestJacobiMpmathOracle:
-    """jacobi_am and jacobi_sn_cn_dn against 30-digit mpmath.ellipfun."""
+    """jacobi_sn_cn_dn against 30-digit mpmath.ellipfun."""
 
     @pytest.mark.parametrize("m", _ORACLE_CASES)
-    def test_am_sn_cn(self, m):
-        u, (am, sn, cn, _) = _oracle_points(m)
+    def test_sn_cn(self, m):
+        u, (sn, cn, _) = _oracle_points(m)
         got_sn, got_cn, _ = el.jacobi_sn_cn_dn(u, m)
         tol = _reduction_tolerance(u)
         assert np.all(np.abs(got_sn - sn) <= tol)
         assert np.all(np.abs(got_cn - cn) <= tol)
-        np.testing.assert_allclose(el.jacobi_am(u, m), am, rtol=1e-14, atol=0.0)
 
     @pytest.mark.parametrize("m", _ORACLE_CASES[:len(_RANDOM_M)])
     def test_dn(self, m):
-        u, (_, _, _, dn) = _oracle_points(m)
+        u, (_, _, dn) = _oracle_points(m)
         assert np.all(np.abs(el.jacobi_sn_cn_dn(u, m).dn - dn) <= _reduction_tolerance(u))
 
     @pytest.mark.parametrize("m", [
@@ -382,7 +361,7 @@ _INTEGRAL_CASES = ([pytest.param(m, id=f"random{i}") for i, m in enumerate(_RAND
 
 
 class TestIntegralsMpmathOracle:
-    """complete_K/E and incomplete_F/E against 30-digit mpmath.ellipk/ellipe/ellipf."""
+    """complete_K/E and the incomplete F/E kernel against 30-digit mpmath.ellipk/ellipe/ellipf."""
 
     @pytest.mark.parametrize("m", _INTEGRAL_CASES)
     def test_complete(self, m):
@@ -398,6 +377,6 @@ class TestIntegralsMpmathOracle:
         for phi in [*map(float, seeded), math.pi / 2.0 - 1e-4, math.pi / 2.0 - 1e-8, math.pi / 2.0]:
             with mp.workdps(30):
                 F, E = float(mp.ellipf(mp.mpf(phi), mp.mpf(m))), float(mp.ellipe(mp.mpf(phi), mp.mpf(m)))
-            assert el.incomplete_F(phi, m) == pytest.approx(F, rel=1e-14, abs=0.0)
+            assert legendre_F(phi, m) == pytest.approx(F, rel=1e-14, abs=0.0)
             # E is a sum of positive terms in 1 - m (DLMF 19.25.10), so nothing cancels as m -> 1.
-            assert el.incomplete_E(phi, m) == pytest.approx(E, rel=2e-15, abs=0.0)
+            assert legendre_E(phi, m) == pytest.approx(E, rel=2e-15, abs=0.0)

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from quintosc import cli, models, quintic, validation
 from quintosc.chebyshev import model_coefficients
 from quintosc.errors import DomainError, EvaluationError
+from test_quintic import mp_psi
 from timeouts import deadline
 
 REL1 = models.OscillatorModel("relativistic", a=1.0)
@@ -68,15 +69,13 @@ class TestResidualSupNorm:
         *(("duffing-relativistic", a, b) for a, b, _ in cli.TABLE_REFERENCE[2][1] + cli.TABLE_REFERENCE[3][1]),
     ])
     def test_argmax_t_matches_time_integral_of_solved_quintic(self, kind, a, b):
-        # The closed-form inverse against the quadrature of Psi it replaced.
+        # The closed-form inverse against the quintic's Psi at 30 digits.
         model = models.OscillatorModel(kind, a=a, b=b)
         solution = solved(model)
         report = validation.residual_sup_norm(model, solution)
         u = np.linspace(0.0, 1.0, report.grid)
         u_max = float(u[np.argmax(abs_residual(model, solution, u))])
-        c = solution.solved
-        quintic_model = models.OscillatorModel("generic", force_spec=(-c.c1, -c.c3, -c.c5))
-        assert report.argmax_t == pytest.approx(models.time_integral_psi(quintic_model, u_max), rel=1e-13, abs=0.0)
+        assert report.argmax_t == pytest.approx(mp_psi(solution.solved, u_max), rel=1e-13, abs=0.0)
 
     @pytest.mark.parametrize("model", [
         REL1, models.OscillatorModel("cable-mass", a=3.0, b=0.25),
@@ -90,7 +89,6 @@ class TestResidualSupNorm:
         def forbidden(*args):
             raise AssertionError("residual_sup_norm ran a quadrature")
 
-        monkeypatch.setattr(models, "_tail_integral", forbidden)
         monkeypatch.setattr(models, "_quarter_period_integral", forbidden)
         # Each model's residual peaks inside (0, 1), where the old route needed a quadrature.
         assert 0.0 < validation.residual_sup_norm(model, solution).argmax_t < solution.period / 4.0
