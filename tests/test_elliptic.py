@@ -231,6 +231,16 @@ class TestJacobiSnCnDn:
         assert np.max(np.abs(sn * sn + cn * cn - 1.0)) < 1e-12
         assert np.max(np.abs(dn * dn + m * sn * sn - 1.0)) < 1e-12
 
+    def test_half_period_shift(self):
+        # am(u + 2K) = am(u) + pi: sn and cn change sign, dn does not.
+        m = 0.72
+        K = el.complete_K(m)
+        u = np.linspace(-6.0 * K, 6.0 * K, 97)
+        shifted, base = el.jacobi_sn_cn_dn(u + 2.0 * K, m), el.jacobi_sn_cn_dn(u, m)
+        np.testing.assert_allclose(shifted.sn, -base.sn, rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(shifted.cn, -base.cn, rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(shifted.dn, base.dn, rtol=0.0, atol=1e-12)
+
     @given(st.floats(-25.0, 25.0), st.sampled_from([0.07, 0.43, 0.88]))
     def test_identities_anywhere(self, u, m):
         sn, cn, dn = el.jacobi_sn_cn_dn(u, m)

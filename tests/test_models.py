@@ -200,6 +200,14 @@ class TestQuadratureOracle:
         model = models.OscillatorModel("generic", force_spec=spec)
         assert models.exact_period(model).value == pytest.approx(4.0 * mp_time_integral(model), rel=1e-14, abs=0.0)
 
+    # u = 0 and u = 1 are the two points time_integral_psi serves for these kinds.
+    @pytest.mark.parametrize("kind", ["duffing-relativistic", "cable-mass"])
+    @pytest.mark.parametrize("a", [0.05, 1.3, 8.0, 30.0])
+    def test_time_integral(self, kind, a):
+        model = models.OscillatorModel(kind, a=a, b=0.7)
+        assert models.time_integral_psi(model, 0.0) == pytest.approx(mp_time_integral(model, 0.0), rel=1e-12, abs=0.0)
+        assert models.time_integral_psi(model, 1.0) == 0.0
+
     # min G = eps, at u = +-1 for the first spec (G(1) = -(p0 + p1)) and at
     # u = 0 for the second (G(0) = -(p0 + p1/2)).
     @pytest.mark.parametrize("spec", [lambda eps: (-1.0 - eps, 1.0), lambda eps: (0.5 - eps, -1.0)],
