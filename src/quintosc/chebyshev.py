@@ -25,17 +25,19 @@ generic model's force is an odd polynomial, which a fixed rule integrates
 exactly, so model_coefficients passes max(64, L + 3) nodes for its L
 coefficients and the adaptive default serves arbitrary forces.
 
-For the catalogue models the projection integrals reduce to the moments
-J_n of the weight 1/sqrt(1 + a^2 s^2): closed forms in complete elliptic
-integrals above a = 1 (Byrd & Friedman 236.16 / 331.01-03), the 64-node
-rule at and below it.  Both routes are exposed so they can be checked
-against each other.
+For the catalogue models, an odd polynomial plus beta times the relativistic
+force, the projection integrals reduce to the Chebyshev-weight moments w_n
+of the polynomial and the moments J_n of 1/sqrt(1 + a^2 s^2): closed forms
+in complete elliptic integrals above a = 1 (Byrd & Friedman 236.16 /
+331.01-03), the 64-node rule at and below it.  Both routes are exposed
+so they can be checked against each other.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable
 
@@ -101,13 +103,12 @@ def _force_values(force: Callable, s: np.ndarray) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=1)  # one node count at a time: nearly every call uses 64
-def _basis(nodes: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Read-only rows cos(theta), cos(3 theta), cos(5 theta) on the ``nodes``-point first-kind
-    rule's angles theta; the first row holds its nodes."""
+def _basis(nodes: int) -> np.ndarray:
+    """Read-only (3, nodes) rows cos(theta), cos(3 theta), cos(5 theta) on the ``nodes``-point
+    first-kind rule's angles theta; the first row holds its nodes."""
     theta = (2.0 * np.arange(1, nodes + 1) - 1.0) * (math.pi / (2.0 * nodes))
-    rows = (np.cos(theta), np.cos(3.0 * theta), np.cos(5.0 * theta))
-    for row in rows:
-        row.flags.writeable = False
+    rows = np.cos(np.multiply.outer([1.0, 3.0, 5.0], theta))
+    rows.flags.writeable = False
     return rows
 
 
@@ -115,13 +116,13 @@ def _fixed_rule(force: Callable, nodes: int) -> tuple[np.ndarray, np.ndarray]:
     """Alphas of the ``nodes``-point first-kind rule and the force values used."""
     basis = _basis(nodes)
     vals = _force_values(force, basis[0])
-    # T_n(cos theta) = cos(n theta), so the weights collapse to 2/nodes.  Sums that overflow
-    # stay silent here and raise DomainError below.
+    # T_n(cos theta) = cos(n theta), so the weights collapse to 2/nodes.  Pairwise sums, as on
+    # the adaptive levels, with no BLAS call; sums that overflow stay silent here and raise below.
     with np.errstate(over="ignore", invalid="ignore"):
-        sums = [float(row @ vals) for row in basis]
-    if not all(map(math.isfinite, sums)):
-        raise DomainError(f"Chebyshev projection sums overflow on {nodes} nodes: {sums}")
-    return (2.0 / nodes) * np.array(sums), vals
+        sums = (basis * vals).sum(axis=1)
+    if not np.isfinite(sums).all():
+        raise DomainError(f"Chebyshev projection sums overflow on {nodes} nodes: {sums.tolist()}")
+    return (2.0 / nodes) * sums, vals
 
 
 def project_odd_quintic(force: Callable, nodes: int | None = None) -> ChebyshevOddCoefficients:
@@ -239,17 +240,6 @@ def closed_form_moments(a: float) -> tuple[float, float, float]:
     return (j2, j4, j6)
 
 
-def _alphas_from_moments(m2: float, m4: float, m6: float) -> ChebyshevOddCoefficients:
-    # All catalogue forces are -(u * weight(u)), so the projections share
-    # one pattern in the even moments M_n of the weight.
-    C = -2.0 / math.pi
-    return ChebyshevOddCoefficients(
-        C * m2,
-        C * (4.0 * m4 - 3.0 * m2),
-        C * (16.0 * m6 - 20.0 * m4 + 5.0 * m2),
-    )
-
-
 def model_coefficients(model: models.OscillatorModel) -> QuinticCoefficients:
     """Quintic coefficients of a catalogue model via the closed-form moments.
 
@@ -261,25 +251,19 @@ def model_coefficients(model: models.OscillatorModel) -> QuinticCoefficients:
     adaptive default would stop at.  Coefficients that overflow raise
     DomainError on either route.
     """
+    p, beta = models._parts(model)
     if model.kind == models.GENERIC:
-        nodes = max(_FIRST_LEVEL, len(model.force_spec or ()) + 3)
+        nodes = max(_FIRST_LEVEL, len(p) + 3)
         c = _monomial(project_odd_quintic(lambda u: models.restoring_force(model, u), nodes), "quadrature")
     else:
-        a, b = model.a, model.b
-        j2, j4, j6 = closed_form_moments(a)
-        w2, w4, w6, w8 = PI_MOMENTS
-        if model.kind == models.RELATIVISTIC:
-            m2, m4, m6 = j2, j4, j6
-        elif model.kind == models.CABLE_MASS:
-            m2 = w2 + b * j2
-            m4 = w4 + b * j4
-            m6 = w6 + b * j6
-        else:
-            a2 = a * a
-            m2 = w2 + a2 * w4 + b * j2
-            m4 = w4 + a2 * w6 + b * j4
-            m6 = w6 + a2 * w8 + b * j6
-        c = _monomial(_alphas_from_moments(m2, m4, m6), "closed_form")
+        # f(s) = -s * weight(s) with weight(s) = sum_k (-p_k) s^(2k) + beta / sqrt(1 + a^2 s^2),
+        # whose even moments are m_n = sum_k (-p_k) w_(n+2k) + beta J_n, and alpha_n follow from them.
+        q = [-pk for pk in p]
+        m2, m4, m6 = [sum(map(operator.mul, q, PI_MOMENTS[i:])) + beta * j
+                      for i, j in enumerate(closed_form_moments(model.a))]
+        C = -2.0 / math.pi
+        alphas = ChebyshevOddCoefficients(C * m2, C * (4.0 * m4 - 3.0 * m2), C * (16.0 * m6 - 20.0 * m4 + 5.0 * m2))
+        c = _monomial(alphas, "closed_form")
     if not all(map(math.isfinite, c.as_tuple())):
         raise DomainError(f"quintic coefficients of {model} overflow: {c.as_tuple()}")
     return c

@@ -5,7 +5,8 @@ u'(0) = 0 on the normalised amplitude interval [-1, 1], where f_a is an
 odd restoring force.  The catalogue covers a relativistic-style force,
 a cable-suspended-mass force, a Duffing term combined with the
 relativistic one, and arbitrary odd polynomial forces supplied as a
-coefficient list.
+coefficient list.  Each is an odd polynomial plus a weighted relativistic
+term, read from the kind in one place (_parts).
 
 The potential is defined as Phi(u) = -2 * integral_u^1 f_a(s) ds, so that
 the conserved energy reads u'^2 = Phi(u) and the exact period is
@@ -19,6 +20,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -79,24 +81,28 @@ class ExactPeriod:
     method: str
 
 
+def _parts(model: OscillatorModel) -> tuple[tuple[float, ...], float]:
+    """Each kind's force as an odd polynomial plus a weighted relativistic term,
+    f(u) = u * sum_k p_k u^(2k) - beta * u / sqrt(1 + (a u)^2): returns (p, beta)."""
+    if model.kind == RELATIVISTIC:
+        return (), 1.0
+    if model.kind == CABLE_MASS:
+        return (-1.0,), model.b
+    if model.kind == DUFFING_RELATIVISTIC:
+        return (-1.0, -model.a * model.a), model.b
+    if not model.force_spec:
+        raise DomainError("generic model requires a non-empty force_spec")
+    return model.force_spec, 0.0
+
+
 def _sqrt_term(a: float, u):
     # (a*u)^2, not a^2 u^2: once a*a overflows, inf * 0 would be NaN at u = 0.
     return np.sqrt(1.0 + np.square(a * u))
 
 
-def restoring_force(model: OscillatorModel, u):
-    """Normalised odd restoring force f_a(u); accepts scalars or arrays."""
-    u = np.asarray(u, dtype=float)
-    a, b = model.a, model.b
-    if model.kind == RELATIVISTIC:
-        out = -u / _sqrt_term(a, u)
-    elif model.kind == CABLE_MASS:
-        out = -u - b * u / _sqrt_term(a, u)
-    elif model.kind == DUFFING_RELATIVISTIC:
-        out = -u - (a * a) * u ** 3 - b * u / _sqrt_term(a, u)
-    else:
-        out = _generic_force(model, u)
-    return out if out.ndim else float(out)
+def _g_rel(a: float, u):
+    """G of the relativistic term, (J - sqrt(1 + a^2 u^2)) / (1 - u^2) rationalised; exact at u = +-1."""
+    return 2.0 / (math.hypot(1.0, a) + _sqrt_term(a, u))
 
 
 def _horner(x, c):
@@ -107,43 +113,36 @@ def _horner(x, c):
     return acc
 
 
-def _generic_force(model: OscillatorModel, u: np.ndarray) -> np.ndarray:
-    if not model.force_spec:
-        raise DomainError("generic model requires a non-empty force_spec")
-    return _horner(np.square(u), model.force_spec) * u
+def _even(c, u):
+    """Sum of c[k] * u**(2k) for a non-empty c; a constant stays a float."""
+    return c[0] if len(c) == 1 else _horner(np.square(u), c)
 
 
-def _generic_g_coeffs(spec: Sequence[float]) -> np.ndarray:
-    # Phi = -sum_k p_k (1 - u^(2k+2)) / (k+1) and (1 - u^(2k+2)) / (1 - u^2)
-    # telescopes to sum_{j<=k} u^(2j), so G is a polynomial in u^2.
-    g = np.zeros(len(spec))
-    for k, p in enumerate(spec):
-        g[: k + 1] -= p / (k + 1)
-    return g
-
-
-def _g_factor(model: OscillatorModel, u):
-    """The factor G(u) = Phi(u) / (1 - u**2); smooth and even."""
+def restoring_force(model: OscillatorModel, u):
+    """Normalised odd restoring force f_a(u); accepts scalars or arrays."""
     u = np.asarray(u, dtype=float)
-    a, b = model.a, model.b
-    if model.kind == GENERIC:
-        if not model.force_spec:
-            raise DomainError("generic model requires a non-empty force_spec")
-        return _horner(np.square(u), _generic_g_coeffs(model.force_spec))
-    J = math.hypot(1.0, a)
-    # (J - sqrt(1+a^2 u^2)) / (1 - u^2) rationalised; exact at u = +-1.
-    g_rel = 2.0 / (J + _sqrt_term(a, u))
-    if model.kind == RELATIVISTIC:
-        return g_rel
-    if model.kind == CABLE_MASS:
-        return 1.0 + b * g_rel
-    return 0.5 * (2.0 + a * a + (a * a) * np.square(u)) + b * g_rel
+    p, beta = _parts(model)
+    out = _even(p, u) * u if p else None
+    if beta:
+        rel = beta * u / _sqrt_term(model.a, u)
+        out = -rel if out is None else out - rel
+    return out if out.ndim else float(out)
+
+
+def _generic_g_coeffs(spec: Sequence[float]) -> list[float]:
+    # Phi = -sum_k p_k (1 - u^(2k+2)) / (k+1) and (1 - u^(2k+2)) / (1 - u^2)
+    # telescopes to sum_{j<=k} u^(2j), so G is a polynomial in u^2 with
+    # g_j = -sum_{k>=j} p_k / (k+1), subtracted in order of k.
+    q = [p / (k + 1) for k, p in enumerate(spec)]
+    return [functools.reduce(operator.sub, q[j:], 0.0) for j in range(len(q))]
 
 
 def potential_phi(model: OscillatorModel, u):
     """Potential Phi(u) = -2 * integral_u^1 f_a; vanishes at u = +-1."""
     u = np.asarray(u, dtype=float)
-    out = (1.0 - np.square(u)) * _g_factor(model, u)
+    p, beta = _parts(model)
+    g = _even(_generic_g_coeffs(p), u) if p else 0.0
+    out = (1.0 - np.square(u)) * (g + beta * _g_rel(model.a, u) if beta else g)  # (1 - u^2) G(u)
     return out if out.ndim else float(out)
 
 
@@ -157,20 +156,26 @@ _TRAPEZOID_TOL = 1e-15
 
 def _theta_integrand(model: OscillatorModel):
     """The regularised integrand theta -> 1 / sqrt(G(sin theta)) of Psi and the period."""
-    if model.kind != GENERIC:
-        return lambda theta: 1.0 / np.sqrt(_g_factor(model, np.sin(theta)))
-    # With s = sin^2 and c = cos^2, G(s) = c G(0) + s G(1) + c s R(s), so a
-    # G(0) or G(1) near zero keeps its relative precision at u = 0 and u = +-1,
-    # where s or c is small; Horner in s alone loses it at u = +-1.  G(1) is
-    # -f(1).  R(s) = (G(s) - c G(0) - s G(1)) / (s c): dividing by s shifts
-    # the coefficients and dividing by c = 1 - s takes running sums.
-    g = _generic_g_coeffs(model.force_spec)
-    g_0, g_1 = g[0], -sum(model.force_spec)
-    r = np.cumsum(np.concatenate(([g[0] + g[1] - g_1], g[2:]))[:-1]) if len(g) > 2 else [0.0]
+    p, beta = _parts(model)
+    if p:
+        # With s = sin^2 and c = cos^2, the polynomial part of G is
+        # c G(0) + s G(1) + c s R(s), so a G(0) or G(1) near zero keeps its
+        # relative precision at u = 0 and u = +-1, where s or c is small;
+        # Horner in s alone loses it at u = +-1.  G(1) is -f(1).
+        # R(s) = (G(s) - c G(0) - s G(1)) / (s c): dividing by s shifts the
+        # coefficients and dividing by c = 1 - s takes running sums.
+        g = _generic_g_coeffs(p)
+        g_0, g_1 = g[0], -sum(p)
+        r = np.cumsum([g[0] + g[1] - g_1] + g[2:-1]) if len(g) > 2 else None
 
     def integrand(theta):
-        s, c = np.square(np.sin(theta)), np.square(np.cos(theta))
-        return 1.0 / np.sqrt(c * g_0 + s * g_1 + c * s * _horner(s, r))
+        u = np.sin(theta)
+        G = beta * _g_rel(model.a, u) if beta else 0.0
+        if p:
+            s, c = np.square(u), np.square(np.cos(theta))
+            g_p = c * g_0 + s * g_1 if r is None else c * g_0 + s * g_1 + c * s * _horner(s, r)
+            G = g_p + G if beta else g_p
+        return 1.0 / np.sqrt(G)
 
     return integrand
 
@@ -189,26 +194,27 @@ def _quarter_period_integral(g) -> float:
     _TRAPEZOID_TOL relative and returns the finer one.
     """
     n, cap = _TRAPEZOID_PANELS
+    # g runs silently on every level: values and sums that are not finite and positive raise below.
     with np.errstate(all="ignore"):
         grid = g((0.5 * math.pi / _TRAPEZOID_GRID) * np.arange(_TRAPEZOID_GRID + 1))
-    if not (0.0 < grid.min() and grid.max() < math.inf):  # NaN fails both
-        raise DomainError(f"quarter-period integrand is not finite and positive on the first grid "
-                          f"(min {grid.min()}, max {grid.max()})")
-    stride = _TRAPEZOID_GRID // n
-    values = grid[::stride]
-    h = 0.5 * math.pi / n
-    # np.add.reduce is np.sum's own reduction, without its dispatch layers.
-    total = np.add.reduce(values) - 0.5 * (values[0] + values[-1])
-    estimate = h * total
-    while n < cap:
-        stride //= 2
-        total += np.add.reduce(grid[stride::2 * stride] if stride else g(h * (np.arange(n) + 0.5)))
-        n, h, previous = 2 * n, 0.5 * h, estimate
+        if not (0.0 < grid.min() and grid.max() < math.inf):  # NaN fails both
+            raise DomainError(f"quarter-period integrand is not finite and positive on the first grid "
+                              f"(min {grid.min()}, max {grid.max()})")
+        stride = _TRAPEZOID_GRID // n
+        values = grid[::stride]
+        h = 0.5 * math.pi / n
+        # np.add.reduce is np.sum's own reduction, without its dispatch layers.
+        total = np.add.reduce(values) - 0.5 * (values[0] + values[-1])
         estimate = h * total
-        if not 0.0 < estimate < math.inf:
-            raise DomainError(f"quarter-period integrand is not finite and positive (integral {estimate})")
-        if abs(estimate - previous) <= _TRAPEZOID_TOL * estimate:
-            return float(estimate)
+        while n < cap:
+            stride //= 2
+            total += np.add.reduce(grid[stride::2 * stride] if stride else g(h * (np.arange(n) + 0.5)))
+            n, h, previous = 2 * n, 0.5 * h, estimate
+            estimate = h * total
+            if not 0.0 < estimate < math.inf:
+                raise DomainError(f"quarter-period integrand is not finite and positive (integral {estimate})")
+            if abs(estimate - previous) <= _TRAPEZOID_TOL * estimate:
+                return float(estimate)
     raise ConvergenceError(f"quarter-period trapezoid did not converge within {cap} panels "
                            f"(last change {abs(estimate - previous) / estimate:.3g} relative)")
 
@@ -313,11 +319,10 @@ def _find_problems(model: OscillatorModel) -> list[str]:
             problems.append(f"restoring force must be negative at u=1, got f(1)={sum(model.force_spec)}")
         else:
             g = _generic_g_coeffs(model.force_spec)
-            d = g[1:] * np.arange(1, len(g))  # G', formed as polyder forms it
-            roots = poly.polyroots(d).real.tolist() if len(d) else []  # a constant G has no critical point
+            d = [k * g[k] for k in range(1, len(g))]  # G', formed as polyder forms it
+            roots = poly.polyroots(d).real.tolist() if d else []  # a constant G has no critical point
             s = [0.0, 1.0] + [min(1.0, max(0.0, r)) for r in roots]
-            coeffs = g.tolist()
-            gs = [_horner(x, coeffs) for x in s]
+            gs = [_horner(x, g) for x in s]
             i = np.argmin(gs)
             if not gs[i] > 0.0:
                 problems.append(f"potential must be positive on (-1, 1): "

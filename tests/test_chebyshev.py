@@ -328,3 +328,78 @@ class TestModelCoefficients:
                 ch.project_odd_quintic(lambda u: models.restoring_force(model, u), nodes=nodes))
             for got, want in zip(quadrature.as_tuple(), closed.as_tuple()):
                 assert abs(got - want) <= 1e-10 * max(1.0, abs(want))
+
+
+class TestMomentTable:
+    def test_closed_form_is_the_per_kind_moment_sums(self):
+        # The moment sums each kind had before the force became one (p, beta) table.
+        rng = np.random.default_rng(20)
+        w2, w4, w6, w8 = ch.PI_MOMENTS
+        C = -2.0 / math.pi
+        for i in range(300):
+            kind = ("relativistic", "cable-mass", "duffing-relativistic")[i % 3]
+            a, b = math.exp(rng.uniform(math.log(0.05), math.log(30.0))), rng.uniform(0.05, 2.0)
+            j2, j4, j6 = ch.closed_form_moments(a)
+            if kind == "relativistic":
+                m2, m4, m6 = j2, j4, j6
+            elif kind == "cable-mass":
+                m2, m4, m6 = w2 + b * j2, w4 + b * j4, w6 + b * j6
+            else:
+                a2 = a * a
+                m2, m4, m6 = w2 + a2 * w4 + b * j2, w4 + a2 * w6 + b * j4, w6 + a2 * w8 + b * j6
+            alphas = ch.ChebyshevOddCoefficients(C * m2, C * (4.0 * m4 - 3.0 * m2),
+                                                 C * (16.0 * m6 - 20.0 * m4 + 5.0 * m2))
+            want = ch.to_monomial(alphas, "closed_form")
+            got = ch.model_coefficients(models.OscillatorModel(kind, a=a, b=b))
+            assert got.provenance == want.provenance
+            assert [x.hex() for x in got.as_tuple()] == [x.hex() for x in want.as_tuple()], (kind, a, b)
+
+
+def best_odd_quintic(f, grid):
+    """Remez exchange for the best approximation p* to f from span{u, u^3, u^5} on ``grid`` in (0, 1].
+
+    Returns the reference indices, |E| = ||f - p*|| on them and the error f - p* on the grid.
+    """
+    basis = np.stack([grid, grid ** 3, grid ** 5], axis=1)
+    fx = f(grid)
+    sign = (-1.0) ** np.arange(4)
+    ref = np.searchsorted(grid, np.cos(np.arange(4) * math.pi / 7)[::-1])  # T7's extrema in (0, 1]
+    for _ in range(50):
+        *c, level = np.linalg.solve(np.column_stack([basis[ref], sign]), fx[ref])
+        e = fx - basis @ c
+        # The extremum of each run of one sign; the next reference is the 4 consecutive ones
+        # around the largest.
+        runs = np.split(np.arange(grid.size), np.flatnonzero(np.diff(np.sign(e))) + 1)
+        peaks = np.array([run[np.argmax(np.abs(e[run]))] for run in runs])
+        k = int(np.argmax(np.abs(e[peaks])))
+        start = min(max(k - 3, 0), len(peaks) - 4)
+        if np.array_equal(peaks[start:start + 4], ref):
+            return ref, abs(level), e
+        ref = peaks[start:start + 4]
+    raise AssertionError("Remez exchange did not settle")
+
+
+class TestNearMinimax:
+    """The Chebyshev quintic is near-best: within ATAP Thm 16.1's 4 + (4/pi^2) log 6 of the minimax one."""
+
+    GRID = np.linspace(0.0, 1.0, 200001)[1:]
+
+    @pytest.mark.parametrize("kind,a,b,ratio", [
+        ("relativistic", 1.0, 0.0, 1.129), ("relativistic", 2.0, 0.0, 1.265),
+        ("relativistic", 3.0, 0.0, 1.332), ("relativistic", 8.0, 0.0, 1.357),
+        ("relativistic", 20.0, 0.0, 1.265), ("relativistic", 30.0, 0.0, 1.219),
+        ("duffing-relativistic", 1.7, 1.0, 1.233),
+    ])
+    def test_within_the_near_best_bound(self, kind, a, b, ratio):
+        model = models.OscillatorModel(kind, a=a, b=b)
+        f = lambda u: models.restoring_force(model, u)
+        ref, best, e = best_odd_quintic(f, self.GRID)
+        # Equioscillation: 4 alternating extrema of one height, which no grid point exceeds.
+        assert np.all(np.sign(e[ref][1:]) == -np.sign(e[ref][:-1]))
+        assert np.max(np.abs(np.abs(e[ref]) - best)) <= 1e-10 * best
+        assert np.max(np.abs(e)) <= (1.0 + 1e-10) * best
+        c = ch.model_coefficients(model)
+        u = self.GRID
+        cheb = np.max(np.abs(f(u) + (c.c1 * u + c.c3 * u ** 3 + c.c5 * u ** 5)))
+        assert 1.0 <= cheb / best <= 4.0 + 4.0 / math.pi ** 2 * math.log(6.0)
+        assert cheb / best == pytest.approx(ratio, abs=5e-4)

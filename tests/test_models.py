@@ -110,6 +110,45 @@ class TestRestoringForce:
             models.OscillatorModel("pendulum", a=1.0)
 
 
+def catalogue_parameters(seed, count=50):
+    """Seeded (a, b) over the catalogue's ranges: a log-uniform in [0.05, 30], b uniform in [0.05, 2]."""
+    rng = np.random.default_rng(seed)
+    return [(math.exp(rng.uniform(math.log(0.05), math.log(30.0))), rng.uniform(0.05, 2.0)) for _ in range(count)]
+
+
+class TestForceTable:
+    """Each kind's (p, beta) gives the paper's force for that kind."""
+
+    U = np.linspace(-1.0, 1.0, 4001)
+
+    def test_parts(self):
+        assert models._parts(models.OscillatorModel("relativistic", a=2.0, b=0.5)) == ((), 1.0)
+        assert models._parts(models.OscillatorModel("cable-mass", a=2.0, b=0.5)) == ((-1.0,), 0.5)
+        assert models._parts(models.OscillatorModel("duffing-relativistic", a=2.0, b=0.5)) == ((-1.0, -4.0), 0.5)
+        assert models._parts(CUBIC) == ((-1.0, -0.5), 0.0)
+        with pytest.raises(DomainError, match="non-empty force_spec"):
+            models._parts(models.OscillatorModel("generic", force_spec=()))
+
+    def test_relativistic_bit_for_bit(self):
+        u = self.U
+        for a, b in catalogue_parameters(1):
+            got = models.restoring_force(models.OscillatorModel("relativistic", a=a, b=b), u)
+            assert got.tobytes() == (-u / np.sqrt(1.0 + (a * u) ** 2)).tobytes(), a
+
+    def test_cable_mass_bit_for_bit(self):
+        u = self.U
+        for a, b in catalogue_parameters(2):
+            got = models.restoring_force(models.OscillatorModel("cable-mass", a=a, b=b), u)
+            assert got.tobytes() == (-u - b * u / np.sqrt(1.0 + (a * u) ** 2)).tobytes(), (a, b)
+
+    def test_duffing_relativistic_to_rounding(self):
+        u = self.U
+        for a, b in catalogue_parameters(3):
+            got = models.restoring_force(models.OscillatorModel("duffing-relativistic", a=a, b=b), u)
+            want = -u - a * a * u ** 3 - b * u / np.sqrt(1.0 + (a * u) ** 2)
+            assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want)), (a, b)
+
+
 class TestPotential:
     def test_relativistic_center_value(self):
         assert models.potential_phi(REL1, 0.0) == pytest.approx(2.0 * (math.sqrt(2.0) - 1.0), rel=1e-14)
@@ -282,6 +321,22 @@ class TestTrapezoid:
             n = trapezoid_by_levels(g)[1]
             # The 65-node grid, then the n/2 midpoints of each level past 64 panels.
             assert calls == [65] + [2 ** k for k in range(6, n.bit_length() - 1)]
+
+    def test_overflowing_midpoints_stay_silent(self):
+        # (a u)^2 overflows for u > 1.34e-6 on this model, so the midpoints of the levels past
+        # 64 panels overflow too; the trapezoid still converges, with no RuntimeWarning.
+        model = models.OscillatorModel("cable-mass", a=1e160, b=1e148)
+        g = models._theta_integrand(model)
+        calls = []
+        value = models._quarter_period_integral(lambda theta: calls.append(theta.size) or g(theta))
+        assert len(calls) > 1 and 0.0 < value < math.inf
+        assert models.time_integral_psi(model, 0.0) == value
+
+    def test_overflow_everywhere_raises_without_warning(self):
+        # Past u ~ 1e-154 the relativistic term of G rounds to 0, although b g_rel is ~2 here, so
+        # every node but theta = 0 sees G = 1: the levels never agree, and no RuntimeWarning escapes.
+        with pytest.raises(ConvergenceError):
+            models.time_integral_psi(models.OscillatorModel("cable-mass", a=1e308, b=1e308), 0.0)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -1.0])
     def test_bad_value_on_first_grid_raises(self, bad):
