@@ -124,7 +124,7 @@ def restoring_force(model: OscillatorModel, u):
     p, beta = _parts(model)
     out = _even(p, u) * u if p else None
     if beta:
-        rel = beta * u / _sqrt_term(model.a, u)
+        rel = (u if beta == 1.0 else beta * u) / _sqrt_term(model.a, u)  # 1.0 * u is u: skip that pass
         out = -rel if out is None else out - rel
     return out if out.ndim else float(out)
 

@@ -525,6 +525,16 @@ class TestGenericPolynomial:
                 # repr tells -0.0 from 0.0; NaN payloads are not compared.
                 assert repr(np.asarray(got).tolist()) == repr(np.asarray(expected).tolist())
 
+    def test_g_coeffs_match_the_array_loop(self):
+        # The subtractions of the numpy slice loop, in its order: the Python-float version is bit-identical.
+        rng = np.random.default_rng(61)
+        for _ in range(2000):
+            spec = tuple(rng.normal(size=int(rng.integers(1, 62))).tolist())
+            want = np.zeros(len(spec))
+            for k, p in enumerate(spec):
+                want[: k + 1] -= p / (k + 1)
+            assert np.array(models._generic_g_coeffs(spec)).tobytes() == want.tobytes(), spec
+
     def test_positivity_check_matches_polyder_route(self):
         # Small integers make exact zeros: G' with a zero or vanishing leading
         # coefficient, linear G' and roots at s = +-0 and s = 1.
