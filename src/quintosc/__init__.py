@@ -12,7 +12,6 @@ __version__ = "0.1.0"
 from .chebyshev import (
     ChebyshevOddCoefficients,
     QuinticCoefficients,
-    closed_form_moments,
     model_coefficients,
     project_odd_quintic,
     to_monomial,
@@ -46,7 +45,6 @@ __all__ = [
     "ResidualReport",
     "UnsupportedCaseError",
     "classify",
-    "closed_form_moments",
     "compare_trajectories",
     "derivative",
     "discriminant",

@@ -3,41 +3,36 @@
 An odd force f on [-1, 1] is replaced by its projection onto T1, T3, T5
 with respect to the Chebyshev weight,
 
-    alpha_n = (2/pi) * integral_{-1}^{1} T_n(s) f(s) / sqrt(1 - s^2) ds,
+    alpha_n = (2/pi) * integral_{-1}^{1} T_n(s) f(s) / sqrt(1 - s^2) ds.
 
-evaluated by Gauss-Chebyshev quadrature, which absorbs the weight exactly
-and is spectrally accurate for analytic forces.  Rewriting the projection
-in the monomial basis turns the original oscillator into the quintic one
-solved in module quintic.
+Rewriting the projection in the monomial basis turns the original
+oscillator into the quintic one solved in module quintic.
 
-The convergence rate depends on the force: the catalogue forces have
-branch points at u = +-i/a, so their Chebyshev coefficients decay like
-rho^-n with rho = 1/a + sqrt(1 + 1/a^2), and a fixed 64-node rule aliases
-the slow tail for large a.  The default rule is therefore adaptive.  It
-evaluates 64, 192, 576, ... first-kind nodes, which nest under tripling
-so that each level reuses every force value of the previous one.  It
-stops when the largest change of any alpha is at most 1e-14 * max|f|,
-returns the coarser of the last two levels (the one whose error that
-change estimates, and the exact 64-node value whenever 64 nodes already
-resolve the force), and raises ConvergenceError if 46 656 nodes (64 * 3^6)
-do not converge.  An explicit node count keeps the fixed rule.  The
-generic model's force is an odd polynomial, which a fixed rule integrates
-exactly, so model_coefficients passes max(64, L + 3) nodes for its L
-coefficients and the adaptive default serves arbitrary forces.
+project_odd_quintic evaluates the integrals of any force by Gauss-Chebyshev
+quadrature, which absorbs the weight exactly and is spectrally accurate for
+analytic forces.  The catalogue forces have branch points at u = +-i/a, so
+their Chebyshev coefficients decay like rho^-n with rho = 1/a + sqrt(1 + 1/a^2),
+and a fixed 64-node rule aliases the slow tail for large a.  The default
+rule is therefore adaptive.  It evaluates 64, 192, 576, ... first-kind
+nodes, which nest under tripling so that each level reuses every force value
+of the previous one.  It stops when the largest change of any alpha is at
+most 1e-14 * max|f|, returns the coarser of the last two levels (the one
+whose error that change estimates, and the exact 64-node value whenever 64
+nodes already resolve the force), and raises ConvergenceError if 46 656
+nodes (64 * 3^6) do not converge.  An explicit node count keeps the fixed rule.
 
-For the catalogue models, an odd polynomial plus beta times the relativistic
-force, the projection integrals reduce to the Chebyshev-weight moments w_n
-of the polynomial and the moments J_n of 1/sqrt(1 + a^2 s^2): closed forms
-in complete elliptic integrals above a = 1 (Byrd & Friedman 236.16 /
-331.01-03), the 64-node rule at and below it.  Both routes are exposed
-so they can be checked against each other.
+model_coefficients needs no quadrature of the force.  Every model is an odd
+polynomial plus beta times the relativistic force (models._parts), so its
+alphas are linear in (p, beta): the T1/T3/T5 part of each power u^(2k+1) is
+a table of dyadic rationals (Mason & Handscomb, Chebyshev Polynomials, 2003),
+and the relativistic alphas are the 64-node sums at a <= 3.5 and complete
+elliptic integrals K and E above (Byrd & Friedman 236.16 / 331.01-03).
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import operator
 from dataclasses import dataclass
 from typing import Callable
 
@@ -66,8 +61,11 @@ class QuinticCoefficients:
     """Monomial coefficients of the approximating force -(c1*u + c3*u^3 + c5*u^5).
 
     ``provenance`` records how the triple was obtained: "quadrature" for
-    the Gauss-Chebyshev route, "closed_form" for the elliptic-moment
-    route, "manual" for hand-entered triples.
+    project_odd_quintic's Gauss-Chebyshev rule (to_monomial's default) and
+    for generic models, whose polynomial model_coefficients projects exactly
+    by its table; "closed_form" for the catalogue kinds, whose relativistic
+    term model_coefficients takes from the 64-node sums or K and E; "manual"
+    for hand-entered triples.
     """
 
     c1: float
@@ -77,10 +75,6 @@ class QuinticCoefficients:
 
     def as_tuple(self) -> tuple[float, float, float]:
         return (self.c1, self.c3, self.c5)
-
-
-# Chebyshev-weight moments w_n = integral s^n / sqrt(1-s^2) ds over [-1, 1], n = 2, 4, 6, 8.
-PI_MOMENTS = (math.pi / 2.0, 3.0 * math.pi / 8.0, 5.0 * math.pi / 16.0, 35.0 * math.pi / 128.0)
 
 
 _FIRST_LEVEL = 64
@@ -182,14 +176,9 @@ def project_odd_quintic(force: Callable, nodes: int | None = None) -> ChebyshevO
         alphas = finer
 
 
-def _monomial(alphas: ChebyshevOddCoefficients, provenance: str) -> QuinticCoefficients:
-    a1, a3, a5 = alphas.alpha1, alphas.alpha3, alphas.alpha5
-    return QuinticCoefficients(
-        -(a1 - 3.0 * a3 + 5.0 * a5),
-        -4.0 * (a3 - 5.0 * a5),
-        -16.0 * a5,
-        provenance,
-    )
+def _monomial(a1, a3, a5):
+    """(c1, c3, c5) with a1*T1 + a3*T3 + a5*T5 = c1*u + c3*u^3 + c5*u^5; exact on ints."""
+    return (a1 - 3 * a3 + 5 * a5, 4 * (a3 - 5 * a5), 16 * a5)
 
 
 def to_monomial(alphas: ChebyshevOddCoefficients, provenance: str = "quadrature") -> QuinticCoefficients:
@@ -197,73 +186,71 @@ def to_monomial(alphas: ChebyshevOddCoefficients, provenance: str = "quadrature"
 
     A triple that is not finite (non-finite alphas, or sums that overflow) raises DomainError.
     """
-    c = _monomial(alphas, provenance)
+    c1, c3, c5 = _monomial(alphas.alpha1, alphas.alpha3, alphas.alpha5)
+    c = QuinticCoefficients(-c1, -c3, -c5, provenance)
     if not all(map(math.isfinite, c.as_tuple())):
         raise DomainError(f"monomial coefficients of {alphas} overflow: {c.as_tuple()}")
     return c
 
 
-# At and below this amplitude the moments come from the 64-node rule: the
-# weight's Bernstein ellipse has rho >= 1 + sqrt(2) there, while the K/E
-# brackets cancel to order a^4 and a^6 and lose digits as a falls.
-_RULE_CUTOFF = 1.0
-_RULE_NODES = _basis(_FIRST_LEVEL)[0]
-_RULE_POWERS = _RULE_NODES ** np.array([[2.0], [4.0], [6.0]])
+@functools.lru_cache(maxsize=None)  # one entry per power of the longest force_spec seen
+def _power_triple(k: int) -> tuple[float, float, float]:
+    """Monomial triple of the T1/T3/T5 part of u^(2k+1) = 4^-k * sum_i C(2k+1, k+1+i) T_(2i+1).
 
-
-def closed_form_moments(a: float) -> tuple[float, float, float]:
-    """Moments (J2, J4, J6), J_n(a) = integral s^n / sqrt((1-s^2)(1+a^2 s^2)) ds over [-1, 1], a > 0.
-
-    Above a = 1 they are closed forms in K and E at m = a^2 / (1 + a^2).
-    At and below a = 1 they are the 64-node first-kind sums
-    (pi/64) * sum s_j^n / sqrt(1 + (a*s_j)^2), accurate to rounding there.
+    The entries are dyadic rationals, formed in integers and rounded once; k <= 2 gives a unit vector.
     """
+    b = [math.comb(2 * k + 1, k + 1 + i) for i in range(3)]  # 0 once k + 1 + i > 2k + 1
+    return tuple(c / 4 ** k for c in _monomial(*b))
+
+
+# Up to this amplitude the relativistic alphas are the 64-node first-kind sums: the force's
+# Bernstein ellipse has rho = (1 + sqrt(1 + a^2)) / a >= 1.33 there, so the rule's aliasing, of
+# order rho^-123 in alpha5, stays at rounding level, while the K/E form cancels more as a falls.
+_RULE_CUTOFF = 3.5
+_RULE = _basis(_FIRST_LEVEL)
+
+
+def _relativistic_alphas(a: float) -> tuple[float, float, float]:
+    """(alpha1, alpha3, alpha5) of the relativistic force -u / sqrt(1 + a^2 u^2), a > 0."""
     if not a > 0.0:
-        raise DomainError(f"closed_form_moments requires a > 0, got a={a}")
+        raise DomainError(f"model_coefficients requires a > 0, got a={a}")
     if a <= _RULE_CUTOFF:
-        # Pairwise sums, with no BLAS dot.
-        sums = (_RULE_POWERS / np.sqrt(1.0 + (a * _RULE_NODES) ** 2)).sum(axis=1)
-        return tuple(((math.pi / _FIRST_LEVEL) * sums).tolist())
+        s = _RULE[0]  # pairwise sums, with no BLAS dot
+        return tuple(((-2.0 / _FIRST_LEVEL) * (_RULE * (s / np.sqrt(1.0 + (a * s) ** 2))).sum(axis=1)).tolist())
     # K and E at m = a^2 / (1 + a^2), passed as m1 = 1 / J^2.  The brackets
     # are scaled by 1 / a^2 = x so that no power of a overflows.
     J = math.hypot(1.0, a)
     m1 = (1.0 / J) * (1.0 / J)
     if m1 == 0.0:
-        raise DomainError(f"closed_form_moments needs m1 = 1/(1 + a^2) > 0, which underflows at a={a}")
+        raise DomainError(f"model_coefficients needs m1 = 1/(1 + a^2) > 0, which underflows at a={a}")
     K, E = _legendre_fe(1.0, 0.0, m1)
     x = (1.0 / a) * (1.0 / a)
     je = (J / a) * E / a
     kj = K / J / a / a
-    j2 = 2.0 * (je - kj)
-    j4 = 2.0 / 3.0 * (2.0 * (1.0 - x) * je - (1.0 - 2.0 * x) * kj)
-    j6 = 2.0 / 15.0 * ((8.0 - 7.0 * x + 8.0 * x * x) * je - (4.0 - 3.0 * x + 8.0 * x * x) * kj)
-    return (j2, j4, j6)
+    C = -2.0 / math.pi
+    return (2.0 * C * (je - kj),
+            C / 3.0 * ((10.0 + 16.0 * x) * kj - (2.0 + 16.0 * x) * je),
+            C / 15.0 * ((6.0 + 176.0 * x + 256.0 * x * x) * je - (78.0 + 304.0 * x + 256.0 * x * x) * kj))
 
 
 def model_coefficients(model: models.OscillatorModel) -> QuinticCoefficients:
-    """Quintic coefficients of a catalogue model via the closed-form moments.
+    """Quintic coefficients of a model, straight from its force table (p, beta).
 
-    The generic model has no closed form and takes the quadrature route
-    (the provenance tag says which path produced the result).  Its force
-    is an odd polynomial of degree 2L - 1 for L coefficients, so the fixed
-    rule on max(64, L + 3) nodes, exact up to degree 2 * nodes - 1,
-    integrates T5 * f exactly; up to L = 61 it is the 64-node level the
-    adaptive default would stop at.  Coefficients that overflow raise
-    DomainError on either route.
+    The projection is linear in f(u) = u * sum_k p_k u^(2k) - beta * u / sqrt(1 + a^2 u^2), so
+    c = -sum_k p_k * _power_triple(k) - beta * (the monomial triple of the relativistic alphas),
+    with no quadrature of the force and no branch on its kind.  Coefficients that overflow
+    raise DomainError, as does an a that is not positive when beta is nonzero.
     """
     p, beta = models._parts(model)
-    if model.kind == models.GENERIC:
-        nodes = max(_FIRST_LEVEL, len(p) + 3)
-        c = _monomial(project_odd_quintic(lambda u: models.restoring_force(model, u), nodes), "quadrature")
-    else:
-        # f(s) = -s * weight(s) with weight(s) = sum_k (-p_k) s^(2k) + beta / sqrt(1 + a^2 s^2),
-        # whose even moments are m_n = sum_k (-p_k) w_(n+2k) + beta J_n, and alpha_n follow from them.
-        q = [-pk for pk in p]
-        m2, m4, m6 = [sum(map(operator.mul, q, PI_MOMENTS[i:])) + beta * j
-                      for i, j in enumerate(closed_form_moments(model.a))]
-        C = -2.0 / math.pi
-        alphas = ChebyshevOddCoefficients(C * m2, C * (4.0 * m4 - 3.0 * m2), C * (16.0 * m6 - 20.0 * m4 + 5.0 * m2))
-        c = _monomial(alphas, "closed_form")
+    c1 = c3 = c5 = 0.0
+    for k, pk in enumerate(p):
+        t1, t3, t5 = _power_triple(k)
+        c1, c3, c5 = c1 - pk * t1, c3 - pk * t3, c5 - pk * t5
+    if beta:
+        r1, r3, r5 = _monomial(*_relativistic_alphas(model.a))
+        c1, c3, c5 = c1 - beta * r1, c3 - beta * r3, c5 - beta * r5
+    # Generic triples keep the label "quadrature": perfbench's per-route spans read it.
+    c = QuinticCoefficients(c1, c3, c5, "quadrature" if model.kind == models.GENERIC else "closed_form")
     if not all(map(math.isfinite, c.as_tuple())):
         raise DomainError(f"quintic coefficients of {model} overflow: {c.as_tuple()}")
     return c

@@ -1,6 +1,8 @@
 """Tests for the Chebyshev projection and coefficient pipeline."""
 
 import math
+import warnings
+from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
@@ -15,12 +17,32 @@ RELATIVISTIC_A1 = models.OscillatorModel("relativistic", a=1.0)
 
 
 def mp_moments(a):
-    """30-digit J_n(a) = 2 * integral_0^{pi/2} sin^n / sqrt(1 + a^2 sin^2) for n = 2, 4, 6."""
-    with mp.workdps(30):
+    """40-digit J_n(a) = 2 * integral_0^{pi/2} sin^n / sqrt(1 + a^2 sin^2) for n = 2, 4, 6."""
+    with mp.workdps(40):
         # Split where the integrand turns, at theta ~ 10^k / a, when a > 1.
         A = mp.mpf(a)
         nodes = [0] + [mp.mpf(10) ** k / A for k in range(int(math.log10(a)) + 1) if a > 1] + [mp.pi / 2]
         return [2 * mp.quad(lambda th: mp.sin(th) ** n / mp.sqrt(1 + (A * mp.sin(th)) ** 2), nodes) for n in (2, 4, 6)]
+
+
+def exact_power_triples(n):
+    """Exact monomial triples of the T1/T3/T5 parts of u, u^3, ..., u^(2n-1).
+
+    Built from u*T0 = T1 and u*T_j = (T_(j+1) + T_(j-1)) / 2 in Fractions, independently of the
+    binomial table model_coefficients uses.
+    """
+    cheb, triples = [Fraction(1)] + [Fraction(0)] * 5, []
+    for m in range(1, 2 * n):
+        nxt = [Fraction(0)] * (len(cheb) + 1)
+        for j, cj in enumerate(cheb):
+            nxt[j + 1] += cj if j == 0 else cj / 2
+            if j:
+                nxt[j - 1] += cj / 2
+        cheb = nxt
+        if m % 2:
+            a1, a3, a5 = cheb[1], cheb[3], cheb[5]
+            triples.append((a1 - 3 * a3 + 5 * a5, 4 * (a3 - 5 * a5), 16 * a5))
+    return triples
 
 
 class TestProjection:
@@ -104,21 +126,17 @@ class TestProjection:
     def test_default_equals_64_nodes_for_odd_polynomials(self, spec):
         # 64 nodes integrate T5 * f exactly up to degree 121 (61 coefficients),
         # so the adaptive default stops at the first tripling and returns the
-        # 64-node level unchanged: the rule model_coefficients takes directly.
+        # 64-node level unchanged.
         model = models.OscillatorModel("generic", force_spec=spec)
         force = lambda u: models.restoring_force(model, u)
-        default = ch.project_odd_quintic(force)
-        assert default == ch.project_odd_quintic(force, nodes=64)
-        assert ch.model_coefficients(model) == ch.to_monomial(default)
+        assert ch.project_odd_quintic(force) == ch.project_odd_quintic(force, nodes=64)
 
     def test_long_generic_spec_projects_exactly(self):
-        # Degree 139 is past the 64-node rule; model_coefficients takes 73
-        # nodes, exact for T5 * f.  The gap to numpy's basis change is
-        # 5.0e-17 * sum|p| here.
+        # Degree 139 is past the 64-node rule; 73 nodes are exact for T5 * f.
+        # The gap to numpy's basis change is 5.0e-17 * sum|p| here.
         spec = np.random.default_rng(70).uniform(-1.0, 1.0, 70)
         model = models.OscillatorModel("generic", force_spec=spec)
         alphas = ch.project_odd_quintic(lambda u: models.restoring_force(model, u), nodes=73)
-        assert ch.model_coefficients(model) == ch.to_monomial(alphas)
         odd = np.zeros(2 * len(spec))
         odd[1::2] = spec
         want = np.polynomial.chebyshev.poly2cheb(odd)[[1, 3, 5]]
@@ -185,68 +203,6 @@ class TestMonomialMap:
         assert abs(got.c5 - c5) <= 1e-14 * scale
 
 
-class TestMoments:
-    def test_small_amplitude_limit(self):
-        j2, j4, j6 = ch.closed_form_moments(1e-4)
-        assert j2 == pytest.approx(ch.PI_MOMENTS[0], abs=1e-7)
-        assert j4 == pytest.approx(ch.PI_MOMENTS[1], abs=1e-7)
-        assert j6 == pytest.approx(ch.PI_MOMENTS[2], abs=1e-7)
-
-    def test_frozen_values(self):
-        j2, j4, j6 = ch.closed_form_moments(1.0)
-        assert j2 == pytest.approx(1.1981402347355922, rel=1e-13)
-        assert j4 == pytest.approx(0.87401918476403994, rel=1e-13)
-        assert j6 == pytest.approx(0.71888414084135532, rel=1e-13)
-        j2, j4, j6 = ch.closed_form_moments(8.0)
-        assert j2 == pytest.approx(0.24423456106878077, rel=1e-13)
-        assert j4 == pytest.approx(0.16477916798295162, rel=1e-13)
-        assert j6 == pytest.approx(0.13205329379659422, rel=1e-13)
-
-    @pytest.mark.parametrize("a", [1e8, 1e9, 1e12])
-    def test_large_amplitude_against_quadrature(self, a):
-        # m = a^2 / (1 + a^2) rounds to 1 here; the moments take 1 - m = 1 / (1 + a^2).
-        for got, ref in zip(ch.closed_form_moments(a), mp_moments(a)):
-            assert got == pytest.approx(float(ref), rel=1e-14, abs=0.0)
-
-    @pytest.mark.parametrize("a", [5e-324, 1e-3, 0.05, 0.25, 0.26, 0.3, 0.5, 0.7, 1.0, math.nextafter(1.0, 2.0),
-                                   1.5, 2.0, 8.0, 30.0])
-    def test_moments_and_triples_against_mpmath(self, a):
-        # Both sides of the switch from the 64-node rule to the K/E brackets at a = 1.
-        ref = mp_moments(a)
-        for got, want in zip(ch.closed_form_moments(a), ref):
-            assert abs(got - want) <= 2e-15 * abs(want)
-        b = 0.7
-        with mp.workdps(30):
-            A = mp.mpf(a)
-            w2, w4, w6, w8 = mp.pi / 2, 3 * mp.pi / 8, 5 * mp.pi / 16, 35 * mp.pi / 128
-            C = -2 / mp.pi
-            moments = {
-                "relativistic": ref,
-                "cable-mass": [w + b * j for w, j in zip((w2, w4, w6), ref)],
-                "duffing-relativistic": [w + A ** 2 * v + b * j for w, v, j in zip((w2, w4, w6), (w4, w6, w8), ref)],
-            }
-            for kind, (m2, m4, m6) in moments.items():
-                a1, a3, a5 = C * m2, C * (4 * m4 - 3 * m2), C * (16 * m6 - 20 * m4 + 5 * m2)
-                want = (-(a1 - 3 * a3 + 5 * a5), -4 * (a3 - 5 * a5), -16 * a5)
-                got = ch.model_coefficients(models.OscillatorModel(kind, a=a, b=b)).as_tuple()
-                scale = max(map(abs, got))
-                assert max(abs(g - w) for g, w in zip(got, want)) <= 2e-13 * scale, kind
-
-    @pytest.mark.parametrize("a", [0.2, 1.0, 5.0, 30.0])
-    def test_ordering(self, a):
-        j2, j4, j6 = ch.closed_form_moments(a)
-        assert j2 > j4 > j6 > 0.0
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            ch.closed_form_moments(0.0)
-        with pytest.raises(DomainError):
-            ch.closed_form_moments(-1.0)
-
-    def test_pi_moments_constants(self):
-        assert ch.PI_MOMENTS == (math.pi / 2.0, 3.0 * math.pi / 8.0, 5.0 * math.pi / 16.0, 35.0 * math.pi / 128.0)
-
-
 class TestModelCoefficients:
     def test_relativistic_frozen(self):
         c = ch.model_coefficients(RELATIVISTIC_A1)
@@ -295,9 +251,79 @@ class TestModelCoefficients:
         assert c.c5 == pytest.approx(0.0, abs=1e-13)
 
     def test_generic_overflow_raises(self):
-        # The node sums of this force overflow, silently: no warning and no inf or NaN triple comes back.
-        with pytest.raises(DomainError, match="overflow"):
-            ch.model_coefficients(models.OscillatorModel("generic", force_spec=(1e307, -2e307, -1e307)))
+        # A valid force whose c5 = 1.75 * 1.5e308 overflows, silently: no warning and no inf or NaN
+        # triple comes back.  A quintic force as large as 2e307 still comes back as its own triple.
+        big = models.OscillatorModel("generic", force_spec=(1e307, -2e307, -1e307))
+        assert ch.model_coefficients(big).as_tuple() == (-1e307, 2e307, 1e307)
+        model = models.OscillatorModel("generic", force_spec=(-1.0, 0.0, 0.0, -1.5e308))
+        assert models.validate_params(model) == []
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="overflow"):
+                ch.model_coefficients(model)
+
+    def test_domain(self):
+        # The relativistic term needs a > 0, and m1 = 1/(1 + a^2) > 0 for its K and E.
+        for a in (0.0, -1.0, math.nan):
+            with pytest.raises(DomainError, match="a > 0"):
+                ch.model_coefficients(models.OscillatorModel("relativistic", a=a))
+        with pytest.raises(DomainError, match="underflows"):
+            ch.model_coefficients(models.OscillatorModel("cable-mass", a=1e200, b=0.5))
+
+    @pytest.mark.parametrize("a", [5e-324, 1e-3, 0.05, 0.25, 1.0, math.nextafter(1.0, 2.0), 1.01, 2.0, 3.5,
+                                   math.nextafter(3.5, 4.0), 5.0, 8.0, 30.0, 1e3, 1e8, 1e12])
+    def test_relativistic_alphas_against_mpmath(self, a):
+        # Both sides of the switch from the 64-node rule to the K/E form at a = 3.5, in units of
+        # 2^-52 * max|alpha|.  The worst over 240 random a in [1e-3, 1e4] was 0.80 on the rule and 2.9 on K/E.
+        j2, j4, j6 = mp_moments(a)
+        with mp.workdps(40):
+            C = -2 / mp.pi
+            want = (C * j2, C * (4 * j4 - 3 * j2), C * (16 * j6 - 20 * j4 + 5 * j2))
+            err = max(abs(g - w) for g, w in zip(ch._relativistic_alphas(a), want))
+        assert err <= 8 * 2.0 ** -52 * max(abs(float(w)) for w in want)
+
+    def test_generic_against_exact_rationals(self):
+        # The table entries are dyadic rationals rounded once; only the sum over p rounds further.
+        # The worst over 3000 such specs was 3.1 * 2^-52 * sum|p|.
+        rng = np.random.default_rng(21)
+        triples = exact_power_triples(61)
+        for _ in range(300):
+            spec = rng.uniform(-1.0, 1.0, int(rng.integers(1, 62))) * 10.0 ** rng.uniform(-3.0, 3.0)
+            got = ch.model_coefficients(models.OscillatorModel("generic", force_spec=spec)).as_tuple()
+            bound = 4 * 2.0 ** -52 * float(np.sum(np.abs(spec)))
+            for i, g in enumerate(got):
+                want = -sum(Fraction(float(p)) * t[i] for p, t in zip(spec, triples))
+                assert abs(Fraction(g) - want) <= bound, (spec.tolist(), i)
+
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=3))
+    @example([-1.0, -0.25])
+    def test_short_generic_specs_come_back_exactly(self, spec):
+        # A force of degree <= 5 is its own projection: the table rows for u, u^3, u^5 are unit vectors.
+        c = ch.model_coefficients(models.OscillatorModel("generic", force_spec=spec))
+        assert c.as_tuple() == tuple(-p for p in spec) + (0.0,) * (3 - len(spec))
+
+    @pytest.mark.parametrize("a", [5e-324, 1e-3, 0.05, 0.25, 0.26, 0.3, 0.5, 0.7, 1.0, math.nextafter(1.0, 2.0),
+                                   1.5, 2.0, 3.5, math.nextafter(3.5, 4.0), 8.0, 30.0])
+    def test_moments_and_triples_against_mpmath(self, a):
+        # Both sides of the switch from the 64-node rule to the K/E form at a = 3.5.
+        ref = mp_moments(a)
+        b = 0.7
+        with mp.workdps(40):
+            A = mp.mpf(a)
+            w2, w4, w6, w8 = mp.pi / 2, 3 * mp.pi / 8, 5 * mp.pi / 16, 35 * mp.pi / 128
+            C = -2 / mp.pi
+            moments = {
+                "relativistic": ref,
+                "cable-mass": [w + b * j for w, j in zip((w2, w4, w6), ref)],
+                "duffing-relativistic": [w + A ** 2 * v + b * j for w, v, j in zip((w2, w4, w6), (w4, w6, w8), ref)],
+            }
+            for kind, (m2, m4, m6) in moments.items():
+                a1, a3, a5 = C * m2, C * (4 * m4 - 3 * m2), C * (16 * m6 - 20 * m4 + 5 * m2)
+                want = (-(a1 - 3 * a3 + 5 * a5), -4 * (a3 - 5 * a5), -16 * a5)
+                got = ch.model_coefficients(models.OscillatorModel(kind, a=a, b=b)).as_tuple()
+                scale = max(map(abs, got))
+                assert max(abs(g - w) for g, w in zip(got, want)) <= 2e-13 * scale, kind
+
 
     @pytest.mark.parametrize("model", [
         models.OscillatorModel("relativistic", a=0.5),
@@ -328,31 +354,6 @@ class TestModelCoefficients:
                 ch.project_odd_quintic(lambda u: models.restoring_force(model, u), nodes=nodes))
             for got, want in zip(quadrature.as_tuple(), closed.as_tuple()):
                 assert abs(got - want) <= 1e-10 * max(1.0, abs(want))
-
-
-class TestMomentTable:
-    def test_closed_form_is_the_per_kind_moment_sums(self):
-        # The moment sums each kind had before the force became one (p, beta) table.
-        rng = np.random.default_rng(20)
-        w2, w4, w6, w8 = ch.PI_MOMENTS
-        C = -2.0 / math.pi
-        for i in range(300):
-            kind = ("relativistic", "cable-mass", "duffing-relativistic")[i % 3]
-            a, b = math.exp(rng.uniform(math.log(0.05), math.log(30.0))), rng.uniform(0.05, 2.0)
-            j2, j4, j6 = ch.closed_form_moments(a)
-            if kind == "relativistic":
-                m2, m4, m6 = j2, j4, j6
-            elif kind == "cable-mass":
-                m2, m4, m6 = w2 + b * j2, w4 + b * j4, w6 + b * j6
-            else:
-                a2 = a * a
-                m2, m4, m6 = w2 + a2 * w4 + b * j2, w4 + a2 * w6 + b * j4, w6 + a2 * w8 + b * j6
-            alphas = ch.ChebyshevOddCoefficients(C * m2, C * (4.0 * m4 - 3.0 * m2),
-                                                 C * (16.0 * m6 - 20.0 * m4 + 5.0 * m2))
-            want = ch.to_monomial(alphas, "closed_form")
-            got = ch.model_coefficients(models.OscillatorModel(kind, a=a, b=b))
-            assert got.provenance == want.provenance
-            assert [x.hex() for x in got.as_tuple()] == [x.hex() for x in want.as_tuple()], (kind, a, b)
 
 
 def best_odd_quintic(f, grid):

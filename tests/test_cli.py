@@ -110,10 +110,10 @@ class TestSolve:
 
     @pytest.mark.parametrize("command", ["coeffs", "period", "solve"])
     def test_library_error_exits_one_with_its_message(self, runner, command):
-        # closed_form_moments refuses a = 1e200 (m1 underflows); every command reports it alike.
+        # model_coefficients refuses a = 1e200 (m1 underflows); every command reports it alike.
         result = runner.invoke(main, [command, "--model", "relativistic", "--a", "1e200"])
         assert result.exit_code == 1
-        assert "Error: closed_form_moments" in result.output
+        assert "Error: model_coefficients needs m1" in result.output
         assert isinstance(result.exception, SystemExit)
 
     def test_unsupported_triple_fails(self, runner):
@@ -335,7 +335,7 @@ class TestCsvJsonAgree:
                 else:
                     assert float(text) == value
         if args[0] == "sweep":
-            # a = 5e199 and 1e200 fail in closed_form_moments: empty in CSV, null in JSON.
+            # a = 5e199 and 1e200 fail in model_coefficients (m1 underflows): empty in CSV, null in JSON.
             assert [record[2] is None for record in values] == [False, True, True]
 
 

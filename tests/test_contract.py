@@ -50,7 +50,6 @@ CALLS = {
         model(k, x, y), SOLUTION.coefficients, 2, x, y),
     "UnsupportedCaseError": lambda k, x, y, z: quintosc.UnsupportedCaseError(x),
     "classify": lambda k, x, y, z: quintosc.classify((x, y, z)),
-    "closed_form_moments": lambda k, x, y, z: quintosc.closed_form_moments(x),
     "compare_trajectories": lambda k, x, y, z: quintosc.compare_trajectories(
         SOLUTION, quintosc.OracleTrajectory(np.array([x, y]), np.array([z, x]), np.array([y, z]), 1e-10)),
     "derivative": lambda k, x, y, z: quintosc.derivative(SOLUTION, np.array([x, y, z])),
@@ -115,12 +114,11 @@ AMPLITUDES = [10.0 ** k for k in range(-300, 309)] + [1.7e308]
 
 
 def test_amplitude_sweep_is_finite_or_raises():
-    """Moments, catalogue coefficients and relativistic times: finite values or a QuintoscError."""
+    """Catalogue coefficients and relativistic times: finite values or a QuintoscError."""
     bad = []
     for a in AMPLITUDES:
         rel = models.OscillatorModel(models.RELATIVISTIC, a=a)
         calls = {
-            "closed_form_moments": lambda: list(chebyshev.closed_form_moments(a)),
             "exact_period": lambda: [models.exact_period(rel).value],
             "time_integral_psi": lambda: [models.time_integral_psi(rel, u) for u in (0.0, 1e-9, 0.5, -0.5, 1.0 - 1e-12)],
             **{kind: lambda kind=kind: chebyshev.model_coefficients(models.OscillatorModel(kind, a=a, b=0.5)).as_tuple()
