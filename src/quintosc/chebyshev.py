@@ -61,7 +61,7 @@ class QuinticCoefficients:
     """Monomial coefficients of the approximating force -(c1*u + c3*u^3 + c5*u^5).
 
     ``provenance`` records how the triple was obtained: "quadrature" for
-    project_odd_quintic's Gauss-Chebyshev rule (to_monomial's default) and
+    project_odd_quintic's Gauss-Chebyshev rule (to_monomial's label) and
     for generic models, whose polynomial model_coefficients projects exactly
     by its table; "closed_form" for the catalogue kinds, whose relativistic
     term model_coefficients takes from the 64-node sums or K and E; "manual"
@@ -181,13 +181,13 @@ def _monomial(a1, a3, a5):
     return (a1 - 3 * a3 + 5 * a5, 4 * (a3 - 5 * a5), 16 * a5)
 
 
-def to_monomial(alphas: ChebyshevOddCoefficients, provenance: str = "quadrature") -> QuinticCoefficients:
+def to_monomial(alphas: ChebyshevOddCoefficients) -> QuinticCoefficients:
     """Rewrite alpha1*T1 + alpha3*T3 + alpha5*T5 as -(c1*u + c3*u^3 + c5*u^5).
 
     A triple that is not finite (non-finite alphas, or sums that overflow) raises DomainError.
     """
     c1, c3, c5 = _monomial(alphas.alpha1, alphas.alpha3, alphas.alpha5)
-    c = QuinticCoefficients(-c1, -c3, -c5, provenance)
+    c = QuinticCoefficients(-c1, -c3, -c5, "quadrature")
     if not all(map(math.isfinite, c.as_tuple())):
         raise DomainError(f"monomial coefficients of {alphas} overflow: {c.as_tuple()}")
     return c

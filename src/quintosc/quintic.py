@@ -36,9 +36,9 @@ CASE_II = "II"
 DEGENERATE = "degenerate"
 UNSUPPORTED = "unsupported"
 
-# Relative nudge applied to c5 when the discriminant vanishes: the
-# degenerate solution is the limit of Case I solutions, so a tiny
-# perturbation recovers it to comparable accuracy.
+# Step added to c5, as a fraction of max(|c1|, |c3|, |c5|), when the discriminant
+# vanishes: the degenerate solution is the limit of Case I solutions, so a tiny
+# perturbation recovers it to comparable accuracy; classify says why it lands in Case I.
 NUDGE = 1e-8
 
 # When |c5| falls below this fraction of the largest coefficient the
@@ -86,7 +86,7 @@ class ClosedFormSolution:
     params: Union[CaseIParameters, CaseIIParameters]
     period: float
     solved: QuinticCoefficients
-    nudge: float = 0.0  # solved.c5 - coefficients.c5
+    nudge: float = 0.0  # the c5 shift: solved.c5 is coefficients.c5 + nudge up to rounding
 
 
 def _delta(c1: float, c3: float, c5: float) -> float:
@@ -108,7 +108,10 @@ def classify(c: Coefficients) -> str:
     The case of lambda*c equals that of c for every lambda > 0, so the
     triple is first divided by its scale max(|c1|, |c3|, |c5|); vanishing
     of the discriminant of that unit triple is decided up to the
-    tolerance 1e-9 * max(1, 3*c3^2).
+    tolerance 1e-9 * max(1, 3*c3^2).  With c5 >= C5_FLOOR, as solve passes it, c1 = -1
+    never falls in that band and 4c1 + c3 + 2c5 >= 1 - 1e-9 there, so NUDGE added to c5
+    takes delta below it, into Case I.  Off it, h2 > 3e-10 on every s in Case I and
+    3*delta > 7e-10 in Case II: the case builders need no guard on P, Q, m or real roots.
     """
     c = _coerce(c)
     if not c.c5 > 0.0:
@@ -130,16 +133,10 @@ def _case_one(c1: float, c3: float, c5: float, k: int) -> CaseIParameters:
     P = c1 + c3 + c5
     Q = 6.0 * c1 + 3.0 * c3 + 2.0 * c5
     k_tilde = 4.0 * c1 + 3.0 * c3 + 2.0 * c5
-    if P <= 0.0 or Q <= 0.0:
-        raise ConstructionError(f"Case I needs P > 0 and Q > 0, got P={P}, Q={Q}")
     pq = P * Q
     A = math.ldexp((6.0 / pq) ** 0.25 / 2.0, -k)
     B = Q / (6.0 * P)
     m = 0.5 - math.sqrt(6.0) / 8.0 * k_tilde / math.sqrt(pq)
-    if -1e-12 < m < 0.0:
-        m = 0.0
-    if not 0.0 <= m < 1.0:
-        raise ConstructionError(f"Case I parameter m={m} outside [0, 1)")
     return CaseIParameters(A, B, m, 8.0 * A * complete_K(m))
 
 
@@ -150,8 +147,6 @@ def _case_two(c1: float, c3: float, c5: float, k: int) -> CaseIIParameters:
     b2 = 3.0 * c3 + 2.0 * c5
     q2 = 6.0 * c1 + 3.0 * c3 + 2.0 * c5
     disc = b2 * b2 - 4.0 * a2 * q2  # equals 3*delta
-    if disc <= 0.0:
-        raise ConstructionError(f"h2 has no distinct real roots (discriminant {disc})")
     w = -(b2 + math.copysign(math.sqrt(disc), b2)) / 2.0
     r1, r2 = w / a2, q2 / w
     s1, s2 = min(r1, r2), max(r1, r2)
@@ -174,38 +169,30 @@ def solve(c: Coefficients) -> ClosedFormSolution:
     """Classify a triple once and return its ClosedFormSolution.
 
     Two borderline situations are solved through a nearby triple, with
-    the c5 shift recorded on the result: a c5 that is negligible against
-    the other coefficients is lifted to C5_FLOOR times their scale, and
-    a degenerate triple (vanishing discriminant) gets c5 nudged
-    relatively by +-NUDGE until a proper case appears, Case I preferred.
+    the c5 shift recorded on the result as ``nudge``: a c5 that is
+    negligible against the other coefficients is lifted to C5_FLOOR times
+    their scale, and a degenerate triple (vanishing discriminant) gets
+    NUDGE times that scale added to c5, which always lands in Case I.
     """
     c = _coerce(c)
     scale = max(abs(c.c1), abs(c.c3), abs(c.c5))
     if scale == 0.0:
         raise UnsupportedCaseError("cannot solve the all-zero triple")
-    target = c
-    if abs(c.c5) <= C5_FLOOR * scale:
-        target = QuinticCoefficients(c.c1, c.c3, C5_FLOOR * scale, c.provenance)
+    target = c if abs(c.c5) > C5_FLOOR * scale else QuinticCoefficients(c.c1, c.c3, C5_FLOOR * scale, c.provenance)
     label = classify(target)
     if label == UNSUPPORTED:
-        raise UnsupportedCaseError(
-            f"triple ({c.c1}, {c.c3}, {c.c5}) is outside both solvable cases "
-            "(needs c5 > 0 and, for a positive discriminant, 6c1 + 3c3 + 2c5 > 0 and 3c3 + 2c5 > 0)"
-        )
-    if label == DEGENERATE:
-        nudged = [QuinticCoefficients(target.c1, target.c3, target.c5 * (1.0 + sign * NUDGE), target.provenance)
-                  for sign in (1.0, -1.0)]
-        labels = [classify(n) for n in nudged]
-        label = next((case for case in (CASE_I, CASE_II) if case in labels), DEGENERATE)
-        if label == DEGENERATE:
-            raise ConstructionError(f"degenerate triple ({c.c1}, {c.c3}, {c.c5}) resisted the c5 nudge")
-        target = nudged[labels.index(label)]
+        raise UnsupportedCaseError(f"triple ({c.c1}, {c.c3}, {c.c5}) is outside both solvable cases (needs c5 > 0 "
+                                   "and, for a positive discriminant, 6c1 + 3c3 + 2c5 > 0 and 3c3 + 2c5 > 0)")
+    nudge = target.c5 - c.c5
+    if label == DEGENERATE:  # one step always lands in Case I (see classify)
+        label, nudge, target = CASE_I, nudge + NUDGE * scale, QuinticCoefficients(
+            c.c1, c.c3, target.c5 + NUDGE * scale, c.provenance)
     # u(t) solves 4^k * c when v(2^k t) solves c, so the parameters are built
     # on a triple of unit size, where nothing overflows or underflows, and
     # only A, the rate and the period carry the scale, as exact powers of two.
     k, unit = _unit_triple(target, scale)
     params = (_case_one if label == CASE_I else _case_two)(*unit, k)
-    return ClosedFormSolution(c, label, params, params.period, target, target.c5 - c.c5)
+    return ClosedFormSolution(c, label, params, params.period, target, nudge)
 
 
 def period_by_quadrature(c: Coefficients) -> float:

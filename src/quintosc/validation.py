@@ -66,10 +66,9 @@ def residual_sup_norm(model: models.OscillatorModel, solution: quintic.ClosedFor
     through u, which falls from 1 to 0 over that quarter: the sup is taken
     over ``grid`` equally spaced amplitudes in [0, 1].  argmax_t is when the
     solved quintic reaches the maximising amplitude, inverted in closed form
-    by one Carlson R_F call (quintic._time_to).  A residual sample that is
-    not finite raises EvaluationError carrying its amplitude.
+    by one Carlson R_F call (quintic._time_to).  An invalid model raises
+    DomainError, and a residual that is not finite EvaluationError at its amplitude.
     """
-    models._require_valid(model)
     if grid < 2:
         raise DomainError(f"residual grid must have at least 2 points, got {grid}")
     c = solution.solved

@@ -127,8 +127,7 @@ class TestProjection:
         # 64 nodes integrate T5 * f exactly up to degree 121 (61 coefficients),
         # so the adaptive default stops at the first tripling and returns the
         # 64-node level unchanged.
-        model = models.OscillatorModel("generic", force_spec=spec)
-        force = lambda u: models.restoring_force(model, u)
+        force = lambda u: u * np.polynomial.polynomial.polyval(u * u, spec)
         assert ch.project_odd_quintic(force) == ch.project_odd_quintic(force, nodes=64)
 
     def test_long_generic_spec_projects_exactly(self):
@@ -142,6 +141,23 @@ class TestProjection:
         want = np.polynomial.chebyshev.poly2cheb(odd)[[1, 3, 5]]
         got = np.array([alphas.alpha1, alphas.alpha3, alphas.alpha5])
         assert np.max(np.abs(got - want)) <= 1e-13 * np.sum(np.abs(spec))
+
+    @pytest.mark.parametrize("nodes", [None, 64])
+    def test_force_that_collapses_arrays_runs_node_by_node(self, nodes):
+        # On an array this force returns one number, not one per node; the
+        # projection then calls it on each node alone, where it is sin.
+        calls = []
+
+        def collapsing(u):
+            calls.append(np.ndim(u))
+            return float(np.sum(np.sin(u)))
+
+        got = ch.project_odd_quintic(collapsing, nodes)
+        want = ch.project_odd_quintic(np.sin, nodes)
+        # A scalar sin may round differently from the array loop, by an ulp of each value.
+        for x, y in zip((got.alpha1, got.alpha3, got.alpha5), (want.alpha1, want.alpha3, want.alpha5)):
+            assert x == pytest.approx(y, abs=1e-15)
+        assert calls[0] == 1 and set(calls) == {0, 1}  # each level tries the array once
 
     def test_adaptive_cap_raises_but_explicit_nodes_return(self):
         # Branch points at +-i/a this close to [-1, 1] leave the default

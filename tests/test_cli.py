@@ -279,6 +279,52 @@ class TestSweep:
         result = runner.invoke(main, args)
         assert result.exit_code == 2
 
+    def test_b_range_grid(self, runner):
+        # The shape of the benchmark's sweep: a_steps x b_steps rows, a outer, b inner.
+        result = runner.invoke(main, ["sweep", "--model", "duffing-relativistic", "--a-min", "0.5", "--a-max", "1.5",
+                                      "--a-steps", "3", "--b-min", "0.2", "--b-max", "0.8", "--b-steps", "4",
+                                      "--format", "json"])
+        assert result.exit_code == 0
+        payload = json.loads(result.output)
+        assert payload["config"]["b_values"] == np.linspace(0.2, 0.8, 4).tolist()
+        rows = payload["results"]
+        assert [(row["a"], row["b"]) for row in rows] == [
+            (a, b) for a in np.linspace(0.5, 1.5, 3).tolist() for b in np.linspace(0.2, 0.8, 4).tolist()]
+        assert all(row["status"] == "ok" for row in rows)
+
+    def test_b_row_with_invalid_b_reports_the_problem(self, runner):
+        result = runner.invoke(main, ["sweep", "--model", "cable-mass", "--a-min", "1", "--a-max", "2",
+                                      "--a-steps", "2", "--b", "0"])
+        assert result.exit_code == 0
+        _, rows = csv_rows(result.output)
+        message = "parameter b must be positive and finite for cable-mass, got b=0.0"
+        assert [row[-1] for row in rows] == [message] * 2
+        assert all(cell == "" for row in rows for cell in row[2:-1])
+
+    @pytest.mark.parametrize("args, message", [
+        (["--model", "cable-mass", "--a-min", "1", "--a-max", "2", "--b-min", "1", "--b-max", "0.5"],
+         "need 0 < --b-min <= --b-max"),
+        (["--model", "cable-mass", "--a-min", "1", "--a-max", "2"],
+         "--model cable-mass needs --b or a --b-min/--b-max range"),
+    ], ids=["b_order", "no_b"])
+    def test_b_usage_errors(self, runner, args, message):
+        result = runner.invoke(main, ["sweep", *args])
+        assert result.exit_code == 2
+        assert message in result.output
+
+
+class TestBuildModel:
+    @pytest.mark.parametrize("args, message", [
+        ([], "a --model is required here"),
+        (["--model", "generic", "--force-spec", "-1,x"], "--force-spec must be comma-separated numbers, got '-1,x'"),
+        (["--model", "relativistic", "--force-spec", "-1"], "--force-spec only applies to --model generic"),
+        (["--model", "relativistic", "--a", "-1"], "amplitude a must be positive and finite, got a=-1.0"),
+    ], ids=["no_model", "bad_spec", "spec_not_generic", "invalid_model"])
+    def test_usage_errors(self, runner, args, message):
+        result = runner.invoke(main, ["coeffs", *args])
+        assert result.exit_code == 2
+        assert message in result.output
+
 
 class TestOutputPlumbing:
     def test_out_writes_file(self, runner, tmp_path):

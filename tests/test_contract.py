@@ -3,7 +3,8 @@
 Each callable of ``quintosc.__all__`` is fed NaN, +-inf, +-0, subnormal
 and +-1e308 arguments, mixed with ordinary ones.  Returning a value,
 non-finite or not, is allowed; a bare ValueError, ZeroDivisionError,
-OverflowError or a hang is not.
+OverflowError or a hang is not.  restoring_force and potential_phi are held
+to more: finite values on [-1, 1] for a valid model, DomainError otherwise.
 """
 
 import math
@@ -132,3 +133,37 @@ def test_amplitude_sweep_is_finite_or_raises():
             if not all(map(math.isfinite, values)):
                 bad.append(f"{name} at a={a!r}: {values}")
     assert not bad, "\n".join(bad)
+
+
+EXTREME_MODELS = [model(kind, x, y) for kind in models.KINDS for x in EXTREMES for y in EXTREMES]
+
+
+def squares_overflow(m):
+    """A catalogue model whose a*a overflows: validate_params accepts it, but its force squares a*u."""
+    return m.kind != models.GENERIC and not m._problems and not math.isfinite(m.a * m.a)
+
+
+@pytest.mark.parametrize("func", [quintosc.restoring_force, quintosc.potential_phi])
+def test_force_and_potential_are_finite_or_raise(func):
+    """On each EXTREMES model over [-1, 1]: finite values, and a DomainError for a model validate_params rejects."""
+    bad = []
+    for m in EXTREME_MODELS:
+        if squares_overflow(m):
+            continue  # test_force_and_potential_overflow_for_huge_a
+        for u in (0.0, -1.0, 0.5, np.linspace(-1.0, 1.0, 9)):
+            try:
+                values = func(m, u)
+            except QuintoscError:
+                assert quintosc.validate_params(m)
+                continue
+            if quintosc.validate_params(m) or not np.all(np.isfinite(values)):
+                bad.append(f"{m} at u={u}: {values}")
+    assert not bad, "\n".join(bad)
+
+
+@pytest.mark.xfail(raises=RuntimeWarning, strict=True,
+                   reason="models._sqrt_term squares a*u, which overflows for a > ~1.34e154 (CHANGES.md FOUND)")
+@pytest.mark.parametrize("func", [quintosc.restoring_force, quintosc.potential_phi])
+def test_force_and_potential_overflow_for_huge_a(func):
+    for m in filter(squares_overflow, EXTREME_MODELS):
+        assert np.all(np.isfinite(func(m, np.linspace(-1.0, 1.0, 9))))

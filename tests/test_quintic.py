@@ -609,7 +609,7 @@ class TestSolveDispatch:
         # c5 perturbation and stay close to the unperturbed dynamics.
         sol = q.solve((0.0, 2.0, 1.0))
         assert sol.nudge != 0.0
-        assert abs(sol.nudge) == pytest.approx(q.NUDGE)
+        assert sol.nudge == q.NUDGE * 2.0
         assert sol.coefficients.c5 == 1.0
         assert sol.solved.c5 != 1.0
         assert sol.period == pytest.approx(math.pi * math.sqrt(2.0), rel=1e-7)
@@ -620,6 +620,44 @@ class TestSolveDispatch:
         sol = q.solve((0.0, 2.0, 1.0))
         oracle = rk_oracle(lambda u: -(2.0 * u ** 3 + u ** 5), sol.period, tol=1e-10)
         assert compare_trajectories(sol, oracle) < 1e-5
+
+    def test_degenerate_triple_with_small_quintic_term(self):
+        # A nudge relative to c5 (1e-11 here) stays inside the band, which is
+        # relative to max|c|; the step of NUDGE * max|c| leaves it for Case I.
+        c = (1.0, 0.0737085115989458, 0.001)
+        assert q.classify(c) == q.DEGENERATE
+        sol = q.solve(c)
+        assert sol.case == q.CASE_I and sol.nudge == q.NUDGE
+        assert sol.period == pytest.approx(q.period_by_quadrature(c), rel=1e-7)
+
+    @given(st.floats(1e-9, 1.0), st.floats(-1.0, 1.0))
+    @example(1e-9, 1.0)
+    @example(0.001, 0.0737085115989458)
+    def test_every_degenerate_triple_solves_to_case_one(self, c5, c3):
+        # delta = 0 fixes c1; the triple is then brought to max|c| = 1.
+        c1 = (3.0 * c3 * c3 / (4.0 * c5) - c3 - c5) / 4.0
+        scale = max(abs(c1), abs(c3), c5)
+        c = (c1 / scale, c3 / scale, c5 / scale)
+        if q.classify(c) != q.DEGENERATE:
+            return
+        sol = q.solve(c)
+        assert sol.case == q.CASE_I and 0.0 < sol.params.m < 1.0 and math.isfinite(sol.period)
+        assert max(map(abs, c)) == 1.0
+        if c[2] > q.C5_FLOOR:
+            assert sol.nudge == q.NUDGE
+        else:  # the floor lifts c5 first; the step follows only if that triple is still degenerate
+            assert sol.nudge in (q.C5_FLOOR - c[2], q.C5_FLOOR - c[2] + q.NUDGE)
+
+    @pytest.mark.parametrize("base", [(0.0, 1.0, 0.5), (1.0, 0.0737085115989458, 0.001)])
+    @pytest.mark.parametrize("side", [1.0, -1.0])
+    def test_triples_just_outside_the_band(self, base, side):
+        # c1 + h moves delta by -16 c5 h: to 1.5 times the band's half-width, on either side.
+        c1, c3, c5 = base
+        c = (c1 + side * 1.5e-9 * max(1.0, 3.0 * c3 * c3) / (16.0 * c5), c3, c5)
+        sol = q.solve(c)
+        assert sol.case == (q.CASE_I if side > 0 else q.CASE_II) and sol.nudge == 0.0
+        assert 0.0 < sol.params.m < 1.0
+        assert sol.period == pytest.approx(q.period_by_quadrature(c), rel=1e-12)
 
 
 def mp_psi(c: QuinticCoefficients, u: float) -> float:
