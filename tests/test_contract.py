@@ -140,7 +140,7 @@ EXTREME_MODELS = [model(kind, x, y) for kind in models.KINDS for x in EXTREMES f
 
 def squares_overflow(m):
     """A catalogue model whose a*a overflows: validate_params accepts it, but its force squares a*u."""
-    return m.kind != models.GENERIC and not m._problems and not math.isfinite(m.a * m.a)
+    return m.kind != models.GENERIC and not quintosc.validate_params(m) and not math.isfinite(m.a * m.a)
 
 
 @pytest.mark.parametrize("func", [quintosc.restoring_force, quintosc.potential_phi])
