@@ -17,7 +17,6 @@ from .chebyshev import (
     to_monomial,
 )
 from .errors import (
-    ConstructionError,
     ConvergenceError,
     DomainError,
     EvaluationError,
@@ -32,7 +31,6 @@ __all__ = [
     "__version__",
     "ChebyshevOddCoefficients",
     "ClosedFormSolution",
-    "ConstructionError",
     "ConvergenceError",
     "DomainError",
     "EvaluationError",

@@ -49,10 +49,10 @@ class JacobiTriple(NamedTuple):
 def complete_K(m: float) -> float:
     """Complete elliptic integral of the first kind K(m).
 
-    Requires 0 <= m < 1; K diverges logarithmically as m -> 1.
+    Requires a finite m < 1 (m < 0 is the imaginary modulus of DLMF 19.7.5); K diverges as m -> 1.
     """
-    if not 0.0 <= m < 1.0:
-        raise DomainError(f"complete_K requires 0 <= m < 1, got m={m}")
+    if not -math.inf < m < 1.0:
+        raise DomainError(f"complete_K requires a finite m < 1, got m={m}")
     return _legendre_f(1.0, 0.0, 1.0 - m)
 
 
@@ -223,7 +223,7 @@ def _dn2(sn2: ArrayLike, cn2: ArrayLike, m: float) -> ArrayLike:
 
 
 def _gauss(x: ArrayLike, m: float, rate: float = 1.0, over: float = 1.0) -> tuple[ArrayLike, ArrayLike]:
-    """sn(u | m) and cn(u | m) at u = rate x / over, for 0 <= m < 1.
+    """sn(u | m) and cn(u | m) at u = rate x / over, for m < 1.
 
     Descending Landen (Gauss) transformation, DLMF 22.7.1-22.7.3: the AGM from
     (1, sqrt(1 - m)) gives the moduli k_n = c_n / a_n, and each stage lifts
@@ -232,12 +232,16 @@ def _gauss(x: ArrayLike, m: float, rate: float = 1.0, over: float = 1.0) -> tupl
     reduction is needed.  Both come from one w = tan(z/2) per point rather than
     one sin and one cos (BENCH_13.json gives the timings and the host they were
     measured on), taken as tan(((a_N / 2) rate / over) x): x is scaled once, by
-    a factor rounded once when rate or over is 1.
+    a factor rounded once when rate or over is 1.  At m < 0 the AGM from (1, g),
+    g = sqrt(1 - m), is g times that of mu = -m / (1 - m), so the chain with |k_1|
+    gives sn, cn of mu at v = g u, and sn(u | m) = sd(v | mu) / g, cn(u | m) = cd(v | mu)
+    (DLMF 22.17.2): every sum adds terms of one sign.
     """
     # The AGM always ends: a and b meet to within an ulp.
-    a, b, ks = 1.0, math.sqrt(1.0 - m), []
+    g = math.sqrt(1.0 - m)
+    a, b, ks = 1.0, g, []
     while not ks or ks[-1] >= _GAUSS_TOL:
-        ks.append((a - b) / (a + b))
+        ks.append(abs(a - b) / (a + b))
         a, b = 0.5 * (a + b), math.sqrt(a * b)
     w = np.tan((0.5 * a * rate / over) * x)  # |w| < 1e19 for every double z, so w^2 stays finite
     if isinstance(x, float):  # numpy's loop pins the bits of tan; the rest then runs on floats
@@ -263,17 +267,20 @@ def _gauss(x: ArrayLike, m: float, rate: float = 1.0, over: float = 1.0) -> tupl
             t = 1.0 - t
             t *= r
             c *= t
+    if m < 0.0:  # dn(v | mu)^2 = cn^2 + sn^2 / g^2
+        t = _sqrt(c * c + s * s / (1.0 - m))
+        s, c = s / (g * t), c / t
     return s, c
 
 
 def jacobi_sn_cn_dn(u: ArrayLike, m: float) -> JacobiTriple:
-    """Jacobi elliptic functions sn, cn, dn for 0 <= m <= 1.
+    """Jacobi elliptic functions sn, cn, dn for a finite m <= 1.
 
     A float u gives floats, bit-identical to the same u inside an array.
-    m = 1 gives the hyperbolic functions.
+    m = 1 gives the hyperbolic functions; a negative m is the imaginary modulus of DLMF 22.17.
     """
-    if not 0.0 <= m <= 1.0:
-        raise DomainError(f"jacobi_sn_cn_dn requires 0 <= m <= 1, got m={m}")
+    if not -math.inf < m <= 1.0:
+        raise DomainError(f"jacobi_sn_cn_dn requires a finite m <= 1, got m={m}")
     u = _real(u)
     if m == 1.0:
         e = np.exp(-np.abs(u))  # sech u = 2 e / (1 + e^2) has no cosh to overflow past |u| ~ 710

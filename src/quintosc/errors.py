@@ -24,9 +24,5 @@ class ConvergenceError(QuintoscError):
     """An iteration or quadrature did not reach its tolerance within its cap."""
 
 
-class ConstructionError(QuintoscError):
-    """A closed-form solution could not be constructed from valid-looking input."""
-
-
 class UnsupportedCaseError(QuintoscError):
     """The coefficient triple falls outside the two solvable cases."""

@@ -37,7 +37,6 @@ CALLS = {
     "ClosedFormSolution": lambda k, x, y, z: quintosc.ClosedFormSolution(
         quintosc.QuinticCoefficients(x, y, z), quintosc.quintic.CASE_I, SOLUTION.params, x,
         quintosc.QuinticCoefficients(x, y, z), z),
-    "ConstructionError": lambda k, x, y, z: quintosc.ConstructionError(x),
     "ConvergenceError": lambda k, x, y, z: quintosc.ConvergenceError(x),
     "DomainError": lambda k, x, y, z: quintosc.DomainError(x),
     "EvaluationError": lambda k, x, y, z: quintosc.EvaluationError("message", x),

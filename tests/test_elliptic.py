@@ -29,7 +29,7 @@ class TestCompleteK:
     def test_monotone_in_m(self):
         assert el.complete_K(0.9) > el.complete_K(0.5)
 
-    @pytest.mark.parametrize("m", [-0.1, 1.0, 1.5])
+    @pytest.mark.parametrize("m", [1.0, 1.5, math.nan, -math.inf])
     def test_domain(self, m):
         with pytest.raises(DomainError):
             el.complete_K(m)
@@ -363,6 +363,42 @@ class TestGaussBase:
             batch = el.jacobi_sn_cn_dn(z, m)
             for i, x in enumerate(z.tolist()):
                 assert [f.hex() for f in el.jacobi_sn_cn_dn(x, m)] == [float(f[i]).hex() for f in batch]
+
+
+_NEGATIVE_M = [-0.25, -5.0, -1e6]
+
+
+class TestNegativeParameter:
+    """m < 0, the imaginary modulus (DLMF 19.7.5, 22.17), against 40-digit mpmath, whose values there are real."""
+
+    @pytest.mark.parametrize("m", _NEGATIVE_M)
+    def test_complete_K(self, m):
+        with mp.workdps(40):
+            K = float(mp.re(mp.ellipk(mp.mpf(m))))
+        assert el.complete_K(m) == pytest.approx(K, rel=1e-15, abs=0.0)
+
+    @pytest.mark.parametrize("m", _NEGATIVE_M)
+    def test_sn_cn_dn(self, m):
+        # Rounding u moves sn and cn by eps |u| times their u-derivatives, which reach sqrt(1 - m)
+        # here, and dn by as much relative to itself; 1e-13 covers the rest.
+        K = el.complete_K(m)
+        rng = np.random.default_rng([_ORACLE_SEED, 3])
+        u = np.concatenate([rng.uniform(-K, K, 12), rng.uniform(-50.0 * K, 50.0 * K, 12), [12.0, -0.3]])
+        with mp.workdps(40):
+            ref = np.array([[float(mp.re(mp.ellipfun(kind, mp.mpf(x), m=mp.mpf(m)))) for x in u]
+                            for kind in ("sn", "cn", "dn")])
+        got = el.jacobi_sn_cn_dn(u, m)
+        tol = 1e-13 + 4.0 * np.finfo(float).eps * np.abs(u) * math.sqrt(1.0 - m)
+        assert np.all(np.abs(got.sn - ref[0]) <= tol)
+        assert np.all(np.abs(got.cn - ref[1]) <= tol)
+        assert np.all(np.abs(got.dn / ref[2] - 1.0) <= tol)
+        for i, x in enumerate(u.tolist()):
+            assert [f.hex() for f in el.jacobi_sn_cn_dn(x, m)] == [float(f[i]).hex() for f in got]
+
+    def test_domain(self):
+        for m in (math.nan, -math.inf):
+            with pytest.raises(DomainError):
+                el.jacobi_sn_cn_dn(0.3, m)
 
 
 # The integrals reach further towards m = 1 than the Jacobi functions above.

@@ -3,6 +3,7 @@
 import math
 import sys
 import threading
+from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
@@ -44,7 +45,7 @@ SIX_TRIPLES = [
     case2_triple(-1.5, -1.0, 0.25),
 ]
 
-# A Case I triple with m = 1 - 4e-8 and a Case II triple with m = 1 - 1e-12:
+# A Case I triple with m = 1 - 4e-8 and a Case II triple with m = -2.5e5:
 # h2 nearly vanishes inside [0, 1] or at u = 0, close to a separatrix.
 NEAR_SEPARATRIX = [case1_triple(0.5, 1e-4, 1.0), case2_triple(-1.0, -5e-13, 1.0)]
 
@@ -137,25 +138,25 @@ class TestSolveCase1:
 
 
 class TestSolveCase2:
-    def test_reference_roots(self):
+    def test_reference_parameters(self):
+        # Roots (-2, -1) and c5 = 1: P = 2, Q = 4, delta = 4/3, so m (1 - m) = -1/192.
         sol = q.solve(CASE2)
         assert sol.case == q.CASE_II
         params = sol.params
-        assert params.s1 == pytest.approx(-2.0, rel=1e-14)
-        assert params.s2 == pytest.approx(-1.0, rel=1e-14)
-        assert params.m == pytest.approx(0.25, rel=1e-14)
-        assert params.rate == pytest.approx(math.sqrt(4.0 / 3.0), rel=1e-14)
+        assert params.m < 0.0
+        assert params.m == pytest.approx((1.0 - 7.0 / (4.0 * math.sqrt(3.0))) / 2.0, rel=1e-14)
+        assert params.B == pytest.approx(1.0 / 3.0, rel=1e-15)
         assert params.period == pytest.approx(T_CASE2, rel=1e-13)
 
     @given(st.floats(-6.0, -0.4), st.floats(0.05, 0.95), st.floats(0.1, 5.0))
-    def test_modulus_in_unit_interval(self, s1, frac, c5):
+    def test_negative_parameter(self, s1, frac, c5):
+        # m (1 - m) = -delta / (32 P Q) = -(s1 - s2)^2 / (16 s1 s2 (1 - s1)(1 - s2)) in terms of the roots.
         s2 = s1 * frac  # strictly between s1 and 0
         sol = q.solve(case2_triple(s1, s2, c5))
         assert sol.case == q.CASE_II
-        params = sol.params
-        assert 0.0 < params.m < 1.0
-        assert params.s1 == pytest.approx(s1, rel=1e-9)
-        assert params.s2 == pytest.approx(s2, rel=1e-9)
+        m = sol.params.m
+        assert m < 0.0 and math.isfinite(sol.period)
+        assert m * (1.0 - m) == pytest.approx(-(s1 - s2) ** 2 / (16.0 * s1 * s2 * (1.0 - s1) * (1.0 - s2)), rel=1e-9)
 
 
 class TestPeriod:
@@ -530,30 +531,48 @@ class TestEvaluate:
             q.evaluate(sol, np.array([1.3]))
 
 
-def mp_trajectory(sol: q.ClosedFormSolution, t: float) -> tuple[float, float]:
-    """u(t) and u'(t) at 30 digits from mpmath.ellipfun and the solution's own parameters.
+def mp_trajectory(p, t: float) -> tuple[float, float]:
+    """u(t) and u'(t) at 30 digits from mpmath.ellipfun and parameters p with fields A, B and m.
 
-    Case I takes the half amplitude psi = am(t/A)/2 itself, with the branch of
-    am fixed as in the elliptic oracle; Case II takes sn, cn, dn at rate * t.
+    The half amplitude psi = am(t/A)/2 is taken itself, with the branch of am fixed as
+    in the elliptic oracle.  At m < 0 mpmath returns complex values with a zero
+    imaginary part, so the real parts are taken.
     """
-    p = sol.params
     with mp.workdps(30):
-        m = mp.mpf(p.m)
-        if sol.case == q.CASE_I:
-            x = mp.mpf(t) / mp.mpf(p.A)
-            sn, cn, dn = (mp.ellipfun(kind, x, m=m) for kind in ("sn", "cn", "dn"))
-            principal = mp.atan2(sn, cn)
-            am = principal + 2 * mp.pi * mp.nint((mp.pi * x / (2 * mp.ellipk(m)) - principal) / (2 * mp.pi))
-            sb = mp.sqrt(mp.mpf(p.B))
-            d = mp.sqrt(sb * mp.cos(am / 2) ** 2 + mp.sin(am / 2) ** 2)
-            return (float(mp.sqrt(sb) * mp.cos(am / 2) / d),
-                    float(-mp.sqrt(sb) * mp.sin(am / 2) * dn / (2 * mp.mpf(p.A) * d ** 3)))
-        x = mp.mpf(p.rate) * mp.mpf(t)
-        sn, cn, dn = (mp.ellipfun(kind, x, m=m) for kind in ("sn", "cn", "dn"))
-        s1 = mp.mpf(p.s1)
-        qq = sn ** 2 - s1
-        return (float(cn * mp.sqrt(-s1 / qq)),
-                float(-mp.mpf(p.rate) * mp.sqrt(-s1) * (1 - s1) * sn * dn / qq ** 1.5))
+        m, A = mp.mpf(p.m), mp.mpf(p.A)
+        x = mp.mpf(t) / A
+        sn, cn, dn = (mp.re(mp.ellipfun(kind, x, m=m)) for kind in ("sn", "cn", "dn"))
+        principal = mp.atan2(sn, cn)
+        am = principal + 2 * mp.pi * mp.nint((mp.pi * x / (2 * mp.re(mp.ellipk(m))) - principal) / (2 * mp.pi))
+        sb = mp.sqrt(mp.mpf(p.B))
+        d = mp.sqrt(sb * mp.cos(am / 2) ** 2 + mp.sin(am / 2) ** 2)
+        return (float(mp.sqrt(sb) * mp.cos(am / 2) / d),
+                float(-mp.sqrt(sb) * mp.sin(am / 2) * dn / (2 * A * d ** 3)))
+
+
+def mp_params(c: tuple) -> q.CaseIParameters:
+    """A, B, m and the period 8 A K(m) at 40 digits from the float triple's exact h2, as mpf fields."""
+    with mp.workdps(40):
+        c1, c3, c5 = map(mp.mpf, c)
+        P, Q, k_tilde = c1 + c3 + c5, 6 * c1 + 3 * c3 + 2 * c5, 4 * c1 + 3 * c3 + 2 * c5
+        A = (6 / (P * Q)) ** mp.mpf(0.25) / 2
+        m = mp.mpf(0.5) - mp.sqrt(6) / 8 * k_tilde / mp.sqrt(P * Q)
+        return q.CaseIParameters(A, Q / (6 * P), m, 8 * A * mp.re(mp.ellipk(m)))
+
+
+def mp_period(c: tuple) -> float:
+    """4 * integral_0^{pi/2} d theta / sqrt(h2(sin^2 theta) / 6) at 30 digits on the float triple's exact h2.
+
+    The interval is split ever closer to the theta where h2 is least, so tanh-sinh
+    resolves a near-double root at any depth.
+    """
+    with mp.workdps(30):
+        c1, c3, c5 = map(mp.mpf, c)
+        h0, h1, h2 = 6 * c1 + 3 * c3 + 2 * c5, 3 * c3 + 2 * c5, 2 * c5
+        least = mp.asin(mp.sqrt(min(max(-h1 / (2 * h2), 0), 1)))
+        cuts = {mp.mpf(0), mp.pi / 2, least} | {least + sign * mp.mpf(10) ** -k for k in range(1, 16) for sign in (-1, 1)}
+        points = sorted(x for x in cuts if 0 <= x <= mp.pi / 2)
+        return float(4 * mp.quad(lambda th: 1 / mp.sqrt((h0 + h1 * mp.sin(th) ** 2 + h2 * mp.sin(th) ** 4) / 6), points))
 
 
 class TestTrajectoryMpmathOracle:
@@ -562,13 +581,13 @@ class TestTrajectoryMpmathOracle:
     def test_near_separatrix_triples(self):
         (one, two) = (q.solve(c) for c in NEAR_SEPARATRIX)
         assert one.case == q.CASE_I and one.nudge == 0.0 and 1.0 - one.params.m == pytest.approx(4e-8, rel=1e-3)
-        assert two.case == q.CASE_II and 1.0 - two.params.m == pytest.approx(1e-12, rel=1e-3)
+        assert two.case == q.CASE_II and two.params.m == pytest.approx(-2.5e5, rel=1e-3)
 
     @pytest.mark.parametrize("c", SIX_TRIPLES + NEAR_SEPARATRIX)
     def test_against_ellipfun(self, c):
         sol = q.solve(c)
         t = np.random.default_rng([20221101, *map(int, np.abs(c) * 1e6)]).uniform(-50.0, 50.0, 8) * sol.period
-        ref = np.array([mp_trajectory(sol, x) for x in t]).T
+        ref = np.array([mp_trajectory(sol.params, x) for x in t]).T
         # Scaling t rounds it once, which moves u by up to eps |t| max|u'| and u'
         # by eps |t| max|u''|; 1e-13 of each scale covers the rest (as for sn, cn, dn).
         # u'^2 = c1 (1 - u^2) + c3 (1 - u^4) / 2 + c5 (1 - u^6) / 3 bounds the first.
@@ -577,6 +596,20 @@ class TestTrajectoryMpmathOracle:
         slack = 4.0 * np.finfo(float).eps * np.abs(t)
         assert np.all(np.abs(q.evaluate(sol, t) - ref[0]) <= 1e-13 + slack * vmax)
         assert np.all(np.abs(q.derivative(sol, t) - ref[1]) <= (1e-13 + slack) * max(vmax, amax))
+
+    @pytest.mark.parametrize("gap", [5e-10, 5e-13, 5e-15])
+    def test_case_two_beside_the_separatrix(self, gap):
+        # h2 has roots -1 and -gap, so h2(0) = 2 gap and m runs to -2e6.  The oracle starts from the
+        # float triple's exact h2, not from the solution's m, so it sees every rounding of P, Q and k~.
+        c = case2_triple(-1.0, -gap, 1.0)
+        sol, exact = q.solve(c), mp_params(c)
+        assert sol.case == q.CASE_II and sol.params.m < 0.0
+        assert sol.period == pytest.approx(float(exact.period), rel=1e-13, abs=0.0)
+        assert sol.period == pytest.approx(mp_period(c), rel=1e-13, abs=0.0)
+        t = np.random.default_rng([20221101, int(-math.log10(gap))]).uniform(-2.0, 2.0, 8) * sol.period
+        ref = np.array([mp_trajectory(exact, x) for x in t]).T
+        vmax = math.sqrt(abs(c[0]) + abs(c[1]) / 2.0 + abs(c[2]) / 3.0)
+        assert np.all(np.abs(q.evaluate(sol, t) - ref[0]) <= 1e-13 + 4.0 * np.finfo(float).eps * np.abs(t) * vmax)
 
 
 class TestSolveDispatch:
@@ -604,15 +637,14 @@ class TestSolveDispatch:
         sol = q.solve(QuinticCoefficients(1.0, 2.0, 3.0, "manual"))
         assert sol.period == pytest.approx(T_123, rel=1e-13)
 
-    def test_degenerate_nudge(self):
-        # delta(0, 2, 1) = 0 exactly; the solution must come from a tiny
-        # c5 perturbation and stay close to the unperturbed dynamics.
+    def test_degenerate_triple_needs_no_nudge(self):
+        # delta(0, 2, 1) = 0 exactly: P = 3, Q = k~ = 8 give m = 0, A = 1 / (2 sqrt(2)) and
+        # the period 8 A K(0) = pi sqrt(2) of the triple itself.
         sol = q.solve((0.0, 2.0, 1.0))
-        assert sol.nudge != 0.0
-        assert sol.nudge == q.NUDGE * 2.0
-        assert sol.coefficients.c5 == 1.0
-        assert sol.solved.c5 != 1.0
-        assert sol.period == pytest.approx(math.pi * math.sqrt(2.0), rel=1e-7)
+        assert sol.case == q.DEGENERATE and sol.nudge == 0.0
+        assert sol.solved == sol.coefficients
+        assert abs(sol.params.m) < 1e-15
+        assert sol.period == pytest.approx(math.pi * math.sqrt(2.0), rel=1e-15, abs=0.0)
 
     def test_degenerate_trajectory_against_oracle(self):
         from quintosc.validation import compare_trajectories, rk_oracle
@@ -622,31 +654,51 @@ class TestSolveDispatch:
         assert compare_trajectories(sol, oracle) < 1e-5
 
     def test_degenerate_triple_with_small_quintic_term(self):
-        # A nudge relative to c5 (1e-11 here) stays inside the band, which is
-        # relative to max|c|; the step of NUDGE * max|c| leaves it for Case I.
+        # The band is relative to max|c|^2, so this triple with c5 = 1e-3 lies in it; it solves as it is.
         c = (1.0, 0.0737085115989458, 0.001)
         assert q.classify(c) == q.DEGENERATE
         sol = q.solve(c)
-        assert sol.case == q.CASE_I and sol.nudge == q.NUDGE
+        assert sol.case == q.DEGENERATE and sol.nudge == 0.0
         assert sol.period == pytest.approx(q.period_by_quadrature(c), rel=1e-7)
 
     @given(st.floats(1e-9, 1.0), st.floats(-1.0, 1.0))
     @example(1e-9, 1.0)
     @example(0.001, 0.0737085115989458)
-    def test_every_degenerate_triple_solves_to_case_one(self, c5, c3):
-        # delta = 0 fixes c1; the triple is then brought to max|c| = 1.
+    @example(1.0, -4.0 / 3.0)
+    @example(1.0, -1.0)
+    def test_every_degenerate_triple_solves_or_is_unsupported(self, c5, c3):
+        # delta = 0 fixes c1; the triple is then brought to max|c| = 1, and solve lifts a c5 under the floor.
         c1 = (3.0 * c3 * c3 / (4.0 * c5) - c3 - c5) / 4.0
         scale = max(abs(c1), abs(c3), c5)
         c = (c1 / scale, c3 / scale, c5 / scale)
-        if q.classify(c) != q.DEGENERATE:
-            return
-        sol = q.solve(c)
-        assert sol.case == q.CASE_I and 0.0 < sol.params.m < 1.0 and math.isfinite(sol.period)
         assert max(map(abs, c)) == 1.0
-        if c[2] > q.C5_FLOOR:
-            assert sol.nudge == q.NUDGE
-        else:  # the floor lifts c5 first; the step follows only if that triple is still degenerate
-            assert sol.nudge in (q.C5_FLOOR - c[2], q.C5_FLOOR - c[2] + q.NUDGE)
+        lifted = (c[0], c[1], max(c[2], q.C5_FLOOR))
+        if not abs(q.discriminant(lifted)) <= 1e-9 * max(1.0, 3.0 * c[1] ** 2):
+            return  # rounding took the triple out of the band
+        x1, x3, x5 = map(Fraction, lifted)
+        if min(x1 + x3 + x5, 6 * x1 + 3 * x3 + 2 * x5, 4 * x1 + 3 * x3 + 2 * x5) > 0:
+            sol = q.solve(c)
+            assert sol.case == q.DEGENERATE and sol.nudge == lifted[2] - c[2]
+            assert sol.params.m < 1.0 and math.isfinite(sol.period) and sol.period > 0.0
+        else:  # P, Q or k~ <= 0: the double root of h2 lies in [0, 1], a separatrix
+            assert q.classify(lifted) == q.UNSUPPORTED
+            with pytest.raises(UnsupportedCaseError):
+                q.solve(c)
+
+    @pytest.mark.parametrize("c", [(5.0 / 12.0, -4.0 / 3.0, 1.0), (0.1875, -1.0, 1.0)])
+    def test_degenerate_separatrix_is_unsupported(self, c):
+        # delta = 0 with the double root of h2 at s = 1/2 and s = 1/4, where k~ < 0: u never reaches 0.
+        assert abs(q.discriminant(c)) < 1e-15
+        assert q.classify(c) == q.UNSUPPORTED
+        with pytest.raises(UnsupportedCaseError):
+            q.solve(c)
+
+    def test_degenerate_triple_beside_the_separatrix(self):
+        # Double root of h2 at s = -4.0e-4 and h2(0) = 2.6e-10: a c5 step of 7.9e-12 moved this period by 1.1e-2.
+        c = (-2.143313846476229e-07, -0.0005293236906331185, 0.0007946286602300748)
+        sol = q.solve(c)
+        assert sol.case == q.DEGENERATE and sol.nudge == 0.0
+        assert sol.period == pytest.approx(mp_period(c), rel=1e-13, abs=0.0)
 
     @pytest.mark.parametrize("base", [(0.0, 1.0, 0.5), (1.0, 0.0737085115989458, 0.001)])
     @pytest.mark.parametrize("side", [1.0, -1.0])
@@ -656,7 +708,7 @@ class TestSolveDispatch:
         c = (c1 + side * 1.5e-9 * max(1.0, 3.0 * c3 * c3) / (16.0 * c5), c3, c5)
         sol = q.solve(c)
         assert sol.case == (q.CASE_I if side > 0 else q.CASE_II) and sol.nudge == 0.0
-        assert 0.0 < sol.params.m < 1.0
+        assert (0.0 < sol.params.m < 1.0) if side > 0 else sol.params.m < 0.0
         assert sol.period == pytest.approx(q.period_by_quadrature(c), rel=1e-12)
 
 
