@@ -113,8 +113,8 @@ def classify(c: Coefficients) -> str:
     of the discriminant of that unit triple is decided up to the
     tolerance 1e-9 * max(1, 3*c3^2).  Inside that band the triple is DEGENERATE
     when P, Q and k~ are positive: at delta = 0, k~ = (4/3) c5 s0 (s0 - 1), so k~ <= 0
-    puts the double root s0 of h2 in [0, 1], a separatrix.  Case I and Case II
-    (k~ = (2Q + h2'(0)) / 3) have P, Q, k~ > 0 too, the one precondition of solve.
+    puts the double root s0 of h2 in [0, 1], a separatrix.  Case I has h2 > 0, so P, Q > 0
+    and m in (0, 1); Case II has k~ = (2Q + h2'(0)) / 3 > 0 too: solve's m is real and < 1.
     """
     c = _coerce(c)
     if not c.c5 > 0.0:
