@@ -177,7 +177,7 @@ def solve(model, a, b, force_spec, c1, c3, c5, samples):
     t = np.arange(samples) * (solution.period / (samples - 1))
     u, du = quintic.evaluate(solution, t), quintic.derivative(solution, t)
     columns = ("t", "u", "u_dot", "residual")
-    table = np.column_stack([t, u, du, _residual(osc, solution.solved, u)])
+    table = np.column_stack([t, u, du, _residual(osc, solution.coefficients, u)])
     results = {"case": _case_label(solution.case), "period": solution.period, "columns": columns, "rows": table}
     return {**config, "samples": samples}, results, columns, table
 
@@ -251,9 +251,9 @@ def _sweep_row(kind: str, a: float, b: float) -> tuple:
     try:
         c = model_coefficients(osc)
         delta = quintic.discriminant(c)
-        case = _case_label(quintic.classify(c))
         exact = models.exact_period(osc).value
         solution = quintic.solve(c)
+        case = _case_label(solution.case)
         sup = residual_sup_norm(osc, solution).sup_norm
         return (a, b, c.c1, c.c3, c.c5, delta, case, exact, solution.period,
                 exact / solution.period, sup, "ok")

@@ -39,6 +39,12 @@ _RC_ERRTOL = 0.0012
 _RD_ERRTOL = 0.0015
 _RJ_ERRTOL = 0.0015
 
+# The most negative m the Jacobi functions take.  Against 40-digit mpmath over seeded u in
+# [-50K, 50K], the worst sn, cn or relative dn error grows from 1e-14 at m = -1e8 to 1.1e-13
+# at -1e12 (0.7 of the 1e-13 + 4 eps |u| sqrt(1 - m) the tests allow), 1.8e-13 at -3e12 and
+# 8e-13 at -1e16; the values are finite but wrong by ~1 at -1e80.
+M_MIN = -1e12
+
 
 class JacobiTriple(NamedTuple):
     sn: ArrayLike
@@ -274,13 +280,13 @@ def _gauss(x: ArrayLike, m: float, rate: float = 1.0, over: float = 1.0) -> tupl
 
 
 def jacobi_sn_cn_dn(u: ArrayLike, m: float) -> JacobiTriple:
-    """Jacobi elliptic functions sn, cn, dn for a finite m <= 1.
+    """Jacobi elliptic functions sn, cn, dn for M_MIN <= m <= 1.
 
     A float u gives floats, bit-identical to the same u inside an array.
     m = 1 gives the hyperbolic functions; a negative m is the imaginary modulus of DLMF 22.17.
     """
-    if not -math.inf < m <= 1.0:
-        raise DomainError(f"jacobi_sn_cn_dn requires a finite m <= 1, got m={m}")
+    if not M_MIN <= m <= 1.0:
+        raise DomainError(f"jacobi_sn_cn_dn requires {M_MIN:g} <= m <= 1, got m={m}")
     u = _real(u)
     if m == 1.0:
         e = np.exp(-np.abs(u))  # sech u = 2 e / (1 + e^2) has no cosh to overflow past |u| ~ 710

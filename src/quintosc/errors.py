@@ -25,4 +25,4 @@ class ConvergenceError(QuintoscError):
 
 
 class UnsupportedCaseError(QuintoscError):
-    """The coefficient triple falls outside the two solvable cases."""
+    """The coefficient triple is outside solve's domain: its h2 is not positive on [0, 1]."""

@@ -6,18 +6,15 @@ The initial value problem is
 
 Energy conservation gives u'^2 = (1 - u^2) * h2(u^2) / 6 with the
 quadratic h2(s) = (6c1 + 3c3 + 2c5) + (3c3 + 2c5)*s + 2*c5*s^2, and the
-solution is periodic with |u| <= 1 whenever c5 > 0 and either
+solution is periodic with |u| <= 1 exactly when h2 > 0 on [0, 1].
 
-    (I)  h2 has no real root in a neighbourhood of [0, 1]
-         (discriminant delta = 3c3^2 - 4c5(4c1 + c3 + c5) < 0), or
-    (II) delta > 0 with h2(0) = 6c1 + 3c3 + 2c5 > 0 and h2'(0) = 3c3 + 2c5 > 0,
-         which put both roots of h2 on the negative axis.
-
-The paper inverts each case into Jacobi functions (DLMF chapter 22; we pass
-m = k^2).  Case I's inversion, m = 1/2 - (sqrt(6)/8) k~ / sqrt(PQ) with P = h2(1)/6,
-Q = h2(0) and k~ = 4c1 + 3c3 + 2c5, holds wherever P, Q and k~ are positive, as
-m(1 - m) = -delta / (32 PQ): it solves Case II at m < 0, the imaginary modulus
-of DLMF 22.17, and delta = 0 at m = 0, so it is the one inversion used.
+The paper inverts the time integral into Jacobi functions (DLMF chapter 22;
+we pass m = k^2) with m = 1/2 - (sqrt(6)/8) k~ / sqrt(PQ), P = h2(1)/6,
+Q = h2(0) and k~ = 4c1 + 3c3 + 2c5.  As m(1 - m) = -delta / (32 PQ) with the
+discriminant delta = 3c3^2 - 4c5(4c1 + c3 + c5), h2 > 0 on [0, 1] is P, Q > 0
+and m < 1: m is in (0, 1) when h2 has no real root (the paper's Case I) and
+m < 0, the imaginary modulus of DLMF 22.17, when its real roots lie off [0, 1]
+(Case II, whatever the sign of c5), so one inversion serves every periodic triple.
 """
 
 from __future__ import annotations
@@ -29,7 +26,7 @@ from typing import Union
 import numpy as np
 
 from .chebyshev import QuinticCoefficients
-from .elliptic import _dn2, _gauss, _legendre_f, _real, _sqrt, complete_K
+from .elliptic import M_MIN, _dn2, _gauss, _legendre_f, _real, _sqrt, complete_K
 from .errors import DomainError, UnsupportedCaseError
 from .models import GENERIC, OscillatorModel, _quarter_period_integral, _theta_integrand
 
@@ -37,11 +34,6 @@ CASE_I = "I"
 CASE_II = "II"
 DEGENERATE = "degenerate"
 UNSUPPORTED = "unsupported"
-
-# When |c5| falls below this fraction of the largest coefficient the
-# quintic term (and the sign of the discriminant with it) is rounding
-# noise; solve() then lifts c5 to exactly this fraction.
-C5_FLOOR = 1e-10
 
 Coefficients = Union[QuinticCoefficients, tuple]
 
@@ -54,7 +46,7 @@ def _coerce(c: Coefficients) -> QuinticCoefficients:
 
 @dataclass(frozen=True)
 class CaseIParameters:
-    """Case I's inversion parameters, which serve every solvable triple (m < 0 in Case II)."""
+    """The inversion parameters of a periodic triple (m < 0 when h2 has real roots)."""
 
     A: float
     B: float
@@ -64,20 +56,13 @@ class CaseIParameters:
 
 @dataclass(frozen=True)
 class ClosedFormSolution:
-    """A solved quintic IVP.
-
-    ``coefficients`` is the triple the caller asked about; ``solved``
-    is the triple actually inverted.  They differ only when solve() lifted
-    a negligible c5 to C5_FLOOR times the scale.  ``case`` is classify's
-    label of the solved triple; ``params`` holds the one inversion of every case.
-    """
+    """A solved quintic IVP: ``case`` is classify's label of ``coefficients``, ``params`` its inversion."""
 
     coefficients: QuinticCoefficients
     case: str
     params: CaseIParameters
     period: float
-    solved: QuinticCoefficients
-    nudge: float = 0.0  # the c5 lift: solved.c5 is coefficients.c5 + nudge up to rounding
+    nudge = 0.0  # a class constant, not a field: solve never alters c5, and perfbench's counters read it
 
 
 def _delta(c1: float, c3: float, c5: float) -> float:
@@ -105,59 +90,57 @@ def _pqk(c1: float, c3: float, c5: float) -> tuple[float, float, float]:
     return math.fsum((c1, c3, c5)), math.fsum((f1, c1 + c1, d3, c3, d5)), math.fsum((f1, d3, c3, d5))
 
 
-def classify(c: Coefficients) -> str:
-    """Sort a triple into CASE_I, CASE_II, DEGENERATE or UNSUPPORTED.
+def _inversion(c: QuinticCoefficients) -> tuple[str, CaseIParameters | None]:
+    """classify's label of a triple and, unless it is UNSUPPORTED, its inversion parameters.
 
-    The case of lambda*c equals that of c for every lambda > 0, so the
-    triple is first divided by its scale max(|c1|, |c3|, |c5|); vanishing
-    of the discriminant of that unit triple is decided up to the
-    tolerance 1e-9 * max(1, 3*c3^2).  Inside that band the triple is DEGENERATE
-    when P, Q and k~ are positive: at delta = 0, k~ = (4/3) c5 s0 (s0 - 1), so k~ <= 0
-    puts the double root s0 of h2 in [0, 1], a separatrix.  Case I has h2 > 0, so P, Q > 0
-    and m in (0, 1); Case II has k~ = (2Q + h2'(0)) / 3 > 0 too: solve's m is real and < 1.
+    The label is taken on the triple divided by its scale max|c|: DEGENERATE inside the band
+    |delta| <= 1e-9 * max(1, 3*c3^2), else CASE_I for delta < 0 and CASE_II for delta > 0.
+    A triple is UNSUPPORTED unless P, Q > 0 and M_MIN <= m < 1, which is h2 > 0 on [0, 1].
+    Inside the band m < 1/2 is asked too (k~ > 0): at delta = 0, k~ = (4/3) c5 s0 (s0 - 1)
+    puts a double root s0 in [0, 1] when k~ <= 0, a separatrix on which u never reaches 0.
     """
-    c = _coerce(c)
-    if not c.c5 > 0.0:
-        return UNSUPPORTED
-    scale = max(abs(c.c1), abs(c.c3), c.c5)
+    if not all(map(math.isfinite, c.as_tuple())):
+        return UNSUPPORTED, None
+    # u(t) solves 4^k * c when v(2^k t) solves c, so the parameters are built
+    # on a triple of unit size, where nothing overflows or underflows, and
+    # only A and the period carry the scale, as exact powers of two.
+    scale = max(abs(c.c1), abs(c.c3), abs(c.c5))
+    k, unit = _unit_triple(c, scale)
+    P, Q, k_tilde = _pqk(*unit)
+    if not (P > 0.0 and Q > 0.0):  # the zero triple too
+        return UNSUPPORTED, None
+    m = 0.5 - math.sqrt(6.0) / 8.0 * k_tilde / math.sqrt(P) / math.sqrt(Q)
     c1, c3, c5 = c.c1 / scale, c.c3 / scale, c.c5 / scale
-    delta = _delta(c1, c3, c5)  # NaN for a non-finite triple, which fails every test below
-    if abs(delta) <= 1e-9 * max(1.0, 3.0 * c3 * c3):
-        P, Q, k_tilde = _pqk(*_unit_triple(c, scale)[1])
-        return DEGENERATE if P > 0.0 and Q > 0.0 and k_tilde > 0.0 else UNSUPPORTED
-    if delta < 0.0:
-        return CASE_I
-    # h2'(0) > 0 first: it fails for a non-finite triple, so _pqk sees finite terms only.
-    return CASE_II if 3.0 * c3 + 2.0 * c5 > 0.0 and _pqk(*_unit_triple(c, scale)[1])[1] > 0.0 else UNSUPPORTED
+    delta = _delta(c1, c3, c5)
+    band = abs(delta) <= 1e-9 * max(1.0, 3.0 * c3 * c3)
+    if not M_MIN <= m < (0.5 if band else 1.0):
+        return UNSUPPORTED, None
+    A = math.ldexp((6.0 / P) ** 0.25 / Q ** 0.25 / 2.0, -k)  # P * Q would underflow at a subnormal Q
+    label = DEGENERATE if band else CASE_I if delta < 0.0 else CASE_II
+    return label, CaseIParameters(A, Q / (6.0 * P), m, 8.0 * A * complete_K(m))
+
+
+def classify(c: Coefficients) -> str:
+    """Sort a triple into CASE_I, CASE_II, DEGENERATE or UNSUPPORTED (see _inversion).
+
+    A triple is solvable exactly when h2 > 0 on [0, 1], c5 of either sign, unless its m
+    falls below elliptic.M_MIN; lambda*c has the case of c for every lambda > 0.
+    """
+    return _inversion(_coerce(c))[0]
 
 
 def solve(c: Coefficients) -> ClosedFormSolution:
     """Classify a triple once and return its ClosedFormSolution.
 
-    Every case, the degenerate band included, takes Case I's parameters
-    (a Case II triple gets m < 0, a degenerate one m near 0).  A c5 that is
-    negligible against the other coefficients is lifted to C5_FLOOR times
-    their scale first, and the lift is recorded on the result as ``nudge``.
+    Every accepted triple takes the one inversion (A, B, m), m < 0 when h2 has real roots;
+    a triple whose h2 is not positive on [0, 1] raises UnsupportedCaseError.
     """
     c = _coerce(c)
-    scale = max(abs(c.c1), abs(c.c3), abs(c.c5))
-    if scale == 0.0:
-        raise UnsupportedCaseError("cannot solve the all-zero triple")
-    target = c if abs(c.c5) > C5_FLOOR * scale else QuinticCoefficients(c.c1, c.c3, C5_FLOOR * scale, c.provenance)
-    label = classify(target)
-    if label == UNSUPPORTED:
-        raise UnsupportedCaseError(f"triple ({c.c1}, {c.c3}, {c.c5}) is outside both solvable cases (needs c5 > 0 "
-                                   "and, for a positive discriminant, 6c1 + 3c3 + 2c5 > 0 and 3c3 + 2c5 > 0; "
-                                   "a vanishing one needs the double root of h2 off [0, 1])")
-    # u(t) solves 4^k * c when v(2^k t) solves c, so the parameters are built
-    # on a triple of unit size, where nothing overflows or underflows, and
-    # only A and the period carry the scale, as exact powers of two.
-    k, unit = _unit_triple(target, scale)
-    P, Q, k_tilde = _pqk(*unit)
-    A = math.ldexp((6.0 / P) ** 0.25 / Q ** 0.25 / 2.0, -k)  # P * Q would underflow at a subnormal Q
-    m = 0.5 - math.sqrt(6.0) / 8.0 * k_tilde / math.sqrt(P) / math.sqrt(Q)
-    params = CaseIParameters(A, Q / (6.0 * P), m, 8.0 * A * complete_K(m))
-    return ClosedFormSolution(c, label, params, params.period, target, target.c5 - c.c5)
+    label, params = _inversion(c)
+    if params is None:
+        raise UnsupportedCaseError(f"triple ({c.c1}, {c.c3}, {c.c5}) is outside solve's domain: "
+                                   f"it needs h2 > 0 on [0, 1] and m >= {M_MIN:g}")
+    return ClosedFormSolution(c, label, params, params.period)
 
 
 def period_by_quadrature(c: Coefficients) -> float:

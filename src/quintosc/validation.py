@@ -71,7 +71,7 @@ def residual_sup_norm(model: models.OscillatorModel, solution: quintic.ClosedFor
     """
     if grid < 2:
         raise DomainError(f"residual grid must have at least 2 points, got {grid}")
-    c = solution.solved
+    c = solution.coefficients
     u = _amplitudes(grid)
     residual = np.abs(_residual(model, c, u))
     i = int(np.argmax(residual))  # the first NaN, if there is one

@@ -117,8 +117,19 @@ class TestSolve:
         assert isinstance(result.exception, SystemExit)
 
     def test_unsupported_triple_fails(self, runner):
-        result = runner.invoke(main, ["solve", "--c1", "1", "--c3", "1", "--c5", "-1"])
+        # h2(1) = 6 (c1 + c3 + c5) = -1.5: u never turns back at 1.
+        result = runner.invoke(main, ["solve", "--c1", "1", "--c3", "-1.5", "--c5", "0.25"])
         assert result.exit_code == 1
+        assert "h2 > 0 on [0, 1]" in result.output
+
+    def test_negative_quintic_term_solves(self, runner):
+        # h2 = 7 + s - 2 s^2 is positive on [0, 1]: the triple oscillates and solves at m < 0.
+        result = runner.invoke(main, ["solve", "--c1", "1", "--c3", "1", "--c5", "-1", "--samples", "5",
+                                      "--format", "json"])
+        assert result.exit_code == 0
+        payload = json.loads(result.output)["results"]
+        assert payload["case"] == "Case II"
+        assert payload["period"] == quintic.solve((1.0, 1.0, -1.0)).period
 
     def test_model_and_triple_conflict(self, runner):
         result = runner.invoke(main, ["solve", "--model", "relativistic", "--a", "1",
@@ -168,7 +179,7 @@ def row_by_row_solve_csv(args):
     t = np.arange(samples) * (solution.period / (samples - 1))
     u = quintic.evaluate(solution, t)
     du = quintic.derivative(solution, t)
-    sc = solution.solved
+    sc = solution.coefficients
     s = u * u
     udd = -(u * (sc.c1 + s * (sc.c3 + sc.c5 * s)))
     residual = udd - (models.restoring_force(osc, u) if osc is not None else udd)

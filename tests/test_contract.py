@@ -35,8 +35,7 @@ def horizon(x):
 CALLS = {
     "ChebyshevOddCoefficients": lambda k, x, y, z: quintosc.ChebyshevOddCoefficients(x, y, z),
     "ClosedFormSolution": lambda k, x, y, z: quintosc.ClosedFormSolution(
-        quintosc.QuinticCoefficients(x, y, z), quintosc.quintic.CASE_I, SOLUTION.params, x,
-        quintosc.QuinticCoefficients(x, y, z), z),
+        quintosc.QuinticCoefficients(x, y, z), quintosc.quintic.CASE_I, SOLUTION.params, x),
     "ConvergenceError": lambda k, x, y, z: quintosc.ConvergenceError(x),
     "DomainError": lambda k, x, y, z: quintosc.DomainError(x),
     "EvaluationError": lambda k, x, y, z: quintosc.EvaluationError("message", x),
@@ -90,7 +89,8 @@ def test_raises_only_package_errors(name, kind, x, y, z):
 
 @settings(max_examples=200, deadline=None)
 @given(st.sampled_from([quintosc.evaluate, quintosc.derivative]),
-       st.sampled_from([SOLUTION, quintosc.solve((-1.0 / 3.0, 4.0 / 3.0, 1.0)), quintosc.solve((1e300, 2e300, 3e300))]),
+       st.sampled_from([SOLUTION, quintosc.solve((-1.0 / 3.0, 4.0 / 3.0, 1.0)), quintosc.solve((1e300, 2e300, 3e300)),
+                        quintosc.solve((1.0, 1.0, -1.0)), quintosc.solve((1.0, -0.3, 0.0))]),
        st.one_of(VALUES, st.floats()))
 def test_trajectory_is_finite_or_raises_domain_error(func, solution, t):
     """A finite time gives a finite u or u', scalar or in an array; NaN or +-inf raises DomainError."""

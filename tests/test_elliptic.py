@@ -365,7 +365,7 @@ class TestGaussBase:
                 assert [f.hex() for f in el.jacobi_sn_cn_dn(x, m)] == [float(f[i]).hex() for f in batch]
 
 
-_NEGATIVE_M = [-0.25, -5.0, -1e6]
+_NEGATIVE_M = [-0.25, -5.0, -1e6, el.M_MIN]
 
 
 class TestNegativeParameter:
@@ -396,7 +396,7 @@ class TestNegativeParameter:
             assert [f.hex() for f in el.jacobi_sn_cn_dn(x, m)] == [float(f[i]).hex() for f in got]
 
     def test_domain(self):
-        for m in (math.nan, -math.inf):
+        for m in (math.nan, -math.inf, 10.0 * el.M_MIN, -1e300):
             with pytest.raises(DomainError):
                 el.jacobi_sn_cn_dn(0.3, m)
 

@@ -8,11 +8,11 @@ from fractions import Fraction
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from quintosc import cli, models, quintic as q
 from quintosc.chebyshev import QuinticCoefficients, model_coefficients
-from quintosc.elliptic import jacobi_sn_cn_dn
+from quintosc.elliptic import M_MIN, jacobi_sn_cn_dn
 from quintosc.errors import DomainError, UnsupportedCaseError
 
 # Frozen from an independent 30-digit quadrature of the time integral.
@@ -91,24 +91,50 @@ class TestDiscriminantAndClassify:
     def test_classify_examples(self):
         assert q.classify((1.0, 2.0, 3.0)) == q.CASE_I
         assert q.classify(CASE2) == q.CASE_II
-        assert q.classify((1.0, 1.0, -1.0)) == q.UNSUPPORTED
+        assert q.classify((1.0, 1.0, -1.0)) == q.CASE_II  # h2 = 7 + s - 2 s^2, roots -1.64 and 2.14
         assert q.classify((0.0, 2.0, 1.0)) == q.DEGENERATE
 
-    def test_classify_rejects_negative_h2_at_zero(self):
-        # delta > 0 but 6c1 + 3c3 + 2c5 < 0: no bounded oscillation.
-        assert q.classify((-1.0, 0.0, 1.0)) == q.UNSUPPORTED
-
-    def test_classify_rejects_roots_above_one(self):
-        # delta > 0 and h2(0) > 0, but 3c3 + 2c5 < 0 puts both roots of h2
-        # on the positive axis (3.19 and 70.8 here), outside Case II.
-        assert q.classify((1.0, -0.5, 0.01)) == q.UNSUPPORTED
+    @pytest.mark.parametrize("c", [(-1.0, 0.0, 1.0), (1.0, -1.5, 0.25), (0.36, -3.8 / 3.0, 1.0)])
+    def test_classify_rejects_h2_not_positive_on_the_interval(self, c):
+        # h2(0) = -4 < 0; h2(1) = -1.5 < 0; h2 = 2 (s - 0.3)(s - 0.6) with both roots inside (0, 1).
+        assert q.classify(c) == q.UNSUPPORTED
         with pytest.raises(UnsupportedCaseError):
-            q.solve((1.0, -0.5, 0.01))
+            q.solve(c)
+
+    def test_roots_above_one_are_periodic(self):
+        # delta > 0, h2(0) > 0 and 3c3 + 2c5 < 0 put both roots of h2 on the positive axis,
+        # at 3.19 and 70.8 here: beyond s = 1, so h2 > 0 on [0, 1] and the triple solves at m < 0.
+        sol = assert_against_mpmath((1.0, -0.5, 0.01))
+        assert sol.case == q.CASE_II and sol.params.m < 0.0
 
     @pytest.mark.parametrize("spec", [(-1.0, 0.1), (-0.3, 0.02), (-1.0, 0.5)])
-    def test_softening_generic_models_are_unsupported(self, spec):
-        with pytest.raises(UnsupportedCaseError):
-            q.solve(model_coefficients(models.OscillatorModel("generic", force_spec=spec)))
+    def test_softening_generic_models_solve(self, spec):
+        # Softening Duffing forces -(c1 u + c3 u^3) with c3 < 0 and c5 = 0: h2 is linear and positive on [0, 1].
+        c = model_coefficients(models.OscillatorModel("generic", force_spec=spec))
+        assert c.c3 < 0.0 and c.c5 == 0.0
+        assert assert_against_mpmath(c.as_tuple()).case == q.CASE_II
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0), st.floats(-1.0, 1.0))
+    @example(1.0, -0.3, 0.0)
+    @example(0.0, 1.0, 0.0)
+    @example(1.0, 1.0, -1.0)
+    @example(0.36, -3.8 / 3.0, 1.0)
+    @example(1.0, -1.5, 0.25)
+    def test_solves_exactly_when_h2_is_positive_on_the_interval(self, c1, c3, c5):
+        # The exact minimum of h2 over [0, 1] on the float triple, c5 of either sign; triples within
+        # 1e-6 max|c| of the boundary (h2 is linear in c) are left to the tests above.
+        x1, x3, x5 = map(Fraction, (c1, c3, c5))
+        h0, h1, h2 = 6 * x1 + 3 * x3 + 2 * x5, 3 * x3 + 2 * x5, 2 * x5
+        ends = [h0, h0 + h1 + h2]
+        least = min(ends + [h0 - h1 * h1 / (4 * h2)] if h2 > 0 and 0 < -h1 < 2 * h2 else ends)
+        assume(abs(least) > 1e-6 * max(abs(c1), abs(c3), abs(c5)))
+        if least > 0:
+            sol = q.solve((c1, c3, c5))
+            assert sol.params.m < 1.0 and math.isfinite(sol.period) and sol.period > 0.0
+        else:
+            with pytest.raises(UnsupportedCaseError):
+                q.solve((c1, c3, c5))
 
     def test_classification_is_total(self):
         for c in [(0.0, 0.0, 0.0), (1e300, -1e300, 1e-300), (-5.0, 2.0, 0.1)]:
@@ -210,8 +236,7 @@ class TestPeriod:
     @example((5e-324, 5e-324, 5e-324), 300.0)
     def test_time_rescaling(self, c, log_lam):
         # u(sqrt(lam) t) solves lam*c whenever u(t) solves c, so
-        # period(lam*c) = period(c) / sqrt(lam); the case, the c5 floor of the
-        # harmonic triple and the nudge of the degenerate one are scale-free,
+        # period(lam*c) = period(c) / sqrt(lam); the case is scale-free,
         # and the closed forms neither overflow nor underflow at any scale.
         lam = 10.0 ** log_lam
         base = q.solve(c).period
@@ -564,12 +589,12 @@ def mp_period(c: tuple) -> float:
     """4 * integral_0^{pi/2} d theta / sqrt(h2(sin^2 theta) / 6) at 30 digits on the float triple's exact h2.
 
     The interval is split ever closer to the theta where h2 is least, so tanh-sinh
-    resolves a near-double root at any depth.
+    resolves a near-double root at any depth; for c5 <= 0 that is an end of [0, 1].
     """
     with mp.workdps(30):
         c1, c3, c5 = map(mp.mpf, c)
         h0, h1, h2 = 6 * c1 + 3 * c3 + 2 * c5, 3 * c3 + 2 * c5, 2 * c5
-        least = mp.asin(mp.sqrt(min(max(-h1 / (2 * h2), 0), 1)))
+        least = mp.asin(mp.sqrt(min(max(-h1 / (2 * h2), 0), 1) if h2 > 0 else int(h1 + h2 < 0)))
         cuts = {mp.mpf(0), mp.pi / 2, least} | {least + sign * mp.mpf(10) ** -k for k in range(1, 16) for sign in (-1, 1)}
         points = sorted(x for x in cuts if 0 <= x <= mp.pi / 2)
         return float(4 * mp.quad(lambda th: 1 / mp.sqrt((h0 + h1 * mp.sin(th) ** 2 + h2 * mp.sin(th) ** 4) / 6), points))
@@ -618,8 +643,36 @@ class TestSolveDispatch:
         assert q.solve(CASE2).case == q.CASE_II
 
     def test_unsupported(self):
-        with pytest.raises(UnsupportedCaseError):
-            q.solve((1.0, 1.0, -1.0))
+        with pytest.raises(UnsupportedCaseError, match="h2 > 0 on"):
+            q.solve((1.0, -1.5, 0.25))
+
+    @pytest.mark.parametrize("c", [(1.0, 1.0, -1.0), (1.0, -0.3, 0.0)])
+    def test_quintic_term_of_either_sign(self, c):
+        # c5 < 0 and c5 = 0: h2 is concave or linear, positive on [0, 1], and solves as it is at m < 0.
+        sol = assert_against_mpmath(c)
+        assert sol.case == q.CASE_II and sol.params.m < 0.0 and sol.nudge == 0.0
+
+    def test_pure_cubic(self):
+        # (0, 1, 0) is solved as it is: the period 4 K(1/2) of u'' = -u^3.
+        with mp.workdps(40):
+            exact = float(4 * mp.ellipk(mp.mpf(1) / 2))
+        assert q.solve((0.0, 1.0, 0.0)).period == pytest.approx(exact, rel=1e-15, abs=0.0)
+
+    def test_most_negative_parameter(self):
+        # h2(1) = 6 c5 puts m near -0.18 / sqrt(c5): -1.8e11 is inside elliptic.M_MIN, -1.8e12 is not.
+        c = (1.0, -1.0, 1e-24)
+        sol = q.solve(c)
+        assert M_MIN < sol.params.m < -1e11
+        assert sol.period == pytest.approx(float(mp_params(c).period), rel=1e-13, abs=0.0)
+        # As in test_against_ellipfun, rounding t moves u by up to eps |t| max|u'|, and 1e-13 covers the rest.
+        vmax = math.sqrt(abs(c[0]) + abs(c[1]) / 2.0 + abs(c[2]) / 3.0)
+        for u in (0.0, 1e-9, 0.3, 0.7, 1.0 - 1e-12):
+            t = q._time_to(sol, u)
+            assert q.evaluate(sol, t) == pytest.approx(u, rel=0.0, abs=1e-13 + 4.0 * np.finfo(float).eps * t * vmax)
+        for c5 in (1e-26, 1e-200):
+            assert q.classify((1.0, -1.0, c5)) == q.UNSUPPORTED
+            with pytest.raises(UnsupportedCaseError):
+                q.solve((1.0, -1.0, c5))
 
     def test_small_scale_triple(self):
         # (1e-6, 2e-6, 3e-6) = 1e-6 * (1, 2, 3): Case I with period T_123 * 1e3.
@@ -628,10 +681,10 @@ class TestSolveDispatch:
         assert sol.period == pytest.approx(T_123 * 1e3, rel=1e-13)
 
     def test_harmonic_generic_model(self):
-        # c5 is lifted to C5_FLOOR * c1 and the lifted triple is Case I.
+        # (0.3, 0, 0) has delta = 0 and m = 0: the harmonic period 2 pi / sqrt(0.3), solved as it is.
         sol = q.solve(model_coefficients(models.OscillatorModel("generic", force_spec=(-0.3,))))
-        assert sol.case == q.CASE_I and sol.nudge > 0.0
-        assert sol.period == pytest.approx(2.0 * math.pi / math.sqrt(0.3), rel=1e-9)
+        assert sol.case == q.DEGENERATE and sol.nudge == 0.0
+        assert sol.period == pytest.approx(2.0 * math.pi / math.sqrt(0.3), rel=1e-15)
 
     def test_accepts_dataclass_input(self):
         sol = q.solve(QuinticCoefficients(1.0, 2.0, 3.0, "manual"))
@@ -642,7 +695,6 @@ class TestSolveDispatch:
         # the period 8 A K(0) = pi sqrt(2) of the triple itself.
         sol = q.solve((0.0, 2.0, 1.0))
         assert sol.case == q.DEGENERATE and sol.nudge == 0.0
-        assert sol.solved == sol.coefficients
         assert abs(sol.params.m) < 1e-15
         assert sol.period == pytest.approx(math.pi * math.sqrt(2.0), rel=1e-15, abs=0.0)
 
@@ -667,21 +719,20 @@ class TestSolveDispatch:
     @example(1.0, -4.0 / 3.0)
     @example(1.0, -1.0)
     def test_every_degenerate_triple_solves_or_is_unsupported(self, c5, c3):
-        # delta = 0 fixes c1; the triple is then brought to max|c| = 1, and solve lifts a c5 under the floor.
+        # delta = 0 fixes c1; the triple is then brought to max|c| = 1 and solved as it is.
         c1 = (3.0 * c3 * c3 / (4.0 * c5) - c3 - c5) / 4.0
         scale = max(abs(c1), abs(c3), c5)
         c = (c1 / scale, c3 / scale, c5 / scale)
         assert max(map(abs, c)) == 1.0
-        lifted = (c[0], c[1], max(c[2], q.C5_FLOOR))
-        if not abs(q.discriminant(lifted)) <= 1e-9 * max(1.0, 3.0 * c[1] ** 2):
+        if not abs(q.discriminant(c)) <= 1e-9 * max(1.0, 3.0 * c[1] ** 2):
             return  # rounding took the triple out of the band
-        x1, x3, x5 = map(Fraction, lifted)
+        x1, x3, x5 = map(Fraction, c)
         if min(x1 + x3 + x5, 6 * x1 + 3 * x3 + 2 * x5, 4 * x1 + 3 * x3 + 2 * x5) > 0:
             sol = q.solve(c)
-            assert sol.case == q.DEGENERATE and sol.nudge == lifted[2] - c[2]
+            assert sol.case == q.DEGENERATE and sol.nudge == 0.0
             assert sol.params.m < 1.0 and math.isfinite(sol.period) and sol.period > 0.0
         else:  # P, Q or k~ <= 0: the double root of h2 lies in [0, 1], a separatrix
-            assert q.classify(lifted) == q.UNSUPPORTED
+            assert q.classify(c) == q.UNSUPPORTED
             with pytest.raises(UnsupportedCaseError):
                 q.solve(c)
 
@@ -726,6 +777,16 @@ def mp_psi(c: QuinticCoefficients, u: float) -> float:
         return float(mp.quad(lambda theta: 1 / mp.sqrt(big_g(mp.sin(theta))), [mp.asin(mp.mpf(u)), mp.pi / 2]))
 
 
+def assert_against_mpmath(c: tuple) -> q.ClosedFormSolution:
+    """solve(c) against mpmath at 1e-13: the period by mp_params and mp_period, u at mp_psi's times."""
+    sol = q.solve(c)
+    assert sol.period == pytest.approx(float(mp_params(c).period), rel=1e-13, abs=0.0)
+    assert sol.period == pytest.approx(mp_period(c), rel=1e-13, abs=0.0)
+    for u in (0.0, 1e-9, 0.3, 0.7, 1.0 - 1e-12):
+        assert q.evaluate(sol, mp_psi(QuinticCoefficients(*c), u)) == pytest.approx(u, rel=0.0, abs=1e-13)
+    return sol
+
+
 _SPEC_RNG = np.random.default_rng(20221101)
 TIME_TO_MODELS = [
     *(models.OscillatorModel("relativistic", a=a) for a, _, _ in cli.TABLE_REFERENCE[1][1]),
@@ -747,7 +808,7 @@ class TestTimeTo:
     @pytest.mark.parametrize("sol", TIME_TO_SOLUTIONS)
     def test_against_mpmath_time_integral(self, sol):
         for u in TIME_TO_AMPLITUDES:
-            assert q._time_to(sol, u) == pytest.approx(mp_psi(sol.solved, u), rel=1e-14, abs=0.0)
+            assert q._time_to(sol, u) == pytest.approx(mp_psi(sol.coefficients, u), rel=1e-14, abs=0.0)
 
     @pytest.mark.parametrize("sol", TIME_TO_SOLUTIONS)
     def test_end_points(self, sol):

@@ -21,7 +21,7 @@ def solved(model):
 
 def abs_residual(model, solution, u):
     """|u'' - f(u)| at amplitudes u, written out apart from validation."""
-    c = solution.solved
+    c = solution.coefficients
     return np.abs(-(c.c1 * u + c.c3 * u ** 3 + c.c5 * u ** 5) - models.restoring_force(model, u))
 
 
@@ -75,7 +75,7 @@ class TestResidualSupNorm:
         report = validation.residual_sup_norm(model, solution)
         u = np.linspace(0.0, 1.0, report.grid)
         u_max = float(u[np.argmax(abs_residual(model, solution, u))])
-        assert report.argmax_t == pytest.approx(mp_psi(solution.solved, u_max), rel=1e-13, abs=0.0)
+        assert report.argmax_t == pytest.approx(mp_psi(solution.coefficients, u_max), rel=1e-13, abs=0.0)
 
     @pytest.mark.parametrize("model", [
         REL1, models.OscillatorModel("cable-mass", a=3.0, b=0.25),
@@ -141,7 +141,7 @@ class TestResidualSupNorm:
         # it against a 5-point stencil on the trajectory itself.
         model = models.OscillatorModel("cable-mass", a=1.0, b=1.0)
         solution = solved(model)
-        c = solution.solved
+        c = solution.coefficients
         T = solution.period
         h = T * 1e-4
         t = np.linspace(0.0, T / 4.0, 1001)
