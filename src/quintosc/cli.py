@@ -21,7 +21,7 @@ import numpy as np
 from . import __version__, models, quintic
 from .chebyshev import QuinticCoefficients, model_coefficients, project_odd_quintic, to_monomial
 from .errors import QuintoscError
-from .validation import _residual, residual_sup_norm
+from .validation import _residual, period_ratio, residual_sup_norm
 
 TABLE_REFERENCE = {
     1: ("relativistic", [(1.0, None, 0.0013005), (2.0, None, 0.0109030), (3.0, None, 0.0219219),
@@ -187,11 +187,9 @@ def solve(model, a, b, force_spec, c1, c3, c5, samples):
 def period(model, a, b, force_spec):
     """Exact period, quintication period and their ratio."""
     osc = _build_model(model, a, b, force_spec)
-    exact = models.exact_period(osc)
-    approx = quintic.solve(model_coefficients(osc)).period
-    ratio = exact.value / approx
-    results = {"exact": exact.value, "method": exact.method, "quintic": approx, "ratio": ratio}
-    return _model_config(osc), results, ("exact", "quintic", "ratio"), [(exact.value, approx, ratio)]
+    p = period_ratio(osc)
+    results = {"exact": p.exact, "method": p.method, "quintic": p.approximate, "ratio": p.ratio}
+    return _model_config(osc), results, ("exact", "quintic", "ratio"), [(p.exact, p.approximate, p.ratio)]
 
 
 @_command

@@ -35,7 +35,6 @@ _MAX_ITER = 100
 # Carlson duplication cutoffs tuned for double precision: the truncation
 # error of the fifth-order series is O(eps**6) at these values.
 _RF_ERRTOL = 0.0025
-_RC_ERRTOL = 0.0012
 _RD_ERRTOL = 0.0015
 _RJ_ERRTOL = 0.0015
 
@@ -90,20 +89,6 @@ def carlson_rf(x: float, y: float, z: float) -> float:
     raise ConvergenceError("carlson_rf failed to converge")
 
 
-def carlson_rc(x: float, y: float) -> float:
-    """Degenerate symmetric integral R_C(x, y) = R_F(x, y, y), y > 0."""
-    if not (x >= 0.0 and y > 0.0):
-        raise DomainError(f"carlson_rc requires x >= 0 and y > 0, got {(x, y)}")
-    for _ in range(_MAX_ITER):
-        lam = 2.0 * math.sqrt(x) * math.sqrt(y) + y
-        x, y = 0.25 * (x + lam), 0.25 * (y + lam)
-        mu = (x + 2.0 * y) / 3.0
-        s = (y - x) / (3.0 * mu)
-        if abs(s) < _RC_ERRTOL:
-            return (1.0 + s * s * (0.3 + s * (1.0 / 7.0 + s * (0.375 + s * 9.0 / 22.0)))) / math.sqrt(mu)
-    raise ConvergenceError("carlson_rc failed to converge")  # pragma: no cover
-
-
 def carlson_rd(x: float, y: float, z: float) -> float:
     """Carlson's degenerate integral R_D(x, y, z) = R_J(x, y, z, z).
 
@@ -156,7 +141,7 @@ def carlson_rj(x: float, y: float, z: float, p: float) -> float:
         lam = sx * (sy + sz) + sy * sz
         alpha = (p * (sx + sy + sz) + sx * sy * sz) ** 2
         beta = p * (p + lam) ** 2
-        total += factor * carlson_rc(alpha, beta)
+        total += factor * carlson_rf(alpha, beta, beta)  # R_C(alpha, beta), DLMF 19.2.17
         factor *= 0.25
         x, y, z, p = 0.25 * (x + lam), 0.25 * (y + lam), 0.25 * (z + lam), 0.25 * (p + lam)
         mu = (x + y + z + 2.0 * p) / 5.0
@@ -228,8 +213,8 @@ def _dn2(sn2: ArrayLike, cn2: ArrayLike, m: float) -> ArrayLike:
     return cn2 + (1.0 - m) * sn2
 
 
-def _gauss(x: ArrayLike, m: float, rate: float = 1.0, over: float = 1.0) -> tuple[ArrayLike, ArrayLike]:
-    """sn(u | m) and cn(u | m) at u = rate x / over, for m < 1.
+def _gauss(x: ArrayLike, m: float, over: float = 1.0) -> tuple[ArrayLike, ArrayLike]:
+    """sn(u | m) and cn(u | m) at u = x / over, for m < 1.
 
     Descending Landen (Gauss) transformation, DLMF 22.7.1-22.7.3: the AGM from
     (1, sqrt(1 - m)) gives the moduli k_n = c_n / a_n, and each stage lifts
@@ -237,8 +222,8 @@ def _gauss(x: ArrayLike, m: float, rate: float = 1.0, over: float = 1.0) -> tupl
     sin z, cos z, 1 at k_N and the base angle z = a_N u, so no argument
     reduction is needed.  Both come from one w = tan(z/2) per point rather than
     one sin and one cos (BENCH_13.json gives the timings and the host they were
-    measured on), taken as tan(((a_N / 2) rate / over) x): x is scaled once, by
-    a factor rounded once when rate or over is 1.  At m < 0 the AGM from (1, g),
+    measured on), taken as tan(((a_N / 2) / over) x): x is scaled once, by
+    a factor rounded once when over is 1.  At m < 0 the AGM from (1, g),
     g = sqrt(1 - m), is g times that of mu = -m / (1 - m), so the chain with |k_1|
     gives sn, cn of mu at v = g u, and sn(u | m) = sd(v | mu) / g, cn(u | m) = cd(v | mu)
     (DLMF 22.17.2): every sum adds terms of one sign.
@@ -249,7 +234,7 @@ def _gauss(x: ArrayLike, m: float, rate: float = 1.0, over: float = 1.0) -> tupl
     while not ks or ks[-1] >= _GAUSS_TOL:
         ks.append(abs(a - b) / (a + b))
         a, b = 0.5 * (a + b), math.sqrt(a * b)
-    w = np.tan((0.5 * a * rate / over) * x)  # |w| < 1e19 for every double z, so w^2 stays finite
+    w = np.tan((0.5 * a / over) * x)  # |w| < 1e19 for every double z, so w^2 stays finite
     if isinstance(x, float):  # numpy's loop pins the bits of tan; the rest then runs on floats
         w = float(w)
     # sin z = 2w / (1 + w^2), cos z = (1 - w)(1 + w) / (1 + w^2).
@@ -280,18 +265,12 @@ def _gauss(x: ArrayLike, m: float, rate: float = 1.0, over: float = 1.0) -> tupl
 
 
 def jacobi_sn_cn_dn(u: ArrayLike, m: float) -> JacobiTriple:
-    """Jacobi elliptic functions sn, cn, dn for M_MIN <= m <= 1.
+    """Jacobi elliptic functions sn, cn, dn for M_MIN <= m < 1.
 
     A float u gives floats, bit-identical to the same u inside an array.
-    m = 1 gives the hyperbolic functions; a negative m is the imaginary modulus of DLMF 22.17.
+    A negative m is the imaginary modulus of DLMF 22.17.
     """
-    if not M_MIN <= m <= 1.0:
-        raise DomainError(f"jacobi_sn_cn_dn requires {M_MIN:g} <= m <= 1, got m={m}")
-    u = _real(u)
-    if m == 1.0:
-        e = np.exp(-np.abs(u))  # sech u = 2 e / (1 + e^2) has no cosh to overflow past |u| ~ 710
-        sn, cn, dn = np.tanh(u), 2.0 * e / (1.0 + e * e), 2.0 * e / (1.0 + e * e)
-    else:
-        sn, cn = _gauss(u, m)
-        dn = _sqrt(_dn2(sn * sn, cn * cn, m))
-    return JacobiTriple(*map(float, (sn, cn, dn))) if isinstance(u, float) else JacobiTriple(sn, cn, dn)
+    if not M_MIN <= m < 1.0:
+        raise DomainError(f"jacobi_sn_cn_dn requires {M_MIN:g} <= m < 1, got m={m}")
+    sn, cn = _gauss(_real(u), m)
+    return JacobiTriple(sn, cn, _sqrt(_dn2(sn * sn, cn * cn, m)))

@@ -34,6 +34,7 @@ class PeriodComparison:
     exact: float
     approximate: float
     ratio: float
+    method: str
 
 
 @dataclass(frozen=True, eq=False)
@@ -82,10 +83,10 @@ def residual_sup_norm(model: models.OscillatorModel, solution: quintic.ClosedFor
 
 
 def period_ratio(model: models.OscillatorModel) -> PeriodComparison:
-    """Ratio of the exact model period to the quintication period."""
-    exact = models.exact_period(model).value
+    """Ratio of the exact model period to the quintication period, with the exact period's method."""
+    exact = models.exact_period(model)
     approx = quintic.solve(model_coefficients(model)).period
-    return PeriodComparison(exact, approx, exact / approx)
+    return PeriodComparison(exact.value, approx, exact.value / approx, exact.method)
 
 
 def rk_oracle(rhs: models.OscillatorModel | Callable, t_end: float, tol: float = 1e-10, samples: int = 2001) -> OracleTrajectory:

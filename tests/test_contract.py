@@ -42,7 +42,7 @@ CALLS = {
     "ExactPeriod": lambda k, x, y, z: quintosc.ExactPeriod(x, k),
     "OracleTrajectory": lambda k, x, y, z: quintosc.OracleTrajectory(np.array([x]), np.array([y]), np.array([z]), x),
     "OscillatorModel": lambda k, x, y, z: model(k, x, y),
-    "PeriodComparison": lambda k, x, y, z: quintosc.PeriodComparison(x, y, z),
+    "PeriodComparison": lambda k, x, y, z: quintosc.PeriodComparison(x, y, z, k),
     "QuinticCoefficients": lambda k, x, y, z: quintosc.QuinticCoefficients(x, y, z),
     "QuintoscError": lambda k, x, y, z: quintosc.QuintoscError(x),
     "ResidualReport": lambda k, x, y, z: quintosc.ResidualReport(
