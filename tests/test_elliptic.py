@@ -169,15 +169,18 @@ class TestCarlson:
 
     @pytest.mark.parametrize("func, args", [(el.carlson_rf, (1.0, 2.0, 4.0)),
                                             (el.carlson_rj, (2.0, 3.0, 4.0, 0.5)),
+                                            (el.carlson_rf, (2.0, 3.0, 3.0)),
                                             (el.carlson_rd, (0.0, 2.0, 1.0))])
     def test_non_convergence_raises_convergence_error(self, func, args, monkeypatch):
         # One duplication step does not reach the series cutoff for these
-        # arguments, so a cap of one step must raise.
+        # arguments, so a cap of one step must raise.  R_F(x, y, y) is the
+        # R_C term that carlson_rj sums.
         monkeypatch.setattr(el, "_MAX_ITER", 1)
         with pytest.raises(ConvergenceError):
             func(*args)
 
     @pytest.mark.parametrize("func, args", [(el.carlson_rf, (1.0, 2.0, 4.0)),
+                                            (el.carlson_rf, (2.0, 3.0, 3.0)),
                                             (el.carlson_rd, (0.0, 2.0, 1.0)),
                                             (el.carlson_rj, (2.0, 3.0, 4.0, 0.5))])
     def test_nan_raises_domain_error(self, func, args):
