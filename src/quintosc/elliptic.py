@@ -11,7 +11,7 @@ private routines on Carlson's symmetric forms R_F and R_D (duplication
 iteration: Carlson, Numer. Algorithms 10, 1995), which take sin(phi),
 cos^2(phi) and the complementary parameter m1 = 1 - m.  A caller that
 knows m1 exactly passes it, so nothing cancels as m -> 1.  The Jacobi
-functions come from one Gauss-transformation kernel: one tangent per
+functions come from one Gauss-transformation kernel, which takes m1 too: one tangent per
 point, w = tan(z/2), then only + - * /, so a float runs the same lines as an
 array, on Python floats, and gives the same bits (numpy's tan loop serves both).
 """
@@ -76,16 +76,19 @@ def carlson_rf(x: float, y: float, z: float) -> float:
     # Written so that NaN fails: every comparison with NaN is false.
     if not (x >= 0.0 and y >= 0.0 and z >= 0.0) or (x + y) == 0.0 or (y + z) == 0.0 or (z + x) == 0.0:
         raise DomainError(f"carlson_rf requires nonnegative args, at most one zero: {(x, y, z)}")
-    for _ in range(_MAX_ITER):
-        sx, sy, sz = math.sqrt(x), math.sqrt(y), math.sqrt(z)
-        lam = sx * (sy + sz) + sy * sz
-        x, y, z = 0.25 * (x + lam), 0.25 * (y + lam), 0.25 * (z + lam)
-        mu = (x + y + z) / 3.0
-        dx, dy, dz = (mu - x) / mu, (mu - y) / mu, (mu - z) / mu
-        if max(abs(dx), abs(dy), abs(dz)) < _RF_ERRTOL:
-            e2 = dx * dy - dz * dz
-            e3 = dx * dy * dz
-            return (1.0 + (e2 / 24.0 - 0.1 - 3.0 * e3 / 44.0) * e2 + e3 / 14.0) / math.sqrt(mu)
+    try:
+        for _ in range(_MAX_ITER):
+            sx, sy, sz = math.sqrt(x), math.sqrt(y), math.sqrt(z)
+            lam = sx * (sy + sz) + sy * sz
+            x, y, z = 0.25 * (x + lam), 0.25 * (y + lam), 0.25 * (z + lam)
+            mu = (x + y + z) / 3.0
+            dx, dy, dz = (mu - x) / mu, (mu - y) / mu, (mu - z) / mu
+            if max(abs(dx), abs(dy), abs(dz)) < _RF_ERRTOL:
+                e2 = dx * dy - dz * dz
+                e3 = dx * dy * dz
+                return (1.0 + (e2 / 24.0 - 0.1 - 3.0 * e3 / 44.0) * e2 + e3 / 14.0) / math.sqrt(mu)
+    except ZeroDivisionError:  # every argument underflowed to 0 in the duplication
+        raise DomainError("carlson_rf's arguments are too small for the duplication") from None
     raise ConvergenceError("carlson_rf failed to converge")
 
 
@@ -98,26 +101,29 @@ def carlson_rd(x: float, y: float, z: float) -> float:
         raise DomainError(f"carlson_rd requires x, y >= 0 (not both zero) and z > 0: {(x, y, z)}")
     total = 0.0
     factor = 1.0
-    for _ in range(_MAX_ITER):
-        sx, sy, sz = math.sqrt(x), math.sqrt(y), math.sqrt(z)
-        lam = sx * (sy + sz) + sy * sz
-        total += factor / (sz * (z + lam))
-        factor *= 0.25
-        x, y, z = 0.25 * (x + lam), 0.25 * (y + lam), 0.25 * (z + lam)
-        mu = (x + y + 3.0 * z) / 5.0
-        dx, dy, dz = (mu - x) / mu, (mu - y) / mu, (mu - z) / mu
-        if max(abs(dx), abs(dy), abs(dz)) < _RD_ERRTOL:
-            ea = dx * dy
-            eb = dz * dz
-            ec = ea - eb
-            ed = ea - 6.0 * eb
-            ee = ed + 2.0 * ec
-            series = (
-                1.0
-                + ed * (-3.0 / 14.0 + 9.0 / 88.0 * ed - 4.5 / 26.0 * dz * ee)
-                + dz * (ee / 6.0 + dz * (-9.0 / 22.0 * ec + 3.0 / 26.0 * dz * ea))
-            )
-            return 3.0 * total + factor * series / (mu * math.sqrt(mu))
+    try:
+        for _ in range(_MAX_ITER):
+            sx, sy, sz = math.sqrt(x), math.sqrt(y), math.sqrt(z)
+            lam = sx * (sy + sz) + sy * sz
+            total += factor / (sz * (z + lam))
+            factor *= 0.25
+            x, y, z = 0.25 * (x + lam), 0.25 * (y + lam), 0.25 * (z + lam)
+            mu = (x + y + 3.0 * z) / 5.0
+            dx, dy, dz = (mu - x) / mu, (mu - y) / mu, (mu - z) / mu
+            if max(abs(dx), abs(dy), abs(dz)) < _RD_ERRTOL:
+                ea = dx * dy
+                eb = dz * dz
+                ec = ea - eb
+                ed = ea - 6.0 * eb
+                ee = ed + 2.0 * ec
+                series = (
+                    1.0
+                    + ed * (-3.0 / 14.0 + 9.0 / 88.0 * ed - 4.5 / 26.0 * dz * ee)
+                    + dz * (ee / 6.0 + dz * (-9.0 / 22.0 * ec + 3.0 / 26.0 * dz * ea))
+                )
+                return 3.0 * total + factor * series / (mu * math.sqrt(mu))
+    except ZeroDivisionError:  # z (z + lam) underflowed to 0: R_D ~ z^(-3/2) is past the float range
+        raise DomainError("carlson_rd's arguments are too small for the duplication") from None
     raise ConvergenceError("carlson_rd failed to converge")  # pragma: no cover
 
 
@@ -132,8 +138,7 @@ def carlson_rj(x: float, y: float, z: float, p: float) -> float:
     # Scaling the largest argument near 1 keeps the squares below from
     # overflowing, and powers of two scale exactly, so the value is unchanged.
     k = math.frexp(max(x, y, z, p))[1] // 2
-    scale = math.ldexp(1.0, -2 * k)
-    x, y, z, p = x * scale, y * scale, z * scale, p * scale
+    x, y, z, p = math.ldexp(x, -2 * k), math.ldexp(y, -2 * k), math.ldexp(z, -2 * k), math.ldexp(p, -2 * k)
     total = 0.0
     factor = 1.0
     for _ in range(_MAX_ITER):
@@ -160,7 +165,10 @@ def carlson_rj(x: float, y: float, z: float, p: float) -> float:
                 + dp * ea * (1.0 / 3.0 - dp * 3.0 / 22.0)
                 - dp * ec / 3.0
             )
-            return math.ldexp(3.0 * total + factor * series / (mu * math.sqrt(mu)), -3 * k)
+            try:
+                return math.ldexp(3.0 * total + factor * series / (mu * math.sqrt(mu)), -3 * k)
+            except OverflowError:  # only for arguments so small that R_J is past the float range
+                raise DomainError(f"carlson_rj overflows for a largest argument near 4^{k}") from None
     raise ConvergenceError("carlson_rj failed to converge")
 
 
@@ -208,28 +216,36 @@ def _sqrt(x: ArrayLike) -> ArrayLike:
     return math.sqrt(x) if isinstance(x, float) else np.sqrt(x)
 
 
-def _dn2(sn2: ArrayLike, cn2: ArrayLike, m: float) -> ArrayLike:
-    """dn^2 from sn^2 and cn^2: cn^2 + (1 - m) sn^2 is 1 - m sn^2 without the cancellation as m -> 1."""
-    return cn2 + (1.0 - m) * sn2
+def _top(x: ArrayLike) -> float:
+    """max |x| of a float or an array (0 for an empty one); NaN or inf anywhere raises DomainError."""
+    top = abs(x) if isinstance(x, float) else np.abs(x).max(initial=0.0)  # NaN if any x is NaN
+    if not math.isfinite(top):
+        raise DomainError("the Jacobi functions need finite arguments")
+    return top
 
 
-def _gauss(x: ArrayLike, m: float, over: float = 1.0) -> tuple[ArrayLike, ArrayLike]:
-    """sn(u | m) and cn(u | m) at u = x / over, for m < 1.
+def _dn2(sn2: ArrayLike, cn2: ArrayLike, m1: float) -> ArrayLike:
+    """dn^2 from sn^2, cn^2 and m1 = 1 - m: cn^2 + m1 sn^2 is 1 - m sn^2 without the cancellation as m -> 1."""
+    return cn2 + m1 * sn2
+
+
+def _gauss(x: ArrayLike, m1: float, over: float = 1.0) -> tuple[ArrayLike, ArrayLike]:
+    """sn(u | m) and cn(u | m) at u = x / over, from the complementary parameter m1 = 1 - m > 0.
 
     Descending Landen (Gauss) transformation, DLMF 22.7.1-22.7.3: the AGM from
-    (1, sqrt(1 - m)) gives the moduli k_n = c_n / a_n, and each stage lifts
+    (1, sqrt(m1)) gives the moduli k_n = c_n / a_n, and each stage lifts
     sn, cn, dn of modulus k_n at u a_n to modulus k_(n-1) at u a_(n-1), from
     sin z, cos z, 1 at k_N and the base angle z = a_N u, so no argument
     reduction is needed.  Both come from one w = tan(z/2) per point rather than
     one sin and one cos (BENCH_13.json gives the timings and the host they were
     measured on), taken as tan(((a_N / 2) / over) x): x is scaled once, by
-    a factor rounded once when over is 1.  At m < 0 the AGM from (1, g),
-    g = sqrt(1 - m), is g times that of mu = -m / (1 - m), so the chain with |k_1|
+    a factor rounded once when over is 1.  At m < 0 (m1 > 1) the AGM from (1, g),
+    g = sqrt(m1), is g times that of mu = -m / m1, so the chain with |k_1|
     gives sn, cn of mu at v = g u, and sn(u | m) = sd(v | mu) / g, cn(u | m) = cd(v | mu)
     (DLMF 22.17.2): every sum adds terms of one sign.
     """
     # The AGM always ends: a and b meet to within an ulp.
-    g = math.sqrt(1.0 - m)
+    g = math.sqrt(m1)
     a, b, ks = 1.0, g, []
     while not ks or ks[-1] >= _GAUSS_TOL:
         ks.append(abs(a - b) / (a + b))
@@ -258,19 +274,21 @@ def _gauss(x: ArrayLike, m: float, over: float = 1.0) -> tuple[ArrayLike, ArrayL
             t = 1.0 - t
             t *= r
             c *= t
-    if m < 0.0:  # dn(v | mu)^2 = cn^2 + sn^2 / g^2
-        t = _sqrt(c * c + s * s / (1.0 - m))
+    if m1 > 1.0:  # dn(v | mu)^2 = cn^2 + sn^2 / g^2
+        t = _sqrt(c * c + s * s / m1)
         s, c = s / (g * t), c / t
     return s, c
 
 
 def jacobi_sn_cn_dn(u: ArrayLike, m: float) -> JacobiTriple:
-    """Jacobi elliptic functions sn, cn, dn for M_MIN <= m < 1.
+    """Jacobi elliptic functions sn, cn, dn for M_MIN <= m < 1 and finite u (NaN or inf raises DomainError).
 
     A float u gives floats, bit-identical to the same u inside an array.
     A negative m is the imaginary modulus of DLMF 22.17.
     """
     if not M_MIN <= m < 1.0:
         raise DomainError(f"jacobi_sn_cn_dn requires {M_MIN:g} <= m < 1, got m={m}")
-    sn, cn = _gauss(_real(u), m)
-    return JacobiTriple(sn, cn, _sqrt(_dn2(sn * sn, cn * cn, m)))
+    u, m1 = _real(u), 1.0 - m
+    _top(u)
+    sn, cn = _gauss(u, m1)
+    return JacobiTriple(sn, cn, _sqrt(_dn2(sn * sn, cn * cn, m1)))

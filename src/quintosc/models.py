@@ -121,7 +121,7 @@ def _even(c, u):
 def restoring_force(model: OscillatorModel, u):
     """Normalised odd restoring force f_a(u); accepts scalars or arrays.  An invalid model raises DomainError."""
     _require_valid(model)
-    u = np.asarray(u, dtype=float)
+    u = np.asarray(elliptic._real(u))  # text raises TypeError, as in evaluate
     p, beta = _parts(model)
     out = _even(p, u) * u if p else None
     if beta:
@@ -141,7 +141,7 @@ def _generic_g_coeffs(spec: Sequence[float]) -> list[float]:
 def potential_phi(model: OscillatorModel, u):
     """Potential Phi(u) = -2 * integral_u^1 f_a; vanishes at u = +-1.  An invalid model raises DomainError."""
     _require_valid(model)
-    u = np.asarray(u, dtype=float)
+    u = np.asarray(elliptic._real(u))  # text raises TypeError, as in evaluate
     p, beta = _parts(model)
     g = _even(_generic_g_coeffs(p), u) if p else 0.0
     out = (1.0 - np.square(u)) * (g + beta * _g_rel(model.a, u) if beta else g)  # (1 - u^2) G(u)

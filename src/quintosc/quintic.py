@@ -11,14 +11,15 @@ solution is periodic with |u| <= 1 exactly when h2 > 0 on [0, 1].
 The paper inverts the time integral into Jacobi functions (DLMF chapter 22;
 we pass m = k^2) with m = 1/2 - (sqrt(6)/8) k~ / sqrt(PQ), P = h2(1)/6,
 Q = h2(0) and k~ = 4c1 + 3c3 + 2c5.  As m(1 - m) = -delta / (32 PQ) with the
-discriminant delta = 3c3^2 - 4c5(4c1 + c3 + c5), h2 > 0 on [0, 1] is P, Q > 0
-and m < 1: m is in (0, 1) when h2 has no real root (the paper's Case I) and
+discriminant delta = 3c3^2 - 4c5(4c1 + c3 + c5), h2 > 0 on [0, 1] is P, Q > 0 and
+(delta < 0 or k~ > 0): m is in (0, 1) when h2 has no real root (the paper's Case I) and
 m < 0, the imaginary modulus of DLMF 22.17, when its real roots lie off [0, 1]
 (Case II, whatever the sign of c5), so one inversion serves every periodic triple.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
 from typing import Union
@@ -26,7 +27,7 @@ from typing import Union
 import numpy as np
 
 from .chebyshev import QuinticCoefficients
-from .elliptic import M_MIN, _dn2, _gauss, _legendre_f, _real, _sqrt, complete_K
+from .elliptic import M_MIN, _dn2, _gauss, _legendre_f, _real, _sqrt, _top
 from .errors import DomainError, UnsupportedCaseError
 from .models import GENERIC, OscillatorModel, _quarter_period_integral, _theta_integrand
 
@@ -45,12 +46,13 @@ def _coerce(c: Coefficients) -> QuinticCoefficients:
 
 
 @dataclass(frozen=True)
-class CaseIParameters:
-    """The inversion parameters of a periodic triple (m < 0 when h2 has real roots)."""
+class InversionParameters:
+    """The inversion parameters of a periodic triple: m < 0 when h2 has real roots; m1 = 1 - m, never cancelled."""
 
     A: float
     B: float
     m: float
+    m1: float
     period: float
 
 
@@ -60,22 +62,27 @@ class ClosedFormSolution:
 
     coefficients: QuinticCoefficients
     case: str
-    params: CaseIParameters
+    params: InversionParameters
     period: float
     nudge = 0.0  # a class constant, not a field: solve never alters c5, and perfbench's counters read it
 
 
-def _delta(c1: float, c3: float, c5: float) -> float:
-    return 3.0 * c3 * c3 - 4.0 * c5 * (4.0 * c1 + c3 + c5)
+def _exact(c1: float, c3: float, c5: float) -> tuple[int, int, int, int, int]:
+    """A finite triple as integers (n1, n3, n5) over one power of two d, and d^2 delta, all exact."""
+    (n1, q1), (n3, q3), (n5, q5) = c1.as_integer_ratio(), c3.as_integer_ratio(), c5.as_integer_ratio()
+    d = max(q1, q3, q5)
+    n1, n3, n5 = n1 * (d // q1), n3 * (d // q3), n5 * (d // q5)
+    return n1, n3, n5, d, 3 * n3 * n3 - 4 * n5 * (4 * n1 + n3 + n5)
 
 
 def discriminant(c: Coefficients) -> float:
-    """delta = 3*c3^2 - 4*c5*(4*c1 + c3 + c5); a delta that is not finite raises DomainError."""
+    """delta = 3*c3^2 - 4*c5*(4*c1 + c3 + c5), exact and rounded once; a delta that is not finite raises DomainError."""
     c = _coerce(c)
-    delta = _delta(c.c1, c.c3, c.c5)
-    if not math.isfinite(delta):
-        raise DomainError(f"discriminant of ({c.c1}, {c.c3}, {c.c5}) is not finite: {delta}")
-    return delta
+    if all(map(math.isfinite, c.as_tuple())):
+        *_, d, d2_delta = _exact(*c.as_tuple())
+        with contextlib.suppress(OverflowError):
+            return d2_delta / (d * d)  # int / int rounds once
+    raise DomainError(f"discriminant of ({c.c1}, {c.c3}, {c.c5}) is not finite")
 
 
 def _unit_triple(c: QuinticCoefficients, scale: float) -> tuple[int, list[float]]:
@@ -84,40 +91,33 @@ def _unit_triple(c: QuinticCoefficients, scale: float) -> tuple[int, list[float]
     return k, [math.ldexp(x, -2 * k) for x in c.as_tuple()]
 
 
-def _pqk(c1: float, c3: float, c5: float) -> tuple[float, float, float]:
-    """P = h2(1)/6, Q = h2(0) and k~ = 4c1 + 3c3 + 2c5, each an exact sum rounded once."""
-    f1, d3, d5 = 4.0 * c1, c3 + c3, c5 + c5  # exact: scaling by a power of two
-    return math.fsum((c1, c3, c5)), math.fsum((f1, c1 + c1, d3, c3, d5)), math.fsum((f1, d3, c3, d5))
-
-
-def _inversion(c: QuinticCoefficients) -> tuple[str, CaseIParameters | None]:
+def _inversion(c: QuinticCoefficients) -> tuple[str, InversionParameters | None]:
     """classify's label of a triple and, unless it is UNSUPPORTED, its inversion parameters.
 
-    The label is taken on the triple divided by its scale max|c|: DEGENERATE inside the band
-    |delta| <= 1e-9 * max(1, 3*c3^2), else CASE_I for delta < 0 and CASE_II for delta > 0.
-    A triple is UNSUPPORTED unless P, Q > 0 and M_MIN <= m < 1, which is h2 > 0 on [0, 1].
-    Inside the band m < 1/2 is asked too (k~ > 0): at delta = 0, k~ = (4/3) c5 s0 (s0 - 1)
-    puts a double root s0 in [0, 1] when k~ <= 0, a separatrix on which u never reaches 0.
+    P, Q, k~ and delta come from one exact integer image of the unit triple, each rounded once.  A triple
+    is UNSUPPORTED unless P, Q > 0, (delta < 0 or k~ > 0) and m >= M_MIN: at delta = 0, k~ = (4/3) c5 s0 (s0 - 1)
+    puts a double root s0 of h2 in [0, 1] when k~ <= 0, a separatrix on which u never reaches 0.  The label is
+    DEGENERATE at delta = 0 exactly, else CASE_I for delta < 0 and CASE_II for delta > 0.  m1 = 1 - m is
+    (1 + x) / 2, x = sqrt(6) k~ / (4 sqrt(PQ)), or -delta / (16 PQ (1 - x)) when x < 0: nothing cancels.
     """
     if not all(map(math.isfinite, c.as_tuple())):
         return UNSUPPORTED, None
     # u(t) solves 4^k * c when v(2^k t) solves c, so the parameters are built
     # on a triple of unit size, where nothing overflows or underflows, and
     # only A and the period carry the scale, as exact powers of two.
-    scale = max(abs(c.c1), abs(c.c3), abs(c.c5))
-    k, unit = _unit_triple(c, scale)
-    P, Q, k_tilde = _pqk(*unit)
-    if not (P > 0.0 and Q > 0.0):  # the zero triple too
+    k, unit = _unit_triple(c, max(abs(c.c1), abs(c.c3), abs(c.c5)))
+    n1, n3, n5, d, d2_delta = _exact(*unit)
+    P, Q, k_tilde = (n1 + n3 + n5) / d, (6 * n1 + 3 * n3 + 2 * n5) / d, (4 * n1 + 3 * n3 + 2 * n5) / d
+    if not (P > 0.0 and Q > 0.0 and (d2_delta < 0 or k_tilde > 0.0)):  # the zero triple too
         return UNSUPPORTED, None
-    m = 0.5 - math.sqrt(6.0) / 8.0 * k_tilde / math.sqrt(P) / math.sqrt(Q)
-    c1, c3, c5 = c.c1 / scale, c.c3 / scale, c.c5 / scale
-    delta = _delta(c1, c3, c5)
-    band = abs(delta) <= 1e-9 * max(1.0, 3.0 * c3 * c3)
-    if not M_MIN <= m < (0.5 if band else 1.0):
+    half_x = math.sqrt(6.0) / 8.0 * k_tilde / math.sqrt(P) / math.sqrt(Q)
+    m = 0.5 - half_x
+    if not m >= M_MIN:
         return UNSUPPORTED, None
+    m1 = 0.5 + half_x if half_x >= 0.0 else -d2_delta / (d * d) / P / Q / (32.0 * m)
     A = math.ldexp((6.0 / P) ** 0.25 / Q ** 0.25 / 2.0, -k)  # P * Q would underflow at a subnormal Q
-    label = DEGENERATE if band else CASE_I if delta < 0.0 else CASE_II
-    return label, CaseIParameters(A, Q / (6.0 * P), m, 8.0 * A * complete_K(m))
+    label = DEGENERATE if d2_delta == 0 else CASE_I if d2_delta < 0 else CASE_II
+    return label, InversionParameters(A, Q / (6.0 * P), m, m1, 8.0 * A * _legendre_f(1.0, 0.0, m1))
 
 
 def classify(c: Coefficients) -> str:
@@ -132,7 +132,7 @@ def classify(c: Coefficients) -> str:
 def solve(c: Coefficients) -> ClosedFormSolution:
     """Classify a triple once and return its ClosedFormSolution.
 
-    Every accepted triple takes the one inversion (A, B, m), m < 0 when h2 has real roots;
+    Every accepted triple takes the one inversion (A, B, m, m1), m < 0 when h2 has real roots;
     a triple whose h2 is not positive on [0, 1] raises UnsupportedCaseError.
     """
     c = _coerce(c)
@@ -194,12 +194,9 @@ def _jacobi(solution: ClosedFormSolution, t):
     key = t if isinstance(t, float) else t.copy()
     # Past 2^52 periods an ulp of t spans a period; clipping there keeps the tangent argument finite.
     span = math.ldexp(solution.period, 52)
-    top = abs(t) if isinstance(t, float) else np.abs(t).max(initial=0.0)  # NaN if any t is NaN
-    if not top <= span:
-        if not math.isfinite(top):
-            raise DomainError("evaluate and derivative need finite times")
+    if not _top(t) <= span:
         t = min(max(t, -span), span) if isinstance(t, float) else np.minimum(np.maximum(t, -span), span)
-    sn, cn = _gauss(t, solution.params.m, over=2.0 * solution.params.A)
+    sn, cn = _gauss(t, solution.params.m1, over=2.0 * solution.params.A)
     if not isinstance(sn, float):
         sn.flags.writeable = cn.flags.writeable = False
     _last = (solution, key, (sn, cn))
@@ -212,10 +209,10 @@ def _jacobi(solution: ClosedFormSolution, t):
 # at t/(2A) (DLMF 22.6.5-22.6.6) cos(psi) = cn/w, sin(psi) = sn dn/w, w^2 = 1 - m sn^4 and
 # dn(t/A) w^2 = dn^4 + m (1 - m) sn^4 = cn^2 dn^2 + (1 - m) sn^2, so w cancels and, for every m < 1, no sum does.
 
-def _squares(p: CaseIParameters, sn, cn):
+def _squares(p: InversionParameters, sn, cn):
     """sn^2, cn^2, dn^2 and e = sb cn^2 + sn^2 dn^2 = D^2 w^2, the one copy u and u' share."""
     sn2, cn2 = sn * sn, cn * cn
-    dn2 = _dn2(sn2, cn2, p.m)
+    dn2 = _dn2(sn2, cn2, p.m1)
     return sn2, cn2, dn2, math.sqrt(p.B) * cn2 + sn2 * dn2
 
 
@@ -227,7 +224,7 @@ def _u(solution: ClosedFormSolution, sn, cn):
 def _du(solution: ClosedFormSolution, sn, cn):
     p = solution.params
     sn2, cn2, dn2, e = _squares(p, sn, cn)
-    w2_dn = _dn2(sn2, cn2 * dn2, p.m)  # w^2 dn(t/A)
+    w2_dn = _dn2(sn2, cn2 * dn2, p.m1)  # w^2 dn(t/A)
     du = -math.sqrt(math.sqrt(p.B)) / (2.0 * p.A) * w2_dn * _sqrt(dn2 / e) / e
     return du * sn + 0.0  # sn last, so a subnormal u' rounds once; +0.0 drops negative zeros
 
@@ -245,7 +242,7 @@ def _time_to(solution: ClosedFormSolution, u: float) -> float:
     w = math.sqrt(p.B) * (1.0 - u) * (1.0 + u)
     d = u * u + w
     sin_phi, cos_phi = 2.0 * u * math.sqrt(w) / d, (u * u - w) / d
-    f = p.A * _legendre_f(sin_phi, cos_phi ** 2, 1.0 - p.m)
+    f = p.A * _legendre_f(sin_phi, cos_phi ** 2, p.m1)
     return f if cos_phi >= 0.0 else 0.25 * solution.period - f
 
 

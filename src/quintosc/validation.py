@@ -122,8 +122,11 @@ def rk_oracle(rhs: models.OscillatorModel | Callable, t_end: float, tol: float =
 
 
 def compare_trajectories(closed: quintic.ClosedFormSolution, oracle: OracleTrajectory) -> float:
-    """Max pointwise gap between the closed form and the oracle samples."""
+    """Max pointwise gap between the closed form and the oracle samples; NaN or inf values raise DomainError."""
     times = np.asarray(oracle.times, dtype=float)
     if times.size == 0 or np.any(np.diff(times) <= 0.0):
         raise DomainError("oracle trajectory must carry a strictly increasing time span")
-    return float(np.max(np.abs(quintic.evaluate(closed, times) - oracle.values)))
+    gap = float(np.max(np.abs(quintic.evaluate(closed, times) - oracle.values)))
+    if not math.isfinite(gap):
+        raise DomainError("oracle trajectory holds values that are not finite")
+    return gap

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import quintosc
-from quintosc import chebyshev, models
+from quintosc import chebyshev, elliptic, models
 from quintosc.errors import DomainError, QuintoscError
 from timeouts import deadline
 
@@ -70,19 +70,35 @@ CALLS = {
 }
 
 
+# The public kernels of quintosc.elliptic, which the package does not re-export.
+ELLIPTIC_CALLS = {
+    "elliptic.carlson_rd": lambda k, x, y, z: elliptic.carlson_rd(x, y, z),
+    "elliptic.carlson_rf": lambda k, x, y, z: elliptic.carlson_rf(x, y, z),
+    "elliptic.carlson_rj": lambda k, x, y, z: elliptic.carlson_rj(x, y, z, y),
+    "elliptic.complete_E": lambda k, x, y, z: elliptic.complete_E(x),
+    "elliptic.complete_K": lambda k, x, y, z: elliptic.complete_K(x),
+    "elliptic.jacobi_sn_cn_dn": lambda k, x, y, z: (elliptic.jacobi_sn_cn_dn(x, z),
+                                                    elliptic.jacobi_sn_cn_dn(np.array([x, y]), z)),
+}
+
+
 def test_every_public_callable_is_probed():
     public = {name for name in quintosc.__all__ if callable(getattr(quintosc, name))}
     assert public == set(CALLS)
+    kernels = {f"elliptic.{name}" for name in dir(elliptic)
+               if not name.startswith("_") and callable(getattr(elliptic, name))
+               and getattr(getattr(elliptic, name), "__module__", None) == elliptic.__name__}
+    assert kernels - {"elliptic.JacobiTriple"} == set(ELLIPTIC_CALLS)
 
 
-@pytest.mark.parametrize("name", sorted(CALLS))
+@pytest.mark.parametrize("name", sorted(CALLS.keys() | ELLIPTIC_CALLS.keys()))
 @settings(max_examples=100, deadline=None)
 @given(st.sampled_from(models.KINDS), VALUES, VALUES, VALUES)
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_raises_only_package_errors(name, kind, x, y, z):
     with deadline(5.0):
         try:
-            CALLS[name](kind, x, y, z)
+            {**CALLS, **ELLIPTIC_CALLS}[name](kind, x, y, z)
         except (QuintoscError, TypeError):
             pass
 

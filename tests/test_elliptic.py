@@ -148,6 +148,15 @@ class TestCarlson:
         with pytest.raises(DomainError):
             el.carlson_rj(1.0, 2.0, 3.0, 0.0)
 
+    @pytest.mark.parametrize("func, args", [(el.carlson_rf, (0.0, 5e-324, 5e-324)),
+                                            (el.carlson_rd, (0.0, 1e-310, 1e-310)),
+                                            (el.carlson_rj, (0.0, 5e-324, 5e-324, 5e-324)),
+                                            (el.carlson_rj, (1e-300, 1e-300, 1e-300, 1e-300))])
+    def test_underflowing_duplication_raises_domain_error(self, func, args):
+        # The duplication step underflows to 0 (R_F, R_D) or the value 8^-k R_J overflows (R_J ~ 1e450 at 1e-300).
+        with pytest.raises(DomainError):
+            func(*args)
+
     def test_rj_against_mpmath(self):
         # Seeded arguments spread over [1e-8, 1e8], a third with one of x, y, z zero, so that
         # the R_C term R_F(alpha, beta, beta) meets both alpha > beta and alpha < beta.
@@ -256,6 +265,12 @@ class TestJacobiSnCnDn:
         for m in (1.0, 1.2):
             with pytest.raises(DomainError):
                 el.jacobi_sn_cn_dn(0.3, m)
+
+    @pytest.mark.parametrize("u", [math.nan, math.inf, -math.inf])
+    def test_non_finite_argument_raises(self, u):
+        for arg in (u, np.array([0.3, u, 1.0])):
+            with pytest.raises(DomainError):
+                el.jacobi_sn_cn_dn(arg, 0.5)
 
     @given(st.lists(st.floats(-1e7, 1e7), min_size=1, max_size=20),
            st.sampled_from([0.0, 1e-9, 2.5e-8, 0.07, 0.88, 1.0 - 1e-12]))

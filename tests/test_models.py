@@ -109,6 +109,24 @@ class TestRestoringForce:
         with pytest.raises(DomainError):
             models.OscillatorModel("pendulum", a=1.0)
 
+    @pytest.mark.parametrize("func", [models.restoring_force, models.potential_phi])
+    def test_amplitudes_are_real_numbers(self, func):
+        # u is taken as evaluate takes t: text is refused, an int past the float range raises DomainError.
+        for text in ("0.5", np.array(["0.5"]), ["0.5", "1"]):
+            with pytest.raises(TypeError):
+                func(REL1, text)
+        with pytest.raises(DomainError):
+            func(REL1, 10 ** 400)
+
+    @pytest.mark.parametrize("func", [models.restoring_force, models.potential_phi])
+    @pytest.mark.parametrize("model", [REL1, CABLE11, DUFF171, CUBIC])
+    def test_every_real_amplitude_type_gives_the_float_bits(self, func, model):
+        for u in (0.5, np.float32(0.5), np.float64(-0.3), 1, np.int64(-1), True, np.array(0.7)):
+            assert type(func(model, u)) is float and func(model, u).hex() == func(model, float(u)).hex()
+        u = [0.25, -1, np.float32(0.5)]
+        want = func(model, np.array([float(x) for x in u]))
+        assert func(model, u).tobytes() == want.tobytes() == func(model, np.array(u)).tobytes()
+
 
 def catalogue_parameters(seed, count=50):
     """Seeded (a, b) over the catalogue's ranges: a log-uniform in [0.05, 30], b uniform in [0.05, 2]."""

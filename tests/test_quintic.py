@@ -8,7 +8,7 @@ from fractions import Fraction
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from quintosc import cli, models, quintic as q
 from quintosc.chebyshev import QuinticCoefficients, model_coefficients
@@ -34,6 +34,39 @@ def case2_triple(s1: float, s2: float, c5: float) -> tuple:
     c1 = (c5 / 3.0) * (s1 * s2 + s1 + s2)
     return (c1, c3, c5)
 
+
+def exact_least_h2(c: tuple) -> Fraction:
+    """The exact minimum of h2 over [0, 1] on the float triple c."""
+    x1, x3, x5 = map(Fraction, c)
+    h0, h1, h2 = 6 * x1 + 3 * x3 + 2 * x5, 3 * x3 + 2 * x5, 2 * x5
+    ends = [h0, h0 + h1 + h2]
+    return min(ends + [h0 - h1 * h1 / (4 * h2)] if h2 > 0 and 0 < -h1 < 2 * h2 else ends)
+
+
+def assert_exact_rule(c: tuple) -> bool:
+    """solve accepts c iff its exact min h2 on [0, 1] is > 0 and its exact m >= M_MIN, and labels it by
+    the exact sign of delta; returns whether c was accepted."""
+    x1, x3, x5 = map(Fraction, c)
+    P, Q, k_tilde = x1 + x3 + x5, 6 * x1 + 3 * x3 + 2 * x5, 4 * x1 + 3 * x3 + 2 * x5
+    # m = 1/2 - (sqrt(6)/8) k~ / sqrt(PQ) < M_MIN, squared
+    below = k_tilde > 0 and 6 * k_tilde ** 2 > 64 * (Fraction(1, 2) - Fraction(M_MIN)) ** 2 * P * Q
+    if exact_least_h2(c) <= 0 or below:
+        assert q.classify(c) == q.UNSUPPORTED
+        with pytest.raises(UnsupportedCaseError):
+            q.solve(c)
+        return False
+    delta = 3 * x3 * x3 - 4 * x5 * (4 * x1 + x3 + x5)
+    sol = q.solve(c)
+    assert sol.case == (q.DEGENERATE if delta == 0 else q.CASE_I if delta < 0 else q.CASE_II) == q.classify(c)
+    # m rounds to 1.0 once m1 < 2^-54; m1 carries the parameter there.
+    assert sol.params.m <= 1.0 and sol.params.m1 > 0.0 and math.isfinite(sol.period) and sol.period > 0.0
+    return True
+
+
+# Case I triples with a near-double root of h2 at s = p in (0, 1), and a separatrix triple whose float is periodic.
+BESIDE_CASE_ONE_SEPARATRIX = ([pytest.param(case1_triple(p, s, 1.0), id=f"p={p}-s={s:g}") for p in (0.2, 0.5, 0.8)
+                               for s in (1e-4, 1e-5, 3e-6, 1e-6, 1e-7, 1e-8, 0.0)]
+                              + [pytest.param((5.0 / 12.0, -4.0 / 3.0, 1.0), id="5/12,-4/3,1")])
 
 # Three Case I and three Case II triples with differing m and amplitude profile.
 SIX_TRIPLES = [
@@ -122,19 +155,20 @@ class TestDiscriminantAndClassify:
     @example(0.36, -3.8 / 3.0, 1.0)
     @example(1.0, -1.5, 0.25)
     def test_solves_exactly_when_h2_is_positive_on_the_interval(self, c1, c3, c5):
-        # The exact minimum of h2 over [0, 1] on the float triple, c5 of either sign; triples within
-        # 1e-6 max|c| of the boundary (h2 is linear in c) are left to the tests above.
-        x1, x3, x5 = map(Fraction, (c1, c3, c5))
-        h0, h1, h2 = 6 * x1 + 3 * x3 + 2 * x5, 3 * x3 + 2 * x5, 2 * x5
-        ends = [h0, h0 + h1 + h2]
-        least = min(ends + [h0 - h1 * h1 / (4 * h2)] if h2 > 0 and 0 < -h1 < 2 * h2 else ends)
-        assume(abs(least) > 1e-6 * max(abs(c1), abs(c3), abs(c5)))
-        if least > 0:
-            sol = q.solve((c1, c3, c5))
-            assert sol.params.m < 1.0 and math.isfinite(sol.period) and sol.period > 0.0
-        else:
-            with pytest.raises(UnsupportedCaseError):
-                q.solve((c1, c3, c5))
+        # The exact minimum of h2 over [0, 1] on the float triple, c5 of either sign, however near 0.
+        assert_exact_rule((c1, c3, c5))
+
+    def test_exact_rule_on_seeded_triples(self):
+        # Half uniform in [-1, 1]^3, half beside delta = 0: h2 = 2 c5 ((s - s0)^2 + 3 step) with the double
+        # root s0 anywhere around [0, 1], c5 of either sign and a step of either sign down to 1e-17, or none.
+        rng = np.random.default_rng(26)
+        triples = [tuple(rng.uniform(-1.0, 1.0, 3)) for _ in range(1000)]
+        for _ in range(1000):
+            s0, c5 = rng.uniform(-1.5, 2.5), rng.uniform(-1.0, 1.0)
+            step = rng.choice([-1.0, 0.0, 1.0]) * 10.0 ** rng.uniform(-17.0, -3.0)
+            triples.append(((c5 / 3.0) * (s0 * s0 + 2.0 * s0) + c5 * step, -(2.0 * c5 / 3.0) * (2.0 * s0 + 1.0), c5))
+        accepted = [assert_exact_rule(c) for c in triples]
+        assert 200 < sum(accepted[:1000]) < 800 and 200 < sum(accepted[1000:]) < 800
 
     def test_classification_is_total(self):
         for c in [(0.0, 0.0, 0.0), (1e300, -1e300, 1e-300), (-5.0, 2.0, 0.1)]:
@@ -575,14 +609,14 @@ def mp_trajectory(p, t: float) -> tuple[float, float]:
                 float(-mp.sqrt(sb) * mp.sin(am / 2) * dn / (2 * A * d ** 3)))
 
 
-def mp_params(c: tuple) -> q.CaseIParameters:
-    """A, B, m and the period 8 A K(m) at 40 digits from the float triple's exact h2, as mpf fields."""
+def mp_params(c: tuple) -> q.InversionParameters:
+    """A, B, m, m1 = 1 - m and the period 8 A K(m) at 40 digits from the float triple's exact h2, as mpf fields."""
     with mp.workdps(40):
         c1, c3, c5 = map(mp.mpf, c)
         P, Q, k_tilde = c1 + c3 + c5, 6 * c1 + 3 * c3 + 2 * c5, 4 * c1 + 3 * c3 + 2 * c5
         A = (6 / (P * Q)) ** mp.mpf(0.25) / 2
         m = mp.mpf(0.5) - mp.sqrt(6) / 8 * k_tilde / mp.sqrt(P * Q)
-        return q.CaseIParameters(A, Q / (6 * P), m, 8 * A * mp.re(mp.ellipk(m)))
+        return q.InversionParameters(A=A, B=Q / (6 * P), m=m, m1=1 - m, period=8 * A * mp.re(mp.ellipk(m)))
 
 
 def mp_period(c: tuple) -> float:
@@ -601,21 +635,42 @@ def mp_period(c: tuple) -> float:
 
 
 class TestTrajectoryMpmathOracle:
-    """evaluate and derivative against 30-digit mpmath at seeded times within +-50 periods."""
+    """evaluate and derivative against 30-digit mpmath, from the float triple's exact h2 (mp_params)."""
 
     def test_near_separatrix_triples(self):
         (one, two) = (q.solve(c) for c in NEAR_SEPARATRIX)
-        assert one.case == q.CASE_I and one.nudge == 0.0 and 1.0 - one.params.m == pytest.approx(4e-8, rel=1e-3)
+        assert one.case == q.CASE_I and one.nudge == 0.0 and one.params.m1 == pytest.approx(4e-8, rel=1e-3)
         assert two.case == q.CASE_II and two.params.m == pytest.approx(-2.5e5, rel=1e-3)
 
     @pytest.mark.parametrize("c", SIX_TRIPLES + NEAR_SEPARATRIX)
     def test_against_ellipfun(self, c):
         sol = q.solve(c)
         t = np.random.default_rng([20221101, *map(int, np.abs(c) * 1e6)]).uniform(-50.0, 50.0, 8) * sol.period
-        ref = np.array([mp_trajectory(sol.params, x) for x in t]).T
+        ref = np.array([mp_trajectory(mp_params(c), x) for x in t]).T
         # Scaling t rounds it once, which moves u by up to eps |t| max|u'| and u'
         # by eps |t| max|u''|; 1e-13 of each scale covers the rest (as for sn, cn, dn).
         # u'^2 = c1 (1 - u^2) + c3 (1 - u^4) / 2 + c5 (1 - u^6) / 3 bounds the first.
+        vmax = math.sqrt(abs(c[0]) + abs(c[1]) / 2.0 + abs(c[2]) / 3.0)
+        amax = abs(c[0]) + abs(c[1]) + abs(c[2])
+        slack = 4.0 * np.finfo(float).eps * np.abs(t)
+        assert np.all(np.abs(q.evaluate(sol, t) - ref[0]) <= 1e-13 + slack * vmax)
+        assert np.all(np.abs(q.derivative(sol, t) - ref[1]) <= (1e-13 + slack) * max(vmax, amax))
+
+    @pytest.mark.parametrize("c", BESIDE_CASE_ONE_SEPARATRIX)
+    def test_case_one_beside_the_separatrix(self, c):
+        # h2 has roots p +- i s, so 1 - m ~ s^2 / (6PQ) runs down to ~1e-16; s = 0 is the separatrix before
+        # rounding, as is (5/12, -4/3, 1), whose float has delta = -1.2e-15 exactly.  Rounding the triple moves
+        # h2 by ~1e-16, which can put the double root on [0, 1]: then the float triple is refused, by its exact h2.
+        # Worst errors measured over the 20 solved triples: period 4.4e-16 relative; u 6.2e-14, u' 3.2e-14 absolute.
+        if exact_least_h2(c) <= 0:
+            with pytest.raises(UnsupportedCaseError):
+                q.solve(c)
+            return
+        sol, exact = q.solve(c), mp_params(c)
+        assert sol.case == q.CASE_I and sol.params.m1 == pytest.approx(float(exact.m1), rel=1e-13, abs=0.0)
+        assert sol.period == pytest.approx(float(exact.period), rel=1e-13, abs=0.0)
+        t = np.random.default_rng([26, *map(int, np.abs(c) * 1e9)]).uniform(-3.0, 3.0, 8) * sol.period
+        ref = np.array([mp_trajectory(exact, x) for x in t]).T
         vmax = math.sqrt(abs(c[0]) + abs(c[1]) / 2.0 + abs(c[2]) / 3.0)
         amax = abs(c[0]) + abs(c[1]) + abs(c[2])
         slack = 4.0 * np.finfo(float).eps * np.abs(t)
@@ -705,61 +760,56 @@ class TestSolveDispatch:
         oracle = rk_oracle(lambda u: -(2.0 * u ** 3 + u ** 5), sol.period, tol=1e-10)
         assert compare_trajectories(sol, oracle) < 1e-5
 
-    def test_degenerate_triple_with_small_quintic_term(self):
-        # The band is relative to max|c|^2, so this triple with c5 = 1e-3 lies in it; it solves as it is.
+    def test_triple_beside_zero_delta_with_small_quintic_term(self):
+        # delta = -9.1e-19 exactly on this float triple with c5 = 1e-3: Case I, with m near 0, solved as it is.
         c = (1.0, 0.0737085115989458, 0.001)
-        assert q.classify(c) == q.DEGENERATE
-        sol = q.solve(c)
-        assert sol.case == q.DEGENERATE and sol.nudge == 0.0
-        assert sol.period == pytest.approx(q.period_by_quadrature(c), rel=1e-7)
+        assert q.classify(c) == q.CASE_I
+        sol = assert_against_mpmath(c)
+        assert sol.case == q.CASE_I and sol.nudge == 0.0
 
     @given(st.floats(1e-9, 1.0), st.floats(-1.0, 1.0))
     @example(1e-9, 1.0)
     @example(0.001, 0.0737085115989458)
     @example(1.0, -4.0 / 3.0)
     @example(1.0, -1.0)
-    def test_every_degenerate_triple_solves_or_is_unsupported(self, c5, c3):
-        # delta = 0 fixes c1; the triple is then brought to max|c| = 1 and solved as it is.
+    def test_rounded_degenerate_triples_follow_the_exact_rule(self, c5, c3):
+        # delta = 0 fixes c1; the triple is then brought to max|c| = 1 and rounded.  Its exact delta
+        # labels it (DEGENERATE only at delta = 0), and it solves iff h2 > 0 on [0, 1]: at delta = 0,
+        # P, Q or k~ <= 0 puts the double root of h2 in [0, 1], a separatrix.
         c1 = (3.0 * c3 * c3 / (4.0 * c5) - c3 - c5) / 4.0
         scale = max(abs(c1), abs(c3), c5)
         c = (c1 / scale, c3 / scale, c5 / scale)
         assert max(map(abs, c)) == 1.0
-        if not abs(q.discriminant(c)) <= 1e-9 * max(1.0, 3.0 * c[1] ** 2):
-            return  # rounding took the triple out of the band
-        x1, x3, x5 = map(Fraction, c)
-        if min(x1 + x3 + x5, 6 * x1 + 3 * x3 + 2 * x5, 4 * x1 + 3 * x3 + 2 * x5) > 0:
-            sol = q.solve(c)
-            assert sol.case == q.DEGENERATE and sol.nudge == 0.0
-            assert sol.params.m < 1.0 and math.isfinite(sol.period) and sol.period > 0.0
-        else:  # P, Q or k~ <= 0: the double root of h2 lies in [0, 1], a separatrix
-            assert q.classify(c) == q.UNSUPPORTED
-            with pytest.raises(UnsupportedCaseError):
-                q.solve(c)
+        assert_exact_rule(c)
 
-    @pytest.mark.parametrize("c", [(5.0 / 12.0, -4.0 / 3.0, 1.0), (0.1875, -1.0, 1.0)])
+    @pytest.mark.parametrize("c", [(0.1875, -1.0, 1.0), (1.25, -4.0, 3.0), (2.0625, -5.0, 3.0)])
     def test_degenerate_separatrix_is_unsupported(self, c):
-        # delta = 0 with the double root of h2 at s = 1/2 and s = 1/4, where k~ < 0: u never reaches 0.
-        assert abs(q.discriminant(c)) < 1e-15
+        # delta = 0 exactly with the double root of h2 at s = 1/4, 1/2 and 3/4, where k~ < 0: u never reaches 0.
+        assert q.discriminant(c) == 0.0
         assert q.classify(c) == q.UNSUPPORTED
         with pytest.raises(UnsupportedCaseError):
             q.solve(c)
 
-    def test_degenerate_triple_beside_the_separatrix(self):
-        # Double root of h2 at s = -4.0e-4 and h2(0) = 2.6e-10: a c5 step of 7.9e-12 moved this period by 1.1e-2.
+    def test_triple_beside_the_separatrix(self):
+        # delta = -1.3e-22 exactly: h2 has complex roots near s = -4.0e-4 and h2(0) = 2.6e-10, so 1 - m = 5.7e-11;
+        # a c5 step of 7.9e-12 moved this period by 1.1e-2.
         c = (-2.143313846476229e-07, -0.0005293236906331185, 0.0007946286602300748)
         sol = q.solve(c)
-        assert sol.case == q.DEGENERATE and sol.nudge == 0.0
+        assert sol.case == q.CASE_I and sol.nudge == 0.0
         assert sol.period == pytest.approx(mp_period(c), rel=1e-13, abs=0.0)
+        assert sol.period == pytest.approx(float(mp_params(c).period), rel=1e-13, abs=0.0)
 
-    @pytest.mark.parametrize("base", [(0.0, 1.0, 0.5), (1.0, 0.0737085115989458, 0.001)])
-    @pytest.mark.parametrize("side", [1.0, -1.0])
-    def test_triples_just_outside_the_band(self, base, side):
-        # c1 + h moves delta by -16 c5 h: to 1.5 times the band's half-width, on either side.
+    @pytest.mark.parametrize("base", [(0.0, 1.0, 0.5), (-0.4375, -1.0, 3.0)])
+    @pytest.mark.parametrize("step", [1.5e-9, 1e-15, -1e-15, -1.5e-9])
+    def test_triples_beside_an_exact_zero_delta(self, base, step):
+        # Both bases have delta = 0 exactly and k~ > 0 (double roots at s = -2 and -1/4); c1 + h moves delta
+        # by -16 c5 h, so the label follows the sign of the step, however small.
+        assert q.classify(base) == q.DEGENERATE
         c1, c3, c5 = base
-        c = (c1 + side * 1.5e-9 * max(1.0, 3.0 * c3 * c3) / (16.0 * c5), c3, c5)
+        c = (c1 + step / c5, c3, c5)
         sol = q.solve(c)
-        assert sol.case == (q.CASE_I if side > 0 else q.CASE_II) and sol.nudge == 0.0
-        assert (0.0 < sol.params.m < 1.0) if side > 0 else sol.params.m < 0.0
+        assert sol.case == (q.CASE_I if step > 0 else q.CASE_II) and sol.nudge == 0.0
+        assert (0.0 < sol.params.m < 1.0) if step > 0 else sol.params.m < 0.0
         assert sol.period == pytest.approx(q.period_by_quadrature(c), rel=1e-12)
 
 

@@ -248,6 +248,15 @@ class TestCompareTrajectories:
         oracle = validation.rk_oracle(REL1, solution.period, tol=1e-10)
         assert validation.compare_trajectories(solution, oracle) <= 5e-3
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_oracle_values_raise(self, bad):
+        solution = quintic.solve((1.0, 2.0, 3.0))
+        times = np.linspace(0.0, solution.period, 5)
+        values = quintic.evaluate(solution, times)
+        values[2] = bad
+        with pytest.raises(DomainError):
+            validation.compare_trajectories(solution, validation.OracleTrajectory(times, values, values, 1e-10))
+
     def test_bad_time_span_rejected(self):
         solution = quintic.solve((1.0, 2.0, 3.0))
         broken = validation.OracleTrajectory(np.array([0.0, 1.0, 0.5]), np.zeros(3), np.zeros(3), 1e-10)
