@@ -79,9 +79,9 @@ def discriminant(c: Coefficients) -> float:
     """delta = 3*c3^2 - 4*c5*(4*c1 + c3 + c5), exact and rounded once; a delta that is not finite raises DomainError."""
     c = _coerce(c)
     if all(map(math.isfinite, c.as_tuple())):
-        *_, d, d2_delta = _exact(*c.as_tuple())
+        *_, d, delta_d2 = _exact(*c.as_tuple())
         with contextlib.suppress(OverflowError):
-            return d2_delta / (d * d)  # int / int rounds once
+            return delta_d2 / (d * d)  # int / int rounds once
     raise DomainError(f"discriminant of ({c.c1}, {c.c3}, {c.c5}) is not finite")
 
 
@@ -106,17 +106,17 @@ def _inversion(c: QuinticCoefficients) -> tuple[str, InversionParameters | None]
     # on a triple of unit size, where nothing overflows or underflows, and
     # only A and the period carry the scale, as exact powers of two.
     k, unit = _unit_triple(c, max(abs(c.c1), abs(c.c3), abs(c.c5)))
-    n1, n3, n5, d, d2_delta = _exact(*unit)
+    n1, n3, n5, d, delta_d2 = _exact(*unit)
     P, Q, k_tilde = (n1 + n3 + n5) / d, (6 * n1 + 3 * n3 + 2 * n5) / d, (4 * n1 + 3 * n3 + 2 * n5) / d
-    if not (P > 0.0 and Q > 0.0 and (d2_delta < 0 or k_tilde > 0.0)):  # the zero triple too
+    if not (P > 0.0 and Q > 0.0 and (delta_d2 < 0 or k_tilde > 0.0)):  # the zero triple too
         return UNSUPPORTED, None
     half_x = math.sqrt(6.0) / 8.0 * k_tilde / math.sqrt(P) / math.sqrt(Q)
     m = 0.5 - half_x
     if not m >= M_MIN:
         return UNSUPPORTED, None
-    m1 = 0.5 + half_x if half_x >= 0.0 else -d2_delta / (d * d) / P / Q / (32.0 * m)
+    m1 = 0.5 + half_x if half_x >= 0.0 else -delta_d2 / (d * d) / P / Q / (32.0 * m)
     A = math.ldexp((6.0 / P) ** 0.25 / Q ** 0.25 / 2.0, -k)  # P * Q would underflow at a subnormal Q
-    label = DEGENERATE if d2_delta == 0 else CASE_I if d2_delta < 0 else CASE_II
+    label = DEGENERATE if delta_d2 == 0 else CASE_I if delta_d2 < 0 else CASE_II
     return label, InversionParameters(A, Q / (6.0 * P), m, m1, 8.0 * A * _legendre_f(1.0, 0.0, m1))
 
 
