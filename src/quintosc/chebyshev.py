@@ -13,12 +13,11 @@ quadrature, which absorbs the weight exactly and is spectrally accurate for
 analytic forces.  The catalogue forces have branch points at u = +-i/a, so
 their Chebyshev coefficients decay like rho^-n with rho = 1/a + sqrt(1 + 1/a^2),
 and a fixed 64-node rule aliases the slow tail for large a.  The default
-rule is therefore adaptive.  It evaluates 64, 192, 576, ... first-kind
-nodes, which nest under tripling so that each level reuses every force value
-of the previous one.  It stops when the largest change of any alpha is at
-most 1e-14 * max|f|, returns the coarser of the last two levels (the one
-whose error that change estimates, and the exact 64-node value whenever 64
-nodes already resolve the force), and raises ConvergenceError if 46 656
+rule is therefore adaptive: the fixed rule on 64, 192, 576, ... first-kind
+nodes, each level evaluated at all of its nodes, until the largest change of
+any alpha is at most 1e-14 * max|f|.  It returns the coarser of the last two
+levels (the one whose error that change estimates, and the exact 64-node value
+whenever 64 nodes resolve the force), and raises ConvergenceError if 46 656
 nodes (64 * 3^6) do not converge.  An explicit node count keeps the fixed rule.
 
 model_coefficients needs no quadrature of the force.  Every model is an odd
@@ -110,8 +109,9 @@ def _fixed_rule(force: Callable, nodes: int) -> tuple[np.ndarray, np.ndarray]:
     """Alphas of the ``nodes``-point first-kind rule and the force values used."""
     basis = _basis(nodes)
     vals = _force_values(force, basis[0])
-    # T_n(cos theta) = cos(n theta), so the weights collapse to 2/nodes.  Pairwise sums, as on
-    # the adaptive levels, with no BLAS call; sums that overflow stay silent here and raise below.
+    # T_n(cos theta) = cos(n theta), so the weights collapse to 2/nodes.  Pairwise sums: on the
+    # long adaptive levels a BLAS dot wakes its threads, which cost milliseconds per call on a
+    # loaded host.  Sums that overflow stay silent here and raise below.
     with np.errstate(over="ignore", invalid="ignore"):
         sums = (basis * vals).sum(axis=1)
     if not np.isfinite(sums).all():
@@ -127,20 +127,18 @@ def project_odd_quintic(force: Callable, nodes: int | None = None) -> ChebyshevO
     (at least 16) selects the fixed ``nodes``-point rule, which is exact for
     polynomial integrands of degree <= 2*nodes - 1.
 
-    By default the node count adapts: the rule is evaluated on 64, 192,
-    576, ... first-kind nodes.  These nest under tripling, so each level
-    evaluates the force only at its 2N new abscissae theta_old +- pi/(3N)
-    and updates alpha_3N = alpha_N/3 + (2/(3N)) * (sum over the new
-    nodes).  The iteration stops once the largest change of any alpha is
-    at most 1e-14 * max|f| over the finer level's nodes, and returns the
-    *coarser* level, whose error that change estimates; a force that 64
-    nodes already resolve (every odd polynomial up to degree 121) gets
-    exactly the fixed 64-node value.  Past 46 656 nodes (64 * 3^6) without
-    convergence it raises ``ConvergenceError``; pass ``nodes`` explicitly to
-    accept a fixed rule instead.  Non-finite force values raise
-    ``EvaluationError`` at the first offending abscissa of the level that
-    produced them, and finite values whose sums overflow raise
-    ``DomainError`` at that level, on either rule.
+    By default the node count adapts: the fixed rule is evaluated on 64,
+    192, 576, ... first-kind nodes, each level at all of its nodes.  The
+    iteration stops once the largest change of any alpha is at most
+    1e-14 * max|f| over the nodes seen, and returns the *coarser* level,
+    whose error that change estimates, bit for bit as the fixed rule at
+    that node count; a force that 64 nodes already resolve (every odd
+    polynomial up to degree 121) gets the 64-node value.  Past 46 656
+    nodes (64 * 3^6) without convergence it raises ``ConvergenceError``;
+    pass ``nodes`` explicitly to accept a fixed rule.  Non-finite force
+    values raise ``EvaluationError`` at the first offending abscissa of
+    the level that produced them, and finite values whose sums overflow
+    raise ``DomainError`` at that level, on either rule.
     """
     if nodes is not None:
         if nodes < 16:
@@ -150,18 +148,9 @@ def project_odd_quintic(force: Callable, nodes: int | None = None) -> ChebyshevO
     alphas, vals = _fixed_rule(force, n)
     fmax = float(np.max(np.abs(vals)))
     while True:
-        # The nodes the 3n-point rule adds to the n-point one: odd multiples
-        # of pi/(6n) that are not multiples of 3, i.e. theta_old +- pi/(3n).
-        k = np.arange(1, 6 * n, 2)
-        theta = k[k % 3 != 0] * (math.pi / (6.0 * n))
-        basis = np.cos(np.multiply.outer([1.0, 3.0, 5.0], theta))
-        vals = _force_values(force, basis[0])
+        finer, vals = _fixed_rule(force, 3 * n)
         fmax = max(fmax, float(np.max(np.abs(vals))))
-        # Pairwise sums: on the long levels a BLAS dot wakes its threads,
-        # which cost milliseconds per call on a loaded host.
-        with np.errstate(over="ignore", invalid="ignore"):
-            finer = alphas / 3.0 + (2.0 / (3.0 * n)) * (basis * vals).sum(axis=1)
-            change = float(np.max(np.abs(finer - alphas)))
+        change = float(np.max(np.abs(finer - alphas)))
         if not math.isfinite(change):
             raise DomainError(f"Chebyshev projection sums overflow on {3 * n} nodes: {finer.tolist()}")
         # The floor keeps forces of subnormal size, whose values carry no

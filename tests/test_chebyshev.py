@@ -130,6 +130,21 @@ class TestProjection:
         force = lambda u: u * np.polynomial.polynomial.polyval(u * u, spec)
         assert ch.project_odd_quintic(force) == ch.project_odd_quintic(force, nodes=64)
 
+    @pytest.mark.parametrize("model,level", [
+        (models.OscillatorModel("relativistic", a=1.0), 64),
+        (models.OscillatorModel("relativistic", a=8.0), 192),
+        (models.OscillatorModel("relativistic", a=30.0), 576),
+        (models.OscillatorModel("duffing-relativistic", a=20.0, b=0.5), 192),
+        (models.OscillatorModel("cable-mass", a=30.0, b=1.0), 576),
+    ], ids=lambda p: f"{p.kind}-{p.a:g}" if isinstance(p, models.OscillatorModel) else str(p))
+    def test_default_is_the_fixed_rule_at_its_level(self, model, level):
+        # Every adaptive level is the fixed rule on 64 * 3^k nodes, so the
+        # default returns one of them bit for bit.
+        force = lambda u: models.restoring_force(model, u)
+        got = ch.project_odd_quintic(force)
+        levels = [n for n in (64 * 3 ** k for k in range(6)) if ch.project_odd_quintic(force, nodes=n) == got]
+        assert levels[:1] == [level]
+
     def test_long_generic_spec_projects_exactly(self):
         # Degree 139 is past the 64-node rule; 73 nodes are exact for T5 * f.
         # The gap to numpy's basis change is 5.0e-17 * sum|p| here.

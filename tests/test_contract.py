@@ -27,6 +27,14 @@ def model(kind, x, y):
     return quintosc.OscillatorModel(kind, a=x, b=y, force_spec=(x, y) if kind == models.GENERIC else None)
 
 
+def cubic(x, y):
+    """The probe's own force x*u + y*u^3; its overflow on extreme x, y is not the library's warning."""
+    def force(u):
+        with np.errstate(all="ignore"):
+            return x * u + y * u ** 3
+    return force
+
+
 def horizon(x):
     """x itself when it is non-positive or not finite, else -x."""
     return x if not 0.0 < x < math.inf else -x
@@ -59,7 +67,7 @@ CALLS = {
     "period_by_quadrature": lambda k, x, y, z: quintosc.period_by_quadrature((x, y, z)),
     "period_ratio": lambda k, x, y, z: quintosc.period_ratio(model(k, x, y)),
     "potential_phi": lambda k, x, y, z: quintosc.potential_phi(model(k, x, y), z),
-    "project_odd_quintic": lambda k, x, y, z: quintosc.project_odd_quintic(lambda u: x * u + y * u ** 3),
+    "project_odd_quintic": lambda k, x, y, z: quintosc.project_odd_quintic(cubic(x, y)),
     "residual_sup_norm": lambda k, x, y, z: quintosc.residual_sup_norm(model(k, x, y), SOLUTION),
     "restoring_force": lambda k, x, y, z: quintosc.restoring_force(model(k, x, y), z),
     "rk_oracle": lambda k, x, y, z: quintosc.rk_oracle(lambda u: -u, horizon(x)),
@@ -91,10 +99,16 @@ def test_every_public_callable_is_probed():
     assert kernels - {"elliptic.JacobiTriple"} == set(ELLIPTIC_CALLS)
 
 
-@pytest.mark.parametrize("name", sorted(CALLS.keys() | ELLIPTIC_CALLS.keys()))
+# These square a*u, which overflows for |a| >~ 1.34e154 (ROADMAP Direction 4); every other
+# probe runs under pyproject's error::RuntimeWarning.
+SQUARES_A = {"restoring_force", "potential_phi", "residual_sup_norm"}
+
+
+@pytest.mark.parametrize("name", [
+    pytest.param(name, marks=pytest.mark.filterwarnings("ignore::RuntimeWarning")) if name in SQUARES_A else name
+    for name in sorted(CALLS.keys() | ELLIPTIC_CALLS.keys())])
 @settings(max_examples=100, deadline=None)
 @given(st.sampled_from(models.KINDS), VALUES, VALUES, VALUES)
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_raises_only_package_errors(name, kind, x, y, z):
     with deadline(5.0):
         try:
