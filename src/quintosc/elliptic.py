@@ -7,9 +7,10 @@ This matches DLMF chapters 19 and 22; callers translating formulas written
 in terms of the modulus must square it first.
 
 Every Legendre integral, complete or incomplete, goes through one pair of
-private routines on Carlson's symmetric forms R_F and R_D (duplication
-iteration: Carlson, Numer. Algorithms 10, 1995), which take sin(phi),
-cos^2(phi) and the complementary parameter m1 = 1 - m.  A caller that
+private routines on Carlson's symmetric forms (duplication iteration:
+Carlson, Numer. Algorithms 10, 1995), which take sin(phi), cos^2(phi) and
+the complementary parameter m1 = 1 - m.  R_F and R_J are the only Carlson
+kernels: R_J(x, y, z, z) is R_D (DLMF 19.16.5), which E needs.  A caller that
 knows m1 exactly passes it, so nothing cancels as m -> 1.  The Jacobi
 functions come from one Gauss-transformation kernel, which takes m1 too: one tangent per
 point, w = tan(z/2), then only + - * /, so a float runs the same lines as an
@@ -35,7 +36,6 @@ _MAX_ITER = 100
 # Carlson duplication cutoffs tuned for double precision: the truncation
 # error of the fifth-order series is O(eps**6) at these values.
 _RF_ERRTOL = 0.0025
-_RD_ERRTOL = 0.0015
 _RJ_ERRTOL = 0.0015
 
 # The most negative m the Jacobi functions take.  Against 40-digit mpmath over seeded u in
@@ -92,83 +92,55 @@ def carlson_rf(x: float, y: float, z: float) -> float:
     raise ConvergenceError("carlson_rf failed to converge")
 
 
-def carlson_rd(x: float, y: float, z: float) -> float:
-    """Carlson's degenerate integral R_D(x, y, z) = R_J(x, y, z, z).
+def carlson_rj(x: float, y: float, z: float, p: float) -> float:
+    """Carlson's symmetric integral R_J(x, y, z, p) for p > 0; p = z gives R_D(x, y, z) (DLMF 19.16.5).
 
-    Requires z > 0 and x, y >= 0 with at most one of x, y zero.
+    Requires x, y, z >= 0 with at most one of them zero.
     """
-    if not (x >= 0.0 and y >= 0.0 and z > 0.0) or (x + y) == 0.0:
-        raise DomainError(f"carlson_rd requires x, y >= 0 (not both zero) and z > 0: {(x, y, z)}")
+    if not (x >= 0.0 and y >= 0.0 and z >= 0.0 and p > 0.0) or (x + y) == 0.0 or (y + z) == 0.0 or (z + x) == 0.0:
+        raise DomainError(f"carlson_rj requires nonnegative x, y, z (at most one zero) and p > 0: {(x, y, z, p)}")
+    rd = z == p  # z and p take the same steps below, so they stay equal
+    # R_J is homogeneous of degree -3/2: R_J(x, ...) = 8^-k R_J(x / 4^k, ...).
+    # Scaling the largest argument near 1 keeps the squares of the R_C term from
+    # overflowing, and powers of two scale exactly, so the value is unchanged.
+    # R_D squares nothing and is not scaled: a tiny argument beside a huge one keeps its bits.
+    k = 0 if rd else math.frexp(max(x, y, z, p))[1] // 2
+    x, y, z, p = math.ldexp(x, -2 * k), math.ldexp(y, -2 * k), math.ldexp(z, -2 * k), math.ldexp(p, -2 * k)
     total = 0.0
     factor = 1.0
     try:
         for _ in range(_MAX_ITER):
             sx, sy, sz = math.sqrt(x), math.sqrt(y), math.sqrt(z)
             lam = sx * (sy + sz) + sy * sz
-            total += factor / (sz * (z + lam))
+            if rd:  # alpha = beta = z (z + lam)^2, and R_C(beta, beta) = beta^(-1/2)
+                total += factor / (sz * (z + lam))
+            else:
+                alpha = (p * (sx + sy + sz) + sx * sy * sz) ** 2
+                beta = p * (p + lam) ** 2
+                total += factor * carlson_rf(alpha, beta, beta)  # R_C(alpha, beta), DLMF 19.2.17
             factor *= 0.25
-            x, y, z = 0.25 * (x + lam), 0.25 * (y + lam), 0.25 * (z + lam)
-            mu = (x + y + 3.0 * z) / 5.0
+            x, y, z, p = 0.25 * (x + lam), 0.25 * (y + lam), 0.25 * (z + lam), 0.25 * (p + lam)
+            mu = (x + y + z + 2.0 * p) / 5.0
             dx, dy, dz = (mu - x) / mu, (mu - y) / mu, (mu - z) / mu
-            if max(abs(dx), abs(dy), abs(dz)) < _RD_ERRTOL:
-                ea = dx * dy
-                eb = dz * dz
-                ec = ea - eb
-                ed = ea - 6.0 * eb
-                ee = ed + 2.0 * ec
+            dp = (mu - p) / mu
+            if max(abs(dx), abs(dy), abs(dz), abs(dp)) < _RJ_ERRTOL:
+                ea = dx * (dy + dz) + dy * dz
+                eb = dx * dy * dz
+                ec = dp * dp
+                ed = ea - 3.0 * ec
+                ee = eb + 2.0 * dp * (ea - ec)
                 series = (
                     1.0
-                    + ed * (-3.0 / 14.0 + 9.0 / 88.0 * ed - 4.5 / 26.0 * dz * ee)
-                    + dz * (ee / 6.0 + dz * (-9.0 / 22.0 * ec + 3.0 / 26.0 * dz * ea))
+                    + ed * (-3.0 / 14.0 + 9.0 / 88.0 * ed - 4.5 / 26.0 * ee)
+                    + eb * (1.0 / 6.0 + dp * (-3.0 / 11.0 + dp * 3.0 / 26.0))
+                    + dp * ea * (1.0 / 3.0 - dp * 3.0 / 22.0)
+                    - dp * ec / 3.0
                 )
-                return 3.0 * total + factor * series / (mu * math.sqrt(mu))
-    except ZeroDivisionError:  # z (z + lam) underflowed to 0: R_D ~ z^(-3/2) is past the float range
-        raise DomainError("carlson_rd's arguments are too small for the duplication") from None
-    raise ConvergenceError("carlson_rd failed to converge")  # pragma: no cover
-
-
-def carlson_rj(x: float, y: float, z: float, p: float) -> float:
-    """Carlson's symmetric integral R_J(x, y, z, p) for p > 0.
-
-    Requires x, y, z >= 0 with at most one of them zero.
-    """
-    if not (x >= 0.0 and y >= 0.0 and z >= 0.0 and p > 0.0) or (x + y) == 0.0 or (y + z) == 0.0 or (z + x) == 0.0:
-        raise DomainError(f"carlson_rj requires nonnegative x, y, z (at most one zero) and p > 0: {(x, y, z, p)}")
-    # R_J is homogeneous of degree -3/2: R_J(x, ...) = 8^-k R_J(x / 4^k, ...).
-    # Scaling the largest argument near 1 keeps the squares below from
-    # overflowing, and powers of two scale exactly, so the value is unchanged.
-    k = math.frexp(max(x, y, z, p))[1] // 2
-    x, y, z, p = math.ldexp(x, -2 * k), math.ldexp(y, -2 * k), math.ldexp(z, -2 * k), math.ldexp(p, -2 * k)
-    total = 0.0
-    factor = 1.0
-    for _ in range(_MAX_ITER):
-        sx, sy, sz = math.sqrt(x), math.sqrt(y), math.sqrt(z)
-        lam = sx * (sy + sz) + sy * sz
-        alpha = (p * (sx + sy + sz) + sx * sy * sz) ** 2
-        beta = p * (p + lam) ** 2
-        total += factor * carlson_rf(alpha, beta, beta)  # R_C(alpha, beta), DLMF 19.2.17
-        factor *= 0.25
-        x, y, z, p = 0.25 * (x + lam), 0.25 * (y + lam), 0.25 * (z + lam), 0.25 * (p + lam)
-        mu = (x + y + z + 2.0 * p) / 5.0
-        dx, dy, dz = (mu - x) / mu, (mu - y) / mu, (mu - z) / mu
-        dp = (mu - p) / mu
-        if max(abs(dx), abs(dy), abs(dz), abs(dp)) < _RJ_ERRTOL:
-            ea = dx * (dy + dz) + dy * dz
-            eb = dx * dy * dz
-            ec = dp * dp
-            ed = ea - 3.0 * ec
-            ee = eb + 2.0 * dp * (ea - ec)
-            series = (
-                1.0
-                + ed * (-3.0 / 14.0 + 9.0 / 88.0 * ed - 4.5 / 26.0 * ee)
-                + eb * (1.0 / 6.0 + dp * (-3.0 / 11.0 + dp * 3.0 / 26.0))
-                + dp * ea * (1.0 / 3.0 - dp * 3.0 / 22.0)
-                - dp * ec / 3.0
-            )
-            try:
                 return math.ldexp(3.0 * total + factor * series / (mu * math.sqrt(mu)), -3 * k)
-            except OverflowError:  # only for arguments so small that R_J is past the float range
-                raise DomainError(f"carlson_rj overflows for a largest argument near 4^{k}") from None
+    except ZeroDivisionError:  # R_D's z (z + lam) underflowed to 0: R_D ~ z^(-3/2) is past the float range
+        raise DomainError("carlson_rj's arguments are too small for the duplication") from None
+    except OverflowError:  # only for arguments so small that R_J is past the float range
+        raise DomainError(f"carlson_rj overflows for a largest argument near 4^{k}") from None
     raise ConvergenceError("carlson_rj failed to converge")
 
 
@@ -185,13 +157,14 @@ def _legendre_fe(s: float, c2: float, m1: float) -> tuple[float, float]:
 
     E = m1 F + (m m1 / 3) s^3 R_D(c2, 1, d2) + m s c / sqrt(d2), d2 = c2 + m1 s^2
     (DLMF 19.25.10), adds terms of one sign, so nothing cancels as m -> 1.
-    R_D ~ 3 / m1 would overflow for a subnormal m1; its arguments scaled by
-    4^18 divide it by exactly 2^54.
+    R_D = R_J(c2, 1, d2, d2) ~ 3 / m1 would overflow for a subnormal m1; its
+    arguments scaled by 4^18 divide it by exactly 2^54.
     """
     f = _legendre_f(s, c2, m1)
     d2 = c2 + m1 * s * s
     m = 1.0 - m1
-    rd = carlson_rd(math.ldexp(c2, 36), math.ldexp(1.0, 36), math.ldexp(d2, 36))
+    z = math.ldexp(d2, 36)
+    rd = carlson_rj(math.ldexp(c2, 36), math.ldexp(1.0, 36), z, z)
     return f, m1 * f + m * s ** 3 / 3.0 * (math.ldexp(m1, 54) * rd) + m * s * math.sqrt(c2 / d2)
 
 

@@ -300,7 +300,7 @@ def validate_params(model: OscillatorModel) -> list[str]:
     human-readable diagnostics, each naming the violated condition (and
     the offending abscissa for potential-positivity failures).  For the
     catalogue kinds G > 0 holds analytically once a (and b where it is
-    used) is positive and finite.  For the generic model G is a
+    used) is positive and finite; duffing-relativistic also needs a^2 finite.  For the generic model G is a
     polynomial in s = u^2, so its minimum over s in [0, 1] is taken
     exactly, at s = 0, s = 1 or a critical point.  The problems are
     computed once per model instance; exact_period, time_integral_psi
@@ -332,6 +332,8 @@ def _find_problems(model: OscillatorModel) -> list[str]:
     else:
         if not 0.0 < model.a < math.inf:
             problems.append(f"amplitude a must be positive and finite, got a={model.a}")
+        elif model.kind == DUFFING_RELATIVISTIC and model.a * model.a == math.inf:
+            problems.append(f"the cubic coefficient a^2 of {model.kind} overflows at a={model.a}")
         if model.kind in (CABLE_MASS, DUFFING_RELATIVISTIC) and not 0.0 < model.b < math.inf:
             problems.append(f"parameter b must be positive and finite for {model.kind}, got b={model.b}")
     return problems

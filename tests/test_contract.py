@@ -80,9 +80,8 @@ CALLS = {
 
 # The public kernels of quintosc.elliptic, which the package does not re-export.
 ELLIPTIC_CALLS = {
-    "elliptic.carlson_rd": lambda k, x, y, z: elliptic.carlson_rd(x, y, z),
     "elliptic.carlson_rf": lambda k, x, y, z: elliptic.carlson_rf(x, y, z),
-    "elliptic.carlson_rj": lambda k, x, y, z: elliptic.carlson_rj(x, y, z, y),
+    "elliptic.carlson_rj": lambda k, x, y, z: (elliptic.carlson_rj(x, y, z, y), elliptic.carlson_rj(x, y, z, z)),
     "elliptic.complete_E": lambda k, x, y, z: elliptic.complete_E(x),
     "elliptic.complete_K": lambda k, x, y, z: elliptic.complete_K(x),
     "elliptic.jacobi_sn_cn_dn": lambda k, x, y, z: (elliptic.jacobi_sn_cn_dn(x, z),

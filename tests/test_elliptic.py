@@ -129,7 +129,7 @@ class TestCarlson:
     def test_frozen_values(self):
         assert el.carlson_rf(1.0, 2.0, 4.0) == pytest.approx(0.68508581663343597, rel=1e-14)
         assert el.carlson_rf(2.0, 3.0, 3.0) == pytest.approx(0.61547970867038734, rel=1e-14)
-        assert el.carlson_rd(0.0, 2.0, 1.0) == pytest.approx(1.7972103521033883, rel=1e-14)
+        assert el.carlson_rj(0.0, 2.0, 1.0, 1.0) == pytest.approx(1.7972103521033883, rel=1e-14)  # R_D(0, 2, 1)
         assert el.carlson_rj(0.0, 1.0, 2.0, 3.0) == pytest.approx(0.77688623778582332, rel=1e-14)
         assert el.carlson_rj(2.0, 3.0, 4.0, 0.5) == pytest.approx(0.49561461055199769, rel=1e-14)
 
@@ -144,16 +144,17 @@ class TestCarlson:
         with pytest.raises(DomainError):
             el.carlson_rf(0.0, 0.0, 3.0)
         with pytest.raises(DomainError):
-            el.carlson_rd(0.0, 0.0, 1.0)
+            el.carlson_rj(0.0, 0.0, 1.0, 1.0)
         with pytest.raises(DomainError):
             el.carlson_rj(1.0, 2.0, 3.0, 0.0)
 
     @pytest.mark.parametrize("func, args", [(el.carlson_rf, (0.0, 5e-324, 5e-324)),
-                                            (el.carlson_rd, (0.0, 1e-310, 1e-310)),
+                                            (el.carlson_rj, (0.0, 1e-310, 1e-310, 1e-310)),
                                             (el.carlson_rj, (0.0, 5e-324, 5e-324, 5e-324)),
                                             (el.carlson_rj, (1e-300, 1e-300, 1e-300, 1e-300))])
     def test_underflowing_duplication_raises_domain_error(self, func, args):
-        # The duplication step underflows to 0 (R_F, R_D) or the value 8^-k R_J overflows (R_J ~ 1e450 at 1e-300).
+        # The duplication step underflows to 0 (R_F, and R_D = R_J(x, y, z, z)) or the value 8^-k R_J
+        # overflows (R_J ~ 1e450 at 1e-300).
         with pytest.raises(DomainError):
             func(*args)
 
@@ -169,6 +170,23 @@ class TestCarlson:
         got = [el.carlson_rj(*a) for a in args.tolist()]
         np.testing.assert_allclose(got, ref, rtol=2e-15, atol=0.0)
 
+    def test_rd_against_mpmath(self):
+        # R_D(x, y, z) = R_J(x, y, z, z) at seeded arguments over [1e-8, 1e8], a third with x or y zero,
+        # and at the 4^18-scaled arguments (c2, 1, c2 + m1 s^2) that _legendre_fe passes for tiny m1.
+        rng = np.random.default_rng([_ORACLE_SEED, 16])
+        args = 10.0 ** rng.uniform(-8.0, 8.0, (500, 3))
+        zero = rng.random(500) < 1.0 / 3.0
+        args[zero, rng.integers(0, 2, zero.sum())] = 0.0
+        args = args.tolist()
+        for m1 in (2.0 ** -53, 1e-300, 1.1e-308, 5e-324):
+            for c2 in (0.0, 0.5):
+                d2 = c2 + m1 * (1.0 - c2)
+                args.append([math.ldexp(c2, 36), math.ldexp(1.0, 36), math.ldexp(d2, 36)])
+        with mp.workdps(40):
+            ref = [float(mp.elliprd(*map(mp.mpf, a))) for a in args]
+        got = [el.carlson_rj(x, y, z, z) for x, y, z in args]
+        np.testing.assert_allclose(got, ref, rtol=2e-15, atol=0.0)
+
     @pytest.mark.parametrize("k", [100, 250, -250])
     def test_rj_homogeneity_is_exact(self, k):
         # R_J(4^k x, ...) = 8^-k R_J(x, ...); at k = 250 the squares of the
@@ -179,7 +197,7 @@ class TestCarlson:
     @pytest.mark.parametrize("func, args", [(el.carlson_rf, (1.0, 2.0, 4.0)),
                                             (el.carlson_rj, (2.0, 3.0, 4.0, 0.5)),
                                             (el.carlson_rf, (2.0, 3.0, 3.0)),
-                                            (el.carlson_rd, (0.0, 2.0, 1.0))])
+                                            (el.carlson_rj, (0.0, 2.0, 1.0, 1.0))])
     def test_non_convergence_raises_convergence_error(self, func, args, monkeypatch):
         # One duplication step does not reach the series cutoff for these
         # arguments, so a cap of one step must raise.  R_F(x, y, y) is the
@@ -190,7 +208,7 @@ class TestCarlson:
 
     @pytest.mark.parametrize("func, args", [(el.carlson_rf, (1.0, 2.0, 4.0)),
                                             (el.carlson_rf, (2.0, 3.0, 3.0)),
-                                            (el.carlson_rd, (0.0, 2.0, 1.0)),
+                                            (el.carlson_rj, (0.0, 2.0, 1.0, 1.0)),
                                             (el.carlson_rj, (2.0, 3.0, 4.0, 0.5))])
     def test_nan_raises_domain_error(self, func, args):
         # Every position, because min() skips a NaN that is not its first argument.

@@ -280,8 +280,8 @@ class TestQuadratureOracle:
             models.exact_period(models.OscillatorModel("generic", force_spec=spec(1e-10)))
 
     def test_overflowing_integrand_raises(self):
-        # a^2 overflows, G is infinite and the integrand vanishes: a period
-        # of 0 would be silently wrong.
+        # a^2 overflows, so G would be infinite and the integrand vanish: a period
+        # of 0 would be silently wrong.  validate_params rejects the model.
         with pytest.raises(DomainError):
             models.exact_period(models.OscillatorModel("duffing-relativistic", a=1e200, b=0.5))
 
@@ -444,6 +444,12 @@ class TestValidateParams:
     def test_negative_amplitude(self):
         problems = models.validate_params(models.OscillatorModel("relativistic", a=-1.0))
         assert problems and "a must be positive" in problems[0]
+
+    def test_duffing_cubic_coefficient_must_be_finite(self):
+        # a^2 overflows from a ~ 1.34e154; the force would be inf * 0 = NaN at u = 0.
+        assert models.validate_params(models.OscillatorModel("duffing-relativistic", a=1.3e154, b=0.5)) == []
+        problems = models.validate_params(models.OscillatorModel("duffing-relativistic", a=1.35e154, b=0.5))
+        assert len(problems) == 1 and "a^2" in problems[0] and "overflows" in problems[0]
 
     def test_generic_without_spec(self):
         assert models.validate_params(models.OscillatorModel("generic")) != []

@@ -93,14 +93,13 @@ class TestResidualSupNorm:
         # Each model's residual peaks inside (0, 1), where the old route needed a quadrature.
         assert 0.0 < validation.residual_sup_norm(model, solution).argmax_t < solution.period / 4.0
 
-    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_non_finite_residual_raises(self):
-        # a*a overflows, so the cubic term of the duffing force is inf*0 = NaN at u = 0.
+        # A valid model against a solution whose u'' = -(c1 u + c3 u^3 + c5 u^5) overflows from u ~ 0.72 on.
         with pytest.raises(EvaluationError) as info:
-            validation.residual_sup_norm(models.OscillatorModel("duffing-relativistic", a=1e200, b=0.5),
-                                         quintic.solve((1.0, 2.0, 3.0)))
-        assert info.value.abscissa == 0.0
+            validation.residual_sup_norm(models.OscillatorModel("relativistic", a=1.0),
+                                         quintic.solve((1e308, 1e308, 1e308)))
+        assert info.value.abscissa == 0.72375
 
     @settings(max_examples=200, deadline=None)
     @given(st.floats(0.05, 30.0), st.floats(0.05, 2.0))
@@ -258,9 +257,9 @@ class TestCompareTrajectories:
             validation.compare_trajectories(solution, validation.OracleTrajectory(times, values, values, 1e-10))
 
     def test_bad_time_span_rejected(self):
-        # Non-finite times raise before np.diff, which would warn on inf - inf.
+        # The order is checked without subtracting, which would warn on inf - inf or 1e308 - (-1e308).
         solution = quintic.solve((1.0, 2.0, 3.0))
-        for times in ([0.0, 1.0, 0.5], [math.inf, math.inf], [0.0, math.nan]):
+        for times in ([0.0, 1.0, 0.5], [math.inf, math.inf], [0.0, math.nan], [1e308, -1e308]):
             n = len(times)
             broken = validation.OracleTrajectory(np.array(times), np.zeros(n), np.zeros(n), 1e-10)
             with pytest.raises(DomainError):
