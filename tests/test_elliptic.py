@@ -172,12 +172,13 @@ class TestCarlson:
 
     def test_rd_against_mpmath(self):
         # R_D(x, y, z) = R_J(x, y, z, z) at seeded arguments over [1e-8, 1e8], a third with x or y zero,
-        # and at the 4^18-scaled arguments (c2, 1, c2 + m1 s^2) that _legendre_fe passes for tiny m1.
+        # at arguments spread too far for R_J's rescaling to keep the smallest, and at the
+        # 4^18-scaled arguments (c2, 1, c2 + m1 s^2) that _legendre_fe passes for small m1.
         rng = np.random.default_rng([_ORACLE_SEED, 16])
         args = 10.0 ** rng.uniform(-8.0, 8.0, (500, 3))
         zero = rng.random(500) < 1.0 / 3.0
         args[zero, rng.integers(0, 2, zero.sum())] = 0.0
-        args = args.tolist()
+        args = args.tolist() + [[1e73, 1e293, 1e-171], [0.0, 1e200, 1e-200], [1e-250, 1e150, 1e100]]
         for m1 in (2.0 ** -53, 1e-300, 1.1e-308, 5e-324):
             for c2 in (0.0, 0.5):
                 d2 = c2 + m1 * (1.0 - c2)
