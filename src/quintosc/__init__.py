@@ -10,11 +10,9 @@ measure the quality of the approximation against the original model
 __version__ = "0.1.0"
 
 from .chebyshev import (
-    ChebyshevOddCoefficients,
     QuinticCoefficients,
     model_coefficients,
     project_odd_quintic,
-    to_monomial,
 )
 from .errors import (
     ConvergenceError,
@@ -29,7 +27,6 @@ from .validation import OracleTrajectory, PeriodComparison, ResidualReport, comp
 
 __all__ = [
     "__version__",
-    "ChebyshevOddCoefficients",
     "ClosedFormSolution",
     "ConvergenceError",
     "DomainError",
@@ -58,6 +55,5 @@ __all__ = [
     "rk_oracle",
     "solve",
     "time_integral_psi",
-    "to_monomial",
     "validate_params",
 ]

@@ -10,15 +10,15 @@ oscillator into the quintic one solved in module quintic.
 
 project_odd_quintic evaluates the integrals of any force by Gauss-Chebyshev
 quadrature, which absorbs the weight exactly and is spectrally accurate for
-analytic forces.  The catalogue forces have branch points at u = +-i/a, so
-their Chebyshev coefficients decay like rho^-n with rho = 1/a + sqrt(1 + 1/a^2),
-and a fixed 64-node rule aliases the slow tail for large a.  The default
-rule is therefore adaptive: the fixed rule on 64, 192, 576, ... first-kind
-nodes, each level evaluated at all of its nodes, until the largest change of
-any alpha is at most 1e-14 * max|f|.  It returns the coarser of the last two
-levels (the one whose error that change estimates, and the exact 64-node value
-whenever 64 nodes resolve the force), and raises ConvergenceError if 46 656
-nodes (64 * 3^6) do not converge.  An explicit node count keeps the fixed rule.
+analytic forces, and returns that quintic's triple.  The catalogue forces have
+branch points at u = +-i/a, so their Chebyshev coefficients decay like rho^-n
+with rho = 1/a + sqrt(1 + 1/a^2), and a fixed 64-node rule aliases the slow
+tail for large a.  The default rule is therefore adaptive: the fixed rule on
+64, 192, 576, ... first-kind nodes, each level evaluated at all of its nodes,
+until the largest change of any alpha is at most 1e-14 * max|f|.  It keeps the
+coarser of the last two levels, whose error that change estimates, and raises
+ConvergenceError if 46 656 nodes (64 * 3^6) do not converge.  An explicit node
+count keeps the fixed rule.
 
 model_coefficients needs no quadrature of the force.  Every model is an odd
 polynomial plus beta times the relativistic force (models._parts), so its
@@ -43,28 +43,14 @@ from .errors import ConvergenceError, DomainError, EvaluationError
 
 
 @dataclass(frozen=True)
-class ChebyshevOddCoefficients:
-    """Projection coefficients (alpha1, alpha3, alpha5).
-
-    Even-index coefficients of an odd integrand vanish identically and
-    are not stored.
-    """
-
-    alpha1: float
-    alpha3: float
-    alpha5: float
-
-
-@dataclass(frozen=True)
 class QuinticCoefficients:
     """Monomial coefficients of the approximating force -(c1*u + c3*u^3 + c5*u^5).
 
     ``provenance`` records how the triple was obtained: "quadrature" for
-    project_odd_quintic's Gauss-Chebyshev rule (to_monomial's label) and
-    for generic models, whose polynomial model_coefficients projects exactly
-    by its table; "closed_form" for the catalogue kinds, whose relativistic
-    term model_coefficients takes from the 64-node sums or K and E; "manual"
-    for hand-entered triples.
+    project_odd_quintic's Gauss-Chebyshev rule and for generic models, whose
+    polynomial model_coefficients projects exactly by its table; "closed_form"
+    for the catalogue kinds, whose relativistic term model_coefficients takes
+    from the 64-node sums or K and E; "manual" for hand-entered triples.
     """
 
     c1: float
@@ -95,7 +81,6 @@ def _force_values(force: Callable, s: np.ndarray) -> np.ndarray:
     return vals
 
 
-@functools.lru_cache(maxsize=1)  # one node count at a time: nearly every call uses 64
 def _basis(nodes: int) -> np.ndarray:
     """Read-only (3, nodes) rows cos(theta), cos(3 theta), cos(5 theta) on the ``nodes``-point
     first-kind rule's angles theta; the first row holds its nodes."""
@@ -119,18 +104,18 @@ def _fixed_rule(force: Callable, nodes: int) -> tuple[np.ndarray, np.ndarray]:
     return (2.0 / nodes) * sums, vals
 
 
-def project_odd_quintic(force: Callable, nodes: int | None = None) -> ChebyshevOddCoefficients:
-    """Project an odd force onto T1, T3, T5 by Gauss-Chebyshev quadrature.
+def project_odd_quintic(force: Callable, nodes: int | None = None) -> QuinticCoefficients:
+    """Quintic triple of an odd force: its Gauss-Chebyshev projection onto T1, T3, T5, in monomials.
 
-    ``force`` may accept arrays or plain floats; it gets its own copy of
-    each node array and may write into it.  An explicit ``nodes``
-    (at least 16) selects the fixed ``nodes``-point rule, which is exact for
-    polynomial integrands of degree <= 2*nodes - 1.
+    Provenance is "quadrature".  ``force`` may accept arrays or plain
+    floats; it gets its own copy of each node array and may write into it.
+    An explicit ``nodes`` (at least 16) selects the fixed ``nodes``-point
+    rule, which is exact for polynomial integrands of degree <= 2*nodes - 1.
 
     By default the node count adapts: the fixed rule is evaluated on 64,
     192, 576, ... first-kind nodes, each level at all of its nodes.  The
     iteration stops once the largest change of any alpha is at most
-    1e-14 * max|f| over the nodes seen, and returns the *coarser* level,
+    1e-14 * max|f| over the nodes seen, and keeps the *coarser* level,
     whose error that change estimates, bit for bit as the fixed rule at
     that node count; a force that 64 nodes already resolve (every odd
     polynomial up to degree 121) gets the 64-node value.  Past 46 656
@@ -138,12 +123,19 @@ def project_odd_quintic(force: Callable, nodes: int | None = None) -> ChebyshevO
     pass ``nodes`` explicitly to accept a fixed rule.  Non-finite force
     values raise ``EvaluationError`` at the first offending abscissa of
     the level that produced them, and finite values whose sums overflow
-    raise ``DomainError`` at that level, on either rule.
+    raise ``DomainError`` at that level, on either rule, as does a triple
+    that overflows.
     """
+    alphas = _alphas(force, nodes)
+    return _quintic(tuple(-c for c in _monomial(*alphas)), "quadrature", f"the projection {alphas}")
+
+
+def _alphas(force: Callable, nodes: int | None) -> tuple[float, float, float]:
+    """project_odd_quintic's (alpha1, alpha3, alpha5): the fixed rule, or the adaptive one when nodes is None."""
     if nodes is not None:
         if nodes < 16:
             raise DomainError(f"project_odd_quintic requires nodes >= 16, got {nodes}")
-        return ChebyshevOddCoefficients(*_fixed_rule(force, nodes)[0].tolist())
+        return tuple(_fixed_rule(force, nodes)[0].tolist())
     n = _FIRST_LEVEL
     alphas, vals = _fixed_rule(force, n)
     fmax = float(np.max(np.abs(vals)))
@@ -154,7 +146,7 @@ def project_odd_quintic(force: Callable, nodes: int | None = None) -> ChebyshevO
         # The floor keeps forces of subnormal size, whose values carry no
         # relative precision, from never converging.
         if change <= max(_CONVERGED * fmax, _TINY):
-            return ChebyshevOddCoefficients(*alphas.tolist())
+            return tuple(alphas.tolist())
         n *= 3
         if n >= _MAX_NODES:
             raise ConvergenceError(
@@ -168,16 +160,11 @@ def _monomial(a1, a3, a5):
     return (a1 - 3 * a3 + 5 * a5, 4 * (a3 - 5 * a5), 16 * a5)
 
 
-def to_monomial(alphas: ChebyshevOddCoefficients) -> QuinticCoefficients:
-    """Rewrite alpha1*T1 + alpha3*T3 + alpha5*T5 as -(c1*u + c3*u^3 + c5*u^5).
-
-    A triple that is not finite (non-finite alphas, or sums that overflow) raises DomainError.
-    """
-    c1, c3, c5 = _monomial(alphas.alpha1, alphas.alpha3, alphas.alpha5)
-    c = QuinticCoefficients(-c1, -c3, -c5, "quadrature")
-    if not all(map(math.isfinite, c.as_tuple())):
-        raise DomainError(f"monomial coefficients of {alphas} overflow: {c.as_tuple()}")
-    return c
+def _quintic(c: tuple[float, float, float], provenance: str, source) -> QuinticCoefficients:
+    """The triple c as QuinticCoefficients; one that is not finite raises DomainError."""
+    if not all(map(math.isfinite, c)):
+        raise DomainError(f"quintic coefficients of {source} overflow: {c}")
+    return QuinticCoefficients(*c, provenance)
 
 
 @functools.lru_cache(maxsize=None)  # one entry per power of the longest force_spec seen
@@ -237,7 +224,4 @@ def model_coefficients(model: models.OscillatorModel) -> QuinticCoefficients:
         r1, r3, r5 = _monomial(*_relativistic_alphas(model.a))
         c1, c3, c5 = c1 - beta * r1, c3 - beta * r3, c5 - beta * r5
     # Generic triples keep the label "quadrature": perfbench's per-route spans read it.
-    c = QuinticCoefficients(c1, c3, c5, "quadrature" if model.kind == models.GENERIC else "closed_form")
-    if not all(map(math.isfinite, c.as_tuple())):
-        raise DomainError(f"quintic coefficients of {model} overflow: {c.as_tuple()}")
-    return c
+    return _quintic((c1, c3, c5), "quadrature" if model.kind == models.GENERIC else "closed_form", model)

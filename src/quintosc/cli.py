@@ -19,7 +19,7 @@ import click
 import numpy as np
 
 from . import __version__, models, quintic
-from .chebyshev import QuinticCoefficients, model_coefficients, project_odd_quintic, to_monomial
+from .chebyshev import QuinticCoefficients, model_coefficients, project_odd_quintic
 from .errors import QuintoscError
 from .validation import _residual, period_ratio, residual_sup_norm
 
@@ -143,7 +143,7 @@ def coeffs(model, a, b, force_spec, nodes):
     """Quintic coefficients by both routes, discriminant and case."""
     osc = _build_model(model, a, b, force_spec)
     closed = model_coefficients(osc)
-    quadr = to_monomial(project_odd_quintic(lambda u: models.restoring_force(osc, u), nodes))
+    quadr = project_odd_quintic(lambda u: models.restoring_force(osc, u), nodes)
     diff = tuple(x - y for x, y in zip(closed.as_tuple(), quadr.as_tuple()))
     triples = {"closed_form": closed.as_tuple(), "quadrature": quadr.as_tuple(), "difference": diff}
     results = {name: dict(zip(("c1", "c3", "c5"), triple)) for name, triple in triples.items()}

@@ -47,27 +47,27 @@ def exact_power_triples(n):
 
 class TestProjection:
     def test_linear_force(self):
-        alphas = ch.project_odd_quintic(lambda u: -u)
-        assert alphas.alpha1 == pytest.approx(-1.0, abs=1e-15)
-        assert alphas.alpha3 == pytest.approx(0.0, abs=1e-15)
-        assert alphas.alpha5 == pytest.approx(0.0, abs=1e-15)
+        a1, a3, a5 = ch._alphas(lambda u: -u, None)
+        assert a1 == pytest.approx(-1.0, abs=1e-15)
+        assert a3 == pytest.approx(0.0, abs=1e-15)
+        assert a5 == pytest.approx(0.0, abs=1e-15)
 
     def test_cubic_force(self):
         # u^3 = (3 T1 + T3) / 4
-        alphas = ch.project_odd_quintic(lambda u: -u ** 3)
-        assert alphas.alpha1 == pytest.approx(-0.75, abs=1e-15)
-        assert alphas.alpha3 == pytest.approx(-0.25, abs=1e-15)
-        assert alphas.alpha5 == pytest.approx(0.0, abs=1e-15)
+        a1, a3, a5 = ch._alphas(lambda u: -u ** 3, None)
+        assert a1 == pytest.approx(-0.75, abs=1e-15)
+        assert a3 == pytest.approx(-0.25, abs=1e-15)
+        assert a5 == pytest.approx(0.0, abs=1e-15)
 
     def test_matches_closed_form_route(self):
-        quadrature = ch.to_monomial(ch.project_odd_quintic(lambda u: models.restoring_force(RELATIVISTIC_A1, u)))
+        quadrature = ch.project_odd_quintic(lambda u: models.restoring_force(RELATIVISTIC_A1, u))
         closed = ch.model_coefficients(RELATIVISTIC_A1)
         for got, want in zip(quadrature.as_tuple(), closed.as_tuple()):
             assert got == pytest.approx(want, abs=1e-12)
 
     def test_scalar_only_callable(self):
-        alphas = ch.project_odd_quintic(lambda u: -math.sin(u))
-        vectorised = ch.project_odd_quintic(lambda u: -np.sin(u))
+        alphas = ch._alphas(lambda u: -math.sin(u), None)
+        vectorised = ch._alphas(lambda u: -np.sin(u), None)
         assert alphas == vectorised
 
     @pytest.mark.parametrize("nodes", [None, 64, 100])
@@ -76,10 +76,10 @@ class TestProjection:
             u *= u * u
             return np.negative(u, out=u)
 
-        want = ch.project_odd_quintic(lambda u: -(u * u * u), nodes=nodes)
-        assert ch.project_odd_quintic(in_place, nodes=nodes) == want
-        # The cached nodes are untouched: the same projection again is unchanged.
-        assert ch.project_odd_quintic(lambda u: -(u * u * u), nodes=nodes) == want
+        want = ch._alphas(lambda u: -(u * u * u), nodes)
+        assert ch._alphas(in_place, nodes) == want
+        # Nothing the force wrote persists: the same projection again is unchanged.
+        assert ch._alphas(lambda u: -(u * u * u), nodes) == want
 
     def test_node_floor(self):
         with pytest.raises(DomainError):
@@ -98,12 +98,11 @@ class TestProjection:
     def test_linearity(self):
         f = lambda u: -u / np.sqrt(1.0 + u * u)
         g = lambda u: -0.7 * u ** 3
-        combined = ch.project_odd_quintic(lambda u: f(u) + g(u))
-        pf = ch.project_odd_quintic(f)
-        pg = ch.project_odd_quintic(g)
-        assert combined.alpha1 == pytest.approx(pf.alpha1 + pg.alpha1, abs=1e-13)
-        assert combined.alpha3 == pytest.approx(pf.alpha3 + pg.alpha3, abs=1e-13)
-        assert combined.alpha5 == pytest.approx(pf.alpha5 + pg.alpha5, abs=1e-13)
+        combined = ch._alphas(lambda u: f(u) + g(u), None)
+        pf = ch._alphas(f, None)
+        pg = ch._alphas(g, None)
+        for c, x, y in zip(combined, pf, pg):
+            assert c == pytest.approx(x + y, abs=1e-13)
 
     @pytest.mark.parametrize("model", [
         RELATIVISTIC_A1,
@@ -112,11 +111,10 @@ class TestProjection:
     ])
     def test_node_doubling_stability(self, model):
         force = lambda u: models.restoring_force(model, u)
-        a64 = ch.project_odd_quintic(force, nodes=64)
-        a128 = ch.project_odd_quintic(force, nodes=128)
-        assert abs(a64.alpha1 - a128.alpha1) < 1e-12
-        assert abs(a64.alpha3 - a128.alpha3) < 1e-12
-        assert abs(a64.alpha5 - a128.alpha5) < 1e-12
+        a64 = ch._alphas(force, 64)
+        a128 = ch._alphas(force, 128)
+        for x, y in zip(a64, a128):
+            assert abs(x - y) < 1e-12
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=61))
@@ -128,7 +126,7 @@ class TestProjection:
         # so the adaptive default stops at the first tripling and returns the
         # 64-node level unchanged.
         force = lambda u: u * np.polynomial.polynomial.polyval(u * u, spec)
-        assert ch.project_odd_quintic(force) == ch.project_odd_quintic(force, nodes=64)
+        assert ch._alphas(force, None) == ch._alphas(force, 64)
 
     @pytest.mark.parametrize("model,level", [
         (models.OscillatorModel("relativistic", a=1.0), 64),
@@ -141,8 +139,8 @@ class TestProjection:
         # Every adaptive level is the fixed rule on 64 * 3^k nodes, so the
         # default returns one of them bit for bit.
         force = lambda u: models.restoring_force(model, u)
-        got = ch.project_odd_quintic(force)
-        levels = [n for n in (64 * 3 ** k for k in range(6)) if ch.project_odd_quintic(force, nodes=n) == got]
+        got = ch._alphas(force, None)
+        levels = [n for n in (64 * 3 ** k for k in range(6)) if ch._alphas(force, n) == got]
         assert levels[:1] == [level]
 
     def test_long_generic_spec_projects_exactly(self):
@@ -150,11 +148,10 @@ class TestProjection:
         # The gap to numpy's basis change is 5.0e-17 * sum|p| here.
         spec = np.random.default_rng(70).uniform(-1.0, 1.0, 70)
         model = models.OscillatorModel("generic", force_spec=spec)
-        alphas = ch.project_odd_quintic(lambda u: models.restoring_force(model, u), nodes=73)
+        got = np.array(ch._alphas(lambda u: models.restoring_force(model, u), 73))
         odd = np.zeros(2 * len(spec))
         odd[1::2] = spec
         want = np.polynomial.chebyshev.poly2cheb(odd)[[1, 3, 5]]
-        got = np.array([alphas.alpha1, alphas.alpha3, alphas.alpha5])
         assert np.max(np.abs(got - want)) <= 1e-13 * np.sum(np.abs(spec))
 
     @pytest.mark.parametrize("nodes", [None, 64])
@@ -167,10 +164,10 @@ class TestProjection:
             calls.append(np.ndim(u))
             return float(np.sum(np.sin(u)))
 
-        got = ch.project_odd_quintic(collapsing, nodes)
-        want = ch.project_odd_quintic(np.sin, nodes)
+        got = ch._alphas(collapsing, nodes)
+        want = ch._alphas(np.sin, nodes)
         # A scalar sin may round differently from the array loop, by an ulp of each value.
-        for x, y in zip((got.alpha1, got.alpha3, got.alpha5), (want.alpha1, want.alpha3, want.alpha5)):
+        for x, y in zip(got, want):
             assert x == pytest.approx(y, abs=1e-15)
         assert calls[0] == 1 and set(calls) == {0, 1}  # each level tries the array once
 
@@ -180,17 +177,16 @@ class TestProjection:
         model = models.OscillatorModel("relativistic", a=1e4)
         force = lambda u: models.restoring_force(model, u)
         with pytest.raises(QuintoscError, match="did not converge"):
-            ch.project_odd_quintic(force)
-        alphas = ch.project_odd_quintic(force, nodes=64)
-        assert all(math.isfinite(x) for x in (alphas.alpha1, alphas.alpha3, alphas.alpha5))
+            ch._alphas(force, None)
+        assert all(math.isfinite(x) for x in ch._alphas(force, 64))
 
     def test_subnormal_force_converges(self):
         # Subnormal values carry no relative precision, so the stop rule
         # needs an absolute floor to accept their rounding-level changes.
         c = 2.62034914e-316
-        alphas = ch.project_odd_quintic(lambda u: c * u ** 3)
-        assert abs(alphas.alpha1 - 0.75 * c) <= 1e-3 * c
-        assert abs(alphas.alpha3 - 0.25 * c) <= 1e-3 * c
+        a1, a3, _ = ch._alphas(lambda u: c * u ** 3, None)
+        assert abs(a1 - 0.75 * c) <= 1e-3 * c
+        assert abs(a3 - 0.25 * c) <= 1e-3 * c
 
     @pytest.mark.parametrize("force,nodes,level", [
         (lambda u: 1e307 * u - 2e307 * u ** 3 - 1e307 * u ** 5, 64, 64),
@@ -203,31 +199,40 @@ class TestProjection:
             ch.project_odd_quintic(force, nodes)
 
 
+# -u, -u^3 and -T5/16, with their exact alphas and quintic triples.
+EXAMPLES = [
+    (lambda u: -u, (-1.0, 0.0, 0.0), (1.0, 0.0, 0.0)),
+    (lambda u: -u ** 3, (-0.75, -0.25, 0.0), (0.0, 1.0, 0.0)),
+    (lambda u: -(16.0 * u ** 5 - 20.0 * u ** 3 + 5.0 * u) / 16.0, (0.0, 0.0, -1.0 / 16.0), (5.0 / 16.0, -5.0 / 4.0, 1.0)),
+]
+
+
 class TestMonomialMap:
-    @pytest.mark.parametrize("alphas,expected", [
-        ((-1.0, 0.0, 0.0), (1.0, 0.0, 0.0)),
-        ((-0.75, -0.25, 0.0), (0.0, 1.0, 0.0)),
-        ((0.0, 0.0, -1.0 / 16.0), (5.0 / 16.0, -5.0 / 4.0, 1.0)),
-    ])
-    def test_examples(self, alphas, expected):
-        got = ch.to_monomial(ch.ChebyshevOddCoefficients(*alphas))
-        assert got.as_tuple() == pytest.approx(expected, abs=1e-15)
+    @pytest.mark.parametrize("force,alphas,expected", EXAMPLES)
+    def test_examples(self, force, alphas, expected):
+        # The monomial map is exact on these alphas; the projection adds only its quadrature rounding.
+        assert tuple(-c for c in ch._monomial(*alphas)) == expected
+        assert ch.project_odd_quintic(force).as_tuple() == pytest.approx(expected, abs=1e-14)
 
-    def test_provenance_default(self):
-        c = ch.to_monomial(ch.ChebyshevOddCoefficients(-1.0, 0.0, 0.0))
-        assert c.provenance == "quadrature"
+    @pytest.mark.parametrize("force", [force for force, _, _ in EXAMPLES])
+    def test_provenance_default(self, force):
+        assert ch.project_odd_quintic(force).provenance == "quadrature"
 
-    @pytest.mark.parametrize("alphas", [(1e308, -1e308, 1e308), (0.0, 0.0, 1.5e307), (math.nan, 0.0, 0.0),
-                                        (0.0, -math.inf, 0.0)])
-    def test_non_finite_triple_raises(self, alphas):
-        # The first two overflow in the monomial sums; the last two carry a non-finite alpha.
-        with pytest.raises(DomainError, match="overflow"):
-            ch.to_monomial(ch.ChebyshevOddCoefficients(*alphas))
+    @pytest.mark.parametrize("nodes,message", [(16, r"quintic coefficients .* overflow: \(\S+, -inf, "),
+                                               (32, r"quintic coefficients .* overflow: \(\S+, -inf, "),
+                                               (64, "sums overflow on 64 nodes")])
+    def test_non_finite_triple_raises(self, nodes, message):
+        # 1e307 * (T3 - T5) has finite force values and, below 64 nodes, finite node sums whose
+        # alphas are near 1e307; c3 = -4 * (alpha3 - 5 * alpha5) then overflows to -inf.  On 64
+        # nodes the sums themselves overflow first.
+        force = lambda u: 1e307 * ((4.0 * u ** 3 - 3.0 * u) - (16.0 * u ** 5 - 20.0 * u ** 3 + 5.0 * u))
+        with pytest.raises(DomainError, match=message):
+            ch.project_odd_quintic(force, nodes)
 
     @given(st.floats(-5.0, 5.0), st.floats(-5.0, 5.0), st.floats(-5.0, 5.0))
     def test_polynomial_round_trip(self, c1, c3, c5):
         force = lambda u: -(c1 * u + c3 * u ** 3 + c5 * u ** 5)
-        got = ch.to_monomial(ch.project_odd_quintic(force))
+        got = ch.project_odd_quintic(force)
         scale = max(1.0, abs(c1), abs(c3), abs(c5))
         assert abs(got.c1 - c1) <= 1e-14 * scale
         assert abs(got.c3 - c3) <= 1e-14 * scale
@@ -369,7 +374,7 @@ class TestModelCoefficients:
         # moderate a, where 64 nodes already suffice; the next test pins
         # the node counts a fixed rule needs at larger amplitudes.
         closed = ch.model_coefficients(model)
-        quadrature = ch.to_monomial(ch.project_odd_quintic(lambda u: models.restoring_force(model, u)))
+        quadrature = ch.project_odd_quintic(lambda u: models.restoring_force(model, u))
         for got, want in zip(quadrature.as_tuple(), closed.as_tuple()):
             assert abs(got - want) <= 1e-10 * max(1.0, abs(want))
 
@@ -381,8 +386,7 @@ class TestModelCoefficients:
         for model in (models.OscillatorModel("relativistic", a=a),
                       models.OscillatorModel("duffing-relativistic", a=a, b=0.7)):
             closed = ch.model_coefficients(model)
-            quadrature = ch.to_monomial(
-                ch.project_odd_quintic(lambda u: models.restoring_force(model, u), nodes=nodes))
+            quadrature = ch.project_odd_quintic(lambda u: models.restoring_force(model, u), nodes=nodes)
             for got, want in zip(quadrature.as_tuple(), closed.as_tuple()):
                 assert abs(got - want) <= 1e-10 * max(1.0, abs(want))
 

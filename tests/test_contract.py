@@ -41,7 +41,6 @@ def horizon(x):
 
 
 CALLS = {
-    "ChebyshevOddCoefficients": lambda k, x, y, z: quintosc.ChebyshevOddCoefficients(x, y, z),
     "ClosedFormSolution": lambda k, x, y, z: quintosc.ClosedFormSolution(
         quintosc.QuinticCoefficients(x, y, z), quintosc.quintic.CASE_I, SOLUTION.params, x),
     "ConvergenceError": lambda k, x, y, z: quintosc.ConvergenceError(x),
@@ -73,7 +72,6 @@ CALLS = {
     "rk_oracle": lambda k, x, y, z: quintosc.rk_oracle(lambda u: -u, horizon(x)),
     "solve": lambda k, x, y, z: quintosc.solve((x, y, z)),
     "time_integral_psi": lambda k, x, y, z: quintosc.time_integral_psi(model(k, x, y), z),
-    "to_monomial": lambda k, x, y, z: quintosc.to_monomial(quintosc.ChebyshevOddCoefficients(x, y, z)),
     "validate_params": lambda k, x, y, z: quintosc.validate_params(model(k, x, y)),
 }
 
