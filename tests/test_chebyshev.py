@@ -218,6 +218,13 @@ class TestMonomialMap:
     def test_provenance_default(self, force):
         assert ch.project_odd_quintic(force).provenance == "quadrature"
 
+    @pytest.mark.parametrize("nodes", [None, 16, 64, 73, 200])
+    def test_triple_is_the_alphas_in_monomials(self, nodes):
+        # The alpha-level tests above speak for the public triple: it is -_monomial of the same alphas.
+        force = lambda u: -np.sin(u)
+        want = tuple(-c for c in ch._monomial(*ch._alphas(force, nodes)))
+        assert ch.project_odd_quintic(force, nodes).as_tuple() == want
+
     @pytest.mark.parametrize("nodes,message", [(16, r"quintic coefficients .* overflow: \(\S+, -inf, "),
                                                (32, r"quintic coefficients .* overflow: \(\S+, -inf, "),
                                                (64, "sums overflow on 64 nodes")])
