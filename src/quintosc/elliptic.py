@@ -6,15 +6,17 @@ Every function below takes the *parameter* m = k**2, never the modulus k.
 This matches DLMF chapters 19 and 22; callers translating formulas written
 in terms of the modulus must square it first.
 
-Every Legendre integral, complete or incomplete, goes through one pair of
+The public Legendre integrals, complete or incomplete, go through one pair of
 private routines on Carlson's symmetric forms (duplication iteration:
 Carlson, Numer. Algorithms 10, 1995), which take sin(phi), cos^2(phi) and
 the complementary parameter m1 = 1 - m.  R_F and R_J are the only Carlson
 kernels: R_J(x, y, z, z) is R_D (DLMF 19.16.5), which E needs.  A caller that
 knows m1 exactly passes it, so nothing cancels as m -> 1.  The Jacobi
-functions come from one Gauss-transformation kernel, which takes m1 too: one tangent per
-point, w = tan(z/2), then only + - * /, so a float runs the same lines as an
-array, on Python floats, and gives the same bits (numpy's tan loop serves both).
+functions come from one Gauss-transformation kernel, which takes m1 too and
+the Landen chain of m (_landen): one tangent per point, w = tan(z/2), then
+only + - * /, so a float runs the same lines as an array, on Python floats,
+and gives the same bits (numpy's tan loop serves both).  The chain's AGM limit
+a_N also gives K(m) = pi / (2 a_N) (DLMF 19.8.5), which the quintic's period reads.
 """
 
 from __future__ import annotations
@@ -115,9 +117,10 @@ def carlson_rj(x: float, y: float, z: float, p: float) -> float:
             if rd:  # alpha = beta = z (z + lam)^2, and R_C(beta, beta) = beta^(-1/2)
                 total += factor / (sz * (z + lam))
             else:
-                alpha = (p * (sx + sy + sz) + sx * sy * sz) ** 2
-                beta = p * (p + lam) ** 2
-                total += factor * carlson_rf(alpha, beta, beta)  # R_C(alpha, beta), DLMF 19.2.17
+                # alpha = r^2 and beta = p q^2, squared as x * x: libm's pow (x ** 2) is not correctly rounded.
+                r, q = p * (sx + sy + sz) + sx * sy * sz, p + lam
+                beta = p * (q * q)
+                total += factor * carlson_rf(r * r, beta, beta)  # R_C(alpha, beta), DLMF 19.2.17
             factor *= 0.25
             x, y, z, p = 0.25 * (x + lam), 0.25 * (y + lam), 0.25 * (z + lam), 0.25 * (p + lam)
             mu = (x + y + z + 2.0 * p) / 5.0
@@ -202,8 +205,23 @@ def _dn2(sn2: ArrayLike, cn2: ArrayLike, m1: float) -> ArrayLike:
     return cn2 + m1 * sn2
 
 
-def _gauss(x: ArrayLike, m1: float, over: float = 1.0) -> tuple[ArrayLike, ArrayLike]:
-    """sn(u | m) and cn(u | m) at u = x / over, from the complementary parameter m1 = 1 - m > 0.
+def _landen(m1: float) -> tuple[float, ...]:
+    """The Landen chain of m = 1 - m1, m1 > 0: the moduli k_0, ..., k_(N-1), then a_N, of the AGM from (1, sqrt(m1)).
+
+    k_n = c_n / a_n, and the chain stops at the first k_n below _GAUSS_TOL.  The AGM always ends: a and b
+    meet to within an ulp.  The step past that k_n leaves a_N within k_n^2 / 2 < 2^-55 relative of the AGM,
+    so pi / (2 a_N) is K(m) for every m < 1 (DLMF 19.8.5), m < 0 included.
+    """
+    a, b, chain = 1.0, math.sqrt(m1), []
+    while not chain or chain[-1] >= _GAUSS_TOL:
+        chain.append(abs(a - b) / (a + b))
+        a, b = 0.5 * (a + b), math.sqrt(a * b)
+    chain.append(a)
+    return tuple(chain)
+
+
+def _gauss(x: ArrayLike, m1: float, chain: tuple[float, ...], over: float = 1.0) -> tuple[ArrayLike, ArrayLike]:
+    """sn(u | m) and cn(u | m) at u = x / over, from the complementary parameter m1 = 1 - m > 0 and _landen(m1).
 
     Descending Landen (Gauss) transformation, DLMF 22.7.1-22.7.3: the AGM from
     (1, sqrt(m1)) gives the moduli k_n = c_n / a_n, and each stage lifts
@@ -217,13 +235,7 @@ def _gauss(x: ArrayLike, m1: float, over: float = 1.0) -> tuple[ArrayLike, Array
     gives sn, cn of mu at v = g u, and sn(u | m) = sd(v | mu) / g, cn(u | m) = cd(v | mu)
     (DLMF 22.17.2): every sum adds terms of one sign.
     """
-    # The AGM always ends: a and b meet to within an ulp.
-    g = math.sqrt(m1)
-    a, b, ks = 1.0, g, []
-    while not ks or ks[-1] >= _GAUSS_TOL:
-        ks.append(abs(a - b) / (a + b))
-        a, b = 0.5 * (a + b), math.sqrt(a * b)
-    w = np.tan((0.5 * a / over) * x)  # |w| < 1e19 for every double z, so w^2 stays finite
+    w = np.tan((0.5 * chain[-1] / over) * x)  # |w| < 1e19 for every double z, so w^2 stays finite
     if isinstance(x, float):  # numpy's loop pins the bits of tan; the rest then runs on floats
         w = float(w)
     # sin z = 2w / (1 + w^2), cos z = (1 - w)(1 + w) / (1 + w^2).
@@ -235,8 +247,8 @@ def _gauss(x: ArrayLike, m1: float, over: float = 1.0) -> tuple[ArrayLike, Array
     c /= t
     # Stage n takes cn to cn r d with r = 1 / (1 + k sn^2) and d = (1 - k sn^2) r, the lifted dn.
     # dn starts at 1 and the last stage's dn is never read, so stage 0 (the last) skips d.
-    for n in range(len(ks) - 1, -1, -1):
-        k = ks[n]
+    for n in range(len(chain) - 2, -1, -1):
+        k = chain[n]
         t = s * s
         t *= k
         r = 1.0 / (1.0 + t)
@@ -249,7 +261,7 @@ def _gauss(x: ArrayLike, m1: float, over: float = 1.0) -> tuple[ArrayLike, Array
             c *= t
     if m1 > 1.0:  # dn(v | mu)^2 = cn^2 + sn^2 / g^2
         t = _sqrt(c * c + s * s / m1)
-        s, c = s / (g * t), c / t
+        s, c = s / (math.sqrt(m1) * t), c / t
     return s, c
 
 
@@ -263,5 +275,5 @@ def jacobi_sn_cn_dn(u: ArrayLike, m: float) -> JacobiTriple:
         raise DomainError(f"jacobi_sn_cn_dn requires {M_MIN:g} <= m < 1, got m={m}")
     u, m1 = _real(u), 1.0 - m
     _top(u)
-    sn, cn = _gauss(u, m1)
+    sn, cn = _gauss(u, m1, _landen(m1))
     return JacobiTriple(sn, cn, _sqrt(_dn2(sn * sn, cn * cn, m1)))

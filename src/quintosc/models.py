@@ -97,7 +97,10 @@ def _parts(model: OscillatorModel) -> tuple[tuple[float, ...], float]:
 
 def _sqrt_term(a: float, u):
     # (a*u)^2, not a^2 u^2: once a*a overflows, inf * 0 would be NaN at u = 0.
-    return np.sqrt(1.0 + np.square(a * u))
+    t = a * u
+    t *= t  # (a u)^2 in place: t * t rounds as np.square(t) does
+    t += 1.0
+    return np.sqrt(t)
 
 
 def _g_rel(a: float, u):
@@ -107,9 +110,11 @@ def _g_rel(a: float, u):
 
 def _horner(x, c):
     """Sum of c[k] * x**k for a non-empty 1-d c: numpy.polynomial.polynomial.polyval's operations, in its order."""
-    acc = c[-1] + x * 0
+    acc = x * 0  # augmented assignments below work in place on this array, and rebind a scalar
+    acc += c[-1]
     for ck in c[-2::-1]:
-        acc = ck + acc * x
+        acc *= x
+        acc += ck
     return acc
 
 
@@ -118,15 +123,27 @@ def _even(c, u):
     return c[0] if len(c) == 1 else _horner(np.square(u), c)
 
 
+def _force(p, beta: float, a: float, u: np.ndarray) -> np.ndarray:
+    """u * sum_k p_k u^(2k) - beta * u / sqrt(1 + (a u)^2) for a float array u, p or beta nonzero:
+    the restoring force of _parts' (p, beta), and validation's residual on combined coefficients."""
+    out = None
+    if p:
+        out = _even(p, u)  # a new array, or a float that *= rebinds
+        out *= u
+    if beta:
+        rel = beta * u
+        rel /= _sqrt_term(a, u)
+        if out is None:
+            return -rel
+        out -= rel
+    return out
+
+
 def restoring_force(model: OscillatorModel, u):
     """Normalised odd restoring force f_a(u); accepts scalars or arrays.  An invalid model raises DomainError."""
     _require_valid(model)
     u = np.asarray(elliptic._real(u))  # text raises TypeError, as in evaluate
-    p, beta = _parts(model)
-    out = _even(p, u) * u if p else None
-    if beta:
-        rel = (u if beta == 1.0 else beta * u) / _sqrt_term(model.a, u)  # 1.0 * u is u: skip that pass
-        out = -rel if out is None else out - rel
+    out = _force(*_parts(model), model.a, u)
     return out if out.ndim else float(out)
 
 

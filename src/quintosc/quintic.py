@@ -15,6 +15,8 @@ discriminant delta = 3c3^2 - 4c5(4c1 + c3 + c5), h2 > 0 on [0, 1] is P, Q > 0 an
 (delta < 0 or k~ > 0): m is in (0, 1) when h2 has no real root (the paper's Case I) and
 m < 0, the imaginary modulus of DLMF 22.17, when its real roots lie off [0, 1]
 (Case II, whatever the sign of c5), so one inversion serves every periodic triple.
+Its Landen chain (the AGM of (1, sqrt(1 - m))) is built once per triple: the Jacobi kernel
+reads it at every evaluation, and the period 8 A K(m) takes K(m) = pi / (2 a_N) from its limit.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from typing import Union
 import numpy as np
 
 from .chebyshev import QuinticCoefficients
-from .elliptic import M_MIN, _dn2, _gauss, _legendre_f, _real, _sqrt, _top
+from .elliptic import M_MIN, _dn2, _gauss, _landen, _legendre_f, _real, _sqrt, _top
 from .errors import DomainError, UnsupportedCaseError
 from .models import GENERIC, OscillatorModel, _quarter_period_integral, _theta_integrand
 
@@ -47,13 +49,17 @@ def _coerce(c: Coefficients) -> QuinticCoefficients:
 
 @dataclass(frozen=True)
 class InversionParameters:
-    """The inversion parameters of a periodic triple: m < 0 when h2 has real roots; m1 = 1 - m, never cancelled."""
+    """The inversion parameters of a periodic triple: m < 0 when h2 has real roots; m1 = 1 - m, never cancelled.
+
+    ``chain`` is elliptic._landen(m1), the Landen chain that every evaluation and the period read.
+    """
 
     A: float
     B: float
     m: float
     m1: float
     period: float
+    chain: tuple[float, ...]
 
 
 @dataclass(frozen=True)
@@ -117,7 +123,8 @@ def _inversion(c: QuinticCoefficients) -> tuple[str, InversionParameters | None]
     m1 = 0.5 + half_x if half_x >= 0.0 else -delta_d2 / (d * d) / P / Q / (32.0 * m)
     A = math.ldexp((6.0 / P) ** 0.25 / Q ** 0.25 / 2.0, -k)  # P * Q would underflow at a subnormal Q
     label = DEGENERATE if delta_d2 == 0 else CASE_I if delta_d2 < 0 else CASE_II
-    return label, InversionParameters(A, Q / (6.0 * P), m, m1, 8.0 * A * _legendre_f(1.0, 0.0, m1))
+    chain = _landen(m1)  # K(m) = pi / (2 a_N), DLMF 19.8.5
+    return label, InversionParameters(A, Q / (6.0 * P), m, m1, 8.0 * A * (0.5 * math.pi / chain[-1]), chain)
 
 
 def classify(c: Coefficients) -> str:
@@ -196,7 +203,8 @@ def _jacobi(solution: ClosedFormSolution, t):
     span = math.ldexp(solution.period, 52)
     if not _top(t) <= span:
         t = min(max(t, -span), span) if isinstance(t, float) else np.minimum(np.maximum(t, -span), span)
-    sn, cn = _gauss(t, solution.params.m1, over=2.0 * solution.params.A)
+    p = solution.params
+    sn, cn = _gauss(t, p.m1, p.chain, over=2.0 * p.A)
     if not isinstance(sn, float):
         sn.flags.writeable = cn.flags.writeable = False
     _last = (solution, key, (sn, cn))

