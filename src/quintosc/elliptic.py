@@ -15,8 +15,10 @@ knows m1 exactly passes it, so nothing cancels as m -> 1.  The Jacobi
 functions come from one Gauss-transformation kernel, which takes m1 too and
 the Landen chain of m (_landen): one tangent per point, w = tan(z/2), then
 only + - * /, so a float runs the same lines as an array, on Python floats,
-and gives the same bits (numpy's tan loop serves both).  The chain's AGM limit
-a_N also gives K(m) = pi / (2 a_N) (DLMF 19.8.5), which the quintic's period reads.
+and gives the same bits (numpy's tan loop serves both).  The stages' constant
+factors 1 + k_n are multiplied into one float and applied to sn once, not per
+stage.  The chain's AGM limit a_N also gives K(m) = pi / (2 a_N) (DLMF 19.8.5),
+which the quintic's period reads.
 """
 
 from __future__ import annotations
@@ -230,8 +232,10 @@ def _gauss(x: ArrayLike, m1: float, chain: tuple[float, ...], over: float = 1.0)
     reduction is needed.  Both come from one w = tan(z/2) per point rather than
     one sin and one cos (BENCH_13.json gives the timings and the host they were
     measured on), taken as tan(((a_N / 2) / over) x): x is scaled once, by
-    a factor rounded once when over is 1.  At m < 0 (m1 > 1) the AGM from (1, g),
-    g = sqrt(m1), is g times that of mu = -m / m1, so the chain with |k_1|
+    a factor rounded once when over is 1.  The stages carry sn / lam, lam the
+    running product of the (1 + k_n), a float, so lam reaches sn in one pass at
+    the end, or inside the final division at m < 0.  At m < 0 (m1 > 1) the AGM
+    from (1, g), g = sqrt(m1), is g times that of mu = -m / m1, so the chain with |k_1|
     gives sn, cn of mu at v = g u, and sn(u | m) = sd(v | mu) / g, cn(u | m) = cd(v | mu)
     (DLMF 22.17.2): every sum adds terms of one sign.
     """
@@ -245,23 +249,27 @@ def _gauss(x: ArrayLike, m1: float, chain: tuple[float, ...], over: float = 1.0)
     s /= t
     c = (1.0 - w) * (1.0 + w)
     c /= t
-    # Stage n takes cn to cn r d with r = 1 / (1 + k sn^2) and d = (1 - k sn^2) r, the lifted dn.
+    # Stage n takes sn to (1 + k) sn r and cn to cn r d, with r = 1 / (1 + k sn^2) and d = (1 - k sn^2) r,
+    # the lifted dn.  As s holds sn / lam, each stage forms k sn^2 as (k lam^2) s^2.
     # dn starts at 1 and the last stage's dn is never read, so stage 0 (the last) skips d.
+    lam = 1.0
     for n in range(len(chain) - 2, -1, -1):
         k = chain[n]
         t = s * s
-        t *= k
+        t *= k * lam * lam
         r = 1.0 / (1.0 + t)
         c *= r
         s *= r
-        s *= 1.0 + k
+        lam *= 1.0 + k
         if n:
             t = 1.0 - t
             t *= r
             c *= t
-    if m1 > 1.0:  # dn(v | mu)^2 = cn^2 + sn^2 / g^2
-        t = _sqrt(c * c + s * s / m1)
-        s, c = s / (math.sqrt(m1) * t), c / t
+    if m1 <= 1.0:
+        s *= lam
+    else:  # dn(v | mu)^2 = cn^2 + sn^2 / g^2; lam and 1 / g join the division that this case makes anyway
+        t = _sqrt(c * c + s * s * (lam * lam / m1))
+        s, c = s / (t * (math.sqrt(m1) / lam)), c / t
     return s, c
 
 

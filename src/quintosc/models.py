@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from numpy.polynomial import polynomial as poly
 
 from . import elliptic
 from .errors import ConvergenceError, DomainError
@@ -339,8 +338,7 @@ def _find_problems(model: OscillatorModel) -> list[str]:
         else:
             g = _generic_g_coeffs(model.force_spec)
             d = [k * g[k] for k in range(1, len(g))]  # G', formed as polyder forms it
-            roots = poly.polyroots(d).real.tolist() if d else []  # a constant G has no critical point
-            s = [0.0, 1.0] + [min(1.0, max(0.0, r)) for r in roots]
+            s = [0.0, 1.0] + [min(1.0, max(0.0, r)) for r in _roots(d)]  # none for a constant G
             gs = [_horner(x, g) for x in s]
             i = np.argmin(gs)
             if not gs[i] > 0.0:
@@ -354,6 +352,18 @@ def _find_problems(model: OscillatorModel) -> list[str]:
         if model.kind in (CABLE_MASS, DUFFING_RELATIVISTIC) and not 0.0 < model.b < math.inf:
             problems.append(f"parameter b must be positive and finite for {model.kind}, got b={model.b}")
     return problems
+
+
+def _roots(d: list[float]) -> list[float]:
+    """Real parts of the sorted roots of sum d[k] s^k: numpy 2.4's polyroots step for step, so the same
+    bits, without importing numpy.polynomial (~8 ms) into every process."""
+    while len(d) > 1 and d[-1] == 0.0:
+        d = d[:-1]
+    if len(d) < 3:  # a line, or no root
+        return [-d[0] / d[1]] if len(d) == 2 else []
+    companion = np.eye(len(d) - 1, k=-1)
+    companion[:, -1] -= np.array(d[:-1]) / d[-1]
+    return np.sort(np.linalg.eigvals(companion)).real.tolist()
 
 
 def _require_valid(model: OscillatorModel) -> None:

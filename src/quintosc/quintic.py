@@ -167,22 +167,22 @@ def period_by_quadrature(c: Coefficients) -> float:
     return math.ldexp(4.0 * _quarter_period_integral(_theta_integrand(model)), -k)
 
 
-# The last computed _jacobi result, (solution, key, (sn, cn)), held for the paired call, so that
-# evaluate and derivative on the same solution and times make one kernel call.  The next call
-# empties it: at most one grid is held process-wide.  The held arrays are read-only and the key
-# is private, so concurrent callers can lose a hit but never read another call's values.
+# The last computed _jacobi result, (solution, key, (sn, cn, sn^2, cn^2, dn^2, e)), held for the paired
+# call, so that evaluate and derivative on the same solution and times make one kernel call and one
+# _squares.  The next call empties it: at most one grid is held process-wide.  The held arrays are read-only
+# and the key is private, so concurrent callers can lose a hit but never read another call's values.
 _last = None
 
 
 def _same_times(key, t) -> bool:
-    """Same type, shape and bits, so that -0.0 != 0.0; never float ==."""
+    """Same type, shape and bits, so that -0.0 != 0.0.  Neither is NaN: _top raises before the slot is filled."""
     if isinstance(t, float) or isinstance(key, float):
-        return type(key) is type(t) and key.hex() == t.hex()
+        return type(key) is type(t) and key == t and math.copysign(1.0, key) == math.copysign(1.0, t)
     return np.array_equal(key.view(np.int64), t.view(np.int64))  # False for another shape
 
 
 def _jacobi(solution: ClosedFormSolution, t):
-    """sn and cn at t/(2A), for finite scalar or array t.
+    """sn and cn at t/(2A), for finite scalar or array t, then their _squares: (sn, cn, sn^2, cn^2, dn^2, e).
 
     The kernel scales t once, inside its tangent argument, by a factor rounded once.  One
     reduction, max |t|, guards the times: NaN or inf raises, and only a batch that reaches
@@ -191,7 +191,8 @@ def _jacobi(solution: ClosedFormSolution, t):
     scalar and batch the same bits.
 
     Each call empties the slot _last, reuses it for the same solution object and times of the
-    same bits, and otherwise stores its result there with a private copy of t taken before the clip.
+    same bits, and otherwise stores its result there, every array read-only, with a private copy
+    of t taken before the clip.
     """
     global _last
     t = _real(t)
@@ -205,10 +206,12 @@ def _jacobi(solution: ClosedFormSolution, t):
         t = min(max(t, -span), span) if isinstance(t, float) else np.minimum(np.maximum(t, -span), span)
     p = solution.params
     sn, cn = _gauss(t, p.m1, p.chain, over=2.0 * p.A)
+    values = (sn, cn, *_squares(p, sn, cn))
     if not isinstance(sn, float):
-        sn.flags.writeable = cn.flags.writeable = False
-    _last = (solution, key, (sn, cn))
-    return sn, cn
+        for x in values:
+            x.flags.writeable = False
+    _last = (solution, key, values)
+    return values
 
 
 # sn and cn carry the sign of the wave: no square root of u^2 or of the energy is taken, so
@@ -216,22 +219,22 @@ def _jacobi(solution: ClosedFormSolution, t):
 # u = sqrt(sb) cos(psi) / D, u' = -sqrt(sb) sin(psi) dn(t/A) / (2A D^3), D^2 = sb cos^2(psi) + sin^2(psi);
 # at t/(2A) (DLMF 22.6.5-22.6.6) cos(psi) = cn/w, sin(psi) = sn dn/w, w^2 = 1 - m sn^4 and
 # dn(t/A) w^2 = dn^4 + m (1 - m) sn^4 = cn^2 dn^2 + (1 - m) sn^2, so w cancels and, for every m < 1, no sum does.
+# _jacobi forms these squares once per grid, right after the kernel, and holds them in its slot
+# beside sn and cn, so a paired evaluate and derivative read one copy.
 
 def _squares(p: InversionParameters, sn, cn):
-    """sn^2, cn^2, dn^2 and e = sb cn^2 + sn^2 dn^2 = D^2 w^2, the one copy u and u' share."""
+    """sn^2, cn^2, dn^2 and e = sb cn^2 + sn^2 dn^2 = D^2 w^2."""
     sn2, cn2 = sn * sn, cn * cn
     dn2 = _dn2(sn2, cn2, p.m1)
     return sn2, cn2, dn2, math.sqrt(p.B) * cn2 + sn2 * dn2
 
 
-def _u(solution: ClosedFormSolution, sn, cn):
-    p = solution.params
-    return math.sqrt(math.sqrt(p.B)) * cn / _sqrt(_squares(p, sn, cn)[3])
+def _u(solution: ClosedFormSolution, sn, cn, sn2, cn2, dn2, e):
+    return math.sqrt(math.sqrt(solution.params.B)) * cn / _sqrt(e)
 
 
-def _du(solution: ClosedFormSolution, sn, cn):
+def _du(solution: ClosedFormSolution, sn, cn, sn2, cn2, dn2, e):
     p = solution.params
-    sn2, cn2, dn2, e = _squares(p, sn, cn)
     w2_dn = _dn2(sn2, cn2 * dn2, p.m1)  # w^2 dn(t/A)
     du = -math.sqrt(math.sqrt(p.B)) / (2.0 * p.A) * w2_dn * _sqrt(dn2 / e) / e
     return du * sn + 0.0  # sn last, so a subnormal u' rounds once; +0.0 drops negative zeros

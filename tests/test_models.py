@@ -487,10 +487,10 @@ class TestValidateParams:
 
     def test_generic_chain_finds_roots_once(self, monkeypatch):
         # The chain of one cli sweep row checks positivity once per model:
-        # one polyroots call, not one per entry point.
+        # one root finding, not one per entry point.
         calls = []
-        polyroots = np.polynomial.polynomial.polyroots
-        monkeypatch.setattr(np.polynomial.polynomial, "polyroots", lambda c: calls.append(c) or polyroots(c))
+        roots = models._roots
+        monkeypatch.setattr(models, "_roots", lambda d: calls.append(d) or roots(d))
         model = models.OscillatorModel("generic", force_spec=(-1.0, -0.5, -0.5, 0.5, -0.2))
         assert models.validate_params(model) == []
         solution = quintic.solve(chebyshev.model_coefficients(model))
@@ -571,3 +571,17 @@ class TestGenericPolynomial:
             assert models._find_problems(models.OscillatorModel("generic", force_spec=spec)) == expected, spec
             failing += bool(expected) and "Phi(" in expected[0]
         assert failing > 100
+
+    def test_roots_are_polyroots(self):
+        # Small integers make trailing zeros, lines and constants; the bits are numpy's, ordering included.
+        rng = np.random.default_rng(31)
+        for i in range(3000):
+            size = int(rng.integers(1, 8))  # degree 0-6
+            d = (rng.integers(-3, 4, size).astype(float) if i % 2 else rng.normal(size=size)).tolist()
+            assert repr(models._roots(d)) == repr(poly.polyroots(d).real.tolist()), d
+
+    def test_trailing_zero_coefficient_is_the_shorter_spec(self):
+        spec = (-1.0, 4.0, -3.2)
+        for s in (spec, (-1.0, 1.0, -0.5), (-1.0, -0.5, -0.5, 0.5, -0.2)):
+            assert models._find_problems(models.OscillatorModel("generic", force_spec=s + (0.0,))) == \
+                models._find_problems(models.OscillatorModel("generic", force_spec=s)) == generic_problems_by_polyder(s)

@@ -93,17 +93,31 @@ def cold(func, c, t):
     return func(q.solve(c), t)
 
 
+class KernelCalls(list):
+    """One entry per Gauss-kernel call that quintic makes, cold() calls included; ``squares``, one per _squares call."""
+
+    def __init__(self):
+        super().__init__()
+        self.squares = []
+
+    def clear(self):
+        super().clear()
+        self.squares.clear()
+
+
 @pytest.fixture()
 def kernel_calls(monkeypatch):
-    """One entry per Gauss-kernel call that quintic makes, cold() calls included: clear it before counting."""
-    calls = []
-    kernel = q._gauss
+    """The kernel and _squares calls quintic makes: clear it before counting."""
+    calls = KernelCalls()
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return kernel(*args, **kwargs)
+    def counted(func, log):
+        def call(*args, **kwargs):
+            log.append(args)
+            return func(*args, **kwargs)
+        return call
 
-    monkeypatch.setattr(q, "_gauss", counted)
+    monkeypatch.setattr(q, "_gauss", counted(q._gauss, calls))
+    monkeypatch.setattr(q, "_squares", counted(q._squares, calls.squares))
     return calls
 
 
@@ -393,8 +407,8 @@ class TestEvaluate:
 
     @pytest.mark.parametrize("c", SIX_TRIPLES + NEAR_SEPARATRIX)
     def test_evaluate_and_derivative_are_the_printed_pair(self, c, kernel_calls):
-        # `quintosc solve` prints evaluate then derivative on one grid: one kernel call, and
-        # the second call, served from the slot, gives the bits of a cold call, in either order.
+        # `quintosc solve` prints evaluate then derivative on one grid: one kernel call and one
+        # _squares, and the second call, served from the slot, gives the bits of a cold call, in either order.
         sol = q.solve(c)
         t = np.concatenate([[0.0, -0.0, 5e-324, -5e-324, 1e-310, 0.25 * sol.period, 1e6 * sol.period],
                             np.random.default_rng(13).uniform(-50.0, 50.0, 40) * sol.period])
@@ -403,7 +417,7 @@ class TestEvaluate:
                 expected = [bits(cold(f, c, times)) for f in (first, second)]
                 kernel_calls.clear()
                 pair = (first(sol, times), second(sol, times))
-                assert len(kernel_calls) == 1 and q._last is None
+                assert len(kernel_calls) == len(kernel_calls.squares) == 1 and q._last is None
                 assert [bits(x) for x in pair] == expected
 
     @pytest.mark.parametrize("c", [(1.0, 2.0, 3.0), CASE2])
@@ -482,8 +496,9 @@ class TestEvaluate:
         sol = q.solve((1.0, 2.0, 3.0))
         t = np.linspace(0.0, 1.0, 5) * sol.period
         q.evaluate(sol, t)
-        held, key, (sn, cn) = q._last
-        assert held is sol and key is not t and not (sn.flags.writeable or cn.flags.writeable)
+        held, key, (sn, cn, sn2, cn2, dn2, e) = q._last
+        assert held is sol and key is not t
+        assert not any(x.flags.writeable for x in (sn, cn, sn2, cn2, dn2, e))
         t[2] = math.nan
         with pytest.raises(DomainError):
             q.derivative(sol, t)
