@@ -356,7 +356,7 @@ def _find_problems(model: OscillatorModel) -> list[str]:
 
 def _roots(d: list[float]) -> list[float]:
     """Real parts of the sorted roots of sum d[k] s^k: numpy 2.4's polyroots step for step, so the same
-    bits, without importing numpy.polynomial (~8 ms) into every process."""
+    bits, without importing numpy.polynomial into every process."""
     while len(d) > 1 and d[-1] == 0.0:
         d = d[:-1]
     if len(d) < 3:  # a line, or no root
