@@ -17,8 +17,8 @@ the Landen chain of m (_landen): one tangent per point, w = tan(z/2), then
 only + - * /, so a float runs the same lines as an array, on Python floats,
 and gives the same bits (numpy's tan loop serves both).  The stages' constant
 factors 1 + k_n are multiplied into one float and applied to sn once, not per
-stage.  The chain's AGM limit a_N also gives K(m) = pi / (2 a_N) (DLMF 19.8.5),
-which the quintic's period reads.
+stage, from a table built with the chain (_stages), once per solution in the
+quintic.  The chain's limit a_N also gives K(m) = pi / (2 a_N) (DLMF 19.8.5).
 """
 
 from __future__ import annotations
@@ -198,7 +198,7 @@ def _top(x: ArrayLike) -> float:
     """max |x| of a float or an array (0 for an empty one); NaN or inf anywhere raises DomainError."""
     top = abs(x) if isinstance(x, float) else np.abs(x).max(initial=0.0)  # NaN if any x is NaN
     if not math.isfinite(top):
-        raise DomainError("the Jacobi functions need finite arguments")
+        raise DomainError("expected finite arguments, got NaN or inf")
     return top
 
 
@@ -222,8 +222,17 @@ def _landen(m1: float) -> tuple[float, ...]:
     return tuple(chain)
 
 
-def _gauss(x: ArrayLike, m1: float, chain: tuple[float, ...], over: float = 1.0) -> tuple[ArrayLike, ArrayLike]:
-    """sn(u | m) and cn(u | m) at u = x / over, from the complementary parameter m1 = 1 - m > 0 and _landen(m1).
+def _stages(chain: tuple[float, ...]) -> tuple[tuple[float, ...], float]:
+    """_gauss's scales k_n lam_n^2, stage n = N-1 first, lam_n the product of the earlier (1 + k_j), and lam, of all."""
+    scales, lam = [], 1.0
+    for k in chain[-2::-1]:
+        scales.append(k * lam * lam)
+        lam *= 1.0 + k
+    return tuple(scales), lam
+
+
+def _gauss(x: ArrayLike, half: float, m1: float, stages: tuple) -> tuple[ArrayLike, ArrayLike]:
+    """sn(u | m) and cn(u | m) at u = 2 half x / a_N, from m1 = 1 - m > 0 and _stages(_landen(m1)).
 
     Descending Landen (Gauss) transformation, DLMF 22.7.1-22.7.3: the AGM from
     (1, sqrt(m1)) gives the moduli k_n = c_n / a_n, and each stage lifts
@@ -231,15 +240,15 @@ def _gauss(x: ArrayLike, m1: float, chain: tuple[float, ...], over: float = 1.0)
     sin z, cos z, 1 at k_N and the base angle z = a_N u, so no argument
     reduction is needed.  Both come from one w = tan(z/2) per point rather than
     one sin and one cos (BENCH_13.json gives the timings and the host they were
-    measured on), taken as tan(((a_N / 2) / over) x): x is scaled once, by
-    a factor rounded once when over is 1.  The stages carry sn / lam, lam the
+    measured on), taken as tan(half x): x is scaled once, by a factor the caller
+    rounds once (a_N / 2, or a_N / (4A)).  The stages carry sn / lam, lam the
     running product of the (1 + k_n), a float, so lam reaches sn in one pass at
     the end, or inside the final division at m < 0.  At m < 0 (m1 > 1) the AGM
     from (1, g), g = sqrt(m1), is g times that of mu = -m / m1, so the chain with |k_1|
     gives sn, cn of mu at v = g u, and sn(u | m) = sd(v | mu) / g, cn(u | m) = cd(v | mu)
     (DLMF 22.17.2): every sum adds terms of one sign.
     """
-    w = np.tan((0.5 * chain[-1] / over) * x)  # |w| < 1e19 for every double z, so w^2 stays finite
+    w = np.tan(half * x)  # |w| < 1e19 for every double z, so w^2 stays finite
     if isinstance(x, float):  # numpy's loop pins the bits of tan; the rest then runs on floats
         w = float(w)
     # sin z = 2w / (1 + w^2), cos z = (1 - w)(1 + w) / (1 + w^2).
@@ -250,17 +259,15 @@ def _gauss(x: ArrayLike, m1: float, chain: tuple[float, ...], over: float = 1.0)
     c = (1.0 - w) * (1.0 + w)
     c /= t
     # Stage n takes sn to (1 + k) sn r and cn to cn r d, with r = 1 / (1 + k sn^2) and d = (1 - k sn^2) r,
-    # the lifted dn.  As s holds sn / lam, each stage forms k sn^2 as (k lam^2) s^2.
+    # the lifted dn.  As s holds sn / lam_n, each stage forms k sn^2 as (k lam_n^2) s^2, its scale.
     # dn starts at 1 and the last stage's dn is never read, so stage 0 (the last) skips d.
-    lam = 1.0
-    for n in range(len(chain) - 2, -1, -1):
-        k = chain[n]
+    scales, lam = stages
+    for n, scale in enumerate(scales, 1 - len(scales)):  # -n is the stage's index in the chain
         t = s * s
-        t *= k * lam * lam
+        t *= scale
         r = 1.0 / (1.0 + t)
         c *= r
         s *= r
-        lam *= 1.0 + k
         if n:
             t = 1.0 - t
             t *= r
@@ -283,5 +290,6 @@ def jacobi_sn_cn_dn(u: ArrayLike, m: float) -> JacobiTriple:
         raise DomainError(f"jacobi_sn_cn_dn requires {M_MIN:g} <= m < 1, got m={m}")
     u, m1 = _real(u), 1.0 - m
     _top(u)
-    sn, cn = _gauss(u, m1, _landen(m1))
+    chain = _landen(m1)
+    sn, cn = _gauss(u, 0.5 * chain[-1], m1, _stages(chain))
     return JacobiTriple(sn, cn, _sqrt(_dn2(sn * sn, cn * cn, m1)))

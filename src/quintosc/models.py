@@ -108,26 +108,25 @@ def _g_rel(a: float, u):
 
 
 def _horner(x, c):
-    """Sum of c[k] * x**k for a non-empty 1-d c: numpy.polynomial.polynomial.polyval's operations, in its order."""
-    acc = x * 0  # augmented assignments below work in place on this array, and rebind a scalar
-    acc += c[-1]
+    """Sum of c[k] * x**k for a non-empty 1-d c: polyval's bits at each finite x >= +0.0, whose x * 0 is +0.0."""
+    acc = c[-1] + 0.0 if len(c) > 1 else x * 0.0 + c[0]  # the first *= makes a new array; the rest work in place
     for ck in c[-2::-1]:
         acc *= x
         acc += ck
     return acc
 
 
-def _even(c, u):
-    """Sum of c[k] * u**(2k) for a non-empty c; a constant stays a float."""
-    return c[0] if len(c) == 1 else _horner(np.square(u), c)
+def _even(c, u, u2=None):
+    """Sum of c[k] * u**(2k) for a non-empty c (u2: np.square(u), if the caller holds it); a constant stays a float."""
+    return c[0] if len(c) == 1 else _horner(np.square(u) if u2 is None else u2, c)
 
 
-def _force(p, beta: float, a: float, u: np.ndarray) -> np.ndarray:
-    """u * sum_k p_k u^(2k) - beta * u / sqrt(1 + (a u)^2) for a float array u, p or beta nonzero:
+def _force(p, beta: float, a: float, u: np.ndarray, u2=None) -> np.ndarray:
+    """u * sum_k p_k u^(2k) - beta * u / sqrt(1 + (a u)^2) for a float array u (u2 as in _even), p or beta nonzero:
     the restoring force of _parts' (p, beta), and validation's residual on combined coefficients."""
     out = None
     if p:
-        out = _even(p, u)  # a new array, or a float that *= rebinds
+        out = _even(p, u, u2)  # a new array, or a float that *= rebinds
         out *= u
     if beta:
         rel = beta * u
@@ -139,9 +138,10 @@ def _force(p, beta: float, a: float, u: np.ndarray) -> np.ndarray:
 
 
 def restoring_force(model: OscillatorModel, u):
-    """Normalised odd restoring force f_a(u); accepts scalars or arrays.  An invalid model raises DomainError."""
+    """Normalised odd restoring force f_a(u) for scalar or array u; an invalid model, NaN or inf raises DomainError."""
     _require_valid(model)
-    u = np.asarray(elliptic._real(u))  # text raises TypeError, as in evaluate
+    u = np.asarray(elliptic._real(u))  # as in evaluate, text raises TypeError
+    elliptic._top(u)  # and NaN or inf DomainError
     out = _force(*_parts(model), model.a, u)
     return out if out.ndim else float(out)
 
@@ -155,12 +155,13 @@ def _generic_g_coeffs(spec: Sequence[float]) -> list[float]:
 
 
 def potential_phi(model: OscillatorModel, u):
-    """Potential Phi(u) = -2 * integral_u^1 f_a; vanishes at u = +-1.  An invalid model raises DomainError."""
+    """Potential Phi(u) = -2 * integral_u^1 f_a, 0 at u = +-1; an invalid model, NaN or inf raises DomainError."""
     _require_valid(model)
-    u = np.asarray(elliptic._real(u))  # text raises TypeError, as in evaluate
-    p, beta = _parts(model)
-    g = _even(_generic_g_coeffs(p), u) if p else 0.0
-    out = (1.0 - np.square(u)) * (g + beta * _g_rel(model.a, u) if beta else g)  # (1 - u^2) G(u)
+    u = np.asarray(elliptic._real(u))  # as in evaluate, text raises TypeError
+    elliptic._top(u)  # and NaN or inf DomainError
+    (p, beta), u2 = _parts(model), np.square(u)
+    g = _even(_generic_g_coeffs(p), u, u2) if p else 0.0
+    out = (1.0 - u2) * (g + beta * _g_rel(model.a, u) if beta else g)  # (1 - u^2) G(u)
     return out if out.ndim else float(out)
 
 
@@ -172,8 +173,19 @@ _TRAPEZOID_GRID = 64
 _TRAPEZOID_TOL = 1e-15
 
 
+@functools.cache  # the first grid and the midpoints of 64 to 2^15 panels: at most 11 entries
+def _nodes(n: int) -> tuple[np.ndarray, ...]:
+    """Read-only (theta, sin theta, sin^2 theta, cos^2 theta) on the first grid (n = 0), else at n midpoints."""
+    theta = (0.5 * math.pi / (n or _TRAPEZOID_GRID)) * (np.arange(n) + 0.5 if n else np.arange(_TRAPEZOID_GRID + 1))
+    u = np.sin(theta)
+    nodes = (theta, u, np.square(u), np.square(np.cos(theta)))
+    for x in nodes:
+        x.flags.writeable = False
+    return nodes
+
+
 def _theta_integrand(model: OscillatorModel):
-    """The regularised integrand theta -> 1 / sqrt(G(sin theta)) of Psi and the period."""
+    """The regularised integrand 1 / sqrt(G(sin theta)) of Psi and the period, on a level's _nodes."""
     p, beta = _parts(model)
     if p:
         # With s = sin^2 and c = cos^2, the polynomial part of G is
@@ -186,11 +198,10 @@ def _theta_integrand(model: OscillatorModel):
         g_0, g_1 = g[0], -sum(p)
         r = np.cumsum([g[0] + g[1] - g_1] + g[2:-1]) if len(g) > 2 else None
 
-    def integrand(theta):
-        u = np.sin(theta)
+    def integrand(nodes):
+        _, u, s, c = nodes
         G = beta * _g_rel(model.a, u) if beta else 0.0
         if p:
-            s, c = np.square(u), np.square(np.cos(theta))
             g_p = c * g_0 + s * g_1 if r is None else c * g_0 + s * g_1 + c * s * _horner(s, r)
             G = g_p + G if beta else g_p
         return 1.0 / np.sqrt(G)
@@ -214,7 +225,7 @@ def _quarter_period_integral(g) -> float:
     n, cap = _TRAPEZOID_PANELS
     # g runs silently on every level: values and sums that are not finite and positive raise below.
     with np.errstate(all="ignore"):
-        grid = g((0.5 * math.pi / _TRAPEZOID_GRID) * np.arange(_TRAPEZOID_GRID + 1))
+        grid = g(_nodes(0))
         if not (0.0 < grid.min() and grid.max() < math.inf):  # NaN fails both
             raise DomainError(f"quarter-period integrand is not finite and positive on the first grid "
                               f"(min {grid.min()}, max {grid.max()})")
@@ -226,7 +237,7 @@ def _quarter_period_integral(g) -> float:
         estimate = h * total
         while n < cap:
             stride //= 2
-            total += np.add.reduce(grid[stride::2 * stride] if stride else g(h * (np.arange(n) + 0.5)))
+            total += np.add.reduce(grid[stride::2 * stride] if stride else g(_nodes(n)))
             n, h, previous = 2 * n, 0.5 * h, estimate
             estimate = h * total
             if not 0.0 < estimate < math.inf:

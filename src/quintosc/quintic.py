@@ -15,8 +15,8 @@ discriminant delta = 3c3^2 - 4c5(4c1 + c3 + c5), h2 > 0 on [0, 1] is P, Q > 0 an
 (delta < 0 or k~ > 0): m is in (0, 1) when h2 has no real root (the paper's Case I) and
 m < 0, the imaginary modulus of DLMF 22.17, when its real roots lie off [0, 1]
 (Case II, whatever the sign of c5), so one inversion serves every periodic triple.
-Its Landen chain (the AGM of (1, sqrt(1 - m))) is built once per triple: the Jacobi kernel
-reads it at every evaluation, and the period 8 A K(m) takes K(m) = pi / (2 a_N) from its limit.
+Its Landen chain (the AGM of (1, sqrt(1 - m))) is built once per triple, with every constant
+that an evaluation reads, and the period 8 A K(m) takes K(m) = pi / (2 a_N) from its limit.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from typing import Union
 import numpy as np
 
 from .chebyshev import QuinticCoefficients
-from .elliptic import M_MIN, _dn2, _gauss, _landen, _legendre_f, _real, _sqrt, _top
+from .elliptic import M_MIN, _dn2, _gauss, _landen, _legendre_f, _real, _sqrt, _stages, _top
 from .errors import DomainError, UnsupportedCaseError
 from .models import GENERIC, OscillatorModel, _quarter_period_integral, _theta_integrand
 
@@ -49,17 +49,21 @@ def _coerce(c: Coefficients) -> QuinticCoefficients:
 
 @dataclass(frozen=True)
 class InversionParameters:
-    """The inversion parameters of a periodic triple: m < 0 when h2 has real roots; m1 = 1 - m, never cancelled.
-
-    ``chain`` is elliptic._landen(m1), the Landen chain that every evaluation and the period read.
-    """
+    """The inversion parameters of a periodic triple: m < 0 when h2 has real roots; m1 = 1 - m, never cancelled."""
 
     A: float
     B: float
     m: float
     m1: float
     period: float
-    chain: tuple[float, ...]
+    chain: tuple[float, ...]  # elliptic._landen(m1)
+    # What every evaluation reads, rounded once: _stages(chain), a_N / (4A), sqrt(B), B^(1/4), -B^(1/4) / (2A), 2^52 T.
+    stages: tuple
+    half: float
+    sb: float
+    sqrt_sb: float
+    du_scale: float
+    span: float
 
 
 @dataclass(frozen=True)
@@ -123,8 +127,10 @@ def _inversion(c: QuinticCoefficients) -> tuple[str, InversionParameters | None]
     m1 = 0.5 + half_x if half_x >= 0.0 else -delta_d2 / (d * d) / P / Q / (32.0 * m)
     A = math.ldexp((6.0 / P) ** 0.25 / Q ** 0.25 / 2.0, -k)  # P * Q would underflow at a subnormal Q
     label = DEGENERATE if delta_d2 == 0 else CASE_I if delta_d2 < 0 else CASE_II
-    chain = _landen(m1)  # K(m) = pi / (2 a_N), DLMF 19.8.5
-    return label, InversionParameters(A, Q / (6.0 * P), m, m1, 8.0 * A * (0.5 * math.pi / chain[-1]), chain)
+    chain, B = _landen(m1), Q / (6.0 * P)
+    period, sb = 8.0 * A * (0.5 * math.pi / chain[-1]), math.sqrt(B)  # K(m) = pi / (2 a_N), DLMF 19.8.5
+    return label, InversionParameters(A, B, m, m1, period, chain, _stages(chain), 0.5 * chain[-1] / (2.0 * A),
+                                      sb, math.sqrt(sb), -math.sqrt(sb) / (2.0 * A), math.ldexp(period, 52))
 
 
 def classify(c: Coefficients) -> str:
@@ -184,9 +190,10 @@ def _same_times(key, t) -> bool:
 def _jacobi(solution: ClosedFormSolution, t):
     """sn and cn at t/(2A), for finite scalar or array t, then their _squares: (sn, cn, sn^2, cn^2, dn^2, e).
 
-    The kernel scales t once, inside its tangent argument, by a factor rounded once.  One
+    The kernel scales t once, inside its tangent argument, by the solution's a_N / (4A).  One
     reduction, max |t|, guards the times: NaN or inf raises, and only a batch that reaches
-    past the span is clipped.  A scalar t runs the same lines as an array on Python floats
+    past the span 2^52 T, where an ulp of t spans a period, is clipped, so the tangent argument
+    stays finite.  A scalar t runs the same lines as an array on Python floats
     (+ - * /, abs, min, max, a correctly rounded sqrt, numpy's tan loop), so _u and _du give
     scalar and batch the same bits.
 
@@ -200,12 +207,10 @@ def _jacobi(solution: ClosedFormSolution, t):
     if last is not None and last[0] is solution and _same_times(last[1], t):
         return last[2]
     key = t if isinstance(t, float) else t.copy()
-    # Past 2^52 periods an ulp of t spans a period; clipping there keeps the tangent argument finite.
-    span = math.ldexp(solution.period, 52)
-    if not _top(t) <= span:
-        t = min(max(t, -span), span) if isinstance(t, float) else np.minimum(np.maximum(t, -span), span)
     p = solution.params
-    sn, cn = _gauss(t, p.m1, p.chain, over=2.0 * p.A)
+    if not _top(t) <= p.span:
+        t = min(max(t, -p.span), p.span) if isinstance(t, float) else np.minimum(np.maximum(t, -p.span), p.span)
+    sn, cn = _gauss(t, p.half, p.m1, p.stages)
     values = (sn, cn, *_squares(p, sn, cn))
     if not isinstance(sn, float):
         for x in values:
@@ -226,17 +231,17 @@ def _squares(p: InversionParameters, sn, cn):
     """sn^2, cn^2, dn^2 and e = sb cn^2 + sn^2 dn^2 = D^2 w^2."""
     sn2, cn2 = sn * sn, cn * cn
     dn2 = _dn2(sn2, cn2, p.m1)
-    return sn2, cn2, dn2, math.sqrt(p.B) * cn2 + sn2 * dn2
+    return sn2, cn2, dn2, p.sb * cn2 + sn2 * dn2
 
 
 def _u(solution: ClosedFormSolution, sn, cn, sn2, cn2, dn2, e):
-    return math.sqrt(math.sqrt(solution.params.B)) * cn / _sqrt(e)
+    return solution.params.sqrt_sb * cn / _sqrt(e)
 
 
 def _du(solution: ClosedFormSolution, sn, cn, sn2, cn2, dn2, e):
     p = solution.params
     w2_dn = _dn2(sn2, cn2 * dn2, p.m1)  # w^2 dn(t/A)
-    du = -math.sqrt(math.sqrt(p.B)) / (2.0 * p.A) * w2_dn * _sqrt(dn2 / e) / e
+    du = p.du_scale * w2_dn * _sqrt(dn2 / e) / e
     return du * sn + 0.0  # sn last, so a subnormal u' rounds once; +0.0 drops negative zeros
 
 
@@ -250,7 +255,7 @@ def _time_to(solution: ClosedFormSolution, u: float) -> float:
     p = solution.params
     # tan^2(psi) = sb (1 - u^2) / u^2 with phi = 2 psi = am(t/A) in [0, pi];
     # past pi/2, F(phi) = 2K - F(pi - phi) and 2 A K is a quarter period.
-    w = math.sqrt(p.B) * (1.0 - u) * (1.0 + u)
+    w = p.sb * (1.0 - u) * (1.0 + u)
     d = u * u + w
     sin_phi, cos_phi = 2.0 * u * math.sqrt(w) / d, (u * u - w) / d
     f = p.A * _legendre_f(sin_phi, cos_phi ** 2, p.m1)

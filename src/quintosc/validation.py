@@ -46,26 +46,27 @@ class OracleTrajectory:
     tolerance: float
 
 
-def _residual(model: models.OscillatorModel | None, c: QuinticCoefficients, u: np.ndarray) -> np.ndarray:
+def _residual(model: models.OscillatorModel | None, c: QuinticCoefficients, u: np.ndarray, u2=None) -> np.ndarray:
     """L u = u'' - f_a(u) at the amplitudes u, with u'' = -(c1*u + c3*u^3 + c5*u^5); exact zeros when model is None.
 
-    With f_a = u * sum_k p_k u^(2k) - beta * u / sqrt(1 + (a u)^2) (models._parts), L u is the same force
-    formula on q_k = -(c_k + p_k) and -beta: the quintic and the polynomial part cancel once, in the
-    coefficients, and the points take one Horner pass and one relativistic term.  An invalid model raises DomainError.
+    With f_a = u * sum_k p_k u^(2k) - beta * u / sqrt(1 + (a u)^2) (models._parts), L u is the same force formula
+    on q_k = -(c_k + p_k) and -beta: the quintic and the polynomial part cancel once, in the coefficients, and the
+    points take one Horner pass, on u2 = u^2 if given, and one relativistic term.  An invalid model raises DomainError.
     """
     if model is None:
         return np.zeros_like(u)
     models._require_valid(model)
     p, beta = models._parts(model)
     q = [-(ck + pk) for ck, pk in itertools.zip_longest(c.as_tuple(), p, fillvalue=0.0)]
-    return models._force(q, -beta, model.a, u)
+    return models._force(q, -beta, model.a, u, u2)
 
 
 @functools.lru_cache(maxsize=1, typed=True)  # one grid size at a time: a sweep reuses one
-def _amplitudes(grid: int) -> np.ndarray:
+def _amplitudes(grid: int) -> tuple[np.ndarray, np.ndarray]:
     u = np.linspace(0.0, 1.0, grid)
-    u.flags.writeable = False
-    return u
+    u2 = np.square(u)
+    u.flags.writeable = u2.flags.writeable = False
+    return u, u2
 
 
 def residual_sup_norm(model: models.OscillatorModel, solution: quintic.ClosedFormSolution,
@@ -82,8 +83,8 @@ def residual_sup_norm(model: models.OscillatorModel, solution: quintic.ClosedFor
     if grid < 2:
         raise DomainError(f"residual grid must have at least 2 points, got {grid}")
     c = solution.coefficients
-    u = _amplitudes(grid)
-    residual = _residual(model, c, u)
+    u, u2 = _amplitudes(grid)
+    residual = _residual(model, c, u, u2)
     np.abs(residual, out=residual)  # _residual's array is new
     i = int(np.argmax(residual))  # the first NaN, if there is one
     if not math.isfinite(residual[i]):

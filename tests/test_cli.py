@@ -431,6 +431,14 @@ class TestScipyStaysOptional:
         out = fresh_python("-c", code + "\nimport sys; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
         assert out.splitlines()[-1] == "[]"
 
+    @pytest.mark.parametrize("code", ["import quintosc", "import quintosc.cli"])
+    def test_import_loads_no_numpy_polynomial(self, code):
+        # The generic positivity check takes the roots of G' from models._roots, so a fresh import
+        # loads none of numpy.polynomial's six families (about 5 ms per process).
+        loaded = "\nimport sys; print(sorted(m for m in sys.modules if m.startswith('numpy.polynomial')))"
+        out = fresh_python("-c", code + loaded)
+        assert out.splitlines()[-1] == "[]"
+
     def test_json_versions_report_scipy(self):
         out = fresh_python("-m", "quintosc.cli", "period", "--model", "relativistic", "--a", "1", "--format", "json")
         assert json.loads(out)["versions"]["scipy"] == scipy.__version__

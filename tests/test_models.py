@@ -119,6 +119,15 @@ class TestRestoringForce:
             func(REL1, 10 ** 400)
 
     @pytest.mark.parametrize("func", [models.restoring_force, models.potential_phi])
+    @pytest.mark.parametrize("model", [REL1, CABLE11, CUBIC])
+    def test_non_finite_amplitudes_raise(self, func, model):
+        # As evaluate refuses NaN or inf times: no silent NaN (and no RuntimeWarning) comes back.
+        for bad in (math.nan, math.inf, -math.inf):
+            for u in (bad, np.array(bad), np.array([0.5, bad]), [[0.0, 1.0], [bad, -0.5]]):
+                with pytest.raises(DomainError, match="finite"):
+                    func(model, u)
+
+    @pytest.mark.parametrize("func", [models.restoring_force, models.potential_phi])
     @pytest.mark.parametrize("model", [REL1, CABLE11, DUFF171, CUBIC])
     def test_every_real_amplitude_type_gives_the_float_bits(self, func, model):
         for u in (0.5, np.float32(0.5), np.float64(-0.3), 1, np.int64(-1), True, np.array(0.7)):
@@ -286,18 +295,25 @@ class TestQuadratureOracle:
             models.exact_period(models.OscillatorModel("duffing-relativistic", a=1e200, b=0.5))
 
 
+def fresh_nodes(theta):
+    """(theta, sin theta, sin^2 theta, cos^2 theta) formed from theta, as models._nodes holds them."""
+    u = np.sin(theta)
+    return theta, u, np.square(u), np.square(np.cos(theta))
+
+
 def trapezoid_by_levels(g):
-    """The nested trapezoid with one g call per level, as it was before the 64-panel first grid.
+    """The nested trapezoid with one g call per level on freshly formed nodes, as it was before the
+    64-panel first grid and the node cache.
 
     Returns the converged value and its panel count.
     """
     n, cap = 8, 2 ** 16
     h = 0.5 * math.pi / n
-    values = g(h * np.arange(n + 1))
+    values = g(fresh_nodes(h * np.arange(n + 1)))
     total = np.sum(values) - 0.5 * (values[0] + values[-1])
     estimate = h * total
     while n < cap:
-        total += np.sum(g(h * (np.arange(n) + 0.5)))
+        total += np.sum(g(fresh_nodes(h * (np.arange(n) + 0.5))))
         n, h, previous = 2 * n, 0.5 * h, estimate
         estimate = h * total
         if abs(estimate - previous) <= 1e-15 * estimate:
@@ -335,7 +351,7 @@ class TestTrapezoid:
         for model in trapezoid_models():
             g = models._theta_integrand(model)
             calls = []
-            models._quarter_period_integral(lambda theta: calls.append(theta.size) or g(theta))
+            models._quarter_period_integral(lambda nodes: calls.append(nodes[0].size) or g(nodes))
             n = trapezoid_by_levels(g)[1]
             # The 65-node grid, then the n/2 midpoints of each level past 64 panels.
             assert calls == [65] + [2 ** k for k in range(6, n.bit_length() - 1)]
@@ -346,7 +362,7 @@ class TestTrapezoid:
         model = models.OscillatorModel("cable-mass", a=1e160, b=1e148)
         g = models._theta_integrand(model)
         calls = []
-        value = models._quarter_period_integral(lambda theta: calls.append(theta.size) or g(theta))
+        value = models._quarter_period_integral(lambda nodes: calls.append(nodes[0].size) or g(nodes))
         assert len(calls) > 1 and 0.0 < value < math.inf
         assert models.time_integral_psi(model, 0.0) == value
 
@@ -356,11 +372,22 @@ class TestTrapezoid:
         with pytest.raises(ConvergenceError):
             models.time_integral_psi(models.OscillatorModel("cable-mass", a=1e308, b=1e308), 0.0)
 
+    def test_cached_nodes_are_read_only_and_freshly_formed(self):
+        # The first grid's k pi/128, then each level's midpoints (2k + 1) pi/(4n), with their sines and cosines.
+        levels = [(0, np.arange(65) * math.pi / 128)]
+        levels += [(n, (2 * np.arange(n) + 1) * math.pi / (4 * n)) for n in (2 ** k for k in range(6, 16))]
+        for n, theta in levels:
+            nodes = models._nodes(n)
+            assert not any(x.flags.writeable for x in nodes)
+            assert [x.tobytes() for x in nodes] == [x.tobytes() for x in fresh_nodes(theta)]
+        assert models._nodes.cache_info().currsize <= 11
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -1.0])
     def test_bad_value_on_first_grid_raises(self, bad):
         # The node pi/128 lies only on the 64-panel level, which the one-call-per-level
         # loop never reached for this constant integrand: it returned pi/2.
-        def g(theta):
+        def g(nodes):
+            theta = nodes[0]
             return np.where(theta == theta[1], bad, 1.0) if theta.size == 65 else np.ones_like(theta)
         with pytest.raises(DomainError, match="first grid"):
             models._quarter_period_integral(g)
@@ -534,12 +561,15 @@ def generic_problems_by_polyder(spec):
 
 
 _coefficient = st.floats(allow_nan=False, allow_infinity=True, width=64)
+# _horner's domain, a square or s in [0, 1]: finite x >= +0.0 (min_value=0.0 never draws -0.0).  At -0.0 or
+# an infinite x, which no caller passes, polyval's first step c[-1] + x * 0 differs in the sign of zero or is NaN.
+_amplitude = st.floats(min_value=0.0, allow_infinity=False, width=64)
 
 
 class TestGenericPolynomial:
     @given(st.lists(_coefficient, min_size=1, max_size=61),
-           st.one_of(_coefficient, st.builds(np.array, _coefficient),
-                     st.lists(_coefficient, max_size=8).map(np.array)))
+           st.one_of(st.just(0.0), _amplitude, st.builds(np.array, _amplitude),
+                     st.lists(_amplitude, max_size=8).map(np.array)))
     def test_horner_is_polyval(self, coeffs, x):
         with np.errstate(all="ignore"):
             expected = poly.polyval(x, coeffs)

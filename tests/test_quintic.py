@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from quintosc import cli, models, quintic as q
+from quintosc import cli, elliptic, models, quintic as q
 from quintosc.chebyshev import QuinticCoefficients, model_coefficients
 from quintosc.elliptic import M_MIN, jacobi_sn_cn_dn
 from quintosc.errors import DomainError, UnsupportedCaseError
@@ -83,6 +83,20 @@ SIX_TRIPLES = [
 NEAR_SEPARATRIX = [case1_triple(0.5, 1e-4, 1.0), case2_triple(-1.0, -5e-13, 1.0)]
 
 
+def stage_count_triples():
+    """Seeded solvable triples with every Gauss stage count from 1 to 7 at each sign of m (and 8 at m > 0)."""
+    rng = np.random.default_rng(32)
+    out = []
+    for _ in range(30):
+        # Case I beside its separatrix, h2 = 2 ((s - p)^2 + sigma^2): 1 - m ~ sigma^2 / (6PQ) runs down to ~1e-17.
+        p, sigma = rng.uniform(0.2, 0.8), 10.0 ** rng.uniform(-8.0, 0.5)
+        c3 = (-4.0 * p - 2.0) / 3.0
+        out.append(((2.0 * (p * p + sigma * sigma) - 3.0 * c3 - 2.0) / 6.0, c3, 1.0))
+        out.append((1.0, -1.0, 10.0 ** rng.uniform(-24.0, 0.0)))  # Case II with P = c5: m ~ -1 / sqrt(c5) to -1e12
+        out.append((1.0, *(rng.choice([-1.0, 1.0], size=2) * 10.0 ** rng.uniform(-12.0, -1.0, size=2))))  # m near 0
+    return out
+
+
 def bits(x):
     """Bit patterns of a float or of every entry of an array, so that -0.0 and 0.0 differ."""
     return x.hex() if isinstance(x, float) else [v.hex() for v in x.tolist()]
@@ -91,6 +105,15 @@ def bits(x):
 def cold(func, c, t):
     """func on a fresh solution of c: a new object, so no earlier call can serve it from the slot."""
     return func(q.solve(c), t)
+
+
+@pytest.fixture()
+def stage_tables(monkeypatch):
+    """The Gauss stage tables quintic builds, one entry per elliptic._stages call."""
+    calls = []
+    build = q._stages
+    monkeypatch.setattr(q, "_stages", lambda chain: calls.append(chain) or build(chain))
+    return calls
 
 
 class KernelCalls(list):
@@ -405,6 +428,32 @@ class TestEvaluate:
             # Bit patterns, so that -0.0 and 0.0 differ.
             assert [x.hex() for x in scalars] == [x.hex() for x in func(sol, t).tolist()]
 
+    def test_scalar_is_the_batch_at_every_stage_count(self, stage_tables):
+        # The scalar path reads the solution's stage table and constants as the batch does: the same bits,
+        # at every chain length and both signs of m.  solve builds the table once; evaluations build none.
+        seen = set()
+        rng = np.random.default_rng(320)
+        for c in stage_count_triples():
+            stage_tables.clear()
+            sol = q.solve(c)
+            assert len(stage_tables) == 1
+            seen.add((len(sol.params.stages[0]), sol.params.m < 0.0))
+            t = np.concatenate([[0.0, -0.0, 5e-324, 1e300], rng.uniform(-60.0, 60.0, 12) * sol.period])
+            for func in (q.evaluate, q.derivative):
+                assert [bits(func(sol, x)) for x in t.tolist()] == bits(func(sol, t))
+            assert len(stage_tables) == 1
+        assert {(n, negative) for n in range(1, 8) for negative in (False, True)} <= seen
+
+    def test_constants_are_the_expressions_they_replace(self):
+        # Each constant is the float the evaluation formed from A, B, the chain and the period before it was kept.
+        for c in stage_count_triples()[:30] + SIX_TRIPLES:
+            p = q.solve(c).params
+            assert p.stages == elliptic._stages(elliptic._landen(p.m1)) and p.chain == elliptic._landen(p.m1)
+            assert p.half.hex() == (0.5 * p.chain[-1] / (2.0 * p.A)).hex()
+            assert (p.sb.hex(), p.sqrt_sb.hex()) == (math.sqrt(p.B).hex(), math.sqrt(math.sqrt(p.B)).hex())
+            assert p.du_scale.hex() == (-math.sqrt(math.sqrt(p.B)) / (2.0 * p.A)).hex()
+            assert p.span.hex() == math.ldexp(p.period, 52).hex()
+
     @pytest.mark.parametrize("c", SIX_TRIPLES + NEAR_SEPARATRIX)
     def test_evaluate_and_derivative_are_the_printed_pair(self, c, kernel_calls):
         # `quintosc solve` prints evaluate then derivative on one grid: one kernel call and one
@@ -627,15 +676,15 @@ def mp_trajectory(p, t: float) -> tuple[float, float]:
 def mp_params(c: tuple) -> q.InversionParameters:
     """A, B, m, m1 = 1 - m and the period 8 A K(m) at 40 digits from the float triple's exact h2, as mpf fields.
 
-    The float Landen chain has no mpf counterpart and the oracle reads none: chain is None.
+    The float Landen chain and the constants built with it have no mpf counterpart, and the oracle reads
+    none of them: they are None.
     """
     with mp.workdps(40):
         c1, c3, c5 = map(mp.mpf, c)
         P, Q, k_tilde = c1 + c3 + c5, 6 * c1 + 3 * c3 + 2 * c5, 4 * c1 + 3 * c3 + 2 * c5
         A = (6 / (P * Q)) ** mp.mpf(0.25) / 2
         m = mp.mpf(0.5) - mp.sqrt(6) / 8 * k_tilde / mp.sqrt(P * Q)
-        return q.InversionParameters(A=A, B=Q / (6 * P), m=m, m1=1 - m, period=8 * A * mp.re(mp.ellipk(m)),
-                                  chain=None)
+        return q.InversionParameters(A, Q / (6 * P), m, 1 - m, 8 * A * mp.re(mp.ellipk(m)), *(None,) * 7)
 
 
 def mp_period(c: tuple) -> float:

@@ -154,10 +154,13 @@ class TestResidualSupNorm:
         assert np.max(np.abs(stencil - analytic)) < 1e-6
 
     def test_shared_grid_is_read_only(self):
-        # One cached grid per size; switching sizes rebuilds it, bit for bit.
+        # One cached grid and its squares per size; switching sizes rebuilds them, bit for bit.
         solution = solved(REL1)
         first = validation.residual_sup_norm(REL1, solution, 4001)
-        assert not validation._amplitudes(4001).flags.writeable
+        u, u2 = validation._amplitudes(4001)
+        assert not (u.flags.writeable or u2.flags.writeable)
+        fresh = np.linspace(0.0, 1.0, 4001)
+        assert (u.tobytes(), u2.tobytes()) == (fresh.tobytes(), np.square(fresh).tobytes())
         validation.residual_sup_norm(REL1, solution, 1001)
         again = validation.residual_sup_norm(REL1, solution, 4001)
         assert (again.sup_norm.hex(), again.argmax_t.hex()) == (first.sup_norm.hex(), first.argmax_t.hex())
