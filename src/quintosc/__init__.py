@@ -3,8 +3,8 @@
 The pipeline: project an odd restoring force onto the first three odd
 Chebyshev polynomials (module chebyshev), solve the resulting quintic
 oscillator exactly with Jacobi elliptic functions (module quintic), and
-measure the quality of the approximation against the original model
-(modules models and validation).
+measure the approximation against the original model (modules models
+and validation); quintify runs it for one model into one Quintication.
 """
 
 __version__ = "0.1.0"
@@ -23,7 +23,7 @@ from .errors import (
 )
 from .models import ExactPeriod, OscillatorModel, exact_period, potential_phi, restoring_force, time_integral_psi, validate_params
 from .quintic import ClosedFormSolution, classify, discriminant, evaluate, derivative, period_by_quadrature, solve
-from .validation import OracleTrajectory, PeriodComparison, ResidualReport, compare_trajectories, period_ratio, residual_sup_norm, rk_oracle
+from .validation import OracleTrajectory, Quintication, ResidualReport, compare_trajectories, quintify, residual_sup_norm, rk_oracle
 
 __all__ = [
     "__version__",
@@ -34,8 +34,8 @@ __all__ = [
     "ExactPeriod",
     "OracleTrajectory",
     "OscillatorModel",
-    "PeriodComparison",
     "QuinticCoefficients",
+    "Quintication",
     "QuintoscError",
     "ResidualReport",
     "UnsupportedCaseError",
@@ -47,9 +47,9 @@ __all__ = [
     "exact_period",
     "model_coefficients",
     "period_by_quadrature",
-    "period_ratio",
     "potential_phi",
     "project_odd_quintic",
+    "quintify",
     "residual_sup_norm",
     "restoring_force",
     "rk_oracle",

@@ -21,7 +21,7 @@ import numpy as np
 from . import __version__, models, quintic
 from .chebyshev import QuinticCoefficients, model_coefficients, project_odd_quintic
 from .errors import QuintoscError
-from .validation import _residual, period_ratio, residual_sup_norm
+from .validation import _residual, quintify
 
 TABLE_REFERENCE = {
     1: ("relativistic", [(1.0, None, 0.0013005), (2.0, None, 0.0109030), (3.0, None, 0.0219219),
@@ -187,9 +187,11 @@ def solve(model, a, b, force_spec, c1, c3, c5, samples):
 def period(model, a, b, force_spec):
     """Exact period, quintication period and their ratio."""
     osc = _build_model(model, a, b, force_spec)
-    p = period_ratio(osc)
-    results = {"exact": p.exact, "method": p.method, "quintic": p.approximate, "ratio": p.ratio}
-    return _model_config(osc), results, ("exact", "quintic", "ratio"), [(p.exact, p.approximate, p.ratio)]
+    exact = models.exact_period(osc)
+    approx = quintic.solve(model_coefficients(osc)).period
+    ratio = exact.value / approx
+    results = {"exact": exact.value, "method": exact.method, "quintic": approx, "ratio": ratio}
+    return _model_config(osc), results, ("exact", "quintic", "ratio"), [(exact.value, approx, ratio)]
 
 
 @_command
@@ -200,8 +202,7 @@ def table(which):
     columns = ("a", "b", "computed", "reference", "difference", "status")
     rows = []
     for a, b, reference in cells:
-        osc = models.OscillatorModel(kind, a=a, b=b if b is not None else 0.0)
-        sup = residual_sup_norm(osc, quintic.solve(model_coefficients(osc))).sup_norm
+        sup = quintify(models.OscillatorModel(kind, a=a, b=b if b is not None else 0.0)).residual.sup_norm
         difference = abs(sup - reference)
         rows.append((a, b, sup, reference, difference, "pass" if difference <= TABLE_TOLERANCE else "fail"))
     results = {"tolerance": TABLE_TOLERANCE, "cells": [dict(zip(columns, row)) for row in rows],
@@ -242,21 +243,13 @@ def sweep(model, a_min, a_max, a_steps, b_min, b_max, b_steps, b):
 
 
 def _sweep_row(kind: str, a: float, b: float) -> tuple:
-    osc = models.OscillatorModel(kind, a=a, b=b)
-    problems = models.validate_params(osc)
-    if problems:
-        return (a, b, *[None] * 9, "; ".join(problems))
     try:
-        c = model_coefficients(osc)
-        delta = quintic.discriminant(c)
-        exact = models.exact_period(osc).value
-        solution = quintic.solve(c)
-        case = _case_label(solution.case)
-        sup = residual_sup_norm(osc, solution).sup_norm
-        return (a, b, c.c1, c.c3, c.c5, delta, case, exact, solution.period,
-                exact / solution.period, sup, "ok")
+        r = quintify(models.OscillatorModel(kind, a=a, b=b))
     except QuintoscError as exc:
         return (a, b, *[None] * 9, str(exc))
+    c, exact, period = r.coefficients, r.exact.value, r.solution.period
+    return (a, b, c.c1, c.c3, c.c5, r.discriminant, _case_label(r.solution.case), exact, period,
+            exact / period, r.residual.sup_norm, "ok")
 
 
 if __name__ == "__main__":

@@ -330,9 +330,9 @@ def validate_params(model: OscillatorModel) -> list[str]:
     used) is positive and finite; duffing-relativistic also needs a^2 finite.  For the generic model G is a
     polynomial in s = u^2, so its minimum over s in [0, 1] is taken
     exactly, at s = 0, s = 1 or a critical point.  The problems are
-    computed once per model instance; exact_period, time_integral_psi
-    and validation.residual_sup_norm reuse them, and each call here
-    returns a fresh list.
+    computed once per model instance; exact_period, time_integral_psi,
+    restoring_force, potential_phi, validation.residual_sup_norm and
+    validation.quintify reuse them, and each call here returns a fresh list.
     """
     return list(model._problems)
 

@@ -15,8 +15,8 @@ discriminant delta = 3c3^2 - 4c5(4c1 + c3 + c5), h2 > 0 on [0, 1] is P, Q > 0 an
 (delta < 0 or k~ > 0): m is in (0, 1) when h2 has no real root (the paper's Case I) and
 m < 0, the imaginary modulus of DLMF 22.17, when its real roots lie off [0, 1]
 (Case II, whatever the sign of c5), so one inversion serves every periodic triple.
-Its Landen chain (the AGM of (1, sqrt(1 - m))) is built once per triple, with every constant
-that an evaluation reads, and the period 8 A K(m) takes K(m) = pi / (2 a_N) from its limit.
+Its Landen chain (the AGM of (1, sqrt(1 - m))) is built once per triple, and only the constants that
+an evaluation reads are kept; the period 8 A K(m) takes K(m) = pi / (2 a_N) from its limit.
 """
 
 from __future__ import annotations
@@ -56,8 +56,8 @@ class InversionParameters:
     m: float
     m1: float
     period: float
-    chain: tuple[float, ...]  # elliptic._landen(m1)
-    # What every evaluation reads, rounded once: _stages(chain), a_N / (4A), sqrt(B), B^(1/4), -B^(1/4) / (2A), 2^52 T.
+    # What every evaluation reads, rounded once, from the Landen chain _landen(m1) = (k_0 ... k_{N-1}, a_N):
+    # _stages(chain), a_N / (4A), sqrt(B), B^(1/4), -B^(1/4) / (2A), 2^52 T.  N is len(stages[0]).
     stages: tuple
     half: float
     sb: float
@@ -129,7 +129,7 @@ def _inversion(c: QuinticCoefficients) -> tuple[str, InversionParameters | None]
     label = DEGENERATE if delta_d2 == 0 else CASE_I if delta_d2 < 0 else CASE_II
     chain, B = _landen(m1), Q / (6.0 * P)
     period, sb = 8.0 * A * (0.5 * math.pi / chain[-1]), math.sqrt(B)  # K(m) = pi / (2 a_N), DLMF 19.8.5
-    return label, InversionParameters(A, B, m, m1, period, chain, _stages(chain), 0.5 * chain[-1] / (2.0 * A),
+    return label, InversionParameters(A, B, m, m1, period, _stages(chain), 0.5 * chain[-1] / (2.0 * A),
                                       sb, math.sqrt(sb), -math.sqrt(sb) / (2.0 * A), math.ldexp(period, 52))
 
 

@@ -1,9 +1,9 @@
 """Validation harness for the quintication pipeline.
 
-Measures the residual L u = u'' - f_a(u) of the solved quintic against
-the original force (its sup over the amplitude, timed in closed form),
-compares exact and approximate periods, and provides an independent
-Runge-Kutta oracle for trajectory-level checks.
+quintify runs the pipeline for one model and keeps each layer's result: the
+triple, its discriminant, the exact period, the solution and the residual
+L u = u'' - f_a(u) against the original force (its sup over the amplitude,
+timed in closed form).  An independent Runge-Kutta oracle checks trajectories.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -23,19 +23,9 @@ from .errors import DomainError, EvaluationError, QuintoscError
 
 @dataclass(frozen=True, eq=False)
 class ResidualReport:
-    model: models.OscillatorModel
-    coefficients: QuinticCoefficients
     grid: int
     sup_norm: float
     argmax_t: float
-
-
-@dataclass(frozen=True)
-class PeriodComparison:
-    exact: float
-    approximate: float
-    ratio: float
-    method: str
 
 
 @dataclass(frozen=True, eq=False)
@@ -89,15 +79,29 @@ def residual_sup_norm(model: models.OscillatorModel, solution: quintic.ClosedFor
     i = int(np.argmax(residual))  # the first NaN, if there is one
     if not math.isfinite(residual[i]):
         raise EvaluationError("residual is not finite", float(u[i]))
-    return ResidualReport(model, solution.coefficients, grid, float(residual[i]),
-                          quintic._time_to(solution, float(u[i])))
+    return ResidualReport(grid, float(residual[i]), quintic._time_to(solution, float(u[i])))
 
 
-def period_ratio(model: models.OscillatorModel) -> PeriodComparison:
-    """Ratio of the exact model period to the quintication period, with the exact period's method."""
+class Quintication(NamedTuple):
+    """quintify's record of one model: each layer's result, in the order the pipeline forms them."""
+
+    coefficients: QuinticCoefficients
+    discriminant: float
+    exact: models.ExactPeriod
+    solution: quintic.ClosedFormSolution
+    residual: ResidualReport
+
+
+def quintify(model: models.OscillatorModel) -> Quintication:
+    """Validate, project, take the discriminant and the exact period, solve, and take the residual sup on 4001
+    amplitudes, in that order: the first step that fails raises its QuintoscError (an invalid model DomainError,
+    its problems joined by "; ").  The period ratio is exact.value / solution.period."""
+    models._require_valid(model)
+    c = model_coefficients(model)
+    delta = quintic.discriminant(c)
     exact = models.exact_period(model)
-    approx = quintic.solve(model_coefficients(model)).period
-    return PeriodComparison(exact.value, approx, exact.value / approx, exact.method)
+    solution = quintic.solve(c)
+    return Quintication(c, delta, exact, solution, residual_sup_norm(model, solution))
 
 
 def rk_oracle(rhs: models.OscillatorModel | Callable, t_end: float, tol: float = 1e-10, samples: int = 2001) -> OracleTrajectory:

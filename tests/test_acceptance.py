@@ -69,10 +69,8 @@ def test_criterion_3_duffing_residual_table_alternate():
 def test_criterion_4_period_ratio_band():
     start = time.perf_counter()
     amplitudes = np.linspace(30.0 / 300.0, 30.0, 300)
-    ratios = np.array([
-        validation.period_ratio(models.OscillatorModel("relativistic", a=float(a))).ratio
-        for a in amplitudes
-    ])
+    records = [validation.quintify(models.OscillatorModel("relativistic", a=float(a))) for a in amplitudes]
+    ratios = np.array([r.exact.value / r.solution.period for r in records])
     elapsed = time.perf_counter() - start
     failures = []
     if not np.all(ratios >= 0.999):

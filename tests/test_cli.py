@@ -15,9 +15,10 @@ import pytest
 import scipy
 from click.testing import CliRunner
 
-from quintosc import models, quintic
+from quintosc import cli, models, quintic, validation
 from quintosc.chebyshev import QuinticCoefficients, model_coefficients
 from quintosc.cli import main
+from quintosc.errors import QuintoscError
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -325,6 +326,31 @@ class TestSweep:
         message = "parameter b must be positive and finite for cable-mass, got b=0.0"
         assert [row[-1] for row in rows] == [message] * 2
         assert all(cell == "" for row in rows for cell in row[2:-1])
+
+    @pytest.mark.parametrize("args, statuses", [
+        (["--model", "duffing-relativistic", "--a-min", "1", "--a-max", "1.5e154", "--a-steps", "3",
+          "--b-min", "1e-300", "--b-max", "1", "--b-steps", "2"], {True, False}),
+        (["--model", "cable-mass", "--a-min", "0.5", "--a-max", "1e200", "--a-steps", "3", "--b", "0.7"],
+         {True, False}),
+        (["--model", "cable-mass", "--a-min", "1", "--a-max", "2", "--a-steps", "2", "--b", "0"], {False}),
+    ], ids=["duffing_overflow", "cable_mass_underflow", "invalid_b"])
+    def test_rows_are_the_quintify_records(self, runner, args, statuses):
+        # Each row is quintify's record of its (a, b), or the text of what quintify raised.
+        result = runner.invoke(main, ["sweep", *args])
+        assert result.exit_code == 0
+        _, rows = csv_rows(result.output)
+        assert {row[-1] == "ok" for row in rows} == statuses
+        for row in rows:
+            a, b = float(row[0]), float(row[1])
+            try:
+                r = validation.quintify(models.OscillatorModel(args[1], a=a, b=b))
+            except QuintoscError as exc:
+                expected = [a, b, *[None] * 9, str(exc)]
+            else:
+                c, exact, period = r.coefficients, r.exact.value, r.solution.period
+                expected = [a, b, c.c1, c.c3, c.c5, r.discriminant, cli._case_label(r.solution.case), exact, period,
+                            exact / period, r.residual.sup_norm, "ok"]
+            assert row == ["" if x is None else x if isinstance(x, str) else "%.17g" % x for x in expected]
 
     @pytest.mark.parametrize("args, message", [
         (["--model", "cable-mass", "--a-min", "1", "--a-max", "2", "--b-min", "1", "--b-max", "0.5"],

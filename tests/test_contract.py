@@ -49,11 +49,11 @@ CALLS = {
     "ExactPeriod": lambda k, x, y, z: quintosc.ExactPeriod(x, k),
     "OracleTrajectory": lambda k, x, y, z: quintosc.OracleTrajectory(np.array([x]), np.array([y]), np.array([z]), x),
     "OscillatorModel": lambda k, x, y, z: model(k, x, y),
-    "PeriodComparison": lambda k, x, y, z: quintosc.PeriodComparison(x, y, z, k),
     "QuinticCoefficients": lambda k, x, y, z: quintosc.QuinticCoefficients(x, y, z),
+    "Quintication": lambda k, x, y, z: quintosc.Quintication(
+        SOLUTION.coefficients, x, quintosc.ExactPeriod(y, k), SOLUTION, quintosc.ResidualReport(2, z, x)),
     "QuintoscError": lambda k, x, y, z: quintosc.QuintoscError(x),
-    "ResidualReport": lambda k, x, y, z: quintosc.ResidualReport(
-        model(k, x, y), SOLUTION.coefficients, 2, x, y),
+    "ResidualReport": lambda k, x, y, z: quintosc.ResidualReport(2, x, y),
     "UnsupportedCaseError": lambda k, x, y, z: quintosc.UnsupportedCaseError(x),
     "classify": lambda k, x, y, z: quintosc.classify((x, y, z)),
     "compare_trajectories": lambda k, x, y, z: quintosc.compare_trajectories(
@@ -64,9 +64,9 @@ CALLS = {
     "exact_period": lambda k, x, y, z: quintosc.exact_period(model(k, x, y)),
     "model_coefficients": lambda k, x, y, z: quintosc.model_coefficients(model(k, x, y)),
     "period_by_quadrature": lambda k, x, y, z: quintosc.period_by_quadrature((x, y, z)),
-    "period_ratio": lambda k, x, y, z: quintosc.period_ratio(model(k, x, y)),
     "potential_phi": lambda k, x, y, z: quintosc.potential_phi(model(k, x, y), z),
     "project_odd_quintic": lambda k, x, y, z: quintosc.project_odd_quintic(cubic(x, y)),
+    "quintify": lambda k, x, y, z: quintosc.quintify(model(k, x, y)),
     "residual_sup_norm": lambda k, x, y, z: quintosc.residual_sup_norm(model(k, x, y), SOLUTION),
     "restoring_force": lambda k, x, y, z: quintosc.restoring_force(model(k, x, y), z),
     "rk_oracle": lambda k, x, y, z: quintosc.rk_oracle(lambda u: -u, horizon(x)),

@@ -1,7 +1,9 @@
 """Tests for the residual/period/oracle validation harness."""
 
+import importlib.util
 import itertools
 import math
+from pathlib import Path
 
 import mpmath as mp
 import numpy as np
@@ -10,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from quintosc import cli, models, quintic, validation
 from quintosc.chebyshev import model_coefficients
-from quintosc.errors import DomainError, EvaluationError
+from quintosc.errors import ConvergenceError, DomainError, EvaluationError, UnsupportedCaseError
 from test_quintic import mp_psi
 from timeouts import deadline
 
@@ -228,20 +230,83 @@ class TestResidualMpmathOracle:
 
 class TestPeriodRatio:
     def test_small_amplitude_tends_to_one(self):
-        comparison = validation.period_ratio(models.OscillatorModel("relativistic", a=1e-4))
-        assert comparison.ratio == pytest.approx(1.0, abs=1e-8)
+        r = validation.quintify(models.OscillatorModel("relativistic", a=1e-4))
+        assert r.exact.value / r.solution.period == pytest.approx(1.0, abs=1e-8)
 
     def test_ratio_fields(self):
-        comparison = validation.period_ratio(models.OscillatorModel("relativistic", a=2.0))
-        assert comparison.ratio == comparison.exact / comparison.approximate
-        assert comparison.ratio > 0.0
-        assert 0.999 <= comparison.ratio <= 1.0006
+        model = models.OscillatorModel("relativistic", a=2.0)
+        r = validation.quintify(model)
+        assert r.exact == models.exact_period(model) and r.solution.period == solved(model).period
+        assert r.exact.value / r.solution.period > 0.0
+        assert 0.999 <= r.exact.value / r.solution.period <= 1.0006
 
     def test_cable_mass_band(self):
         for a in (0.5, 3.0, 10.0, 30.0):
             for b in (0.25, 1.0):
-                comparison = validation.period_ratio(models.OscillatorModel("cable-mass", a=a, b=b))
-                assert 0.999 <= comparison.ratio <= 1.001
+                r = validation.quintify(models.OscillatorModel("cable-mass", a=a, b=b))
+                assert 0.999 <= r.exact.value / r.solution.period <= 1.001
+
+
+_WORKLOADS = importlib.util.spec_from_file_location(
+    "perfbench_workloads", Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py")
+workloads = importlib.util.module_from_spec(_WORKLOADS)
+_WORKLOADS.loader.exec_module(workloads)
+
+
+def hand_chain(model):
+    """The layers one at a time, in the order the sweep row called them before quintify."""
+    problems = models.validate_params(model)
+    if problems:
+        raise DomainError("; ".join(problems))
+    c = model_coefficients(model)
+    delta = quintic.discriminant(c)
+    exact = models.exact_period(model)
+    solution = quintic.solve(c)
+    return validation.Quintication(c, delta, exact, solution, validation.residual_sup_norm(model, solution))
+
+
+def outcome(pipeline, model):
+    """repr of the record, whose floats round-trip with their sign, or the type and text of what was raised."""
+    try:
+        return repr(pipeline(model))
+    except Exception as exc:  # a RuntimeWarning too, which pyproject turns into an error
+        return type(exc), str(exc)
+
+
+class TestQuintify:
+    def test_record_is_the_hand_chain_on_the_catalogue(self):
+        # Items 0 .. 799 of perfbench's catalogue draw: 200 models of each of the four kinds.
+        drawn = [workloads.catalogue_input(1, i)["model"] for i in range(200 * len(models.KINDS))]
+        assert {kind: sum(m.kind == kind for m in drawn) for kind in models.KINDS} == dict.fromkeys(models.KINDS, 200)
+        for model in drawn:
+            record = validation.quintify(model)
+            assert repr(record) == repr(hand_chain(model)), model
+            assert record.residual.grid == 4001 and record.solution.coefficients is record.coefficients
+
+    def test_first_failing_step_raises_its_error(self):
+        grid = [(models.CABLE_MASS, 1.0, 0.0), (models.DUFFING_RELATIVISTIC, 1.0, 0.0)] + [
+            (kind, a, b) for kind in (models.RELATIVISTIC, models.CABLE_MASS, models.DUFFING_RELATIVISTIC)
+            for a in (1e150, 1.34e154, 1e155, 1e160, 1e162, 1e200, 1e300) for b in (1e-300, 1.0, 1e300)]
+        drawn = [models.OscillatorModel(kind, a=a, b=b) for kind, a, b in grid] + [
+            # exact_period does not converge; at b = 1e200 the discriminant, which runs first, overflows too.
+            models.OscillatorModel(models.DUFFING_RELATIVISTIC, a=1e6, b=1e20),
+            models.OscillatorModel(models.DUFFING_RELATIVISTIC, a=1e20, b=1e200),
+            # A valid generic force whose triple has no periodic solution.
+            models.OscillatorModel(models.GENERIC, force_spec=(
+                -0.5512946916149005, 0.10360135493198784, -4.22798850256005, 276.81758961761466, -336.8187969665996))]
+        seen = set()
+        for model in drawn:
+            got = outcome(validation.quintify, model)
+            assert got == outcome(hand_chain, model), model
+            seen.add(got[0] if isinstance(got, tuple) else "ok")
+        # Valid records, each step's failure and the a*u overflow of the residual at a ~ 1e155 all occur.
+        assert seen == {"ok", DomainError, ConvergenceError, UnsupportedCaseError, RuntimeWarning}
+
+    def test_invalid_model_message_is_its_problems(self):
+        model = models.OscillatorModel("generic", force_spec=(1.0, math.inf))
+        with pytest.raises(DomainError) as info:
+            validation.quintify(model)
+        assert str(info.value) == "; ".join(models.validate_params(model))
 
 
 class TestRkOracle:
