@@ -189,8 +189,8 @@ def _relativistic_alphas(a: float) -> tuple[float, float, float]:
     if not a > 0.0:
         raise DomainError(f"model_coefficients requires a > 0, got a={a}")
     if a <= _RULE_CUTOFF:
-        s = _RULE[0]  # pairwise sums, with no BLAS dot
-        return tuple(((-2.0 / _FIRST_LEVEL) * (_RULE * (s / np.sqrt(1.0 + (a * s) ** 2))).sum(axis=1)).tolist())
+        # The force table's own formula at the rule's nodes; pairwise sums, with no BLAS dot.
+        return tuple(((2.0 / _FIRST_LEVEL) * (_RULE * models._force((), 1.0, a, _RULE[0])).sum(axis=1)).tolist())
     # K and E at m = a^2 / (1 + a^2), passed as m1 = 1 / J^2.  The brackets
     # are scaled by 1 / a^2 = x so that no power of a overflows.
     J = math.hypot(1.0, a)

@@ -17,8 +17,8 @@ the Landen chain of m (_landen): one tangent per point, w = tan(z/2), then
 only + - * /, so a float runs the same lines as an array, on Python floats,
 and gives the same bits (numpy's tan loop serves both).  The stages' constant
 factors 1 + k_n are multiplied into one float and applied to sn once, not per
-stage, from a table built with the chain (_stages), once per solution in the
-quintic.  The chain's limit a_N also gives K(m) = pi / (2 a_N) (DLMF 19.8.5).
+stage, from the stage table that _landen builds with the chain, once per solution
+in the quintic.  The chain's limit a_N also gives K(m) = pi / (2 a_N) (DLMF 19.8.5).
 """
 
 from __future__ import annotations
@@ -207,32 +207,28 @@ def _dn2(sn2: ArrayLike, cn2: ArrayLike, m1: float) -> ArrayLike:
     return cn2 + m1 * sn2
 
 
-def _landen(m1: float) -> tuple[float, ...]:
-    """The Landen chain of m = 1 - m1, m1 > 0: the moduli k_0, ..., k_(N-1), then a_N, of the AGM from (1, sqrt(m1)).
+def _landen(m1: float) -> tuple[tuple[tuple[float, ...], float], float]:
+    """The Landen chain of m = 1 - m1, m1 > 0, the AGM from (1, sqrt(m1)), as _gauss's stage table and a_N.
 
-    k_n = c_n / a_n, and the chain stops at the first k_n below _GAUSS_TOL.  The AGM always ends: a and b
-    meet to within an ulp.  The step past that k_n leaves a_N within k_n^2 / 2 < 2^-55 relative of the AGM,
-    so pi / (2 a_N) is K(m) for every m < 1 (DLMF 19.8.5), m < 0 included.
+    The chain's moduli are k_n = c_n / a_n, and it stops at the first k_n below _GAUSS_TOL.  The table is
+    ((k_n lam_n^2 for n = N-1, ..., 0), lam): stage n = N-1 runs first, lam_n is the product of the earlier
+    (1 + k_j) and lam that of all.  The AGM always ends: a and b meet to within an ulp.  The step past the
+    last k_n leaves a_N within k_n^2 / 2 < 2^-55 relative of the AGM, so pi / (2 a_N) is K(m) for every
+    m < 1 (DLMF 19.8.5), m < 0 included.
     """
-    a, b, chain = 1.0, math.sqrt(m1), []
-    while not chain or chain[-1] >= _GAUSS_TOL:
-        chain.append(abs(a - b) / (a + b))
+    a, b, moduli = 1.0, math.sqrt(m1), []
+    while not moduli or moduli[-1] >= _GAUSS_TOL:
+        moduli.append(abs(a - b) / (a + b))
         a, b = 0.5 * (a + b), math.sqrt(a * b)
-    chain.append(a)
-    return tuple(chain)
-
-
-def _stages(chain: tuple[float, ...]) -> tuple[tuple[float, ...], float]:
-    """_gauss's scales k_n lam_n^2, stage n = N-1 first, lam_n the product of the earlier (1 + k_j), and lam, of all."""
     scales, lam = [], 1.0
-    for k in chain[-2::-1]:
+    for k in reversed(moduli):
         scales.append(k * lam * lam)
         lam *= 1.0 + k
-    return tuple(scales), lam
+    return (tuple(scales), lam), a
 
 
 def _gauss(x: ArrayLike, half: float, m1: float, stages: tuple) -> tuple[ArrayLike, ArrayLike]:
-    """sn(u | m) and cn(u | m) at u = 2 half x / a_N, from m1 = 1 - m > 0 and _stages(_landen(m1)).
+    """sn(u | m) and cn(u | m) at u = 2 half x / a_N, from m1 = 1 - m > 0 and the stage table _landen(m1)[0].
 
     Descending Landen (Gauss) transformation, DLMF 22.7.1-22.7.3: the AGM from
     (1, sqrt(m1)) gives the moduli k_n = c_n / a_n, and each stage lifts
@@ -290,6 +286,6 @@ def jacobi_sn_cn_dn(u: ArrayLike, m: float) -> JacobiTriple:
         raise DomainError(f"jacobi_sn_cn_dn requires {M_MIN:g} <= m < 1, got m={m}")
     u, m1 = _real(u), 1.0 - m
     _top(u)
-    chain = _landen(m1)
-    sn, cn = _gauss(u, 0.5 * chain[-1], m1, _stages(chain))
+    stages, a_n = _landen(m1)
+    sn, cn = _gauss(u, 0.5 * a_n, m1, stages)
     return JacobiTriple(sn, cn, _sqrt(_dn2(sn * sn, cn * cn, m1)))

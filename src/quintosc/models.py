@@ -21,6 +21,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
+import sys
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -356,11 +357,12 @@ def _find_problems(model: OscillatorModel) -> list[str]:
                 problems.append(f"potential must be positive on (-1, 1): "
                                 f"Phi({math.sqrt(s[i]):.6g}) = {(1.0 - s[i]) * gs[i]:.6g}")
     else:
-        if not 0.0 < model.a < math.inf:
+        # Up to the largest float, not inf: an int past it would overflow later.  a^2 as floats warns on no dtype.
+        if not 0.0 < model.a <= sys.float_info.max:
             problems.append(f"amplitude a must be positive and finite, got a={model.a}")
-        elif model.kind == DUFFING_RELATIVISTIC and model.a * model.a == math.inf:
+        elif model.kind == DUFFING_RELATIVISTIC and float(model.a) * float(model.a) == math.inf:
             problems.append(f"the cubic coefficient a^2 of {model.kind} overflows at a={model.a}")
-        if model.kind in (CABLE_MASS, DUFFING_RELATIVISTIC) and not 0.0 < model.b < math.inf:
+        if model.kind in (CABLE_MASS, DUFFING_RELATIVISTIC) and not 0.0 < model.b <= sys.float_info.max:
             problems.append(f"parameter b must be positive and finite for {model.kind}, got b={model.b}")
     return problems
 

@@ -24,12 +24,12 @@ from __future__ import annotations
 import contextlib
 import math
 from dataclasses import dataclass
-from typing import Union
+from typing import NamedTuple, Union
 
 import numpy as np
 
 from .chebyshev import QuinticCoefficients
-from .elliptic import M_MIN, _dn2, _gauss, _landen, _legendre_f, _real, _sqrt, _stages, _top
+from .elliptic import M_MIN, _dn2, _gauss, _landen, _legendre_f, _real, _sqrt, _top
 from .errors import DomainError, UnsupportedCaseError
 from .models import GENERIC, OscillatorModel, _quarter_period_integral, _theta_integrand
 
@@ -47,8 +47,7 @@ def _coerce(c: Coefficients) -> QuinticCoefficients:
     return QuinticCoefficients(*map(float, c))
 
 
-@dataclass(frozen=True)
-class InversionParameters:
+class InversionParameters(NamedTuple):
     """The inversion parameters of a periodic triple: m < 0 when h2 has real roots; m1 = 1 - m, never cancelled."""
 
     A: float
@@ -56,8 +55,8 @@ class InversionParameters:
     m: float
     m1: float
     period: float
-    # What every evaluation reads, rounded once, from the Landen chain _landen(m1) = (k_0 ... k_{N-1}, a_N):
-    # _stages(chain), a_N / (4A), sqrt(B), B^(1/4), -B^(1/4) / (2A), 2^52 T.  N is len(stages[0]).
+    # What every evaluation reads, rounded once, from _landen(m1) = (stages, a_N): the Gauss stage table,
+    # a_N / (4A), sqrt(B), B^(1/4), -B^(1/4) / (2A), 2^52 T.  The chain's length N is len(stages[0]).
     stages: tuple
     half: float
     sb: float
@@ -127,9 +126,9 @@ def _inversion(c: QuinticCoefficients) -> tuple[str, InversionParameters | None]
     m1 = 0.5 + half_x if half_x >= 0.0 else -delta_d2 / (d * d) / P / Q / (32.0 * m)
     A = math.ldexp((6.0 / P) ** 0.25 / Q ** 0.25 / 2.0, -k)  # P * Q would underflow at a subnormal Q
     label = DEGENERATE if delta_d2 == 0 else CASE_I if delta_d2 < 0 else CASE_II
-    chain, B = _landen(m1), Q / (6.0 * P)
-    period, sb = 8.0 * A * (0.5 * math.pi / chain[-1]), math.sqrt(B)  # K(m) = pi / (2 a_N), DLMF 19.8.5
-    return label, InversionParameters(A, B, m, m1, period, _stages(chain), 0.5 * chain[-1] / (2.0 * A),
+    (stages, a_n), B = _landen(m1), Q / (6.0 * P)
+    period, sb = 8.0 * A * (0.5 * math.pi / a_n), math.sqrt(B)  # K(m) = pi / (2 a_N), DLMF 19.8.5
+    return label, InversionParameters(A, B, m, m1, period, stages, 0.5 * a_n / (2.0 * A),
                                       sb, math.sqrt(sb), -math.sqrt(sb) / (2.0 * A), math.ldexp(period, 52))
 
 
@@ -174,75 +173,44 @@ def period_by_quadrature(c: Coefficients) -> float:
 
 
 # The last computed _jacobi result, (solution, key, (sn, cn, sn^2, cn^2, dn^2, e)), held for the paired
-# call, so that evaluate and derivative on the same solution and times make one kernel call and one
-# _squares.  The next call empties it: at most one grid is held process-wide.  The held arrays are read-only
-# and the key is private, so concurrent callers can lose a hit but never read another call's values.
+# call, so that evaluate and derivative on the same solution and times make one kernel call and form the
+# squares once.  The next call empties it: at most one grid is held process-wide.  The held arrays are
+# read-only and the key is private, so concurrent callers can lose a hit but never read another call's values.
 _last = None
 
 
-def _same_times(key, t) -> bool:
-    """Same type, shape and bits, so that -0.0 != 0.0.  Neither is NaN: _top raises before the slot is filled."""
-    if isinstance(t, float) or isinstance(key, float):
-        return type(key) is type(t) and key == t and math.copysign(1.0, key) == math.copysign(1.0, t)
-    return np.array_equal(key.view(np.int64), t.view(np.int64))  # False for another shape
-
-
 def _jacobi(solution: ClosedFormSolution, t):
-    """sn and cn at t/(2A), for finite scalar or array t, then their _squares: (sn, cn, sn^2, cn^2, dn^2, e).
+    """sn and cn at t/(2A), for finite scalar or array t, then sn^2, cn^2, dn^2 and e = sb cn^2 + sn^2 dn^2.
 
     The kernel scales t once, inside its tangent argument, by the solution's a_N / (4A).  One
     reduction, max |t|, guards the times: NaN or inf raises, and only a batch that reaches
     past the span 2^52 T, where an ulp of t spans a period, is clipped, so the tangent argument
     stays finite.  A scalar t runs the same lines as an array on Python floats
-    (+ - * /, abs, min, max, a correctly rounded sqrt, numpy's tan loop), so _u and _du give
-    scalar and batch the same bits.
+    (+ - * /, abs, min, max, a correctly rounded sqrt, numpy's tan loop), so evaluate and
+    derivative give scalar and batch the same bits.
 
-    Each call empties the slot _last, reuses it for the same solution object and times of the
-    same bits, and otherwise stores its result there, every array read-only, with a private copy
-    of t taken before the clip.
+    Each call empties the slot _last, reuses it for the same solution object and a key of the same
+    bits, and otherwise stores its result there, every array read-only.  The key, taken before the
+    clip, is (t, sign of t) for a float, so that -0.0 != 0.0, and (shape, bytes) for an array.
     """
     global _last
     t = _real(t)
+    key = (t, math.copysign(1.0, t)) if isinstance(t, float) else (t.shape, t.tobytes())
     last, _last = _last, None
-    if last is not None and last[0] is solution and _same_times(last[1], t):
+    if last is not None and last[0] is solution and last[1] == key:
         return last[2]
-    key = t if isinstance(t, float) else t.copy()
     p = solution.params
     if not _top(t) <= p.span:
         t = min(max(t, -p.span), p.span) if isinstance(t, float) else np.minimum(np.maximum(t, -p.span), p.span)
     sn, cn = _gauss(t, p.half, p.m1, p.stages)
-    values = (sn, cn, *_squares(p, sn, cn))
+    sn2, cn2 = sn * sn, cn * cn
+    dn2 = _dn2(sn2, cn2, p.m1)
+    values = (sn, cn, sn2, cn2, dn2, p.sb * cn2 + sn2 * dn2)
     if not isinstance(sn, float):
         for x in values:
             x.flags.writeable = False
     _last = (solution, key, values)
     return values
-
-
-# sn and cn carry the sign of the wave: no square root of u^2 or of the energy is taken, so
-# zero crossings and turning points keep full relative precision.  psi = am(t/A)/2 gives
-# u = sqrt(sb) cos(psi) / D, u' = -sqrt(sb) sin(psi) dn(t/A) / (2A D^3), D^2 = sb cos^2(psi) + sin^2(psi);
-# at t/(2A) (DLMF 22.6.5-22.6.6) cos(psi) = cn/w, sin(psi) = sn dn/w, w^2 = 1 - m sn^4 and
-# dn(t/A) w^2 = dn^4 + m (1 - m) sn^4 = cn^2 dn^2 + (1 - m) sn^2, so w cancels and, for every m < 1, no sum does.
-# _jacobi forms these squares once per grid, right after the kernel, and holds them in its slot
-# beside sn and cn, so a paired evaluate and derivative read one copy.
-
-def _squares(p: InversionParameters, sn, cn):
-    """sn^2, cn^2, dn^2 and e = sb cn^2 + sn^2 dn^2 = D^2 w^2."""
-    sn2, cn2 = sn * sn, cn * cn
-    dn2 = _dn2(sn2, cn2, p.m1)
-    return sn2, cn2, dn2, p.sb * cn2 + sn2 * dn2
-
-
-def _u(solution: ClosedFormSolution, sn, cn, sn2, cn2, dn2, e):
-    return solution.params.sqrt_sb * cn / _sqrt(e)
-
-
-def _du(solution: ClosedFormSolution, sn, cn, sn2, cn2, dn2, e):
-    p = solution.params
-    w2_dn = _dn2(sn2, cn2 * dn2, p.m1)  # w^2 dn(t/A)
-    du = p.du_scale * w2_dn * _sqrt(dn2 / e) / e
-    return du * sn + 0.0  # sn last, so a subnormal u' rounds once; +0.0 drops negative zeros
 
 
 def _time_to(solution: ClosedFormSolution, u: float) -> float:
@@ -262,11 +230,22 @@ def _time_to(solution: ClosedFormSolution, u: float) -> float:
     return f if cos_phi >= 0.0 else 0.25 * solution.period - f
 
 
+# sn and cn carry the sign of the wave: no square root of u^2 or of the energy is taken, so
+# zero crossings and turning points keep full relative precision.  psi = am(t/A)/2 gives
+# u = sqrt(sb) cos(psi) / D, u' = -sqrt(sb) sin(psi) dn(t/A) / (2A D^3), D^2 = sb cos^2(psi) + sin^2(psi);
+# at t/(2A) (DLMF 22.6.5-22.6.6) cos(psi) = cn/w, sin(psi) = sn dn/w, w^2 = 1 - m sn^4 and
+# dn(t/A) w^2 = dn^4 + m (1 - m) sn^4 = cn^2 dn^2 + (1 - m) sn^2, so w cancels and, for every m < 1, no sum does.
+# _jacobi's e is D^2 w^2.
 def evaluate(solution: ClosedFormSolution, t):
     """Signed trajectory u(t) for scalar or array t, over all finite times (NaN or inf raises DomainError)."""
-    return _u(solution, *_jacobi(solution, t))
+    sn, cn, sn2, cn2, dn2, e = _jacobi(solution, t)
+    return solution.params.sqrt_sb * cn / _sqrt(e)
 
 
 def derivative(solution: ClosedFormSolution, t):
     """Velocity u'(t) for scalar or array t, over all finite times (NaN or inf raises DomainError)."""
-    return _du(solution, *_jacobi(solution, t))
+    sn, cn, sn2, cn2, dn2, e = _jacobi(solution, t)
+    p = solution.params
+    w2_dn = _dn2(sn2, cn2 * dn2, p.m1)  # w^2 dn(t/A)
+    du = p.du_scale * w2_dn * _sqrt(dn2 / e) / e
+    return du * sn + 0.0  # sn last, so a subnormal u' rounds once; +0.0 drops negative zeros

@@ -43,13 +43,23 @@ class TestLandenChain:
         # Worst 3.7e-16 over these m1, as Carlson's R_F gives (3.7e-16).
         with mp.workdps(400):
             exact = mp.ellipk(1 - mp.mpf(m1))
-        k = 0.5 * math.pi / el._landen(m1)[-1]
+        k = 0.5 * math.pi / el._landen(m1)[1]
         assert abs(k - exact) <= 2.0 * np.finfo(float).eps * exact
 
     def test_chain_stops_below_the_tolerance(self):
+        # The AGM of (1, sqrt(m1)) run here: only its last modulus is below the tolerance, and _landen's
+        # table is built from these moduli, last first, with lam the product of the (1 + k_n).
         for m1 in (1e-300, 0.5, 1.0, 2.0, 1e12):
-            chain = el._landen(m1)
-            assert chain[-2] < el._GAUSS_TOL <= min(chain[:-2], default=1.0)
+            a, b, moduli = 1.0, math.sqrt(m1), []
+            while not moduli or moduli[-1] >= el._GAUSS_TOL:
+                moduli.append(abs(a - b) / (a + b))
+                a, b = 0.5 * (a + b), math.sqrt(a * b)
+            assert moduli[-1] < el._GAUSS_TOL <= min(moduli[:-1], default=1.0)
+            scales, lam = [], 1.0
+            for k in reversed(moduli):
+                scales.append(k * lam * lam)
+                lam *= 1.0 + k
+            assert el._landen(m1) == ((tuple(scales), lam), a)
 
 
 class TestCompleteE:

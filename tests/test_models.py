@@ -477,6 +477,19 @@ class TestValidateParams:
         assert models.validate_params(models.OscillatorModel("duffing-relativistic", a=1.3e154, b=0.5)) == []
         problems = models.validate_params(models.OscillatorModel("duffing-relativistic", a=1.35e154, b=0.5))
         assert len(problems) == 1 and "a^2" in problems[0] and "overflows" in problems[0]
+        # A numpy a squares as Python floats, so it names the problem rather than raise its overflow warning.
+        problems = models.validate_params(models.OscillatorModel("duffing-relativistic", a=np.float64(1e155), b=0.5))
+        assert len(problems) == 1 and "a^2" in problems[0] and "overflows" in problems[0]
+
+    @pytest.mark.parametrize("kind, field", [("relativistic", "a"), ("cable-mass", "a"), ("cable-mass", "b"),
+                                             ("duffing-relativistic", "a"), ("duffing-relativistic", "b")])
+    def test_int_past_the_float_range(self, kind, field):
+        # 10**400 is below inf but has no float: it is a problem, and quintify raises DomainError, not OverflowError.
+        model = models.OscillatorModel(kind, **{"a": 1.0, "b": 0.5, field: 10 ** 400})
+        problems = models.validate_params(model)
+        assert len(problems) == 1 and f"{field} must be positive and finite" in problems[0]
+        with pytest.raises(DomainError):
+            validation.quintify(model)
 
     def test_generic_without_spec(self):
         assert models.validate_params(models.OscillatorModel("generic")) != []

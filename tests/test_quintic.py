@@ -109,38 +109,21 @@ def cold(func, c, t):
 
 @pytest.fixture()
 def stage_tables(monkeypatch):
-    """The Gauss stage tables quintic builds, one entry per elliptic._stages call."""
+    """The Gauss stage tables quintic builds, one entry per elliptic._landen call."""
     calls = []
-    build = q._stages
-    monkeypatch.setattr(q, "_stages", lambda chain: calls.append(chain) or build(chain))
+    build = q._landen
+    monkeypatch.setattr(q, "_landen", lambda m1: calls.append(m1) or build(m1))
     return calls
-
-
-class KernelCalls(list):
-    """One entry per Gauss-kernel call that quintic makes, cold() calls included; ``squares``, one per _squares call."""
-
-    def __init__(self):
-        super().__init__()
-        self.squares = []
-
-    def clear(self):
-        super().clear()
-        self.squares.clear()
 
 
 @pytest.fixture()
 def kernel_calls(monkeypatch):
-    """The kernel and _squares calls quintic makes: clear it before counting."""
-    calls = KernelCalls()
+    """The Gauss-kernel calls quintic makes, cold() calls included: clear it before counting.
 
-    def counted(func, log):
-        def call(*args, **kwargs):
-            log.append(args)
-            return func(*args, **kwargs)
-        return call
-
-    monkeypatch.setattr(q, "_gauss", counted(q._gauss, calls))
-    monkeypatch.setattr(q, "_squares", counted(q._squares, calls.squares))
+    _jacobi forms the squares right after each kernel call, so this counts them too."""
+    calls = []
+    gauss = q._gauss
+    monkeypatch.setattr(q, "_gauss", lambda *args: calls.append(args) or gauss(*args))
     return calls
 
 
@@ -448,17 +431,17 @@ class TestEvaluate:
         # Each constant is the float the evaluation formed from A, B, the chain and the period before it was kept.
         for c in stage_count_triples()[:30] + SIX_TRIPLES:
             p = q.solve(c).params
-            chain = elliptic._landen(p.m1)
-            assert p.stages == elliptic._stages(chain) and len(p.stages[0]) == len(chain) - 1
-            assert p.half.hex() == (0.5 * chain[-1] / (2.0 * p.A)).hex()
+            stages, a_n = elliptic._landen(p.m1)
+            assert p.stages == stages
+            assert p.half.hex() == (0.5 * a_n / (2.0 * p.A)).hex()
             assert (p.sb.hex(), p.sqrt_sb.hex()) == (math.sqrt(p.B).hex(), math.sqrt(math.sqrt(p.B)).hex())
             assert p.du_scale.hex() == (-math.sqrt(math.sqrt(p.B)) / (2.0 * p.A)).hex()
             assert p.span.hex() == math.ldexp(p.period, 52).hex()
 
     @pytest.mark.parametrize("c", SIX_TRIPLES + NEAR_SEPARATRIX)
     def test_evaluate_and_derivative_are_the_printed_pair(self, c, kernel_calls):
-        # `quintosc solve` prints evaluate then derivative on one grid: one kernel call and one
-        # _squares, and the second call, served from the slot, gives the bits of a cold call, in either order.
+        # `quintosc solve` prints evaluate then derivative on one grid: one kernel call, and the second
+        # call, served from the slot, gives the bits of a cold call, in either order.
         sol = q.solve(c)
         t = np.concatenate([[0.0, -0.0, 5e-324, -5e-324, 1e-310, 0.25 * sol.period, 1e6 * sol.period],
                             np.random.default_rng(13).uniform(-50.0, 50.0, 40) * sol.period])
@@ -467,7 +450,7 @@ class TestEvaluate:
                 expected = [bits(cold(f, c, times)) for f in (first, second)]
                 kernel_calls.clear()
                 pair = (first(sol, times), second(sol, times))
-                assert len(kernel_calls) == len(kernel_calls.squares) == 1 and q._last is None
+                assert len(kernel_calls) == 1 and q._last is None
                 assert [bits(x) for x in pair] == expected
 
     @pytest.mark.parametrize("c", [(1.0, 2.0, 3.0), CASE2])
@@ -529,6 +512,17 @@ class TestEvaluate:
         assert len(kernel_calls) == 3
 
     @pytest.mark.parametrize("c", [(1.0, 2.0, 3.0), CASE2])
+    def test_the_same_bits_in_another_shape_miss(self, c, kernel_calls):
+        # A (3, 4) grid and its (12,) ravel have the same bytes: the key holds the shape, so the second call misses.
+        sol = q.solve(c)
+        t = np.linspace(-3.0, 3.0, 12) * sol.period
+        expected = bits(cold(q.derivative, c, t))
+        kernel_calls.clear()
+        u, du = q.evaluate(sol, t.reshape(3, 4)), q.derivative(sol, t)
+        assert len(kernel_calls) == 2 and u.shape == (3, 4) and du.shape == (12,)
+        assert bits(du) == expected
+
+    @pytest.mark.parametrize("c", [(1.0, 2.0, 3.0), CASE2])
     def test_times_past_the_clip(self, c, kernel_calls):
         # The key is t before the clip: 1e300 and the span clip to the same time but are different keys.
         sol = q.solve(c)
@@ -547,7 +541,7 @@ class TestEvaluate:
         t = np.linspace(0.0, 1.0, 5) * sol.period
         q.evaluate(sol, t)
         held, key, (sn, cn, sn2, cn2, dn2, e) = q._last
-        assert held is sol and key is not t
+        assert held is sol and key == (t.shape, t.tobytes()) and type(key[1]) is bytes  # immutable bits of t
         assert not any(x.flags.writeable for x in (sn, cn, sn2, cn2, dn2, e))
         t[2] = math.nan
         with pytest.raises(DomainError):

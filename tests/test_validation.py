@@ -3,6 +3,8 @@
 import importlib.util
 import itertools
 import math
+import subprocess
+import sys
 from pathlib import Path
 
 import mpmath as mp
@@ -307,6 +309,16 @@ class TestQuintify:
         with pytest.raises(DomainError) as info:
             validation.quintify(model)
         assert str(info.value) == "; ".join(models.validate_params(model))
+
+
+def test_benchmark_fault_injection_fails_its_item():
+    # perfbench/selftest.py corrupts the third solve of a catalogue run with dataclasses.replace(sol, period=...)
+    # and expects that item to fail its check: a ClosedFormSolution that stops supporting this fails here.
+    code = "import sys; sys.path.insert(0, 'perfbench'); import selftest; print(selftest.check_corrupted_item())"
+    proc = subprocess.run([sys.executable, "-c", code], cwd=Path(__file__).resolve().parent.parent,
+                          capture_output=True, text=True, timeout=120, check=False)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.splitlines()[-1] == "[]", proc.stdout
 
 
 class TestRkOracle:
