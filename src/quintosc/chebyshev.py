@@ -24,8 +24,8 @@ model_coefficients needs no quadrature of the force.  Every model is an odd
 polynomial plus beta times the relativistic force (models._parts), so its
 alphas are linear in (p, beta): the T1/T3/T5 part of each power u^(2k+1) is
 a table of dyadic rationals (Mason & Handscomb, Chebyshev Polynomials, 2003),
-and the relativistic alphas are the 64-node sums at a <= 3.5 and complete
-elliptic integrals K and E above (Byrd & Friedman 236.16 / 331.01-03).
+and the relativistic alphas are the 64-node sums at a <= 3.5 and complete elliptic
+integrals K and E above, by elliptic._cel (Byrd & Friedman 236.16 / 331.01-03).
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from typing import Callable
 import numpy as np
 
 from . import models
-from .elliptic import _legendre_fe
+from .elliptic import _cel
 from .errors import ConvergenceError, DomainError, EvaluationError
 
 
@@ -197,7 +197,7 @@ def _relativistic_alphas(a: float) -> tuple[float, float, float]:
     m1 = (1.0 / J) * (1.0 / J)
     if m1 == 0.0:
         raise DomainError(f"model_coefficients needs m1 = 1/(1 + a^2) > 0, which underflows at a={a}")
-    K, E = _legendre_fe(1.0, 0.0, m1)
+    K, E = _cel(1.0 / J, 1.0, 1.0, 1.0), _cel(1.0 / J, 1.0, 1.0, m1)
     x = (1.0 / a) * (1.0 / a)
     je = (J / a) * E / a
     kj = K / J / a / a

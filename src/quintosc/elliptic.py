@@ -6,7 +6,8 @@ Every function below takes the *parameter* m = k**2, never the modulus k.
 This matches DLMF chapters 19 and 22; callers translating formulas written
 in terms of the modulus must square it first.
 
-The public Legendre integrals, complete or incomplete, go through one pair of
+The complete integrals K, E and Pi are one AGM loop each, Bulirsch's cel
+(_cel; Numer. Math. 13, 1969).  The incomplete F and E go through one pair of
 private routines on Carlson's symmetric forms (duplication iteration:
 Carlson, Numer. Algorithms 10, 1995), which take sin(phi), cos^2(phi) and
 the complementary parameter m1 = 1 - m.  R_F and R_J are the only Carlson
@@ -32,8 +33,8 @@ from .errors import ConvergenceError, DomainError
 
 ArrayLike = Union[float, np.ndarray]
 
-# The Gauss chain stops at a modulus k below this: sn(z | k^2) and cn(z | k^2)
-# are sin z and cos z up to O(k^2 z), under an ulp of z.
+# The Gauss chain stops at a modulus k below this, where sn(z | k^2) and cn(z | k^2) are sin z and cos z
+# up to O(k^2 z), under an ulp of z; cel's AGM stops at means this close, one step short of an ulp.
 _GAUSS_TOL = 2.0 ** -27
 _MAX_ITER = 100
 
@@ -62,14 +63,35 @@ def complete_K(m: float) -> float:
     """
     if not -math.inf < m < 1.0:
         raise DomainError(f"complete_K requires a finite m < 1, got m={m}")
-    return _legendre_f(1.0, 0.0, 1.0 - m)
+    kc = math.sqrt(1.0 - m)
+    return _cel(kc, 1.0, 1.0, 1.0) if kc <= 1.0 else _cel(1.0 / kc, 1.0, 1.0, 1.0) / kc
 
 
 def complete_E(m: float) -> float:
     """Complete elliptic integral of the second kind E(m), 0 <= m <= 1."""
     if not 0.0 <= m <= 1.0:
         raise DomainError(f"complete_E requires 0 <= m <= 1, got m={m}")
-    return 1.0 if m == 1.0 else _legendre_fe(1.0, 0.0, 1.0 - m)[1]
+    return 1.0 if m == 1.0 else _cel(math.sqrt(1.0 - m), 1.0, 1.0, 1.0 - m)
+
+
+def _cel(kc: float, p: float, a: float, b: float) -> float:
+    """Integral of (a cos^2 + b sin^2) / ((cos^2 + p sin^2) sqrt(cos^2 + kc^2 sin^2)) over [0, pi/2], finite kc, p > 0.
+
+    K = cel(kc, 1, 1, 1), E = cel(kc, 1, 1, kc^2), Pi(1 - p | 1 - kc^2) = cel(kc, p, 1, 1).  Callers keep kc <= 1,
+    by cel(kc, p, a, b) = cel(1/kc, 1/p, b, a) / (p kc) (phi -> pi/2 - phi), so the loop's products stay finite.
+    """
+    if not (0.0 < kc < math.inf and 0.0 < p < math.inf):
+        raise DomainError(f"cel requires finite kc, p > 0, got kc={kc}, p={p}")
+    p = math.sqrt(p)
+    b, em = b / p, 1.0
+    for _ in range(_MAX_ITER):  # the AGM of (1, kc), doubled each step; a NaN never converges
+        g = kc * em / p
+        a, b, p = a + b / p, 2.0 * (b + a * g), p + g
+        g, em = em, em + kc
+        if abs(g - kc) <= g * _GAUSS_TOL:
+            return 0.5 * math.pi * (b + a * em) / (em * (em + p))
+        kc = 2.0 * math.sqrt(kc * g)
+    raise ConvergenceError("cel failed to converge")
 
 
 def carlson_rf(x: float, y: float, z: float) -> float:

@@ -19,6 +19,7 @@ substitution u = sin(theta).
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import operator
 import sys
@@ -197,7 +198,7 @@ def _theta_integrand(model: OscillatorModel):
         # coefficients and dividing by c = 1 - s takes running sums.
         g = _generic_g_coeffs(p)
         g_0, g_1 = g[0], -sum(p)
-        r = np.cumsum([g[0] + g[1] - g_1] + g[2:-1]) if len(g) > 2 else None
+        r = list(itertools.accumulate([g[0] + g[1] - g_1] + g[2:-1])) if len(g) > 2 else None
 
     def integrand(nodes):
         _, u, s, c = nodes
@@ -253,7 +254,7 @@ def exact_period(model: OscillatorModel) -> ExactPeriod:
     """Exact period of the model oscillation.
 
     Closed forms exist for the relativistic force (4 Psi(0), complete K and E) and
-    the cable-mass force (complete third-kind integral).  The others take
+    the cable-mass force (complete third-kind integral), each one call of elliptic._cel.  The others take
     four times the quarter period integral of 1/sqrt(G(sin theta)) by the
     nested periodic trapezoid rule, converged to 1e-15 relative: one
     integrand call on 64 panels, then one per doubling past them.
@@ -267,15 +268,10 @@ def exact_period(model: OscillatorModel) -> ExactPeriod:
         A = J + b
         n = 0.5 * (1.0 - J)
         m = n * ((b - n) / A)
-        # T = 4 / sqrt(A) * ((1 + J) Pi(n, m) - K(m)) for these negative n, m, with
-        # K = R_F(0, 1 - m, 1) and Pi = K + n/3 R_J(0, 1 - m, 1, 1 - n).  The
-        # arguments are divided by t = 1 - m (R_F and R_J are homogeneous of
-        # degree -1/2 and -3/2) and J is factored out, so that for huge a
-        # nothing overflows and R_J does not underflow.
-        t = 1.0 - m
-        rf = elliptic.carlson_rf(0.0, 1.0, 1.0 / t)
-        rj = elliptic.carlson_rj(0.0, 1.0, 1.0 / t, (1.0 - n) / t)
-        value = 4.0 * (J / math.sqrt(A)) / math.sqrt(t) * (rf + (1.0 + 1.0 / J) * (n / (3.0 * t)) * rj)
+        # T = 4 / sqrt(A) ((1 + J) Pi(n, m) - K(m)) = 4 / sqrt(A) cel(kc, q, J, J + n), kc = sqrt(1 - m), q = 1 - n,
+        # both >= 1: _cel's reciprocal form, with J factored out of a and b and applied last, overflows at no a.
+        kc, q = math.sqrt(1.0 - m), 1.0 - n
+        value = 4.0 * (J / math.sqrt(A) / kc) * elliptic._cel(1.0 / kc, 1.0 / q, (J + n) / J / q, 1.0 / q)
         return ExactPeriod(value, CLOSED_FORM_PI)
     return ExactPeriod(4.0 * _quarter_period_integral(_theta_integrand(model)), QUADRATURE)
 
@@ -313,6 +309,8 @@ def _psi_relativistic(a: float, u: float) -> float:
     t = (a u / (h + 1)) (a u / (J + 1)) in [0, 1): nothing cancels or overflows.
     """
     J = math.hypot(1.0, a)
+    if u == 0.0:  # (J + 1) E - K = cel(kc, 1, J, 1) with kc^2 = 1 - m: two positive terms, J scaled out
+        return J / math.sqrt(0.5 * (J + 1.0)) * elliptic._cel(math.sqrt(2.0 / (J + 1.0)), 1.0, 1.0, 1.0 / J)
     au = a * u
     t = au / (math.hypot(1.0, au) + 1.0) * (au / (J + 1.0))
     s = math.sqrt((1.0 - u) * (1.0 + u) / (1.0 + t))

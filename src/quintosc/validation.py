@@ -76,7 +76,7 @@ def residual_sup_norm(model: models.OscillatorModel, solution: quintic.ClosedFor
     u, u2 = _amplitudes(grid)
     residual = _residual(model, c, u, u2)
     np.abs(residual, out=residual)  # _residual's array is new
-    i = int(np.argmax(residual))  # the first NaN, if there is one
+    i = int(residual.argmax())  # the first NaN, if there is one
     if not math.isfinite(residual[i]):
         raise EvaluationError("residual is not finite", float(u[i]))
     return ResidualReport(grid, float(residual[i]), quintic._time_to(solution, float(u[i])))

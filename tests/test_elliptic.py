@@ -14,7 +14,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from quintosc import elliptic as el
-from quintosc.errors import ConvergenceError, DomainError
+from quintosc.errors import ConvergenceError, DomainError, QuintoscError
+from timeouts import deadline
 
 
 class TestCompleteK:
@@ -90,8 +91,8 @@ class TestCompleteE:
 
 
 def complete_pi(n: float, m: float) -> float:
-    """Pi(n, m) = R_F(0, 1 - m, 1) + n/3 R_J(0, 1 - m, 1, 1 - n), as exact_period's cable-mass branch builds it."""
-    return el.carlson_rf(0.0, 1.0 - m, 1.0) + n / 3.0 * el.carlson_rj(0.0, 1.0 - m, 1.0, 1.0 - n)
+    """Pi(n, m) = cel(sqrt(1 - m), 1 - n, 1, 1), the kernel of exact_period's cable-mass branch."""
+    return el._cel(math.sqrt(1.0 - m), 1.0 - n, 1.0, 1.0)
 
 
 class TestCompletePi:
@@ -105,6 +106,44 @@ class TestCompletePi:
     def test_frozen_values(self):
         assert complete_pi(-0.5, 0.25) == pytest.approx(1.3664739530045969, rel=1e-12)
         assert complete_pi(0.3, 0.5) == pytest.approx(2.2503768219439467, rel=1e-12)
+
+
+class TestCel:
+    def test_against_mpmath(self):
+        # K, E and Pi at 40 digits, kc over [1e-8, 1e2] and p over [1e-3, 1e3]: both sides of 1.
+        rng = np.random.default_rng([_ORACLE_SEED, 35])
+        kcs, ps = 10.0 ** rng.uniform(-8.0, 2.0, 300), 10.0 ** rng.uniform(-3.0, 3.0, 300)
+        got, ref = [], []
+        with mp.workdps(40):
+            for kc, p in zip(kcs.tolist(), ps.tolist()):
+                m = 1 - mp.mpf(kc) ** 2
+                ref += [mp.ellipk(m), mp.ellipe(m), mp.ellippi(1 - mp.mpf(p), m)]
+                got += [el._cel(kc, 1.0, 1.0, 1.0), el._cel(kc, 1.0, 1.0, kc * kc), el._cel(kc, p, 1.0, 1.0)]
+            ref = [float(r) for r in ref]
+        np.testing.assert_allclose(got, ref, rtol=8 * 2.0 ** -52, atol=0.0)
+
+    @pytest.mark.parametrize("kc, p", [(0.3, 0.2), (0.3, 7.0), (4.0, 0.5), (1e-6, 1e3)])
+    def test_reciprocal_form(self, kc, p):
+        # cel(kc, p, a, b) = cel(1/kc, 1/p, b, a) / (p kc): phi -> pi/2 - phi.
+        assert el._cel(kc, p, 0.7, 1.9) == pytest.approx(el._cel(1.0 / kc, 1.0 / p, 1.9, 0.7) / (p * kc), rel=1e-14)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+    @pytest.mark.parametrize("position", [0, 1])
+    def test_bad_kc_or_p_raises(self, bad, position):
+        args = [0.5, 2.0, 1.0, 1.0]
+        args[position] = bad
+        with deadline(1.0), pytest.raises(QuintoscError):
+            el._cel(*args)
+
+    def test_overflowing_loop_raises(self):
+        # At kc = 1e300 the scaled means overflow to inf, whose difference is NaN: it never converges.
+        with deadline(1.0), pytest.raises(ConvergenceError):
+            el._cel(1e300, 1.0, 1.0, 1.0)
+
+    def test_non_convergence_raises_convergence_error(self, monkeypatch):
+        monkeypatch.setattr(el, "_MAX_ITER", 1)
+        with pytest.raises(ConvergenceError):
+            el._cel(0.5, 2.0, 1.0, 1.0)
 
 
 def legendre_F(phi, m):

@@ -235,11 +235,27 @@ class TestExactPeriod:
 
     @pytest.mark.parametrize("a", [10.0 ** k for k in range(20, 301, 20)] + [1e155, 1.7e308])
     def test_cable_mass_huge_amplitude(self, a):
-        # The force tends to -u, so the period tends to 2 pi.  The closed form
-        # loses ~3 digits to cancellation there, but nothing overflows and
-        # R_J does not underflow.
+        # The force tends to -u, so the period tends to 2 pi, within O(b / a).  The cel form
+        # adds two positive terms and nothing in it overflows or underflows.
         period = models.exact_period(models.OscillatorModel("cable-mass", a=a, b=0.5))
-        assert period.value == pytest.approx(2.0 * math.pi, rel=1e-12, abs=0.0)
+        assert period.value == pytest.approx(2.0 * math.pi, rel=8 * 2.0 ** -52, abs=0.0)
+
+    def test_cable_mass_against_mpmath(self):
+        # 4 / sqrt(A) ((1 + J) Pi(n, m) - K(m)) at 40 digits, as written before any rearrangement,
+        # over seeded log-uniform a in [0.05, 1e6] and b in [0.05, 2].
+        rng = np.random.default_rng(35)
+        params = np.column_stack([10.0 ** rng.uniform(math.log10(0.05), 6.0, 200),
+                                  10.0 ** rng.uniform(math.log10(0.05), math.log10(2.0), 200)]).tolist()
+        got = [models.exact_period(models.OscillatorModel("cable-mass", a=a, b=b)).value for a, b in params]
+        with mp.workdps(40):
+            ref = []
+            for a, b in params:
+                a, b = mp.mpf(a), mp.mpf(b)
+                J = mp.sqrt(1 + a * a)
+                n = (1 - J) / 2
+                m = n * (b - n) / (J + b)
+                ref.append(float(4 / mp.sqrt(J + b) * ((1 + J) * mp.ellippi(n, m) - mp.ellipk(m))))
+        np.testing.assert_allclose(got, ref, rtol=8 * 2.0 ** -52, atol=0.0)
 
     @pytest.mark.parametrize("a", [0.3, 2.0, 1e7, 1e300])
     def test_relativistic_period_is_four_psi_zero(self, a):

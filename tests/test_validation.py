@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from quintosc import cli, models, quintic, validation
+from quintosc import cli, elliptic, models, quintic, validation
 from quintosc.chebyshev import model_coefficients
 from quintosc.errors import ConvergenceError, DomainError, EvaluationError, UnsupportedCaseError
 from test_quintic import mp_psi
@@ -303,6 +303,19 @@ class TestQuintify:
             seen.add(got[0] if isinstance(got, tuple) else "ok")
         # Valid records, each step's failure and the a*u overflow of the residual at a ~ 1e155 all occur.
         assert seen == {"ok", DomainError, ConvergenceError, UnsupportedCaseError, RuntimeWarning}
+
+    @pytest.mark.parametrize("kind, b", [(models.RELATIVISTIC, 0.0), (models.CABLE_MASS, 0.7)])
+    @pytest.mark.parametrize("a", [2.0, 5.0])
+    def test_complete_integrals_call_no_carlson_kernel(self, kind, a, b, monkeypatch):
+        # Complete integrals come from elliptic._cel on both sides of the alphas' a = 3.5 cutoff;
+        # the one Carlson call left is _time_to's R_F for the residual's argmax_t.
+        calls = []
+        for name in ("carlson_rf", "carlson_rj"):
+            kernel = getattr(elliptic, name)
+            monkeypatch.setattr(elliptic, name, lambda *args, _name=name, _kernel=kernel: calls.append(_name) or
+                                _kernel(*args))
+        validation.quintify(models.OscillatorModel(kind, a=a, b=b))
+        assert calls == ["carlson_rf"]
 
     def test_invalid_model_message_is_its_problems(self):
         model = models.OscillatorModel("generic", force_spec=(1.0, math.inf))
