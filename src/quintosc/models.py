@@ -13,7 +13,9 @@ the conserved energy reads u'^2 = Phi(u) and the exact period is
 T = 2 * integral_{-1}^{1} ds / sqrt(Phi(s)).  Every model here factors as
 Phi(u) = (1 - u^2) * G(u) with G smooth and positive, which removes the
 inverse-square-root endpoint singularity from all quadratures via the
-substitution u = sin(theta).
+substitution u = sin(theta).  The period is in closed form for the
+relativistic and cable-mass forces and for a generic force of degree <= 5,
+whose G is a quadratic in u^2; the others take the trapezoid rule.
 """
 
 from __future__ import annotations
@@ -41,6 +43,7 @@ KINDS = (RELATIVISTIC, CABLE_MASS, DUFFING_RELATIVISTIC, GENERIC)
 # exact_period evaluation routes
 CLOSED_FORM_KE = "closed_form_ke"
 CLOSED_FORM_PI = "closed_form_pi"
+CLOSED_FORM_K = "closed_form_k"
 QUADRATURE = "quadrature"
 
 
@@ -250,13 +253,58 @@ def _quarter_period_integral(g) -> float:
                            f"(last change {abs(estimate - previous) / estimate:.3g} relative)")
 
 
+def _unit_scale(xs: Sequence[float]) -> tuple[int, list[float]]:
+    """k with 4^k near max |x|, and the xs divided by 4^k, exact unless a quotient is subnormal."""
+    k = math.frexp(max(map(abs, xs)))[1] // 2
+    return k, [math.ldexp(x, -2 * k) for x in xs]
+
+
+def _exact(c1: float, c3: float, c5: float) -> tuple[int, int, int, int, int]:
+    """A finite triple as integers (n1, n3, n5) over one power of two d, and d^2 delta, all exact."""
+    (n1, q1), (n3, q3), (n5, q5) = c1.as_integer_ratio(), c3.as_integer_ratio(), c5.as_integer_ratio()
+    d = max(q1, q3, q5)
+    n1, n3, n5 = n1 * (d // q1), n3 * (d // q3), n5 * (d // q5)
+    return n1, n3, n5, d, 3 * n3 * n3 - 4 * n5 * (4 * n1 + n3 + n5)
+
+
+def _quarter_period_k(spec: Sequence[float]) -> float:
+    """Psi(0) of a generic force of degree <= 5 (1 to 3 coefficients), by one elliptic._cel call.
+
+    t = tan(theta) turns the integral of 1/sqrt(G(sin^2 theta)) over [0, pi/2] into that of
+    1/sqrt(alpha + beta t^2 + gamma t^4) over [0, inf), alpha = G(0), beta = 2 G(0) + G'(0), gamma = G(1),
+    which is pi / (2 AGM(x, y)), x = sqrt(beta + 2 sqrt(alpha gamma)) / 2, y = (alpha gamma)^(1/4): so
+    cel(min/max, 1, 1, 1) / max (DLMF 19.8.5).  As in quintic.solve, c = -p is scaled to unit size and
+    written as integers: alpha = Q/6, beta = k~/2, gamma = P and 4 alpha gamma - beta^2 = -delta/12 are each
+    rounded once, and x^2 is (4 alpha gamma - beta^2) / (2 sqrt(alpha gamma) - beta) when beta < 0.
+    """
+    k, unit = _unit_scale(spec)
+    n1, n3, n5, d, delta_d2 = _exact(*[-x for x in unit] + [0.0] * (3 - len(unit)))
+    alpha, gamma = (6 * n1 + 3 * n3 + 2 * n5) / (6 * d), (n1 + n3 + n5) / d
+    if alpha > 0.0 and gamma > 0.0:
+        beta, root = (4 * n1 + 3 * n3 + 2 * n5) / (2 * d), math.sqrt(alpha) * math.sqrt(gamma)
+        x2 = beta + 2.0 * root if beta >= 0.0 else -delta_d2 / (12 * d * d) / (2.0 * root - beta)
+        if x2 > 0.0:
+            x, y = 0.5 * math.sqrt(x2), math.sqrt(root)
+            return math.ldexp(elliptic._cel(min(x, y) / max(x, y), 1.0, 1.0, 1.0) / max(x, y), -k)
+    raise DomainError(f"quarter-period quartic of force_spec {tuple(spec)} is not positive on [0, inf)")
+
+
+def _quarter_period(model: OscillatorModel) -> tuple[float, str]:
+    """Psi(0), a quarter period, and its route: the closed form for a generic force of degree <= 5
+    (trailing zero coefficients dropped), else the trapezoid on 1/sqrt(G(sin theta))."""
+    if model.kind == GENERIC and not any(model.force_spec[3:]):
+        return _quarter_period_k(model.force_spec[:3]), CLOSED_FORM_K
+    return _quarter_period_integral(_theta_integrand(model)), QUADRATURE
+
+
 def exact_period(model: OscillatorModel) -> ExactPeriod:
     """Exact period of the model oscillation.
 
-    Closed forms exist for the relativistic force (4 Psi(0), complete K and E) and
-    the cable-mass force (complete third-kind integral), each one call of elliptic._cel.  The others take
-    four times the quarter period integral of 1/sqrt(G(sin theta)) by the
-    nested periodic trapezoid rule, converged to 1e-15 relative: one
+    Closed forms exist for the relativistic force (4 Psi(0), complete K and E),
+    the cable-mass force (complete third-kind integral) and a generic force of
+    degree <= 5 (complete first-kind integral), each one call of elliptic._cel.
+    The others take four times the quarter period integral of 1/sqrt(G(sin theta))
+    by the nested periodic trapezoid rule, converged to 1e-15 relative: one
     integrand call on 64 panels, then one per doubling past them.
     """
     _require_valid(model)
@@ -273,7 +321,8 @@ def exact_period(model: OscillatorModel) -> ExactPeriod:
         kc, q = math.sqrt(1.0 - m), 1.0 - n
         value = 4.0 * (J / math.sqrt(A) / kc) * elliptic._cel(1.0 / kc, 1.0 / q, (J + n) / J / q, 1.0 / q)
         return ExactPeriod(value, CLOSED_FORM_PI)
-    return ExactPeriod(4.0 * _quarter_period_integral(_theta_integrand(model)), QUADRATURE)
+    value, method = _quarter_period(model)
+    return ExactPeriod(4.0 * value, method)
 
 
 def time_integral_psi(model: OscillatorModel, u: float) -> float:
@@ -282,9 +331,10 @@ def time_integral_psi(model: OscillatorModel, u: float) -> float:
     Psi(u) = integral_u^1 ds / sqrt(Phi(s)); Psi(1) = 0 and Psi(0) is a
     quarter period.  The relativistic model takes every u in (-1, 1] by its
     F/E closed form, negative u through Psi(u) = 2 Psi(0) - Psi(-u).  The
-    other kinds have no closed form and take u = 1 and u = 0 only, Psi(0)
-    being exact_period's nested trapezoid on 1/sqrt(G(sin theta)); any other
-    u raises DomainError.
+    other kinds take u = 1 and u = 0 only, Psi(0) being exact_period's
+    quarter period: its first-kind closed form for a generic force of
+    degree <= 5, else the nested trapezoid on 1/sqrt(G(sin theta)) (also for
+    the cable-mass kind); any other u raises DomainError.
     """
     _require_valid(model)
     if not -1.0 < u <= 1.0:
@@ -297,7 +347,7 @@ def time_integral_psi(model: OscillatorModel, u: float) -> float:
         return _psi_relativistic(model.a, u)
     if u != 0.0:
         raise DomainError(f"time_integral_psi of a {model.kind} model takes u = 0 or u = 1 only, got u={u}")
-    return _quarter_period_integral(_theta_integrand(model))
+    return _quarter_period(model)[0]
 
 
 def _psi_relativistic(a: float, u: float) -> float:
@@ -328,7 +378,8 @@ def validate_params(model: OscillatorModel) -> list[str]:
     catalogue kinds G > 0 holds analytically once a (and b where it is
     used) is positive and finite; duffing-relativistic also needs a^2 finite.  For the generic model G is a
     polynomial in s = u^2, so its minimum over s in [0, 1] is taken
-    exactly, at s = 0, s = 1 or a critical point.  The problems are
+    exactly, at s = 0, s = 1 or a critical point (by the quadratic formula
+    for a cubic G, else from companion-matrix eigenvalues).  The problems are
     computed once per model instance; exact_period, time_integral_psi,
     restoring_force, potential_phi, validation.residual_sup_norm and
     validation.quintify reuse them, and each call here returns a fresh list.
@@ -339,16 +390,20 @@ def validate_params(model: OscillatorModel) -> list[str]:
 def _find_problems(model: OscillatorModel) -> list[str]:
     problems: list[str] = []
     if model.kind == GENERIC:
+        f1 = sum(model.force_spec or ())
         if not model.force_spec:
             problems.append("generic model requires force_spec, a non-empty list of odd-polynomial coefficients")
-        elif not math.isfinite(sum(model.force_spec)):
+        elif not all(map(math.isfinite, model.force_spec)):
             problems.append("force_spec contains non-finite coefficients")
-        elif sum(model.force_spec) >= 0.0:
-            problems.append(f"restoring force must be negative at u=1, got f(1)={sum(model.force_spec)}")
+        elif not math.isfinite(f1):
+            problems.append(f"restoring force at u=1 overflows: f(1) = sum(force_spec) = {f1}")
+        elif f1 >= 0.0:
+            problems.append(f"restoring force must be negative at u=1, got f(1)={f1}")
         else:
             g = _generic_g_coeffs(model.force_spec)
             d = [k * g[k] for k in range(1, len(g))]  # G', formed as polyder forms it
-            s = [0.0, 1.0] + [min(1.0, max(0.0, r)) for r in _roots(d)]  # none for a constant G
+            roots = _quadratic_roots(*d) if len(d) == 3 else _roots(d)
+            s = [0.0, 1.0] + [min(1.0, max(0.0, r)) for r in roots]  # none for a constant G
             gs = [_horner(x, g) for x in s]
             i = np.argmin(gs)
             if not gs[i] > 0.0:
@@ -363,6 +418,22 @@ def _find_problems(model: OscillatorModel) -> list[str]:
         if model.kind in (CABLE_MASS, DUFFING_RELATIVISTIC) and not 0.0 < model.b <= sys.float_info.max:
             problems.append(f"parameter b must be positive and finite for {model.kind}, got b={model.b}")
     return problems
+
+
+def _quadratic_roots(d0: float, d1: float, d2: float) -> list[float]:
+    """The candidates _roots gives for d0 + d1 s + d2 s^2, without LAPACK: a line's root, none for a constant,
+    else the sorted real roots by the stable quadratic formula, or a complex pair's real part twice.  It runs on
+    the d scaled to at most 1 by a power of two; a d2 that scales to 0 leaves roots past 2^500, which [0, 1]
+    clips to the endpoints the caller tries anyway, so it is taken as a line."""
+    e = math.frexp(max(abs(d0), abs(d1), abs(d2)))[1]
+    a0, a1, a2 = math.ldexp(d0, -e), math.ldexp(d1, -e), math.ldexp(d2, -e)
+    if not a2:
+        return [-d0 / d1] if d1 else []
+    disc = a1 * a1 - 4.0 * a0 * a2
+    if disc < 0.0:
+        return [-0.5 * a1 / a2] * 2
+    q = -0.5 * (a1 + math.copysign(math.sqrt(disc), a1))
+    return sorted((q / a2, a0 / q)) if q else [0.0, 0.0]
 
 
 def _roots(d: list[float]) -> list[float]:

@@ -31,7 +31,7 @@ import numpy as np
 from .chebyshev import QuinticCoefficients
 from .elliptic import M_MIN, _dn2, _gauss, _landen, _legendre_f, _real, _sqrt, _top
 from .errors import DomainError, UnsupportedCaseError
-from .models import GENERIC, OscillatorModel, _quarter_period_integral, _theta_integrand
+from .models import GENERIC, OscillatorModel, _exact, _quarter_period_integral, _theta_integrand, _unit_scale
 
 CASE_I = "I"
 CASE_II = "II"
@@ -76,14 +76,6 @@ class ClosedFormSolution:
     nudge = 0.0  # a class constant, not a field: solve never alters c5, and perfbench's counters read it
 
 
-def _exact(c1: float, c3: float, c5: float) -> tuple[int, int, int, int, int]:
-    """A finite triple as integers (n1, n3, n5) over one power of two d, and d^2 delta, all exact."""
-    (n1, q1), (n3, q3), (n5, q5) = c1.as_integer_ratio(), c3.as_integer_ratio(), c5.as_integer_ratio()
-    d = max(q1, q3, q5)
-    n1, n3, n5 = n1 * (d // q1), n3 * (d // q3), n5 * (d // q5)
-    return n1, n3, n5, d, 3 * n3 * n3 - 4 * n5 * (4 * n1 + n3 + n5)
-
-
 def discriminant(c: Coefficients) -> float:
     """delta = 3*c3^2 - 4*c5*(4*c1 + c3 + c5), exact and rounded once; a delta that is not finite raises DomainError."""
     c = _coerce(c)
@@ -92,12 +84,6 @@ def discriminant(c: Coefficients) -> float:
         with contextlib.suppress(OverflowError):
             return delta_d2 / (d * d)  # int / int rounds once
     raise DomainError(f"discriminant of ({c.c1}, {c.c3}, {c.c5}) is not finite")
-
-
-def _unit_triple(c: QuinticCoefficients, scale: float) -> tuple[int, list[float]]:
-    """k with 4^k near ``scale``, and the triple divided by 4^k, exact unless a quotient is subnormal."""
-    k = math.frexp(scale)[1] // 2
-    return k, [math.ldexp(x, -2 * k) for x in c.as_tuple()]
 
 
 def _inversion(c: QuinticCoefficients) -> tuple[str, InversionParameters | None]:
@@ -114,7 +100,7 @@ def _inversion(c: QuinticCoefficients) -> tuple[str, InversionParameters | None]
     # u(t) solves 4^k * c when v(2^k t) solves c, so the parameters are built
     # on a triple of unit size, where nothing overflows or underflows, and
     # only A and the period carry the scale, as exact powers of two.
-    k, unit = _unit_triple(c, max(abs(c.c1), abs(c.c3), abs(c.c5)))
+    k, unit = _unit_scale(c.as_tuple())
     n1, n3, n5, d, delta_d2 = _exact(*unit)
     P, Q, k_tilde = (n1 + n3 + n5) / d, (6 * n1 + 3 * n3 + 2 * n5) / d, (4 * n1 + 3 * n3 + 2 * n5) / d
     if not (P > 0.0 and Q > 0.0 and (delta_d2 < 0 or k_tilde > 0.0)):  # the zero triple too
@@ -167,7 +153,7 @@ def period_by_quadrature(c: Coefficients) -> float:
     underflow.  A triple whose h2 is not positive on [0, 1] raises DomainError.
     """
     c = _coerce(c)
-    k, unit = _unit_triple(c, max(abs(c.c1), abs(c.c3), abs(c.c5)))
+    k, unit = _unit_scale(c.as_tuple())
     model = OscillatorModel(GENERIC, force_spec=[-x for x in unit])
     return math.ldexp(4.0 * _quarter_period_integral(_theta_integrand(model)), -k)
 

@@ -45,10 +45,14 @@ def _residual(model: models.OscillatorModel | None, c: QuinticCoefficients, u: n
     """
     if model is None:
         return np.zeros_like(u)
+    return models._force(*_defect(model, c), model.a, u, u2)
+
+
+def _defect(model: models.OscillatorModel, c: QuinticCoefficients) -> tuple[list[float], float]:
+    """(q, -beta) with q_k = -(c_k + p_k): L u is models._force on them.  An invalid model raises DomainError."""
     models._require_valid(model)
     p, beta = models._parts(model)
-    q = [-(ck + pk) for ck, pk in itertools.zip_longest(c.as_tuple(), p, fillvalue=0.0)]
-    return models._force(q, -beta, model.a, u, u2)
+    return [-(ck + pk) for ck, pk in itertools.zip_longest(c.as_tuple(), p, fillvalue=0.0)], -beta
 
 
 @functools.lru_cache(maxsize=1, typed=True)  # one grid size at a time: a sweep reuses one
@@ -67,15 +71,20 @@ def residual_sup_norm(model: models.OscillatorModel, solution: quintic.ClosedFor
     through u, which falls from 1 to 0 over that quarter: the sup is taken
     over ``grid`` equally spaced amplitudes in [0, 1].  argmax_t is when the
     solved quintic reaches the maximising amplitude, inverted in closed form
-    by one Carlson R_F call (quintic._time_to).  An invalid model raises
-    DomainError, and a residual that is not finite EvaluationError at its amplitude.
+    by one Carlson R_F call (quintic._time_to).  When the quintic is the
+    force itself (every q_k zero and no relativistic term), L u is zero at
+    every amplitude and the first maximum is at u = 0: no point is sampled.
+    An invalid model raises DomainError, and a residual that is not finite
+    EvaluationError at its amplitude.
     """
     if grid < 2:
         raise DomainError(f"residual grid must have at least 2 points, got {grid}")
-    c = solution.coefficients
+    q, beta = _defect(model, solution.coefficients)
+    if not (beta or any(q)):
+        return ResidualReport(grid, 0.0, quintic._time_to(solution, 0.0))
     u, u2 = _amplitudes(grid)
-    residual = _residual(model, c, u, u2)
-    np.abs(residual, out=residual)  # _residual's array is new
+    residual = models._force(q, beta, model.a, u, u2)
+    np.abs(residual, out=residual)  # _force's array is new
     i = int(residual.argmax())  # the first NaN, if there is one
     if not math.isfinite(residual[i]):
         raise EvaluationError("residual is not finite", float(u[i]))

@@ -1,6 +1,7 @@
 """Unit tests of the summary arithmetic in tools/bench_pairs.py (no benchmark run, no subprocess)."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -63,3 +64,27 @@ def test_raw_only_for_printed_metrics():
     assert out["item_ms.p50"]["raw"]["parent"]["runs"] == [3.0, 3.1]
     assert out["item_ms.p50"]["raw"]["change"]["runs"] == [2.9, 2.8]
     assert out["runs"]["change"] == {"correct": [True, True], "attempted": [100, 100], "failed": [0, 1]}
+
+
+def test_shares_of_each_side_first_run():
+    # perfbench prints one "shares:" line per workload, before its result line; an "all" run prints each workload's.
+    def stdout(workload_shares):
+        lines = []
+        for workload, shares in workload_shares.items():
+            lines += [f"perfbench {workload} seed=36 seconds=20 trace=0", f"{workload} items_per_s = 10 1/s (n=5)",
+                      "  (times are scaled to the reference speed; raw: {\"item_ms.p50\": 3.0})",
+                      "shares: " + json.dumps(shares), "correct: true"]
+        return "\n".join(lines + ['{"correct": true, "attempted": 100, "failed": 0, "metrics": {}}']) + "\n"
+
+    one = bench_pairs.parse(stdout({"catalogue": {"tag": {"generic/1-coefficient": 0.0625}}}))
+    assert one["shares"] == {"catalogue": {"tag": {"generic/1-coefficient": 0.0625}}}
+    assert one["raw"] == {"item_ms.p50": 3.0} and one["correct"] is True
+    both = bench_pairs.parse(stdout({"trajectory": {"case": {"I": 0.5}}, "cli": {"command": {"table": 1.0}}}))
+    assert both["shares"] == {"trajectory": {"case": {"I": 0.5}}, "cli": {"command": {"table": 1.0}}}
+
+    runs = {"parent": [{**run({"items_per_s": 1.0}), "shares": {"catalogue": {"x": {"a": 1.0}}}},
+                       {**run({"items_per_s": 2.0}), "shares": {"catalogue": {"x": {"a": 0.0}}}}],
+            "change": [{**run({"items_per_s": 3.0}), "shares": {"catalogue": {"x": {"a": 0.5}}}},
+                       run({"items_per_s": 4.0})]}
+    assert bench_pairs.summarise(runs, BETTER)["shares"] == {"parent": {"catalogue": {"x": {"a": 1.0}}},
+                                                            "change": {"catalogue": {"x": {"a": 0.5}}}}

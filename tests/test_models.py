@@ -65,6 +65,46 @@ def mp_time_integral(model, u=0.0):
         return float(mp.quad(lambda theta: 1 / mp.sqrt(big_g(mp.sin(theta))), nodes))
 
 
+def mp_generic_period(spec, quad=False):
+    """The period of a generic force of degree <= 5 at 40 digits, on the exact float coefficients.
+
+    G is written out in mpmath from the spec.  alpha + beta t^2 + gamma t^4 = G(sin^2 theta) (1 + t^2)^2 with
+    t = tan(theta) gives 2 pi / AGM(sqrt(beta + 2 sqrt(alpha gamma)) / 2, (alpha gamma)^(1/4)); with quad=True,
+    four times tanh-sinh on 1/sqrt(G(sin^2 theta)), split at 10^-k from both ends, where a near-zero G peaks.
+    """
+    with mp.workdps(40):
+        p = [mp.mpf(x) for x in spec] + [mp.mpf(0)] * (3 - len(spec))
+        g = [-sum(p[k] / (k + 1) for k in range(j, 3)) for j in range(3)]
+        if quad:
+            ends = [mp.mpf(10) ** -k for k in range(8, 0, -1)]
+            nodes = [0] + ends + [mp.pi / 2 - e for e in ends[::-1]] + [mp.pi / 2]
+            return mp.mpf(4) * mp.quad(lambda th: 1 / mp.sqrt(g[0] + g[1] * mp.sin(th) ** 2 + g[2] * mp.sin(th) ** 4),
+                                       nodes)
+        alpha, beta, gamma = g[0], 2 * g[0] + g[1], g[0] + g[1] + g[2]
+        return 2 * mp.pi / mp.agm(mp.sqrt(beta + 2 * mp.sqrt(alpha * gamma)) / 2, mp.sqrt(mp.sqrt(alpha * gamma)))
+
+
+def generic_specs(rng, count):
+    """Seeded valid degree-<=5 specs: hardening (every p_k < 0), softening (some p_k > 0) and, from
+    G(s) = c (s - s0)^2 + eps c, ones whose G nearly has a double root s0 inside (0, 1)."""
+    def valid(spec):
+        return not models.validate_params(models.OscillatorModel("generic", force_spec=spec))
+    out = {"hardening": [], "softening": [], "near_double_root": []}
+    while len(out["hardening"]) < count:
+        out["hardening"].append(tuple((-10.0 ** rng.uniform(-3.0, 3.0, int(rng.integers(1, 4)))).tolist()))
+    while len(out["softening"]) < count:
+        spec = (-rng.uniform(0.1, 2.0),) + tuple(rng.uniform(-2.0, 2.0, int(rng.integers(1, 3))).tolist())
+        if max(spec[1:]) > 0.0 and valid(spec):
+            out["softening"].append(spec)
+    while len(out["near_double_root"]) < count:
+        c, s0, eps = 10.0 ** rng.uniform(-2.0, 2.0), rng.uniform(0.05, 0.95), 10.0 ** rng.uniform(-12.0, -1.0)
+        g0, g1, g2 = c * s0 * s0 + eps * c, -2.0 * c * s0, c
+        spec = (g1 - g0, 2.0 * (g2 - g1), -3.0 * g2)  # p from g_j = -sum_{k>=j} p_k / (k+1)
+        if valid(spec):
+            out["near_double_root"].append(spec)
+    return out
+
+
 def mp_relativistic_psi(a, u):
     """Psi(u) = sqrt(2) (sqrt(J+1) E(phi | m) - F(phi | m) / sqrt(J+1)) from mpmath at 700 digits.
 
@@ -257,10 +297,49 @@ class TestExactPeriod:
                 ref.append(float(4 / mp.sqrt(J + b) * ((1 + J) * mp.ellippi(n, m) - mp.ellipk(m))))
         np.testing.assert_allclose(got, ref, rtol=8 * 2.0 ** -52, atol=0.0)
 
-    @pytest.mark.parametrize("a", [0.3, 2.0, 1e7, 1e300])
-    def test_relativistic_period_is_four_psi_zero(self, a):
-        model = models.OscillatorModel("relativistic", a=a)
-        assert models.exact_period(model).value == 4.0 * models.time_integral_psi(model, 0.0)
+    # Generic forces of degree <= 5 share one closed-form quarter period too, trailing zeros dropped;
+    # degree 7 shares the trapezoid.
+    @pytest.mark.parametrize("model, method", [(models.OscillatorModel("relativistic", a=a), models.CLOSED_FORM_KE)
+                                               for a in (0.3, 2.0, 1e7, 1e300)]
+                             + [(models.OscillatorModel("generic", force_spec=s), models.CLOSED_FORM_K) for s in
+                                ((-1.0,), (-1.0, -0.5), (-0.3, 1.2, -2.0), (-1.0, 0.9, 0.0, 0.0), (-1e-300, -3e300))]
+                             + [(models.OscillatorModel("generic", force_spec=(-1.0, -0.5, -0.3, -0.2)),
+                                 models.QUADRATURE)],
+                             ids=lambda v: f"{v.kind}-{v.force_spec or v.a}" if isinstance(v, models.OscillatorModel)
+                             else v)
+    def test_relativistic_period_is_four_psi_zero(self, model, method):
+        assert models.exact_period(model) == models.ExactPeriod(4.0 * models.time_integral_psi(model, 0.0), method)
+
+    def test_generic_closed_form_against_mpmath(self):
+        # Worst seen over 3 seeds x 2000 specs per family: 2.4 ulp (the trapezoid raised ConvergenceError on
+        # two thirds of the near-double-root specs and missed by up to 2032 ulp on the rest).
+        for family, specs in generic_specs(np.random.default_rng(3601), 200).items():
+            got = []
+            for spec in specs:
+                period = models.exact_period(models.OscillatorModel("generic", force_spec=spec))
+                assert period.method == models.CLOSED_FORM_K
+                got.append(period.value)
+            ref = [float(mp_generic_period(spec)) for spec in specs]
+            np.testing.assert_allclose(got, ref, rtol=4 * 2.0 ** -52, atol=0.0, err_msg=family)
+
+    def test_generic_period_scales_exactly(self):
+        # 4^k p has the period of p over 2^k, bit for bit: the closed form runs on the spec scaled to unit size.
+        rng = np.random.default_rng(3602)
+        for family, specs in generic_specs(rng, 30).items():
+            for spec in specs:
+                value = models.exact_period(models.OscillatorModel("generic", force_spec=spec)).value
+                for k in rng.integers(-250, 250, 8).tolist():
+                    scaled = models.OscillatorModel("generic", force_spec=[math.ldexp(p, 2 * k) for p in spec])
+                    assert models.exact_period(scaled).value == math.ldexp(value, -k), (family, spec, k)
+
+    def test_generic_quartic_not_positive_raises(self):
+        # validate_params rounds G at its critical point s0 ~ 0.2246 and accepts this spec, but the exact G of
+        # these floats is -2.5e-17 there: no finite period.  The closed form says so (the trapezoid ran out of panels).
+        model = models.OscillatorModel("generic", force_spec=(-7.812749092217277, 45.317448131646096, -46.90451373583281))
+        assert models.validate_params(model) == []
+        with pytest.raises(DomainError, match="not positive"):
+            models.exact_period(model)
+
 
     def test_relativistic_modulus_below_one(self):
         for a in np.logspace(-2.0, 2.0, 40):
@@ -295,14 +374,22 @@ class TestQuadratureOracle:
     @pytest.mark.parametrize("spec", [lambda eps: (-1.0 - eps, 1.0), lambda eps: (0.5 - eps, -1.0)],
                              ids=["min_at_amplitude", "min_at_centre"])
     def test_nearly_singular_generic(self, spec):
-        # At min G = 1e-6 the trapezoid converges; the period is only defined
-        # to ~1e-11 by the rounded coefficients, and node abscissae rounded
-        # near pi/2 cost ~5e-15, so 1e-13 is the meaningful tolerance.
+        # The trapezoid is period_by_quadrature on c = -p (unit-sized already, so unscaled).  At min G = 1e-6
+        # it converges; the period is only defined to ~1e-11 by the rounded coefficients, and node abscissae
+        # rounded near pi/2 cost ~5e-15, so 1e-13 is the meaningful tolerance.
         model = models.OscillatorModel("generic", force_spec=spec(1e-6))
-        assert models.exact_period(model).value == pytest.approx(4.0 * mp_time_integral(model), rel=1e-13, abs=0.0)
-        # At 1e-10 the integrand's peak is ~1e-5 wide, beyond 2^16 panels.
+        reference = 4.0 * mp_time_integral(model)
+        triple = lambda eps: (-spec(eps)[0], -spec(eps)[1], 0.0)
+        assert quintic.period_by_quadrature(triple(1e-6)) == pytest.approx(reference, rel=1e-13, abs=0.0)
+        assert models.exact_period(model).value == pytest.approx(reference, rel=1e-13, abs=0.0)
+        # At 1e-10 the integrand's peak is ~1e-5 wide, beyond 2^16 panels: the trapezoid's known limit.
         with pytest.raises(ConvergenceError):
-            models.exact_period(models.OscillatorModel("generic", force_spec=spec(1e-10)))
+            quintic.period_by_quadrature(triple(1e-10))
+        # exact_period takes this degree-3 force in closed form, on the exact float coefficients.
+        period = models.exact_period(models.OscillatorModel("generic", force_spec=spec(1e-10)))
+        assert period.method == models.CLOSED_FORM_K
+        assert period.value == pytest.approx(float(mp_generic_period(spec(1e-10), quad=True)), rel=4 * 2.0 ** -52,
+                                             abs=0.0)
 
     def test_overflowing_integrand_raises(self):
         # a^2 overflows, so G would be infinite and the integrand vanish: a period
@@ -510,6 +597,18 @@ class TestValidateParams:
     def test_generic_without_spec(self):
         assert models.validate_params(models.OscillatorModel("generic")) != []
 
+    @pytest.mark.parametrize("spec", [(math.nan, -1.0), (-1.0, math.inf), (-math.inf, 1.0), (-1.0, 0.0, math.nan)])
+    def test_generic_non_finite_coefficients(self, spec):
+        assert models.validate_params(models.OscillatorModel("generic", force_spec=spec)) == \
+            ["force_spec contains non-finite coefficients"]
+
+    @pytest.mark.parametrize("spec", [(-1e308, -1e308), (1e308, 1e308, -1.0)])
+    def test_generic_overflowing_force_at_amplitude(self, spec):
+        # Finite coefficients whose sum f(1) overflows: the problem is the sum, not a coefficient.
+        problems = models.validate_params(models.OscillatorModel("generic", force_spec=spec))
+        assert problems == [f"restoring force at u=1 overflows: f(1) = sum(force_spec) = {sum(spec)}"]
+        assert "non-finite coefficients" not in problems[0]
+
     def test_generic_force_positive_at_amplitude(self):
         problems = models.validate_params(models.OscillatorModel("generic", force_spec=(1.0, -0.5)))
         assert problems and "negative at u=1" in problems[0]
@@ -631,6 +730,31 @@ class TestGenericPolynomial:
             failing += bool(expected) and "Phi(" in expected[0]
         assert failing > 100
 
+    def test_positivity_check_of_cubic_g_matches_polyder_route(self):
+        # 4-coefficient specs, whose quadratic G' takes the stable quadratic formula, not LAPACK.  Small integers
+        # make G' with a zero leading coefficient (a line or a constant) and with exact double roots.
+        rng = np.random.default_rng(3603)
+        failing = double = line = 0
+        for i in range(3000):
+            spec = tuple(rng.integers(-3, 4, 4).astype(float)) if i % 2 else tuple(rng.normal(size=4))
+            expected = generic_problems_by_polyder(spec)
+            assert models._find_problems(models.OscillatorModel("generic", force_spec=spec)) == expected, spec
+            failing += bool(expected) and "Phi(" in expected[0]
+            d = [k * g for k, g in enumerate(models._generic_g_coeffs(spec))][1:]
+            line += d[2] == 0.0
+            double += d[2] != 0.0 and d[1] * d[1] == 4.0 * d[0] * d[2]
+        assert failing > 100 and double > 10 and line > 100
+
+    def test_cubic_g_needs_no_eigenvalues(self, monkeypatch):
+        def forbidden(d):
+            raise AssertionError(f"_roots called on {d}")
+        monkeypatch.setattr(models, "_roots", forbidden)
+        for spec in ((-1.0, -0.5, -0.3, -0.2), (-1.0, 4.0, -3.2, 0.0), (-2.0, 0.0, 3.0, 2.0), (-1.0, 0.0, 0.0, 0.0)):
+            assert models._find_problems(models.OscillatorModel("generic", force_spec=spec)) == \
+                generic_problems_by_polyder(spec), spec
+        with pytest.raises(AssertionError, match="_roots called"):
+            models._find_problems(models.OscillatorModel("generic", force_spec=(-1.0, -0.5, -0.3, -0.2, -0.1)))
+
     def test_roots_are_polyroots(self):
         # Small integers make trailing zeros, lines and constants; the bits are numpy's, ordering included.
         rng = np.random.default_rng(31)
@@ -644,3 +768,8 @@ class TestGenericPolynomial:
         for s in (spec, (-1.0, 1.0, -0.5), (-1.0, -0.5, -0.5, 0.5, -0.2)):
             assert models._find_problems(models.OscillatorModel("generic", force_spec=s + (0.0,))) == \
                 models._find_problems(models.OscillatorModel("generic", force_spec=s)) == generic_problems_by_polyder(s)
+        # Up to degree 5 the period is the closed form of the shorter spec, bit for bit.
+        for s in ((-1.0,), (-1.0, -0.5), (-1.0, 1.0, -0.5), (-0.3, 1.2, -2.0)):
+            periods = {models.exact_period(models.OscillatorModel("generic", force_spec=s + zeros))
+                       for zeros in ((), (0.0,), (0.0, 0.0), (-0.0, 0.0, 0.0, 0.0))}
+            assert len(periods) == 1 and periods.pop().method == models.CLOSED_FORM_K, s

@@ -317,6 +317,23 @@ class TestQuintify:
         validation.quintify(models.OscillatorModel(kind, a=a, b=b))
         assert calls == ["carlson_rf"]
 
+    @pytest.mark.parametrize("spec, closed", [((-1.0,), True), ((-1.0, -0.5), True), ((-0.7, 0.3, -0.2), True),
+                                              ((-1.0, -0.5, 0.0, 0.0), True), ((-1.0, -0.5, -0.3, -0.2), False)])
+    def test_quintic_force_runs_no_trapezoid_and_no_residual_pass(self, spec, closed, monkeypatch):
+        # A generic force of degree <= 5 is its own quintic: its period is the closed form and its residual
+        # is zero at every amplitude.  A degree-7 force still runs the trapezoid and the 4001-point pass.
+        integrals, forces = [], []
+        integral, force = models._quarter_period_integral, models._force
+        monkeypatch.setattr(models, "_quarter_period_integral", lambda g: integrals.append(g) or integral(g))
+        monkeypatch.setattr(models, "_force", lambda *args: forces.append(np.size(args[3])) or force(*args))
+        model = models.OscillatorModel("generic", force_spec=spec)
+        record = validation.quintify(model)
+        assert (len(integrals), forces) == ((0, []) if closed else (1, [4001]))
+        if closed:
+            # The report the 4001-point pass gave: all zeros, whose first maximum is at u = 0.
+            assert not np.any(validation._residual(model, record.coefficients, np.linspace(0.0, 1.0, 4001)))
+            assert (record.residual.sup_norm, record.residual.argmax_t) == (0.0, quintic._time_to(record.solution, 0.0))
+
     def test_invalid_model_message_is_its_problems(self):
         model = models.OscillatorModel("generic", force_spec=(1.0, math.inf))
         with pytest.raises(DomainError) as info:

@@ -13,7 +13,10 @@ quartiles, the runs the change won (ties count for neither side) and the
 machine facts perfbench reports.  End-to-end times are scaled to perfbench's
 reference speed while the per-layer trace values are raw, so each metric that
 perfbench also prints unscaled (its ``raw: {...}`` line) carries those raw
-runs and quartiles under ``raw``, to set against the trace.  A run that
+runs and quartiles under ``raw``, to set against the trace.  Each summary
+also keeps, under ``shares``, the input shares (perfbench's ``shares: {...}``
+line) of each side's first run, keyed by workload, so that a claim resting on
+a subset of the inputs can cite that subset's share.  A run that
 perfbench marks incorrect stops the tool with exit status 1 and no JSON
 written.  Runs are sequential: one benchmark process at a time.
 """
@@ -35,6 +38,8 @@ PAIRS = 10  # alternating pairs per workload: the fewest a 9-of-10 gate can be r
 TRACED_RUNS = 3  # traced runs per side: a median, not one run, attributes a per-layer change
 SIDES = ("parent", "change")
 RAW = re.compile(r"raw: (\{.*\})\)$", re.MULTILINE)
+HEADER = re.compile(r"^perfbench (\S+) seed=", re.MULTILINE)  # one per workload, "all" runs print each
+SHARES = re.compile(r"^shares: (\{.*\})$", re.MULTILINE)
 
 
 def export(rev: str, dest: Path) -> str:
@@ -47,15 +52,22 @@ def export(rev: str, dest: Path) -> str:
     return sha
 
 
-def perfbench(tree: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
-    """One perfbench run: its last stdout line, plus its printed unscaled values as "raw".  Exits if incorrect."""
-    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-           "--seconds", str(seconds), "--trace", str(trace)]
-    proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True, check=True)
-    result = json.loads(proc.stdout.splitlines()[-1])
-    raw = RAW.search(proc.stdout)
+def parse(stdout: str) -> dict:
+    """perfbench's last stdout line, plus its printed unscaled values as "raw" and its printed input shares,
+    keyed by workload, as "shares"."""
+    result = json.loads(stdout.splitlines()[-1])
+    raw = RAW.search(stdout)
     if raw:
         result["raw"] = json.loads(raw.group(1))
+    result["shares"] = dict(zip(HEADER.findall(stdout), map(json.loads, SHARES.findall(stdout))))
+    return result
+
+
+def perfbench(tree: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
+    """One perfbench run, parsed.  Exits if incorrect."""
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+           "--seconds", str(seconds), "--trace", str(trace)]
+    result = parse(subprocess.run(cmd, cwd=tree, capture_output=True, text=True, check=True).stdout)
     if not result["correct"]:
         sys.exit(f"{tree.name} {workload} --trace {trace}: perfbench reports correct=false: {json.dumps(result)}")
     return result
@@ -83,7 +95,8 @@ def quartiles(values: list[float]) -> dict:
 
 
 def summarise(runs: dict, better: dict) -> dict:
-    """Per metric: each side's runs and quartiles, the runs the change won, and the raw runs if printed."""
+    """Per metric: each side's runs and quartiles, the runs the change won, and the raw runs if printed;
+    then each side's outcomes and the input shares of its first run."""
     out = {}
     for name in runs["parent"][0]["metrics"]:
         sides = {side: [r["metrics"][name]["value"] for r in runs[side]] for side in SIDES}
@@ -98,6 +111,7 @@ def summarise(runs: dict, better: dict) -> dict:
             out[name]["raw"] = {side: {**quartiles(v), "runs": v} for side, v in
                                 ((side, [r["raw"][name] for r in runs[side]]) for side in SIDES)}
     out["runs"] = {side: outcome(runs[side]) for side in SIDES}
+    out["shares"] = {side: runs[side][0].get("shares", {}) for side in SIDES}
     return out
 
 
