@@ -48,8 +48,11 @@ def _residual(model: models.OscillatorModel | None, c: QuinticCoefficients, u: n
     return models._force(*_defect(model, c), model.a, u, u2)
 
 
-def _defect(model: models.OscillatorModel, c: QuinticCoefficients) -> tuple[list[float], float]:
-    """(q, -beta) with q_k = -(c_k + p_k): L u is models._force on them.  An invalid model raises DomainError."""
+def _defect(model: models.OscillatorModel | None, c: QuinticCoefficients) -> tuple[list[float], float]:
+    """(q, -beta) with q_k = -(c_k + p_k): L u is models._force on them; no terms when model is None.  An invalid
+    model raises DomainError."""
+    if model is None:
+        return [], 0.0
     models._require_valid(model)
     p, beta = models._parts(model)
     return [-(ck + pk) for ck, pk in itertools.zip_longest(c.as_tuple(), p, fillvalue=0.0)], -beta

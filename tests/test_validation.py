@@ -333,6 +333,9 @@ class TestQuintify:
             # The report the 4001-point pass gave: all zeros, whose first maximum is at u = 0.
             assert not np.any(validation._residual(model, record.coefficients, np.linspace(0.0, 1.0, 4001)))
             assert (record.residual.sup_norm, record.residual.argmax_t) == (0.0, quintic._time_to(record.solution, 0.0))
+            # No model (a raw triple) has the same exact-zero residual.
+            report = validation.residual_sup_norm(None, record.solution)
+            assert (report.grid, report.sup_norm, report.argmax_t) == (4001, 0.0, record.residual.argmax_t)
 
     def test_invalid_model_message_is_its_problems(self):
         model = models.OscillatorModel("generic", force_spec=(1.0, math.inf))
