@@ -14,8 +14,8 @@ T = 2 * integral_{-1}^{1} ds / sqrt(Phi(s)).  Every model here factors as
 Phi(u) = (1 - u^2) * G(u) with G smooth and positive, which removes the
 inverse-square-root endpoint singularity from all quadratures via the
 substitution u = sin(theta).  The period is in closed form for the
-relativistic and cable-mass forces and for a generic force of degree <= 5,
-whose G is a quadratic in u^2; the others take the trapezoid rule.
+relativistic and cable-mass forces and, as solve's period of c = -p, for a
+generic force of degree <= 5; the others take the trapezoid rule.
 """
 
 from __future__ import annotations
@@ -267,45 +267,52 @@ def _exact(c1: float, c3: float, c5: float) -> tuple[int, int, int, int, int]:
     return n1, n3, n5, d, 3 * n3 * n3 - 4 * n5 * (4 * n1 + n3 + n5)
 
 
-def _quarter_period_k(spec: Sequence[float]) -> float:
-    """Psi(0) of a generic force of degree <= 5 (1 to 3 coefficients), by one elliptic._cel call.
+def _reading(c: Sequence[float]) -> Optional[tuple]:
+    """The exact reading of the quintic u'' = -(c1 u + c3 u^3 + c5 u^5), c = (c1, c3, c5) or a prefix of it (zeros
+    after): None unless c is finite and h2 > 0 on [0, 1], else (d^2 delta, m, m1, A, B, stages, a_N, period).
 
-    t = tan(theta) turns the integral of 1/sqrt(G(sin^2 theta)) over [0, pi/2] into that of
-    1/sqrt(alpha + beta t^2 + gamma t^4) over [0, inf), alpha = G(0), beta = 2 G(0) + G'(0), gamma = G(1),
-    which is pi / (2 AGM(x, y)), x = sqrt(beta + 2 sqrt(alpha gamma)) / 2, y = (alpha gamma)^(1/4): so
-    cel(min/max, 1, 1, 1) / max (DLMF 19.8.5).  As in quintic.solve, c = -p is scaled to unit size and
-    written as integers: alpha = Q/6, beta = k~/2, gamma = P and 4 alpha gamma - beta^2 = -delta/12 are each
-    rounded once, and x^2 is (4 alpha gamma - beta^2) / (2 sqrt(alpha gamma) - beta) when beta < 0.
+    P, Q, k~ and delta come from one exact integer image of c scaled to unit size, each rounded once.  h2 > 0 on
+    [0, 1] is P, Q > 0 and (delta < 0 or k~ > 0): at delta = 0, k~ = (4/3) c5 s0 (s0 - 1) puts a double root s0 of
+    h2 in [0, 1] when k~ <= 0, a separatrix on which u never reaches 0.  m1 = 1 - m is (1 + x) / 2,
+    x = sqrt(6) k~ / (4 sqrt(PQ)), or -delta / (16 PQ (1 - x)) when x < 0: nothing cancels.  The period 8 A K(m)
+    takes K(m) = pi / (2 a_N) from the Landen chain elliptic._landen(m1) = (stages, a_N), DLMF 19.8.5.
     """
-    k, unit = _unit_scale(spec)
-    n1, n3, n5, d, delta_d2 = _exact(*[-x for x in unit] + [0.0] * (3 - len(unit)))
-    alpha, gamma = (6 * n1 + 3 * n3 + 2 * n5) / (6 * d), (n1 + n3 + n5) / d
-    if alpha > 0.0 and gamma > 0.0:
-        beta, root = (4 * n1 + 3 * n3 + 2 * n5) / (2 * d), math.sqrt(alpha) * math.sqrt(gamma)
-        x2 = beta + 2.0 * root if beta >= 0.0 else -delta_d2 / (12 * d * d) / (2.0 * root - beta)
-        if x2 > 0.0:
-            x, y = 0.5 * math.sqrt(x2), math.sqrt(root)
-            return math.ldexp(elliptic._cel(min(x, y) / max(x, y), 1.0, 1.0, 1.0) / max(x, y), -k)
-    raise DomainError(f"quarter-period quartic of force_spec {tuple(spec)} is not positive on [0, inf)")
+    if not all(map(math.isfinite, c)):
+        return None
+    # u(t) solves 4^k * c when v(2^k t) solves c, so the reading is built on c of unit size, where nothing
+    # overflows or underflows, and only A and the period carry the scale, as exact powers of two.
+    k, unit = _unit_scale(c)
+    n1, n3, n5, d, delta_d2 = _exact(*unit, *[0.0] * (3 - len(unit)))
+    P, Q, k_tilde = (n1 + n3 + n5) / d, (6 * n1 + 3 * n3 + 2 * n5) / d, (4 * n1 + 3 * n3 + 2 * n5) / d
+    if not (P > 0.0 and Q > 0.0 and (delta_d2 < 0 or k_tilde > 0.0)):  # the zero triple too
+        return None
+    half_x = math.sqrt(6.0) / 8.0 * k_tilde / math.sqrt(P) / math.sqrt(Q)
+    m = 0.5 - half_x
+    m1 = 0.5 + half_x if half_x >= 0.0 else -delta_d2 / (d * d) / P / Q / (32.0 * m)
+    # P * Q would underflow at a subnormal Q; 6 / P overflows at a subnormal P, whose m is below elliptic.M_MIN.
+    A = math.ldexp(((6.0 / P) ** 0.25 if P > 1e-300 else 6.0 ** 0.25 / P ** 0.25) / Q ** 0.25 / 2.0, -k)
+    stages, a_n = elliptic._landen(m1)
+    return delta_d2, m, m1, A, Q / (6.0 * P), stages, a_n, 8.0 * A * (0.5 * math.pi / a_n)
 
 
 def _quarter_period(model: OscillatorModel) -> tuple[float, str]:
-    """Psi(0), a quarter period, and its route: the closed form for a generic force of degree <= 5
-    (trailing zero coefficients dropped), else the trapezoid on 1/sqrt(G(sin theta))."""
+    """Psi(0), a quarter period, and its route: a quarter of _reading's period of c = -p for a generic force of
+    degree <= 5 (trailing zeros dropped), its own quintic, else the trapezoid on 1/sqrt(G(sin theta))."""
     if model.kind == GENERIC and not any(model.force_spec[3:]):
-        return _quarter_period_k(model.force_spec[:3]), CLOSED_FORM_K
+        return 0.25 * _reading([-p for p in model.force_spec[:3]])[-1], CLOSED_FORM_K
     return _quarter_period_integral(_theta_integrand(model)), QUADRATURE
 
 
 def exact_period(model: OscillatorModel) -> ExactPeriod:
     """Exact period of the model oscillation.
 
-    Closed forms exist for the relativistic force (4 Psi(0), complete K and E),
-    the cable-mass force (complete third-kind integral) and a generic force of
-    degree <= 5 (complete first-kind integral), each one call of elliptic._cel.
-    The others take four times the quarter period integral of 1/sqrt(G(sin theta))
-    by the nested periodic trapezoid rule, converged to 1e-15 relative: one
-    integrand call on 64 panels, then one per doubling past them.
+    Closed forms exist for the relativistic force (4 Psi(0), complete K and E)
+    and the cable-mass force (complete third-kind integral), each one call of
+    elliptic._cel, and for a generic force of degree <= 5, whose period is
+    solve's 8 A K(m) of c = -p, from _reading and its Landen AGM.  The others
+    take four times the quarter period integral of 1/sqrt(G(sin theta)) by the
+    nested periodic trapezoid rule, converged to 1e-15 relative: one integrand
+    call on 64 panels, then one per doubling past them.
     """
     _require_valid(model)
     a, b = model.a, model.b
@@ -332,7 +339,7 @@ def time_integral_psi(model: OscillatorModel, u: float) -> float:
     quarter period.  The relativistic model takes every u in (-1, 1] by its
     F/E closed form, negative u through Psi(u) = 2 Psi(0) - Psi(-u).  The
     other kinds take u = 1 and u = 0 only, Psi(0) being exact_period's
-    quarter period: its first-kind closed form for a generic force of
+    quarter period: a quarter of solve's period for a generic force of
     degree <= 5, else the nested trapezoid on 1/sqrt(G(sin theta)) (also for
     the cable-mass kind); any other u raises DomainError.
     """
@@ -372,17 +379,15 @@ def _psi_relativistic(a: float, u: float) -> float:
 def validate_params(model: OscillatorModel) -> list[str]:
     """Check parameter domains and potential positivity.
 
-    Returns an empty list when the model is usable; otherwise a list of
-    human-readable diagnostics, each naming the violated condition (and
-    the offending abscissa for potential-positivity failures).  For the
-    catalogue kinds G > 0 holds analytically once a (and b where it is
-    used) is positive and finite; duffing-relativistic also needs a^2 finite.  For the generic model G is a
-    polynomial in s = u^2, so its minimum over s in [0, 1] is taken
-    exactly, at s = 0, s = 1 or a critical point (by the quadratic formula
-    for a cubic G, else from companion-matrix eigenvalues).  The problems are
-    computed once per model instance; exact_period, time_integral_psi,
-    restoring_force, potential_phi, validation.residual_sup_norm and
-    validation.quintify reuse them, and each call here returns a fresh list.
+    Returns an empty list when the model is usable; otherwise a list of human-readable diagnostics, each
+    naming the violated condition (and the offending abscissa for potential-positivity failures).  For the
+    catalogue kinds G > 0 holds analytically once a (and b where it is used) is positive and finite;
+    duffing-relativistic also needs a^2 finite.  For the generic model G is a polynomial in s = u^2, trailing
+    zero coefficients dropped.  Degree <= 5 is decided exactly, by _reading's rule on c = -p; degree >= 7 by
+    the least rounded G at s = 0, s = 1 or a critical point (by the quadratic formula for a cubic G, else from
+    companion-matrix eigenvalues), which also names a rejection's abscissa.  The problems are computed once
+    per model instance; exact_period, time_integral_psi, restoring_force, potential_phi,
+    validation.residual_sup_norm and validation.quintify reuse them, and each call here returns a fresh list.
     """
     return list(model._problems)
 
@@ -390,25 +395,33 @@ def validate_params(model: OscillatorModel) -> list[str]:
 def _find_problems(model: OscillatorModel) -> list[str]:
     problems: list[str] = []
     if model.kind == GENERIC:
-        f1 = sum(model.force_spec or ())
-        if not model.force_spec:
+        spec = model.force_spec or ()
+        while len(spec) > 1 and not spec[-1]:
+            spec = spec[:-1]  # trailing zero coefficients
+        f1 = sum(spec)
+        if not spec:
             problems.append("generic model requires force_spec, a non-empty list of odd-polynomial coefficients")
-        elif not all(map(math.isfinite, model.force_spec)):
+        elif not all(map(math.isfinite, spec)):
             problems.append("force_spec contains non-finite coefficients")
         elif not math.isfinite(f1):
             problems.append(f"restoring force at u=1 overflows: f(1) = sum(force_spec) = {f1}")
+        elif len(spec) <= 3 and _reading([-p for p in spec]):
+            pass  # degree <= 5: G = h2 / 6 of c = -p, positive on [0, 1] by the exact rule
         elif f1 >= 0.0:
             problems.append(f"restoring force must be negative at u=1, got f(1)={f1}")
         else:
-            g = _generic_g_coeffs(model.force_spec)
+            g = _generic_g_coeffs(spec)
             d = [k * g[k] for k in range(1, len(g))]  # G', formed as polyder forms it
-            roots = _quadratic_roots(*d) if len(d) == 3 else _roots(d)
+            roots = _quadratic_roots(*d, *[0.0] * (3 - len(d))) if len(d) <= 3 else _roots(d)
             s = [0.0, 1.0] + [min(1.0, max(0.0, r)) for r in roots]  # none for a constant G
             gs = [_horner(x, g) for x in s]
             i = np.argmin(gs)
             if not gs[i] > 0.0:
                 problems.append(f"potential must be positive on (-1, 1): "
                                 f"Phi({math.sqrt(s[i]):.6g}) = {(1.0 - s[i]) * gs[i]:.6g}")
+            elif len(spec) <= 3:
+                problems.append(f"potential must be positive on (-1, 1): Phi <= 0 in exact arithmetic "
+                                f"near u={math.sqrt(s[i]):.6g}")
     else:
         # Up to the largest float, not inf: an int past it would overflow later.  a^2 as floats warns on no dtype.
         if not 0.0 < model.a <= sys.float_info.max:
@@ -438,8 +451,9 @@ def _quadratic_roots(d0: float, d1: float, d2: float) -> list[float]:
 
 def _roots(d: list[float]) -> list[float]:
     """Real parts of the sorted roots of sum d[k] s^k: numpy 2.4's polyroots step for step, so the same
-    bits, without importing numpy.polynomial into every process."""
-    while len(d) > 1 and d[-1] == 0.0:
+    bits, without importing numpy.polynomial into every process.  A leading coefficient that is zero, or so small
+    that some d[k] / d[-1] overflows, is dropped first: it changes the sum on [0, 1] by less than a rounding."""
+    while len(d) > 1 and (d[-1] == 0.0 or not max(map(abs, d[:-1])) / abs(d[-1]) < math.inf):
         d = d[:-1]
     if len(d) < 3:  # a line, or no root
         return [-d[0] / d[1]] if len(d) == 2 else []

@@ -29,9 +29,9 @@ from typing import NamedTuple, Union
 import numpy as np
 
 from .chebyshev import QuinticCoefficients
-from .elliptic import M_MIN, _dn2, _gauss, _landen, _legendre_f, _real, _sqrt, _top
+from .elliptic import M_MIN, _dn2, _gauss, _legendre_f, _real, _sqrt, _top
 from .errors import DomainError, UnsupportedCaseError
-from .models import GENERIC, OscillatorModel, _exact, _quarter_period_integral, _theta_integrand, _unit_scale
+from .models import GENERIC, OscillatorModel, _exact, _quarter_period_integral, _reading, _theta_integrand, _unit_scale
 
 CASE_I = "I"
 CASE_II = "II"
@@ -89,31 +89,16 @@ def discriminant(c: Coefficients) -> float:
 def _inversion(c: QuinticCoefficients) -> tuple[str, InversionParameters | None]:
     """classify's label of a triple and, unless it is UNSUPPORTED, its inversion parameters.
 
-    P, Q, k~ and delta come from one exact integer image of the unit triple, each rounded once.  A triple
-    is UNSUPPORTED unless P, Q > 0, (delta < 0 or k~ > 0) and m >= M_MIN: at delta = 0, k~ = (4/3) c5 s0 (s0 - 1)
-    puts a double root s0 of h2 in [0, 1] when k~ <= 0, a separatrix on which u never reaches 0.  The label is
-    DEGENERATE at delta = 0 exactly, else CASE_I for delta < 0 and CASE_II for delta > 0.  m1 = 1 - m is
-    (1 + x) / 2, x = sqrt(6) k~ / (4 sqrt(PQ)), or -delta / (16 PQ (1 - x)) when x < 0: nothing cancels.
+    A triple is UNSUPPORTED unless it has an exact reading (models._reading: h2 > 0 on [0, 1]) with m >= M_MIN.
+    The label is DEGENERATE at delta = 0 exactly, else CASE_I for delta < 0 and CASE_II for delta > 0; the rest
+    are the reading and the constants that an evaluation reads.
     """
-    if not all(map(math.isfinite, c.as_tuple())):
+    reading = _reading(c.as_tuple())
+    if reading is None or not reading[1] >= M_MIN:
         return UNSUPPORTED, None
-    # u(t) solves 4^k * c when v(2^k t) solves c, so the parameters are built
-    # on a triple of unit size, where nothing overflows or underflows, and
-    # only A and the period carry the scale, as exact powers of two.
-    k, unit = _unit_scale(c.as_tuple())
-    n1, n3, n5, d, delta_d2 = _exact(*unit)
-    P, Q, k_tilde = (n1 + n3 + n5) / d, (6 * n1 + 3 * n3 + 2 * n5) / d, (4 * n1 + 3 * n3 + 2 * n5) / d
-    if not (P > 0.0 and Q > 0.0 and (delta_d2 < 0 or k_tilde > 0.0)):  # the zero triple too
-        return UNSUPPORTED, None
-    half_x = math.sqrt(6.0) / 8.0 * k_tilde / math.sqrt(P) / math.sqrt(Q)
-    m = 0.5 - half_x
-    if not m >= M_MIN:
-        return UNSUPPORTED, None
-    m1 = 0.5 + half_x if half_x >= 0.0 else -delta_d2 / (d * d) / P / Q / (32.0 * m)
-    A = math.ldexp((6.0 / P) ** 0.25 / Q ** 0.25 / 2.0, -k)  # P * Q would underflow at a subnormal Q
+    delta_d2, m, m1, A, B, stages, a_n, period = reading
     label = DEGENERATE if delta_d2 == 0 else CASE_I if delta_d2 < 0 else CASE_II
-    (stages, a_n), B = _landen(m1), Q / (6.0 * P)
-    period, sb = 8.0 * A * (0.5 * math.pi / a_n), math.sqrt(B)  # K(m) = pi / (2 a_N), DLMF 19.8.5
+    sb = math.sqrt(B)
     return label, InversionParameters(A, B, m, m1, period, stages, 0.5 * a_n / (2.0 * A),
                                       sb, math.sqrt(sb), -math.sqrt(sb) / (2.0 * A), math.ldexp(period, 52))
 

@@ -224,6 +224,27 @@ class TestPeriod:
         assert payload["results"]["method"] == "closed_form_pi"
         assert payload["results"]["exact"] == pytest.approx(4.7334569588632203, rel=1e-12)
 
+    @pytest.mark.parametrize("spec", ["-1,-0.5", "-3,2,-1", "-1,-0.5,-0.3,0"])
+    def test_generic_degree_five_is_its_own_quintic(self, runner, spec):
+        # exact_period and solve read the same triple c = -p: the same period, bit for bit.
+        result = runner.invoke(main, ["period", "--model", "generic", f"--force-spec={spec}"])
+        assert result.exit_code == 0
+        exact, approx, ratio = csv_rows(result.output)[1][0]
+        assert exact == approx and ratio == "1"
+
+    def test_generic_not_positive_in_exact_arithmetic(self, runner):
+        # The rounded G is positive at its critical point, the exact one is not: a usage error.
+        result = runner.invoke(main, ["period", "--model", "generic",
+                                      "--force-spec=-7.812749092217277,45.317448131646096,-46.90451373583281"])
+        assert result.exit_code == 2
+        assert "potential must be positive on (-1, 1): Phi <= 0 in exact arithmetic near u=0.473944" in result.output
+
+    def test_generic_spread_spec_has_no_traceback(self, runner):
+        spec = "-1.5090182632991618e+232,3.029848768182759e-28,-3.534007795185732e+23,-1.9655825344578086e+282," \
+               "-3.889393285879125e-135"
+        result = runner.invoke(main, ["period", "--model", "generic", f"--force-spec={spec}"])
+        assert result.exit_code == 0 and result.exception is None, result.output
+
 
 class TestTable:
     def test_first_table_passes(self, runner):

@@ -193,3 +193,32 @@ def test_force_and_potential_are_finite_or_raise(func):
 def test_force_and_potential_overflow_for_huge_a(func):
     for m in filter(squares_overflow, EXTREME_MODELS):
         assert np.all(np.isfinite(func(m, np.linspace(-1.0, 1.0, 9))))
+
+
+
+# A generic spec spread over 10^-135 to 10^282: dividing its G' by the leading coefficient overflows.  Every call
+# that takes a model returns or raises a QuintoscError, with no RuntimeWarning, with or without a 0.0 appended.
+SPREAD = (-1.5090182632991618e+232, 3.029848768182759e-28, -3.534007795185732e+23, -1.9655825344578086e+282,
+          -3.889393285879125e-135)
+MODEL_CALLS = {
+    "exact_period": quintosc.exact_period,
+    "model_coefficients": quintosc.model_coefficients,
+    "potential_phi": lambda m: quintosc.potential_phi(m, np.linspace(-1.0, 1.0, 9)),
+    "quintify": quintosc.quintify,
+    "residual_sup_norm": lambda m: quintosc.residual_sup_norm(m, SOLUTION),
+    "restoring_force": lambda m: quintosc.restoring_force(m, np.linspace(-1.0, 1.0, 9)),
+    "time_integral_psi": lambda m: quintosc.time_integral_psi(m, 0.0),
+    "validate_params": quintosc.validate_params,
+}
+
+
+@pytest.mark.parametrize("spec", [SPREAD, SPREAD + (0.0,)], ids=["spread", "spread+0"])
+@pytest.mark.parametrize("name", sorted(MODEL_CALLS))
+def test_spread_generic_spec_raises_only_package_errors(name, spec):
+    generic = quintosc.OscillatorModel(models.GENERIC, force_spec=spec)
+    assert quintosc.validate_params(generic) == []
+    with deadline(5.0):
+        try:
+            MODEL_CALLS[name](generic)
+        except QuintoscError:
+            pass

@@ -65,14 +65,14 @@ def mp_time_integral(model, u=0.0):
         return float(mp.quad(lambda theta: 1 / mp.sqrt(big_g(mp.sin(theta))), nodes))
 
 
-def mp_generic_period(spec, quad=False):
-    """The period of a generic force of degree <= 5 at 40 digits, on the exact float coefficients.
+def mp_generic_period(spec, quad=False, dps=40):
+    """The period of a generic force of degree <= 5 at dps digits, on the exact float coefficients.
 
     G is written out in mpmath from the spec.  alpha + beta t^2 + gamma t^4 = G(sin^2 theta) (1 + t^2)^2 with
     t = tan(theta) gives 2 pi / AGM(sqrt(beta + 2 sqrt(alpha gamma)) / 2, (alpha gamma)^(1/4)); with quad=True,
     four times tanh-sinh on 1/sqrt(G(sin^2 theta)), split at 10^-k from both ends, where a near-zero G peaks.
     """
-    with mp.workdps(40):
+    with mp.workdps(dps):
         p = [mp.mpf(x) for x in spec] + [mp.mpf(0)] * (3 - len(spec))
         g = [-sum(p[k] / (k + 1) for k in range(j, 3)) for j in range(3)]
         if quad:
@@ -332,15 +332,29 @@ class TestExactPeriod:
                     assert models.exact_period(scaled).value == math.ldexp(value, -k), (family, spec, k)
 
     def test_generic_quartic_not_positive_raises(self):
-        # validate_params rounds G at its critical point s0 ~ 0.2246 and accepts this spec, but the exact G of
-        # these floats is -2.5e-17 there: no finite period.  The closed form says so (the trapezoid ran out
-        # of panels).
+        # The exact G of these floats is -2.5e-17 at its critical point s0 ~ 0.2246, where the rounded G is
+        # positive: validate_params decides by the exact rule and names where it failed, with no positive Phi.
         spec = (-7.812749092217277, 45.317448131646096, -46.90451373583281)
         model = models.OscillatorModel("generic", force_spec=spec)
-        assert models.validate_params(model) == []
-        with pytest.raises(DomainError, match="not positive"):
+        assert models.validate_params(model) == [
+            "potential must be positive on (-1, 1): Phi <= 0 in exact arithmetic near u=0.473944"]
+        assert models._reading([-p for p in spec]) is None
+        with pytest.raises(DomainError, match="exact arithmetic"):
             models.exact_period(model)
 
+    # h2 > 0 exactly, though G(1) = -f(1) or G(0) is 1e-30 or less and rounds to 0 in the float search: the exact
+    # rule accepts them, and the period is solve's 8 A K(m), whose m is below M_MIN.  At P = 5e-324, 6 / P
+    # overflows and _reading takes 6^(1/4) / P^(1/4).  beta + 2 sqrt(alpha gamma) in mp_generic_period cancels
+    # to sqrt(gamma), so 40 digits miss by a few hundred ulp at 1e-30; 400 digits hold every P down to 5e-324.
+    @pytest.mark.parametrize("spec", [(-1.0, 1.0, -1e-30), (-1e-30, -1.0, 1.0), (-1.0, 1.0, -1e-200),
+                                      (-1.0, 1.0, -5e-324)])
+    def test_generic_tiny_least_g_accepted(self, spec):
+        model = models.OscillatorModel("generic", force_spec=spec)
+        assert models.validate_params(model) == []
+        period = models.exact_period(model)
+        assert period.method == models.CLOSED_FORM_K and math.isfinite(period.value)
+        assert period.value == pytest.approx(float(mp_generic_period(spec, dps=400)), rel=4 * 2.0 ** -52, abs=0.0)
+        assert quintic.classify([-p for p in spec]) == quintic.UNSUPPORTED
 
     def test_relativistic_modulus_below_one(self):
         for a in np.logspace(-2.0, 2.0, 40):

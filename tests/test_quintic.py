@@ -109,10 +109,10 @@ def cold(func, c, t):
 
 @pytest.fixture()
 def stage_tables(monkeypatch):
-    """The Gauss stage tables quintic builds, one entry per elliptic._landen call."""
+    """The Gauss stage tables solve builds (through models._reading), one entry per elliptic._landen call."""
     calls = []
-    build = q._landen
-    monkeypatch.setattr(q, "_landen", lambda m1: calls.append(m1) or build(m1))
+    build = elliptic._landen
+    monkeypatch.setattr(elliptic, "_landen", lambda m1: calls.append(m1) or build(m1))
     return calls
 
 
@@ -189,6 +189,20 @@ class TestDiscriminantAndClassify:
             triples.append(((c5 / 3.0) * (s0 * s0 + 2.0 * s0) + c5 * step, -(2.0 * c5 / 3.0) * (2.0 * s0 + 1.0), c5))
         accepted = [assert_exact_rule(c) for c in triples]
         assert 200 < sum(accepted[:1000]) < 800 and 200 < sum(accepted[1000:]) < 800
+
+    def test_validate_params_is_the_exact_rule(self):
+        # A generic force of degree <= 5 is its own quintic c = -p, and validate_params accepts it exactly when
+        # h2 > 0 on [0, 1].  Beside delta = 0 with the double root s0 inside (0, 1), the rounded G at s0 takes
+        # either sign: a float search of the rounded G disagrees with the exact minimum on 158 of them.
+        rng = np.random.default_rng(37)
+        verdicts = []
+        for _ in range(2000):
+            s0, c5 = rng.uniform(0.02, 0.98), 10.0 ** rng.uniform(-2.0, 2.0)
+            step = rng.choice([-1.0, 0.0, 1.0]) * 10.0 ** rng.uniform(-18.0, -12.0)
+            c = ((c5 / 3.0) * (s0 * s0 + 2.0 * s0) + c5 * step, -(2.0 * c5 / 3.0) * (2.0 * s0 + 1.0), c5)
+            verdicts.append(not models.validate_params(models.OscillatorModel("generic", force_spec=[-x for x in c])))
+            assert verdicts[-1] == (exact_least_h2(c) > 0), c
+        assert 200 < sum(verdicts) < 1800
 
     def test_classification_is_total(self):
         for c in [(0.0, 0.0, 0.0), (1e300, -1e300, 1e-300), (-5.0, 2.0, 0.1)]:
