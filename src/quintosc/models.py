@@ -13,9 +13,10 @@ the conserved energy reads u'^2 = Phi(u) and the exact period is
 T = 2 * integral_{-1}^{1} ds / sqrt(Phi(s)).  Every model here factors as
 Phi(u) = (1 - u^2) * G(u) with G smooth and positive, which removes the
 inverse-square-root endpoint singularity from all quadratures via the
-substitution u = sin(theta).  The period is in closed form for the
-relativistic and cable-mass forces and, as solve's period of c = -p, for a
-generic force of degree <= 5; the others take the trapezoid rule.
+substitution u = sin(theta).  exact_period is the one period route table:
+one cel form for the relativistic and cable-mass forces, solve's period of
+c = -p for a generic force of degree <= 5, the trapezoid rule for the
+others; Psi(0) is a quarter of it for every kind.
 """
 
 from __future__ import annotations
@@ -295,70 +296,62 @@ def _reading(c: Sequence[float]) -> Optional[tuple]:
     return delta_d2, m, m1, A, Q / (6.0 * P), stages, a_n, 8.0 * A * (0.5 * math.pi / a_n)
 
 
-def _quarter_period(model: OscillatorModel) -> tuple[float, str]:
-    """Psi(0), a quarter period, and its route: a quarter of _reading's period of c = -p for a generic force of
-    degree <= 5 (trailing zeros dropped), its own quintic, else the trapezoid on 1/sqrt(G(sin theta))."""
-    if model.kind == GENERIC and not any(model.force_spec[3:]):
-        return 0.25 * _reading([-p for p in model.force_spec[:3]])[-1], CLOSED_FORM_K
-    return _quarter_period_integral(_theta_integrand(model)), QUADRATURE
-
-
 def exact_period(model: OscillatorModel) -> ExactPeriod:
-    """Exact period of the model oscillation.
+    """Exact period of the model oscillation, routed on _parts' (p, beta).
 
-    Closed forms exist for the relativistic force (4 Psi(0), complete K and E)
-    and the cable-mass force (complete third-kind integral), each one call of
-    elliptic._cel, and for a generic force of degree <= 5, whose period is
+    A force -kappa u - beta u / sqrt(1 + a^2 u^2) with beta > 0 and at most one
+    polynomial term (kappa = -p0, or 0 for an empty p: the relativistic and
+    cable-mass kinds) has T = 4 / sqrt(A) ((1 + J) Pi(n | m) - K(m)), one call
+    of elliptic._cel; at kappa = 0, m = n and Pi(n | n) = E(n) / (1 - n)
+    (DLMF 19.6.1) make it a K/E form.  A generic force of degree <= 5 has
     solve's 8 A K(m) of c = -p, from _reading and its Landen AGM.  The others
     take four times the quarter period integral of 1/sqrt(G(sin theta)) by the
     nested periodic trapezoid rule, converged to 1e-15 relative: one integrand
     call on 64 panels, then one per doubling past them.
     """
     _require_valid(model)
-    a, b = model.a, model.b
-    if model.kind == RELATIVISTIC:
-        return ExactPeriod(4.0 * _psi_relativistic(a, 0.0), CLOSED_FORM_KE)
-    if model.kind == CABLE_MASS:
-        J = math.hypot(1.0, a)
-        A = J + b
+    p, beta = _parts(model)
+    if beta and len(p) <= 1:
+        kappa = -p[0] if p else 0.0
+        J = math.hypot(1.0, model.a)
+        A = kappa * J + beta
         n = 0.5 * (1.0 - J)
-        m = n * ((b - n) / A)
-        # T = 4 / sqrt(A) ((1 + J) Pi(n, m) - K(m)) = 4 / sqrt(A) cel(kc, q, J, J + n), kc = sqrt(1 - m), q = 1 - n,
-        # both >= 1: _cel's reciprocal form, with J factored out of a and b and applied last, overflows at no a.
+        m = n * ((beta - kappa * n) / A)
+        # cel(kc, q, J, J + n) with kc = sqrt(1 - m), q = 1 - n, both >= 1: _cel's reciprocal form, with J
+        # factored out of a and b and applied last, overflows at no a.
         kc, q = math.sqrt(1.0 - m), 1.0 - n
         value = 4.0 * (J / math.sqrt(A) / kc) * elliptic._cel(1.0 / kc, 1.0 / q, (J + n) / J / q, 1.0 / q)
-        return ExactPeriod(value, CLOSED_FORM_PI)
-    value, method = _quarter_period(model)
-    return ExactPeriod(4.0 * value, method)
+        return ExactPeriod(value, CLOSED_FORM_PI if p else CLOSED_FORM_KE)
+    if not beta and not any(p[3:]):  # degree <= 5 once trailing zeros are dropped
+        return ExactPeriod(_reading([-c for c in p[:3]])[-1], CLOSED_FORM_K)
+    return ExactPeriod(4.0 * _quarter_period_integral(_theta_integrand(model)), QUADRATURE)
 
 
 def time_integral_psi(model: OscillatorModel, u: float) -> float:
     """Time for the trajectory to travel from amplitude 1 down to u.
 
-    Psi(u) = integral_u^1 ds / sqrt(Phi(s)); Psi(1) = 0 and Psi(0) is a
-    quarter period.  The relativistic model takes every u in (-1, 1] by its
-    F/E closed form, negative u through Psi(u) = 2 Psi(0) - Psi(-u).  The
-    other kinds take u = 1 and u = 0 only, Psi(0) being exact_period's
-    quarter period: a quarter of solve's period for a generic force of
-    degree <= 5, else the nested trapezoid on 1/sqrt(G(sin theta)) (also for
-    the cable-mass kind); any other u raises DomainError.
+    Psi(u) = integral_u^1 ds / sqrt(Phi(s)); Psi(1) = 0 and Psi(0) is
+    exact_period / 4 for every kind.  The relativistic model takes every u in
+    (-1, 1]: 0 < u < 1 by its F/E closed form, negative u through
+    Psi(u) = T / 2 - Psi(-u).  The other kinds take u = 1 and u = 0 only; any
+    other u raises DomainError.
     """
     _require_valid(model)
     if not -1.0 < u <= 1.0:
         raise DomainError(f"time_integral_psi requires u in (-1, 1], got u={u}")
     if u == 1.0:
         return 0.0
-    if model.kind == RELATIVISTIC:
-        if u < 0.0:
-            return 2.0 * _psi_relativistic(model.a, 0.0) - _psi_relativistic(model.a, -u)
-        return _psi_relativistic(model.a, u)
-    if u != 0.0:
+    if u == 0.0:
+        return 0.25 * exact_period(model).value
+    if model.kind != RELATIVISTIC:
         raise DomainError(f"time_integral_psi of a {model.kind} model takes u = 0 or u = 1 only, got u={u}")
-    return _quarter_period(model)[0]
+    if u < 0.0:
+        return 0.5 * exact_period(model).value - _psi_relativistic(model.a, -u)
+    return _psi_relativistic(model.a, u)
 
 
 def _psi_relativistic(a: float, u: float) -> float:
-    """Psi(u) = sqrt(2) (sqrt(J+1) E(phi | m) - F(phi | m) / sqrt(J+1)), J = sqrt(1 + a^2), 0 <= u < 1.
+    """Psi(u) = sqrt(2) (sqrt(J+1) E(phi | m) - F(phi | m) / sqrt(J+1)), J = sqrt(1 + a^2), 0 < u < 1.
 
     m = ((J - 1) / a)^2 rounds to 1 from a ~ 1e16 on, but 1 - m = 2 / (J + 1)
     does not.  sin^2(phi) = (J - h) / (J - 1), h = sqrt(1 + a^2 u^2), is
@@ -366,8 +359,6 @@ def _psi_relativistic(a: float, u: float) -> float:
     t = (a u / (h + 1)) (a u / (J + 1)) in [0, 1): nothing cancels or overflows.
     """
     J = math.hypot(1.0, a)
-    if u == 0.0:  # (J + 1) E - K = cel(kc, 1, J, 1) with kc^2 = 1 - m: two positive terms, J scaled out
-        return J / math.sqrt(0.5 * (J + 1.0)) * elliptic._cel(math.sqrt(2.0 / (J + 1.0)), 1.0, 1.0, 1.0 / J)
     au = a * u
     t = au / (math.hypot(1.0, au) + 1.0) * (au / (J + 1.0))
     s = math.sqrt((1.0 - u) * (1.0 + u) / (1.0 + t))

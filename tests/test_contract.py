@@ -96,7 +96,7 @@ def test_every_public_callable_is_probed():
     assert kernels - {"elliptic.JacobiTriple"} == set(ELLIPTIC_CALLS)
 
 
-# These square a*u, which overflows for |a| >~ 1.34e154 (ROADMAP Direction 4); every other
+# These square a*u, which overflows for |a| >~ 1.34e154 (ROADMAP Direction 8); every other
 # probe runs under pyproject's error::RuntimeWarning.
 SQUARES_A = {"restoring_force", "potential_phi", "residual_sup_norm"}
 

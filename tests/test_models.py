@@ -297,11 +297,32 @@ class TestExactPeriod:
                 ref.append(float(4 / mp.sqrt(J + b) * ((1 + J) * mp.ellippi(n, m) - mp.ellipk(m))))
         np.testing.assert_allclose(got, ref, rtol=8 * 2.0 ** -52, atol=0.0)
 
-    # Generic forces of degree <= 5 share one closed-form quarter period too, trailing zeros dropped;
-    # degree 7 shares the trapezoid.
+    def test_relativistic_against_mpmath(self):
+        # 4 sqrt(2) (sqrt(J+1) E(m) - K(m) / sqrt(J+1)), m = ((J - 1) / a)^2, as written before any
+        # rearrangement: at 50 digits over seeded log-uniform a in [0.01, 1e6], and for huge a at the digits
+        # that resolve 1 - m ~ 2 / a.  Nearly all of the error is the cel AGM's own rounding.
+        def reference(a, dps):
+            with mp.workdps(dps):
+                a = mp.mpf(a)
+                J = mp.sqrt(1 + a * a)
+                m, amp = ((J - 1) / a) ** 2, mp.sqrt(J + 1)
+                return float(4 * mp.sqrt(2) * (amp * mp.ellipe(m) - mp.ellipk(m) / amp))
+
+        draws = (10.0 ** np.random.default_rng(38).uniform(-2.0, 6.0, 200)).tolist()
+        huge = [1e16, 1e50, 1e155, 1e300, 1.7e308]
+        got = [models.exact_period(models.OscillatorModel("relativistic", a=a)).value for a in draws + huge]
+        ref = [reference(a, 50) for a in draws] + [reference(a, int(math.log10(a)) + 40) for a in huge]
+        np.testing.assert_allclose(got, ref, rtol=4 * 2.0 ** -52, atol=0.0)
+
+    # Every route gives Psi(0) as a quarter of the period: the cel form of both square-root kinds, the
+    # closed form of a generic force of degree <= 5 (trailing zeros dropped), and the trapezoid.
     @pytest.mark.parametrize("model, method", [
         pytest.param(models.OscillatorModel("relativistic", a=a), models.CLOSED_FORM_KE, id=str(a))
         for a in (0.3, 2.0, 1e7, 1e300)] + [
+        pytest.param(models.OscillatorModel("cable-mass", a=a, b=b), models.CLOSED_FORM_PI, id=f"cable{a, b}")
+        for a, b in [(0.3, 0.7), (2.0, 0.5), (1e160, 1e148), (1e308, 1e308), (1e6, 1e20)]] + [
+        pytest.param(models.OscillatorModel("duffing-relativistic", a=a, b=b), models.QUADRATURE, id=f"duff{a, b}")
+        for a, b in [(0.5, 0.2), (1.7, 1.0), (30.0, 2.0)]] + [
         pytest.param(models.OscillatorModel("generic", force_spec=s), method, id=f"generic{s}")
         for s, method in [((-1.0,), models.CLOSED_FORM_K), ((-1.0, -0.5), models.CLOSED_FORM_K),
                           ((-0.3, 1.2, -2.0), models.CLOSED_FORM_K), ((-1.0, 0.9, 0.0, 0.0), models.CLOSED_FORM_K),
@@ -482,13 +503,18 @@ class TestTrapezoid:
         calls = []
         value = models._quarter_period_integral(lambda nodes: calls.append(nodes[0].size) or g(nodes))
         assert len(calls) > 1 and 0.0 < value < math.inf
-        assert models.time_integral_psi(model, 0.0) == value
+        # Psi(0) is the closed form's quarter period, which the trapezoid on this G misses by 6e-13.
+        assert models.time_integral_psi(model, 0.0) == models.exact_period(model).value / 4
 
     def test_overflow_everywhere_raises_without_warning(self):
         # Past u ~ 1e-154 the relativistic term of G rounds to 0, although b g_rel is ~2 here, so
         # every node but theta = 0 sees G = 1: the levels never agree, and no RuntimeWarning escapes.
+        model = models.OscillatorModel("cable-mass", a=1e308, b=1e308)
         with pytest.raises(ConvergenceError):
-            models.time_integral_psi(models.OscillatorModel("cable-mass", a=1e308, b=1e308), 0.0)
+            models._quarter_period_integral(models._theta_integrand(model))
+        # Psi(0) does not reach the trapezoid: it is the closed form's quarter period, here and at (1e6, 1e20).
+        for model in (model, models.OscillatorModel("cable-mass", a=1e6, b=1e20)):
+            assert models.time_integral_psi(model, 0.0) == models.exact_period(model).value / 4
 
     def test_cached_nodes_are_read_only_and_freshly_formed(self):
         # The first grid's k pi/128, then each level's midpoints (2k + 1) pi/(4n), with their sines and cosines.
@@ -547,11 +573,8 @@ class TestTimeIntegral:
 
     @pytest.mark.parametrize("model", ALL_VALID)
     def test_quarter_period_identity(self, model):
-        psi0 = models.time_integral_psi(model, 0.0)
-        if model.kind == "cable-mass":  # a closed form against the trapezoid
-            assert models.exact_period(model).value == pytest.approx(4.0 * psi0, rel=1e-10)
-        else:  # the same rule on both sides
-            assert models.exact_period(model).value == 4.0 * psi0
+        # Psi(0) is exact_period's quarter period for every kind, bit for bit.
+        assert models.exact_period(model).value == 4.0 * models.time_integral_psi(model, 0.0)
 
     def test_decreasing_in_u(self):
         grid = [-0.9, -0.5, 0.0, 0.5, 0.9, 1.0]

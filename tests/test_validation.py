@@ -308,13 +308,21 @@ class TestQuintify:
     @pytest.mark.parametrize("a", [2.0, 5.0])
     def test_complete_integrals_call_no_carlson_kernel(self, kind, a, b, monkeypatch):
         # Complete integrals come from elliptic._cel on both sides of the alphas' a = 3.5 cutoff;
-        # the one Carlson call left is _time_to's R_F for the residual's argmax_t.
+        # the one Carlson call left is _time_to's R_F for the residual's argmax_t.  Psi(0) is the
+        # period's cel form too: neither kind reaches the trapezoid.
         calls = []
         for name in ("carlson_rf", "carlson_rj"):
             kernel = getattr(elliptic, name)
             monkeypatch.setattr(elliptic, name, lambda *args, _name=name, _kernel=kernel: calls.append(_name) or
                                 _kernel(*args))
-        validation.quintify(models.OscillatorModel(kind, a=a, b=b))
+
+        def no_trapezoid(g):
+            raise AssertionError("a closed-form kind reached the trapezoid")
+
+        monkeypatch.setattr(models, "_quarter_period_integral", no_trapezoid)
+        model = models.OscillatorModel(kind, a=a, b=b)
+        validation.quintify(model)
+        models.time_integral_psi(model, 0.0)
         assert calls == ["carlson_rf"]
 
     @pytest.mark.parametrize("spec, closed", [((-1.0,), True), ((-1.0, -0.5), True), ((-0.7, 0.3, -0.2), True),
